@@ -34,8 +34,8 @@ from .netcalc import (
     failure_curve,
     failure_probability,
 )
-from .planner import PlanningQuery, PsoParams, p4_fitness, pso_minimize, pso_optimize
-from .ris import ChannelParams, PhaseShiftConfig, capacity, optimal_phase_shift, snr
+from .planner import PlanningQuery, p4_fitness, pso_optimize
+from .ris import ChannelParams, PhaseShiftConfig, RowPhases, capacity, optimal_phase_shift, snr
 from .scenarios import BUILTIN, get_scenario, load_scenario, save_scenario
 from .switching import SwitchAutomaton, SwitchPhase, optimal_switch_acceleration
 
@@ -56,8 +56,8 @@ __all__ = [
     "PhaseShiftConfig",
     "PlanningQuery",
     "ProtocolParams",
-    "PsoParams",
     "RisMode",
+    "RowPhases",
     "Scenario",
     "SimTrace",
     "SwitchAutomaton",
@@ -75,7 +75,6 @@ __all__ = [
     "optimal_phase_shift",
     "optimal_switch_acceleration",
     "p4_fitness",
-    "pso_minimize",
     "pso_optimize",
     "run",
     "save_scenario",

@@ -3,7 +3,7 @@
 Flight control, separation checks and layer-switch arbitration run every
 tick; the surface phases and the pair position plan refresh on the larger
 communication interval.  All randomness flows through per-aircraft seeded
-streams plus one planner stream, so a scenario with a fixed seed reproduces
+streams and the planner is exact, so a scenario with a fixed seed reproduces
 its trace byte for byte.
 """
 
@@ -18,10 +18,14 @@ import numpy as np
 from .airspace import AirspaceConfig
 from .fields import FieldWeights
 from .netcalc import ProtocolParams
-from .planner import PlanningQuery, PsoParams, cosine_mismatch, pso_minimize, pso_optimize
+# pso_minimize is not called here; it stays bound because the benchmark's
+# tracer (perfbench/tracing.py) wraps it in this namespace.
+from .planner import PlanningQuery, pso_minimize, pso_optimize  # noqa: F401
 from .ris import (
     ChannelParams,
-    PhaseShiftConfig,
+    RowPhases,
+    ZeroLengthPath,
+    aligned_snr,
     capacity,
     optimal_phase_shift,
     quantize_config,
@@ -74,7 +78,6 @@ class Scenario:
     channel: ChannelParams = field(default_factory=ChannelParams)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
     weights: FieldWeights = field(default_factory=FieldWeights)
-    pso: PsoParams = field(default_factory=PsoParams)
     aircraft: tuple[AircraftSpec, ...] = ()
     dt: float = 0.1
     comm_interval: int = 5
@@ -216,6 +219,15 @@ class _EpisodeTracker:
         return self.closed
 
 
+def time_decimals(dt: float) -> int:
+    """Fewest decimals, at least one, that print every multiple of dt exactly."""
+    for d in range(1, 10):
+        scaled = dt * 10**d
+        if abs(scaled - round(scaled)) < 1e-6:
+            return d
+    return 9
+
+
 def _signed_ring(dx: np.ndarray, course: float) -> np.ndarray:
     """Map raw x differences onto the ring into [-course/2, course/2)."""
     return (dx + 0.5 * course) % course - 0.5 * course
@@ -254,15 +266,15 @@ class _Engine:
         self.start_alt = np.zeros(self.n)
         self.target_alt = np.zeros(self.n)
         seed_root = np.random.SeedSequence(sc.seed)
-        children = seed_root.spawn(self.n + 1)
-        self.rngs = [np.random.Generator(np.random.PCG64(c)) for c in children[:-1]]
-        self.planner_rng = np.random.Generator(np.random.PCG64(children[-1]))
+        self.rngs = [
+            np.random.Generator(np.random.PCG64(c)) for c in seed_root.spawn(self.n)
+        ]
         self.tracker = _EpisodeTracker()
         self.events: list[tuple[float, int, str, str]] = []
         self.requests_last_tick: set[int] = set()
         self.pair_low: int = -1
         self.pair_high: int = -1
-        self.phases: PhaseShiftConfig | None = None
+        self.phases: RowPhases | None = None
         self.expected = np.array(air.expected_speeds_mps)
         big, small = air.max_brake_mps2, air.comfort_brake_mps2
         self.sep_quad = (big - small) / (2.0 * big * small)
@@ -273,11 +285,10 @@ class _Engine:
     def _hsep(self, speed: np.ndarray) -> np.ndarray:
         return self.sep_quad * speed * speed + self.sep_lin * speed
 
-    def _ris_pos(self) -> tuple[float, float] | None:
+    def _ris_pos(self) -> tuple[float, float]:
+        """Surface position; an airborne surface rides on the low aircraft."""
         if self.sc.ris_mode is RisMode.STATIONARY:
             return self.sc.stationary_ris_pos
-        if self.pair_low < 0:
-            return None
         return (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
 
     def _plan_comm(self) -> None:
@@ -311,41 +322,15 @@ class _Engine:
             ris_pos = (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         if sc.phase_mode is PhaseMode.ZERO:
-            self.phases = PhaseShiftConfig(phases=(0.0,) * sc.ris_elements)
+            self.phases = RowPhases(np.zeros(math.isqrt(sc.ris_elements)), sc.ris_elements)
+            return
+        if sc.phase_mode is PhaseMode.CONTINUOUS:
+            # phases track the geometry every tick; aligned_snr has them exactly
             return
         best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
-        if sc.phase_mode is PhaseMode.CONTINUOUS:
-            self.phases = best
-            return
         self.phases = quantize_config(best, sc.phase_resolution)
         horizon = sc.airspace.max_speed_mps * sc.comm_interval * sc.dt
-        if sc.ris_mode is RisMode.STATIONARY:
-            query = PlanningQuery(
-                bs_pos=sc.bs_pos,
-                low_pos=ris_pos,
-                high_pos=high_pos,
-                horizon_m=(horizon, horizon),
-                num_elements=sc.ris_elements,
-                resolution=sc.phase_resolution,
-            )
-            root = math.isqrt(sc.ris_elements)
-            u = np.arange(root, dtype=float)
-
-            def fit(cands: np.ndarray) -> np.ndarray:
-                mism = np.asarray(
-                    cosine_mismatch(ris_pos[0], cands[:, 0], query)
-                )
-                terms = u[None, :] * mism[:, None]
-                res = terms - np.round(terms / query.resolution) * query.resolution
-                return np.mean(res**2, axis=1)
-
-            lo = np.array([high_pos[0] + 1e-9 * max(1.0, abs(high_pos[0]))])
-            hi_b = np.array([high_pos[0] + horizon])
-            best_x, _ = pso_minimize(fit, lo, hi_b, sc.pso, self.planner_rng)
-            self.goal_x[hi] = best_x[0]
-            self.goal_h[hi] = 2.0 * self.spacing
-            self.goal_active[hi] = True
-            return
+        stationary = sc.ris_mode is RisMode.STATIONARY
         query = PlanningQuery(
             bs_pos=sc.bs_pos,
             low_pos=ris_pos,
@@ -353,33 +338,38 @@ class _Engine:
             horizon_m=(horizon, horizon),
             num_elements=sc.ris_elements,
             resolution=sc.phase_resolution,
+            low_fixed=stationary,
         )
-        (gx_low, gx_high), _ = pso_optimize(query, sc.pso, self.planner_rng)
-        lo = self.pair_low
-        self.goal_x[lo] = gx_low
-        self.goal_h[lo] = self.spacing
-        self.goal_active[lo] = True
+        (gx_low, gx_high), _ = pso_optimize(query)
+        if not stationary:
+            lo = self.pair_low
+            self.goal_x[lo] = gx_low
+            self.goal_h[lo] = self.spacing
+            self.goal_active[lo] = True
         self.goal_x[hi] = gx_high
         self.goal_h[hi] = 2.0 * self.spacing
         self.goal_active[hi] = True
 
-    def _tick_capacity(self) -> float:
-        """Capacity of the served link at the current state."""
+    def _tick_capacity(self, t: float) -> float:
+        """Capacity of the served link at the current state.
+
+        A link whose ends coincide has no channel: it serves nothing that
+        tick and leaves a ZERO_PATH event.
+        """
         sc = self.sc
-        if self.pair_high < 0 or self.phases is None:
-            return 0.0
         hi = self.pair_high
+        if hi < 0:
+            return 0.0
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         ris_pos = self._ris_pos()
-        if ris_pos is None:
-            return 0.0
-        if sc.phase_mode is PhaseMode.CONTINUOUS:
-            self.phases = optimal_phase_shift(
-                sc.bs_pos, ris_pos, high_pos, sc.ris_elements
-            )
         try:
-            s = snr(sc.bs_pos, ris_pos, high_pos, self.phases, sc.channel)
-        except ValueError:
+            if sc.phase_mode is PhaseMode.CONTINUOUS:
+                s = aligned_snr(sc.bs_pos, ris_pos, high_pos, sc.ris_elements, sc.channel)
+            else:
+                s = snr(sc.bs_pos, ris_pos, high_pos, self.phases, sc.channel)
+        except ZeroLengthPath:
+            partner = int(self.ids[self.pair_low]) if self.pair_low >= 0 else -1
+            self.events.append((t, int(self.ids[hi]), "ZERO_PATH", f"ris={partner}"))
             return 0.0
         return capacity(s, sc.channel)
 
@@ -402,6 +392,7 @@ class _Engine:
         out_mode = np.empty(n_ticks * n, dtype=int)
         out_cap = np.zeros(n_ticks * n)
         out_ris = np.full(n_ticks * n, -1, dtype=int)
+        dec = time_decimals(sc.dt)
 
         for k in range(n_ticks):
             t = k * sc.dt
@@ -423,7 +414,7 @@ class _Engine:
                 }
             self.tracker.observe(conflicts, t)
             acc = self._accelerations(front_d, prec_idx, d_safe)
-            cap_now = self._tick_capacity()
+            cap_now = self._tick_capacity(t)
 
             sl = slice(k * n, (k + 1) * n)
             out_x[sl] = self.x
@@ -439,7 +430,7 @@ class _Engine:
                 )
 
             if not np.all(np.isfinite(acc)):
-                raise RuntimeError(f"non-finite force at t={t:.1f}")
+                raise RuntimeError(f"non-finite force at t={t:.{dec}f}")
             self.vx += acc[:, 0] * sc.dt
             self.vy += acc[:, 1] * sc.dt
             over = np.hypot(self.vx, self.vy)
@@ -455,9 +446,9 @@ class _Engine:
         episodes = self.tracker.finish()
         for a, b, start, end in episodes:
             dur = end - start + sc.dt
-            self.events.append((start, a, "CFL", f"with={b} dur={dur:.1f}"))
+            self.events.append((start, a, "CFL", f"with={b} dur={dur:.{dec}f}"))
             if dur > sc.intrusion_threshold_s + 1e-12:
-                self.events.append((start, a, "INTRUSION", f"with={b} dur={dur:.1f}"))
+                self.events.append((start, a, "INTRUSION", f"with={b} dur={dur:.{dec}f}"))
         self.events.sort(key=lambda e: (e[0], e[1], e[2]))
         return SimTrace(
             scenario=sc,
@@ -848,24 +839,48 @@ def summarize(trace: SimTrace) -> dict[str, float | int | str]:
     return out
 
 
+_WRITE_BLOCK_ROWS = 4096
+
+
 def write_trace(trace: SimTrace, path: str) -> None:
-    """State rows as delimited text, one row per aircraft per tick."""
+    """State rows as delimited text, one row per aircraft per tick.
+
+    The time column comes from the tick index, at the decimals dt needs.
+    """
+    dt = trace.scenario.dt
+    n = len(trace.scenario.aircraft)
+    dec = time_decimals(dt)
+    stamps = [f"{k * dt:.{dec}f}" for k in range(len(trace.t) // n)]
+    columns = (
+        trace.aircraft_id,
+        trace.x,
+        trace.h,
+        trace.vx,
+        trace.vy,
+        trace.layer,
+        trace.mode,
+        trace.capacity_bps,
+        trace.ris_partner,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
-        for i in range(len(trace.t)):
-            fh.write(
-                f"{trace.t[i]:.1f},{trace.aircraft_id[i]},{trace.x[i]:.6f},"
-                f"{trace.h[i]:.6f},{trace.vx[i]:.6f},{trace.vy[i]:.6f},"
-                f"{trace.layer[i]},{MODE_NAMES[trace.mode[i]]},"
-                f"{trace.capacity_bps[i]:.6f},{trace.ris_partner[i]}\n"
+        # Python lists format fastest; a block at a time bounds their memory.
+        for start in range(0, len(trace.t), _WRITE_BLOCK_ROWS):
+            block = zip(*(c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns))
+            fh.writelines(
+                f"{stamps[i // n]},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
+                f"{lay},{MODE_NAMES[mode]},{cap:.6f},{ris}\n"
+                for i, (aid, x, h, vx, vy, lay, mode, cap, ris) in enumerate(block, start)
             )
 
 
 def write_events(trace: SimTrace, path: str) -> None:
+    """Events as delimited text; times at the decimals dt needs."""
+    dec = time_decimals(trace.scenario.dt)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,id,kind,detail\n")
         for t, aid, kind, detail in trace.events:
-            fh.write(f"{t:.1f},{aid},{kind},{detail}\n")
+            fh.write(f"{t:.{dec}f},{aid},{kind},{detail}\n")
 
 
 def write_metrics(metrics: dict[str, float | int | str], path: str) -> None:

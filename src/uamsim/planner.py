@@ -1,10 +1,13 @@
 """Position planner that keeps the reflect-path phases on the quantizer grid.
 
 Quantized surface phases only align perfectly when the element steering term
-u_l * (cos_in - cos_out) sits on the resolution grid for every element row.
-The planner searches the next-window positions of the relaying (low) and
-served (high) aircraft for a geometry whose residuals vanish, with a small
-particle swarm.
+u * (cos_in - cos_out) sits on the resolution grid for every steering row u.
+The alignment fitness (problem P4) depends on a candidate (x_low, x_high)
+only through the scalar mismatch m = cos_in - cos_out, and m rises with x_low
+and falls with x_high.  So the planner minimizes the fitness exactly over
+the range of m the search box can reach, then maps the best m back to a
+point in the box.  The particle swarm the paper solves P4 with
+(``pso_minimize``) is kept as a reference the exact solver is tested against.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .ris import steering_indices
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,10 @@ class PlanningQuery:
     """One planning window for a (low, high) pair served through the surface.
 
     Positions are current; the search box runs from each aircraft's current x
-    forward by its reachable horizon.  Altitudes stay at the layer levels.
+    forward by its reachable horizon, excluding the current x itself.
+    Altitudes stay at the layer levels.  ``low_fixed`` pins the surface where
+    it is, as for a stationary surface: then x_low is the current x and only
+    x_high is searched.
     """
 
     bs_pos: tuple[float, float]
@@ -51,6 +55,7 @@ class PlanningQuery:
     horizon_m: tuple[float, float]
     num_elements: int
     resolution: float
+    low_fixed: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon_m[0] <= 0.0 or self.horizon_m[1] <= 0.0:
@@ -60,6 +65,20 @@ class PlanningQuery:
             raise ValueError("element count must be a positive perfect square")
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
+
+    def search_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Closed (lower, upper) corners of the box the solvers search.
+
+        The box is half-open at the current positions; it is shrunk there by
+        a hair so every candidate stays strictly ahead.  A fixed surface
+        gets the degenerate interval [x, x].
+        """
+        starts = np.array([self.low_pos[0], self.high_pos[0]])
+        lower = starts + 1e-9 * np.maximum(1.0, np.abs(starts))
+        upper = starts + np.array(self.horizon_m)
+        if self.low_fixed:
+            lower[0] = upper[0] = starts[0]
+        return lower, upper
 
 
 def cosine_mismatch(
@@ -76,6 +95,21 @@ def cosine_mismatch(
     return (x_low - bx) / d1 - (x_high - x_low) / d2
 
 
+def grid_fitness(
+    mismatch: np.ndarray | float, num_elements: int, resolution: float
+) -> np.ndarray:
+    """Mean squared distance of the steering terms u * m from the grid.
+
+    The steering index cycles through the rows 0..sqrt(L)-1 with equal
+    multiplicity, so the mean over the rows equals the mean over all L
+    elements.  Vectorized over any array of mismatches.
+    """
+    u = np.arange(math.isqrt(num_elements), dtype=float)
+    terms = np.multiply.outer(np.asarray(mismatch, dtype=float), u)
+    residual = terms - np.round(terms / resolution) * resolution
+    return np.mean(residual**2, axis=-1)
+
+
 def p4_fitness(candidate: tuple[float, float], query: PlanningQuery) -> float:
     """Mean squared distance of the element alignment terms from the grid.
 
@@ -84,29 +118,83 @@ def p4_fitness(candidate: tuple[float, float], query: PlanningQuery) -> float:
     Candidates outside the forward search box are infeasible.
     """
     x_low, x_high = candidate
-    lo_min, lo_max = query.low_pos[0], query.low_pos[0] + query.horizon_m[0]
-    hi_min, hi_max = query.high_pos[0], query.high_pos[0] + query.horizon_m[1]
-    if not (lo_min < x_low <= lo_max and hi_min < x_high <= hi_max):
+    lo_x, hi_x = query.low_pos[0], query.high_pos[0]
+    lo_h, hi_h = query.horizon_m
+    low_ok = x_low == lo_x if query.low_fixed else lo_x < x_low <= lo_x + lo_h
+    if not (low_ok and hi_x < x_high <= hi_x + hi_h):
         return math.inf
     mism = cosine_mismatch(x_low, x_high, query)
-    u = steering_indices(query.num_elements)
-    terms = u * mism
-    residual = terms - np.round(terms / query.resolution) * query.resolution
-    return float(np.mean(residual**2))
+    return float(grid_fitness(mism, query.num_elements, query.resolution))
 
 
-def _swarm_fitness(xs: np.ndarray, query: PlanningQuery) -> np.ndarray:
-    """Vectorized p4_fitness over an (n, 2) candidate array (all in-box).
+def best_mismatch(
+    m_lo: float, m_hi: float, num_elements: int, resolution: float, near: float
+) -> float:
+    """Exact minimizer of the grid fitness over mismatches in [m_lo, m_hi].
 
-    The steering index cycles through 0..sqrt(L)-1 with equal multiplicity,
-    so averaging over the distinct values equals averaging over all elements
-    at a fraction of the cost.
+    A grid multiple k * resolution puts every row on the grid (fitness 0);
+    of those in range the one closest to ``near`` wins.  Otherwise the
+    fitness is a piecewise quadratic in m whose pieces break where some row
+    crosses half a grid step, m = (j + 1/2) * resolution / u.  On each piece
+    the rounded multiples k_u are fixed and the quadratic is least at
+    m* = resolution * sum(u k_u) / sum(u^2), clipped to the piece.  The best
+    of those candidates is the global minimum.
     """
-    mism = cosine_mismatch(xs[:, 0], xs[:, 1], query)
-    u = np.arange(math.isqrt(query.num_elements), dtype=float)[None, :]
-    terms = u * np.asarray(mism)[:, None]
-    residual = terms - np.round(terms / query.resolution) * query.resolution
-    return np.mean(residual**2, axis=1)
+    u = np.arange(1, math.isqrt(num_elements), dtype=float)
+    if u.size == 0:  # a single element has nothing to align
+        return min(max(near, m_lo), m_hi)
+    k = round(near / resolution)
+    k = min(max(k, math.ceil(m_lo / resolution)), math.floor(m_hi / resolution))
+    if m_lo <= k * resolution <= m_hi:
+        return k * resolution
+    breaks = [
+        (np.arange(math.ceil(m_lo * r / resolution - 0.5), math.floor(m_hi * r / resolution - 0.5) + 1) + 0.5)
+        * (resolution / r)
+        for r in u
+    ]
+    edges = np.unique(np.concatenate([[m_lo, m_hi], *breaks]))
+    edges = edges[(edges >= m_lo) & (edges <= m_hi)]
+    lo, hi = edges[:-1], edges[1:]
+    k_u = np.round(np.multiply.outer(0.5 * (lo + hi), u) / resolution)
+    # summed explicitly (not matmul) so the result is independent of BLAS
+    stationary = resolution * np.sum(k_u * u, axis=1) / np.sum(u * u)
+    cands = np.concatenate([np.clip(stationary, lo, hi), edges])
+    return float(cands[np.argmin(grid_fitness(cands, num_elements, resolution))])
+
+
+def _bisect_low(m_target: float, x_high: float, a: float, b: float, query: PlanningQuery) -> float:
+    """x_low in [a, b] with mismatch m_target at x_high (m rises with x_low)."""
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        if cosine_mismatch(mid, x_high, query) < m_target:
+            a = mid
+        else:
+            b = mid
+    err_a = abs(cosine_mismatch(a, x_high, query) - m_target)
+    return a if err_a <= abs(cosine_mismatch(b, x_high, query) - m_target) else b
+
+
+def _place(m_target: float, query: PlanningQuery) -> tuple[float, float]:
+    """An in-box (x_low, x_high) whose mismatch is m_target.
+
+    x_low is fixed at the middle of its range and x_high solved in closed
+    form from cos(low->high) = cos_in - m_target; only when that x_high
+    leaves the box is x_high pinned to the box edge and x_low bisected.
+    ``m_target`` must lie in the range the box reaches.
+    """
+    (lo_a, hi_a), (lo_b, hi_b) = query.search_box()
+    x0 = 0.5 * (lo_a + lo_b)
+    if m_target <= cosine_mismatch(x0, hi_b, query):
+        return _bisect_low(m_target, hi_b, lo_a, x0, query), float(hi_b)
+    if m_target >= cosine_mismatch(x0, hi_a, query):
+        return _bisect_low(m_target, hi_a, x0, lo_b, query), float(hi_a)
+    bx, bh = query.bs_pos
+    c = (x0 - bx) / math.hypot(x0 - bx, query.low_pos[1] - bh) - m_target
+    dh = abs(query.high_pos[1] - query.low_pos[1])
+    x_high = x0 + c * dh / math.sqrt(1.0 - c * c)
+    return float(x0), float(min(max(x_high, hi_a), hi_b))
 
 
 def pso_minimize(
@@ -121,6 +209,8 @@ def pso_minimize(
     fn takes an (n, dim) array and returns n fitness values.  Particles are
     clipped to the box, velocities clamped to a fraction of the box width.
     The best position ever seen is returned, so the result never regresses.
+    The simulator does not call it; tests use it as the reference for the
+    exact planner.
     """
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -159,26 +249,27 @@ def pso_minimize(
     return g_pos, g_fit
 
 
-def pso_optimize(
-    query: PlanningQuery,
-    params: PsoParams,
-    rng: np.random.Generator,
-) -> tuple[tuple[float, float], float]:
+def pso_optimize(query: PlanningQuery) -> tuple[tuple[float, float], float]:
     """Best next-window (x_low, x_high) for the pair, with its fitness.
 
-    The search box is half-open at the current positions; the swarm runs on
-    a closed box shrunk by a hair so every candidate stays strictly ahead.
+    An exact, deterministic solve: the box reaches the mismatches between
+    its corners m(lower_low, upper_high) and m(upper_low, lower_high);
+    ``best_mismatch`` minimizes the fitness over that range, preferring the
+    zero nearest the pair's current mismatch so the pair re-steers least,
+    and ``_place`` maps the minimizer back into the box.  The name is that of the swarm
+    search it replaced, kept because the benchmark's tracer looks the
+    planner up under it.
     """
-    eps_lo = 1e-9 * max(1.0, abs(query.low_pos[0]))
-    eps_hi = 1e-9 * max(1.0, abs(query.high_pos[0]))
-    lower = np.array([query.low_pos[0] + eps_lo, query.high_pos[0] + eps_hi])
-    upper = np.array(
-        [
-            query.low_pos[0] + query.horizon_m[0],
-            query.high_pos[0] + query.horizon_m[1],
-        ]
-    )
-    best, fit = pso_minimize(
-        lambda xs: _swarm_fitness(xs, query), lower, upper, params, rng
-    )
-    return (float(best[0]), float(best[1])), float(fit)
+    (lo_a, hi_a), (lo_b, hi_b) = query.search_box()
+    m_lo = float(cosine_mismatch(lo_a, hi_b, query))
+    m_hi = float(cosine_mismatch(lo_b, hi_a, query))
+    near = float(cosine_mismatch(query.low_pos[0], query.high_pos[0], query))
+    m = best_mismatch(m_lo, m_hi, query.num_elements, query.resolution, near)
+    if m == m_lo:
+        best = (float(lo_a), float(hi_b))
+    elif m == m_hi:
+        best = (float(lo_b), float(hi_a))
+    else:
+        best = _place(m, query)
+    mism = cosine_mismatch(best[0], best[1], query)
+    return best, float(grid_fitness(mism, query.num_elements, query.resolution))

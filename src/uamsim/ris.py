@@ -48,43 +48,78 @@ class ChannelParams:
             raise ValueError("interference power cannot be negative")
 
 
+def _check_phases(phases: np.ndarray, resolution: float | None) -> None:
+    """Phases in [0, 2*pi), on the resolution grid when one is given."""
+    if not (phases.min() >= 0.0 and phases.max() < TWO_PI):  # NaN fails too
+        raise ValueError("phases must lie in [0, 2*pi)")
+    if resolution is not None:
+        if resolution <= 0.0:
+            raise ValueError("resolution must be positive")
+        ratio = phases / (resolution * math.pi)
+        if np.abs(ratio - np.rint(ratio)).max() > 1e-9:
+            raise ValueError("phase off the resolution grid")
+
+
+def _check_square(n: int) -> int:
+    """sqrt(n) for a positive perfect square n."""
+    root = math.isqrt(n)
+    if root * root != n or n == 0:
+        raise ValueError("element count must be a positive perfect square")
+    return root
+
+
 @dataclass(frozen=True)
 class PhaseShiftConfig:
     """Per-element phase shifts in [0, 2*pi).
 
     ``resolution`` is the grid step as a fraction of pi (e.g. 1/4 means the
-    grid {m * pi/4}); None means continuously adjustable phases.
+    grid {m * pi/4}); None means continuously adjustable phases.  Any phase
+    pattern fits; the simulator itself only needs ``RowPhases``.
     """
 
     phases: tuple[float, ...]
     resolution: float | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.phases)
-        root = math.isqrt(n)
-        if root * root != n or n == 0:
-            raise ValueError("element count must be a positive perfect square")
-        for theta in self.phases:
-            if not 0.0 <= theta < TWO_PI:
-                raise ValueError("phases must lie in [0, 2*pi)")
-        if self.resolution is not None:
-            if self.resolution <= 0.0:
-                raise ValueError("resolution must be positive")
-            step = self.resolution * math.pi
-            for theta in self.phases:
-                ratio = theta / step
-                if abs(ratio - round(ratio)) > 1e-9:
-                    raise ValueError("phase off the resolution grid")
+        _check_square(len(self.phases))
+        _check_phases(np.asarray(self.phases, dtype=float), self.resolution)
 
     @property
     def num_elements(self) -> int:
         return len(self.phases)
 
 
+@dataclass(frozen=True, eq=False)
+class RowPhases:
+    """Phase shifts shared along each steering row: element l takes
+    ``phases[l mod sqrt(L)]``.
+
+    Every phase the simulator produces depends on the element only through
+    its steering index, so sqrt(L) values describe the whole surface.
+    ``phases`` is a read-only array; ``resolution`` as in PhaseShiftConfig.
+    """
+
+    phases: np.ndarray
+    num_elements: int
+    resolution: float | None = None
+
+    def __post_init__(self) -> None:
+        rows = np.array(self.phases, dtype=float)
+        if rows.shape != (_check_square(self.num_elements),):
+            raise ValueError("row phases need one value per steering row")
+        _check_phases(rows, self.resolution)
+        rows.flags.writeable = False
+        object.__setattr__(self, "phases", rows)
+
+
+class ZeroLengthPath(ValueError):
+    """Two ends of a link coincide, so the path has no channel."""
+
+
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     d = math.hypot(a[0] - b[0], a[1] - b[1])
     if d <= 0.0:
-        raise ValueError("zero-length path has no channel")
+        raise ZeroLengthPath("zero-length path has no channel")
     return d
 
 
@@ -112,22 +147,24 @@ def cascaded_gain(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float],
     k_pos: tuple[float, float],
-    phases: PhaseShiftConfig,
+    phases: PhaseShiftConfig | RowPhases,
     params: ChannelParams,
 ) -> complex:
     """Reflected-path amplitude through the surface.
 
     Element l contributes exp(j * (pi * u_l * (cos_in - cos_out) + theta_l))
     with u_l its steering index; the common amplitude is
-    beta / sqrt(d1^a1 * d2^a2).
+    beta / sqrt(d1^a1 * d2^a2).  Row phases sum over the sqrt(L) rows, each
+    standing for sqrt(L) equal elements.
     """
     d1 = _distance(bs_pos, ris_pos)
     d2 = _distance(ris_pos, k_pos)
-    cos_in = azimuth_cosine(bs_pos, ris_pos)
-    cos_out = azimuth_cosine(ris_pos, k_pos)
-    u = steering_indices(phases.num_elements)
-    theta = np.asarray(phases.phases)
+    cos_in = (ris_pos[0] - bs_pos[0]) / d1
+    cos_out = (k_pos[0] - ris_pos[0]) / d2
+    theta = np.asarray(phases.phases, dtype=float)
+    u = np.arange(theta.size) % math.isqrt(phases.num_elements)
     summed = np.exp(1j * (math.pi * u * (cos_in - cos_out) + theta)).sum()
+    summed *= phases.num_elements // theta.size
     amp = params.ref_gain / math.sqrt(
         d1 ** params.alpha_bs_i * d2 ** params.alpha_i_k
     )
@@ -154,19 +191,19 @@ def optimal_phase_shift(
     ris_pos: tuple[float, float],
     k_pos: tuple[float, float],
     num_elements: int,
-) -> PhaseShiftConfig:
+) -> RowPhases:
     """Phases that align every element of the cascade with the direct path.
 
-    theta_l = -pi * u_l * (cos_in - cos_out), wrapped into [0, 2*pi).  With
-    these the cascade sum hits its magnitude bound exactly.
+    theta_u = -pi * u * (cos_in - cos_out) per steering row u, wrapped into
+    [0, 2*pi).  With these the cascade sum hits its magnitude bound exactly.
     """
     cos_in = azimuth_cosine(bs_pos, ris_pos)
     cos_out = azimuth_cosine(ris_pos, k_pos)
-    u = steering_indices(num_elements)
+    u = np.arange(_check_square(num_elements))
     theta = np.mod(-math.pi * u * (cos_in - cos_out), TWO_PI)
     # mod can return the period itself when the operand is a tiny negative
     theta[theta >= TWO_PI] = 0.0
-    return PhaseShiftConfig(phases=tuple(float(t) for t in theta), resolution=None)
+    return RowPhases(theta, num_elements)
 
 
 def quantize_phase(theta: float, resolution: float) -> float:
@@ -181,18 +218,25 @@ def quantize_phase(theta: float, resolution: float) -> float:
     return m * step
 
 
-def quantize_config(config: PhaseShiftConfig, resolution: float) -> PhaseShiftConfig:
-    """Quantize every phase of ``config`` onto the given grid."""
-    snapped = []
-    for theta in config.phases:
-        q = math.fmod(quantize_phase(theta, resolution), TWO_PI)
-        if q < 0.0:
-            q += TWO_PI
-        # guard against fmod returning the period itself
-        if q >= TWO_PI:
-            q = 0.0
-        snapped.append(q)
-    return PhaseShiftConfig(phases=tuple(snapped), resolution=resolution)
+def quantize_config(
+    config: PhaseShiftConfig | RowPhases, resolution: float
+) -> PhaseShiftConfig | RowPhases:
+    """Quantize every phase of ``config`` onto the given grid, keeping its form.
+
+    Element by element the same arithmetic as quantize_phase, wrapped back
+    into [0, 2*pi).
+    """
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    step = resolution * math.pi
+    theta = np.asarray(config.phases, dtype=float)
+    snapped = np.fmod(np.ceil(theta / step - 0.5) * step, TWO_PI)
+    snapped[snapped < 0.0] += TWO_PI
+    # guard against fmod returning the period itself
+    snapped[snapped >= TWO_PI] = 0.0
+    if isinstance(config, RowPhases):
+        return RowPhases(snapped, config.num_elements, resolution)
+    return PhaseShiftConfig(tuple(snapped.tolist()), resolution)
 
 
 def interference_at(k_pos: tuple[float, float], params: ChannelParams) -> float:
@@ -203,11 +247,17 @@ def interference_at(k_pos: tuple[float, float], params: ChannelParams) -> float:
     return params.interference_power_w * params.ref_gain / d ** params.interference_alpha
 
 
+def _receive_snr(amplitude: float, k_pos: tuple[float, float], params: ChannelParams) -> float:
+    """|h|^2 P / (noise + interference) at the aircraft."""
+    denom = params.noise_power_w + interference_at(k_pos, params)
+    return amplitude**2 * params.tx_power_w / denom
+
+
 def snr(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float] | None,
     k_pos: tuple[float, float],
-    phases: PhaseShiftConfig | None,
+    phases: PhaseShiftConfig | RowPhases | None,
     params: ChannelParams,
 ) -> float:
     """Receive SNR of the combined direct and reflected paths.
@@ -218,8 +268,27 @@ def snr(
     h = direct_gain(bs_pos, k_pos, params)
     if ris_pos is not None and phases is not None:
         h += cascaded_gain(bs_pos, ris_pos, k_pos, phases, params)
-    denom = params.noise_power_w + interference_at(k_pos, params)
-    return abs(h) ** 2 * params.tx_power_w / denom
+    return _receive_snr(abs(h), k_pos, params)
+
+
+def aligned_snr(
+    bs_pos: tuple[float, float],
+    ris_pos: tuple[float, float],
+    k_pos: tuple[float, float],
+    num_elements: int,
+    params: ChannelParams,
+) -> float:
+    """SNR under continuously adjustable, optimally aligned phases.
+
+    optimal_phase_shift turns every element's term real and positive, as is
+    the direct gain, so the combined amplitude is exactly |h_direct| +
+    cascaded_gain_bound (acceptance criterion 1 checks the cascade against
+    the bound to 1e-9).
+    """
+    amplitude = abs(direct_gain(bs_pos, k_pos, params)) + cascaded_gain_bound(
+        bs_pos, ris_pos, k_pos, num_elements, params
+    )
+    return _receive_snr(amplitude, k_pos, params)
 
 
 def capacity(snr_value: float, params: ChannelParams) -> float:

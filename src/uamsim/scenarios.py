@@ -17,7 +17,6 @@ from .airspace import AirspaceConfig
 from .engine import AircraftSpec, PhaseMode, RisMode, Scenario
 from .fields import FieldWeights
 from .netcalc import ProtocolParams
-from .planner import PsoParams
 from .ris import ChannelParams
 
 _SECTIONS = {
@@ -25,7 +24,6 @@ _SECTIONS = {
     "channel": ChannelParams,
     "protocol": ProtocolParams,
     "weights": FieldWeights,
-    "pso": PsoParams,
 }
 _TOP_FIELDS = tuple(
     f.name

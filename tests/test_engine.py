@@ -1,14 +1,17 @@
 """Whole-simulator behaviour: determinism, invariants, episode accounting."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from uamsim import scenarios
+from uamsim import engine, scenarios
 from uamsim.engine import (
     AircraftSpec,
     MODE_CRUISE,
+    PhaseMode,
+    RisMode,
     Scenario,
     _EpisodeTracker,
     composite_field_total,
@@ -16,6 +19,7 @@ from uamsim.engine import (
     ipr_threshold,
     run,
     summarize,
+    time_decimals,
     validate_scenario,
     write_events,
     write_metrics,
@@ -227,3 +231,65 @@ def test_write_events_file(tmp_path):
     text = path.read_text().strip().splitlines()
     assert text[0].startswith("t,")
     assert len(text) == 1 + len(tr.events)
+
+
+def test_time_decimals():
+    assert [time_decimals(dt) for dt in (0.1, 0.05, 0.025, 1.0, 0.5, 2.0)] == [1, 2, 3, 1, 1, 1]
+
+
+def _columns(path, col=0):
+    return [line.split(",")[col] for line in path.read_text().splitlines()[1:]]
+
+
+def test_fine_dt_prints_one_timestamp_per_tick(tmp_path):
+    """At dt = 0.05 the 20 ticks of each second print as 20 distinct times,
+    and episode durations keep the second decimal."""
+    sc = replace(scenarios.get_scenario("fig12-ipr", seed=2), dt=0.05, duration_s=3.0)
+    tr = run(sc)
+    write_trace(tr, str(tmp_path / "trace.csv"))
+    write_events(tr, str(tmp_path / "events.csv"))
+    stamps = list(dict.fromkeys(_columns(tmp_path / "trace.csv")))
+    assert stamps == [f"{k * 0.05:.2f}" for k in range(60)]
+    assert stamps[:3] == ["0.00", "0.05", "0.10"]
+    details = _columns(tmp_path / "events.csv", 3)
+    durations = [d for d in details if "dur=" in d]
+    assert durations, "seed 2 starts with violated pairs"
+    assert all(re.search(r"dur=\d+\.\d\d$", d) for d in durations)
+    assert all(re.fullmatch(r"\d+\.\d\d", t) for t in _columns(tmp_path / "events.csv"))
+
+
+def test_default_dt_times_keep_one_decimal(tmp_path):
+    tr = run(_short(scenarios.get_scenario("fig12-ipr", seed=2), 3.0))
+    write_trace(tr, str(tmp_path / "trace.csv"))
+    assert _columns(tmp_path / "trace.csv") == [f"{t:.1f}" for t in tr.t]
+
+
+def _parked_on_the_served_aircraft(phase_mode):
+    return Scenario(
+        name="parked",
+        aircraft=(AircraftSpec(aircraft_id=7, layer=2, x=400.0),),
+        ris_mode=RisMode.STATIONARY,
+        stationary_ris_pos=(400.0, 200.0),
+        phase_mode=phase_mode,
+        duration_s=1.0,
+    )
+
+
+def test_coincident_surface_serves_nothing_and_says_so():
+    """A stationary surface on the served aircraft has a zero-length path:
+    that tick serves nothing and records a ZERO_PATH event."""
+    tr = run(_parked_on_the_served_aircraft(PhaseMode.CONTINUOUS))
+    zero = [e for e in tr.events if e[2] == "ZERO_PATH"]
+    assert zero == [(0.0, 7, "ZERO_PATH", "ris=-1")]
+    assert tr.capacity_bps[0] == 0.0
+    assert np.all(tr.capacity_bps[1:] > 0.0)
+
+
+def test_other_capacity_errors_propagate(monkeypatch):
+    def broken(*args):
+        raise ValueError("not a geometry problem")
+
+    monkeypatch.setattr(engine, "snr", broken)
+    sc = replace(_parked_on_the_served_aircraft(PhaseMode.ZERO), stationary_ris_pos=(400.0, 100.0))
+    with pytest.raises(ValueError, match="not a geometry problem"):
+        run(sc)

@@ -1,19 +1,26 @@
-"""Swarm search over relay placements."""
+"""Exact grid planner, checked against the swarm oracle and random sampling."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uamsim import scenarios
+from uamsim.engine import PhaseMode, run
 from uamsim.planner import (
     PlanningQuery,
     PsoParams,
+    best_mismatch,
     cosine_mismatch,
+    grid_fitness,
     p4_fitness,
     pso_minimize,
     pso_optimize,
-    _swarm_fitness,
 )
+from uamsim.ris import steering_indices
 
 
 def _query(resolution=1.0 / 12.0, num_elements=1024):
@@ -27,8 +34,59 @@ def _query(resolution=1.0 / 12.0, num_elements=1024):
     )
 
 
+def candidate_fitness(xs, query):
+    """p4_fitness over an (n, 2) array of in-box candidates."""
+    mism = cosine_mismatch(xs[:, 0], xs[:, 1], query)
+    return grid_fitness(mism, query.num_elements, query.resolution)
+
+
+def _element_fitness(mism, query):
+    """Reference: the P4 fitness element by element over all L elements."""
+    u = steering_indices(query.num_elements)
+    terms = u * mism
+    residual = terms - np.round(terms / query.resolution) * query.resolution
+    return float(np.mean(residual**2))
+
+
+def _oracle(query, seed):
+    """Swarm search over the same box, as the simulator used to plan."""
+    lower, upper = query.search_box()
+    rng = np.random.default_rng(seed)
+    if query.low_fixed:
+        def fit(xs):
+            mism = cosine_mismatch(lower[0], xs[:, 0], query)
+            return grid_fitness(mism, query.num_elements, query.resolution)
+
+        _, f = pso_minimize(fit, lower[1:], upper[1:], PsoParams(), rng)
+        return f
+    _, f = pso_minimize(lambda xs: candidate_fitness(xs, query), lower, upper, PsoParams(), rng)
+    return f
+
+
+def _random_best(query, rng, n=200):
+    """Best fitness of n uniform draws from the half-open box."""
+    lx, hx = query.low_pos[0], query.high_pos[0]
+    xh = hx + query.horizon_m[1] * (1.0 - rng.random(n))
+    if query.low_fixed:
+        xl = np.full(n, lx)
+    else:
+        xl = lx + query.horizon_m[0] * (1.0 - rng.random(n))
+    return float(np.min(candidate_fitness(np.column_stack([xl, xh]), query)))
+
+
+def _assert_in_box(point, query):
+    xl, xh = point
+    lx, hx = query.low_pos[0], query.high_pos[0]
+    if query.low_fixed:
+        assert xl == lx
+    else:
+        assert lx < xl <= lx + query.horizon_m[0]
+    assert hx < xh <= hx + query.horizon_m[1]
+
+
 def test_swarm_fitness_matches_scalar_everywhere():
-    """The vectorized fitness of in-box candidates equals the per-point one."""
+    """The vectorized fitness of in-box candidates equals the per-point one,
+    and both equal the element-by-element mean over all L elements."""
     q = _query()
     rng = np.random.default_rng(2024)
     xs = np.column_stack(
@@ -37,16 +95,22 @@ def test_swarm_fitness_matches_scalar_everywhere():
             rng.uniform(500.0 + 1e-6, 760.0, 64),
         ]
     )
-    vec = _swarm_fitness(xs, q)
+    vec = candidate_fitness(xs, q)
     for row, f in zip(xs, vec):
         assert f == pytest.approx(p4_fitness((row[0], row[1]), q), rel=1e-12, abs=1e-18)
+        mism = cosine_mismatch(row[0], row[1], q)
+        assert f == pytest.approx(_element_fitness(mism, q), rel=1e-12, abs=1e-18)
 
 
 def test_out_of_box_is_infeasible():
     q = _query()
     assert p4_fitness((299.0, 600.0), q) == math.inf
     assert p4_fitness((400.0, 900.0), q) == math.inf
+    assert p4_fitness((300.0, 600.0), q) == math.inf
     assert p4_fitness((400.0, 600.0), q) < math.inf
+    fixed = replace(q, low_fixed=True)
+    assert p4_fitness((300.0, 600.0), fixed) < math.inf
+    assert p4_fitness((400.0, 600.0), fixed) == math.inf
 
 
 def test_zero_mismatch_means_zero_fitness():
@@ -89,29 +153,32 @@ def test_pso_minimizes_a_convex_bowl():
 
 
 def test_pso_is_deterministic_per_seed():
+    """Equal queries give bit-equal answers; the answer lies in the box and
+    is no worse than the swarm from either of two seeds."""
     q = _query()
-    a = pso_optimize(q, PsoParams(), np.random.default_rng(42))
-    b = pso_optimize(q, PsoParams(), np.random.default_rng(42))
+    a = pso_optimize(q)
+    b = pso_optimize(_query())
     assert a[0] == b[0] and a[1] == b[1]
-    c = pso_optimize(q, PsoParams(), np.random.default_rng(43))
-    # a different stream is allowed to land elsewhere, but stays in-box
-    (xl, xh), fit = c
+    (xl, xh), fit = a
     assert 300.0 < xl <= 500.0 and 500.0 < xh <= 760.0
     assert math.isfinite(fit)
+    assert fit == p4_fitness((xl, xh), q)
+    for seed in (42, 43):
+        assert fit <= _oracle(q, seed) * (1.0 + 1e-9)
 
 
 def test_pso_beats_random_sampling():
     q = _query()
     rng = np.random.default_rng(17)
-    (xl, xh), fit = pso_optimize(q, PsoParams(), rng)
+    (xl, xh), fit = pso_optimize(q)
     draws = np.column_stack(
         [
             rng.uniform(300.0 + 1e-6, 500.0, 200),
             rng.uniform(500.0 + 1e-6, 760.0, 200),
         ]
     )
-    baseline = float(np.min(_swarm_fitness(draws, q)))
-    print(f"swarm fitness {fit:.3e} vs best of 200 random draws {baseline:.3e}")
+    baseline = float(np.min(candidate_fitness(draws, q)))
+    print(f"exact fitness {fit:.3e} vs best of 200 random draws {baseline:.3e}")
     assert fit <= baseline * (1.0 + 1e-9)
 
 
@@ -131,3 +198,75 @@ def test_query_validation():
         )
     with pytest.raises(ValueError):
         PsoParams(swarm_size=0)
+
+
+def test_no_grid_multiple_in_range_takes_the_piecewise_minimum():
+    """Without a zero in range the answer is the dense-scan minimum, or
+    better, also where that minimum lies inside a piece (m = 5/42 here)."""
+    res, n = 1.0 / 3.0, 16
+    for m_lo, m_hi in ((0.05, 0.3), (0.07, 0.17)):  # no multiple of 1/3 in range
+        m = best_mismatch(m_lo, m_hi, n, res, near=0.2)
+        assert m_lo <= m <= m_hi
+        scan = np.linspace(m_lo, m_hi, 200_001)
+        assert grid_fitness(m, n, res) <= float(np.min(grid_fitness(scan, n, res)))
+    assert m == pytest.approx(5.0 / 42.0, rel=1e-12)
+
+
+def test_zero_fitness_prefers_the_multiple_nearest_the_reference():
+    res, n = 1.0 / 12.0, 1024
+    assert best_mismatch(0.3, 0.4, n, 1.0 / 3.0, near=0.0) == 1.0 / 3.0
+    assert best_mismatch(0.05, 0.3, n, res, near=0.0) == 1 * res
+    assert best_mismatch(0.05, 0.3, n, res, near=0.2) == 2 * res
+    assert best_mismatch(0.05, 0.3, n, res, near=9.0) == 3 * res
+
+
+_geometry = st.fixed_dictionaries(
+    {
+        "bx": st.floats(-500.0, 500.0),
+        "low": st.tuples(st.floats(0.0, 2000.0), st.floats(60.0, 140.0)),
+        "high": st.tuples(st.floats(0.0, 2000.0), st.floats(160.0, 240.0)),
+        "horizon": st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0)),
+        "resolution": st.sampled_from([1.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0]),
+        "elements": st.sampled_from([4, 16, 1024]),
+        "low_fixed": st.booleans(),
+    }
+)
+
+
+def _from(g):
+    return PlanningQuery(
+        bs_pos=(g["bx"], 0.0),
+        low_pos=g["low"],
+        high_pos=g["high"],
+        horizon_m=g["horizon"],
+        num_elements=g["elements"],
+        resolution=g["resolution"],
+        low_fixed=g["low_fixed"],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_geometry, st.integers(0, 2**32 - 1))
+def test_exact_planner_never_loses(g, seed):
+    """On random geometries, airborne and fixed: in the box, deterministic,
+    and no worse than the swarm oracle or 200 random in-box draws.  The
+    absolute slack, 1e-24 rad^2, is a phase error of 1e-12 rad."""
+    q = _from(g)
+    point, fit = pso_optimize(q)
+    _assert_in_box(point, q)
+    assert pso_optimize(_from(g)) == (point, fit)
+    assert fit == p4_fitness(point, q)
+    assert fit <= _oracle(q, seed) * (1.0 + 1e-9) + 1e-24
+    assert fit <= _random_best(q, np.random.default_rng(seed)) * (1.0 + 1e-9) + 1e-24
+
+
+def test_quantized_stationary_run_plans_with_the_surface_fixed():
+    sc = replace(
+        scenarios.get_scenario("fig6-stationary", seed=2),
+        phase_mode=PhaseMode.QUANTIZED,
+        duration_s=6.0,
+    )
+    a, b = run(sc), run(sc)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.capacity_bps, b.capacity_bps)
+    assert np.count_nonzero(a.capacity_bps) > 0
+    assert np.all(a.ris_partner == -1)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uamsim.ris import (
     ChannelParams,
     PhaseShiftConfig,
+    RowPhases,
+    aligned_snr,
     capacity,
     cascaded_gain,
     cascaded_gain_bound,
@@ -163,3 +167,68 @@ def test_interference_raises_failure_floor():
         interference_alpha=2.2,
     )
     assert snr(bs, None, k, None, par) < snr(bs, None, k, None, PAR)
+
+
+def _per_element(rows: RowPhases) -> PhaseShiftConfig:
+    """The same surface written element by element: element l takes row l mod sqrt(L)."""
+    root = len(rows.phases)
+    return PhaseShiftConfig(
+        phases=tuple(np.tile(rows.phases, root).tolist()), resolution=rows.resolution
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-500.0, 500.0),
+    st.floats(0.0, 2000.0),
+    st.floats(0.0, 2000.0),
+    st.sampled_from([4, 16, 1024]),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_cascade_equals_the_element_cascade(bx, rx, kx, n, seed):
+    bs, ris, k = (bx, 0.0), (rx, 100.0), (kx, 200.0)
+    rows = RowPhases(
+        np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi - 1e-9, math.isqrt(n)), n
+    )
+    by_rows = cascaded_gain(bs, ris, k, rows, PAR)
+    by_elements = cascaded_gain(bs, ris, k, _per_element(rows), PAR)
+    assert abs(by_rows - by_elements) <= 1e-12 * cascaded_gain_bound(bs, ris, k, n, PAR)
+
+
+def test_row_quantization_matches_the_element_quantization():
+    rng = np.random.default_rng(9)
+    for res in (1.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0):
+        rows = RowPhases(rng.uniform(0.0, 2.0 * math.pi - 1e-9, 32), 1024)
+        snapped = quantize_config(rows, res)
+        assert isinstance(snapped, RowPhases) and snapped.resolution == res
+        assert quantize_config(_per_element(rows), res) == _per_element(snapped)
+        for theta, q in zip(rows.phases, snapped.phases):
+            assert q == math.fmod(quantize_phase(float(theta), res), 2.0 * math.pi)
+
+
+def test_row_phase_validation():
+    with pytest.raises(ValueError):
+        RowPhases(np.zeros(3), 16)  # sqrt(16) = 4 rows
+    with pytest.raises(ValueError):
+        RowPhases(np.zeros(3), 10)  # not square
+    with pytest.raises(ValueError):
+        RowPhases(np.array([0.0, 7.0]), 4)
+    with pytest.raises(ValueError):
+        RowPhases(np.array([0.0, math.nan]), 4)
+    with pytest.raises(ValueError):
+        RowPhases(np.array([0.0, 0.1]), 4, resolution=1.0)
+    rows = RowPhases(np.array([0.0, math.pi]), 4, resolution=1.0)
+    with pytest.raises(ValueError):
+        rows.phases[0] = 1.0
+
+
+def test_aligned_snr_is_the_optimal_phase_snr():
+    rng = np.random.default_rng(31)
+    par = ChannelParams(interference_pos=(800.0, 100.0), interference_power_w=1e-3)
+    for _ in range(200):
+        n = int(rng.choice([4, 16, 1024]))
+        bs = (float(rng.uniform(-200, 200)), 0.0)
+        ris = (float(rng.uniform(0, 2000)), 100.0)
+        k = (float(rng.uniform(0, 2000)), 200.0)
+        best = snr(bs, ris, k, optimal_phase_shift(bs, ris, k, n), par)
+        assert aligned_snr(bs, ris, k, n, par) == pytest.approx(best, rel=1e-12)

@@ -30,6 +30,7 @@ def test_roundtrip_through_file(tmp_path):
         save_scenario(sc, str(path))
         back = load_scenario(str(path))
         assert back == sc, name
+        assert "pso." not in path.read_text()
 
 
 def test_settings_override_sections_and_top_level():
@@ -59,6 +60,9 @@ def test_settings_reject_unknown_keys():
         apply_settings(sc, [("airspace.frobnicate", "1")])
     with pytest.raises(ValueError):
         apply_settings(sc, [("made_up_section.x", "1")])
+    # the swarm settings went with the swarm planner
+    with pytest.raises(ValueError):
+        apply_settings(sc, [("pso.swarm_size", "30")])
 
 
 def test_aircraft_override():
