@@ -5,14 +5,7 @@ trajectory control and separation-driven layer switching in one
 deterministic tick loop.
 """
 
-from .airspace import (
-    AircraftState,
-    AirspaceConfig,
-    FlightMode,
-    conflict,
-    horizontal_safe_separation,
-    vertical_safe_separation,
-)
+from .airspace import AirspaceConfig, horizontal_safe_separation
 from .engine import (
     AircraftSpec,
     PhaseMode,
@@ -26,7 +19,7 @@ from .engine import (
     summarize,
     validate_scenario,
 )
-from .fields import CollisionError, FieldContext, FieldKind, FieldWeights
+from .fields import CollisionError, FieldWeights
 from .netcalc import (
     Ccdf,
     ChannelKind,
@@ -41,17 +34,13 @@ from .switching import SwitchAutomaton, SwitchPhase, optimal_switch_acceleration
 
 __all__ = [
     "AircraftSpec",
-    "AircraftState",
     "AirspaceConfig",
     "BUILTIN",
     "Ccdf",
     "ChannelKind",
     "ChannelParams",
     "CollisionError",
-    "FieldContext",
-    "FieldKind",
     "FieldWeights",
-    "FlightMode",
     "PhaseMode",
     "PhaseShiftConfig",
     "PlanningQuery",
@@ -64,7 +53,6 @@ __all__ = [
     "SwitchPhase",
     "capacity",
     "composite_field_total",
-    "conflict",
     "failure_curve",
     "failure_probability",
     "get_scenario",
@@ -81,7 +69,6 @@ __all__ = [
     "snr",
     "summarize",
     "validate_scenario",
-    "vertical_safe_separation",
 ]
 
 __version__ = "0.1.0"

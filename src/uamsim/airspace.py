@@ -1,16 +1,14 @@
-"""Layered-airspace geometry: configuration, aircraft state, safety separations."""
+"""Layered-airspace geometry: configuration, fleet state, safety separations.
+
+Every rule works on whole-fleet arrays; x offsets are taken around the ring.
+"""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
+from typing import NamedTuple
 
-
-class FlightMode(Enum):
-    CRUISE = "Cruise"
-    SWITCHING = "Switching"
-    BACKING_OFF = "BackingOff"
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,93 +52,133 @@ class AirspaceConfig:
         return layer * self.layer_spacing_m
 
 
-@dataclass(frozen=True)
-class AircraftState:
-    """Snapshot of one aircraft in the vertical (x, h) plane."""
+class Fleet(NamedTuple):
+    """One instant of the fleet in the vertical (x, h) plane; ``resident``
+    marks aircraft not in the middle of a layer switch."""
 
-    aircraft_id: int
-    pos: tuple[float, float]
-    vel: tuple[float, float]
-    layer: int
-    mode: FlightMode = FlightMode.CRUISE
-    acc: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.vel[0], self.vel[1])
-
-
-def validate_state(state: AircraftState, cfg: AirspaceConfig) -> None:
-    """Raise ValueError when a state breaks a hard airspace invariant."""
-    if state.layer not in (0, 1, 2):
-        raise ValueError(f"layer {state.layer} out of range")
-    if not all(math.isfinite(c) for c in (*state.pos, *state.vel)):
-        raise ValueError("non-finite state component")
-    if state.speed > cfg.max_speed_mps + 1e-9:
-        raise ValueError(f"speed {state.speed:.3f} exceeds limit")
-    if state.mode is FlightMode.CRUISE:
-        band = cfg.layer_spacing_m / 2.0
-        if abs(state.pos[1] - cfg.layer_altitude(state.layer)) > band:
-            raise ValueError("cruising aircraft outside its altitude band")
+    x: np.ndarray
+    h: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    layer: np.ndarray
+    resident: np.ndarray
+    ids: np.ndarray
+    speed: np.ndarray
+    d_safe: np.ndarray
 
 
-def horizontal_safe_separation(speed_mps: float, cfg: AirspaceConfig) -> float:
-    """Minimum in-layer gap for an aircraft moving at ``speed_mps``.
+def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Fleet:
+    """Bundle the fleet arrays and derive speeds and safe separations."""
+    speed = np.hypot(vx, vy)
+    return Fleet(x, h, vx, vy, layer, resident, ids, speed, horizontal_safe_separation(speed, cfg))
+
+
+def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.ndarray:
+    """Minimum in-layer gap for aircraft moving at ``speed``.
 
     Combines the braking-distance difference between a maximal stop (rate B)
     and a comfortable stop (rate b) with the distance covered during the
     reaction delay:  (B - b) / (2 B b) * v^2 + v * t_delay.
     """
-    if not math.isfinite(speed_mps) or speed_mps < 0.0:
+    if not np.all(np.isfinite(speed) & (speed >= 0.0)):
         raise ValueError("speed must be finite and non-negative")
     big = cfg.max_brake_mps2
     small = cfg.comfort_brake_mps2
-    quad = (big - small) / (2.0 * big * small) * speed_mps * speed_mps
-    return quad + speed_mps * cfg.reaction_delay_s
+    quad = (big - small) / (2.0 * big * small)
+    return quad * speed * speed + cfg.reaction_delay_s * speed
 
 
-def vertical_safe_separation(
-    own: AircraftState, other: AircraftState, cfg: AirspaceConfig
-) -> float:
-    """Minimum clearance from ``own`` to a converging cross-layer aircraft.
+def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
+    """Map raw x differences onto the ring into [-course/2, course/2)."""
+    return (dx + 0.5 * course) % course - 0.5 * course
 
-    Scales the own-ship speed by the cosine of the approach angle between the
-    line of sight and the relative velocity; a receding pair needs none.
+
+def layer_residents(fleet: Fleet, layer: int) -> np.ndarray:
+    """Indices of the aircraft resident in ``layer``."""
+    return np.where(fleet.resident & (fleet.layer == layer))[0]
+
+
+class Ring(NamedTuple):
+    """Each resident's cyclic neighbours inside its layer.
+
+    ``ahead_x``/``ahead_h`` is the forward offset to the preceding aircraft
+    ``prec`` and ``front`` its norm; the alone and non-residents get -1 and
+    infinite gaps.  ``conflicts``: id pairs (smaller first) of neighbours
+    closer than the faster one's separation.
     """
-    sx = own.pos[0] - other.pos[0]
-    sh = own.pos[1] - other.pos[1]
-    sep_norm = math.hypot(sx, sh)
-    if sep_norm == 0.0:
-        raise ValueError("coincident aircraft have no defined separation")
-    vx = own.vel[0] - other.vel[0]
-    vh = own.vel[1] - other.vel[1]
-    rel_norm = math.hypot(vx, vh)
-    if rel_norm == 0.0:
-        return 0.0
-    cos_gamma = -(sx * vx + sh * vh) / (sep_norm * rel_norm)
-    if cos_gamma < 0.0:
-        cos_gamma = 0.0
-    return cfg.vertical_separation_coeff * own.speed * cos_gamma
+
+    front: np.ndarray
+    rear: np.ndarray
+    prec: np.ndarray
+    ahead_x: np.ndarray
+    ahead_h: np.ndarray
+    conflicts: set[tuple[int, int]]
 
 
-def pair_distance(a: AircraftState, b: AircraftState) -> float:
-    return math.hypot(a.pos[0] - b.pos[0], a.pos[1] - b.pos[1])
+def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
+    """Ring gaps, preceding aircraft and same-layer conflicts of the residents."""
+    n = len(fleet.x)
+    ring = Ring(
+        np.full(n, np.inf), np.full(n, np.inf), np.full(n, -1, dtype=int),
+        np.zeros(n), np.zeros(n), set(),
+    )
+    for lay in (0, 1, 2):
+        members = layer_residents(fleet, lay)
+        if len(members) < 2:
+            continue
+        order = members[np.lexsort((fleet.ids[members], fleet.x[members]))]
+        nxt = np.roll(order, -1)
+        dx = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
+        dh = fleet.h[nxt] - fleet.h[order]
+        gap = np.hypot(dx, dh)
+        ring.front[order] = gap
+        ring.rear[nxt] = gap
+        ring.prec[order] = nxt
+        ring.ahead_x[order] = dx
+        ring.ahead_h[order] = dh
+        # the faster aircraft has the larger separation
+        pair_sep = np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
+        for a, b in zip(order[gap < pair_sep], nxt[gap < pair_sep]):
+            ia, ib = int(fleet.ids[a]), int(fleet.ids[b])
+            ring.conflicts.add((min(ia, ib), max(ia, ib)))
+    return ring
 
 
-def conflict(a: AircraftState, b: AircraftState, cfg: AirspaceConfig) -> bool:
-    """True when the pair is closer than its applicable safety separation.
+def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> set[tuple[int, int]]:
+    """Converging resident pairs in different layers within two spacings.
 
-    Same-layer pairs use the horizontal rule evaluated at the faster of the
-    two current speeds (which makes the predicate symmetric); cross-layer
-    pairs use the larger of the two directed vertical clearances.  The
-    boundary case (distance equal to the separation) is not a conflict.
+    A pair conflicts when closer than coeff * (faster speed) * cos(gamma),
+    gamma being the angle between the line of sight and the closing
+    velocity; a receding or coincident pair never does.  Aircraft in the
+    middle of a switch manoeuvre are not counted, exactly as they drop out of
+    the same-layer ring: conflict accounting covers layer residents, and a
+    switcher re-enters it at capture.
     """
-    d = pair_distance(a, b)
-    if a.layer == b.layer:
-        sep = horizontal_safe_separation(max(a.speed, b.speed), cfg)
-    else:
-        sep = max(
-            vertical_safe_separation(a, b, cfg),
-            vertical_safe_separation(b, a, cfg),
+    out: set[tuple[int, int]] = set()
+    coeff = cfg.vertical_separation_coeff
+    groups = {lay: layer_residents(fleet, lay) for lay in (0, 1, 2)}
+    x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
+    for la, lb in ((0, 1), (1, 2), (0, 2)):
+        ga, gb = groups[la], groups[lb]
+        if len(ga) == 0 or len(gb) == 0:
+            continue
+        sx = ring_offset(x[ga][:, None] - x[gb][None, :], cfg.course_length_m)
+        sh = h[ga][:, None] - h[gb][None, :]
+        dist = np.hypot(sx, sh)
+        rvx = vx[ga][:, None] - vx[gb][None, :]
+        rvy = vy[ga][:, None] - vy[gb][None, :]
+        rnorm = np.hypot(rvx, rvy)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cosg = -(sx * rvx + sh * rvy) / (dist * rnorm)
+        cosg = np.where((rnorm == 0.0) | (dist == 0.0), 0.0, cosg)
+        cosg = np.clip(cosg, 0.0, 1.0)
+        vsep = coeff * np.maximum(speed[ga][:, None], speed[gb][None, :]) * cosg
+        hit = (
+            (dist < vsep)
+            & (dist > 0.0)
+            & (np.abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9)
         )
-    return d < sep
+        for r, c in zip(*np.where(hit)):
+            ia, ib = int(fleet.ids[ga[r]]), int(fleet.ids[gb[c]])
+            out.add((min(ia, ib), max(ia, ib)))
+    return out

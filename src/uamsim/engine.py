@@ -10,13 +10,22 @@ its trace byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .airspace import AirspaceConfig
-from .fields import FieldWeights
+from .airspace import (
+    AirspaceConfig,
+    Fleet,
+    Ring,
+    cross_layer_conflicts,
+    fleet_state,
+    layer_residents,
+    ring_neighbours,
+    ring_offset,
+)
+from .fields import FieldWeights, Goals, force, potential
 from .netcalc import ProtocolParams
 # pso_minimize is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this namespace.
@@ -137,6 +146,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
             problems.append(f"aircraft {a.aircraft_id}: initial speed out of range")
         if abs(a.altitude_offset) > sc.airspace.layer_spacing_m / 2.0:
             problems.append(f"aircraft {a.aircraft_id}: starts outside its band")
+    first_at: dict[tuple[int, float, float], int] = {}
+    for a in sc.aircraft:
+        other = first_at.setdefault((a.layer, a.x, a.altitude_offset), a.aircraft_id)
+        if other != a.aircraft_id:
+            problems.append(f"aircraft {a.aircraft_id}: starts on aircraft {other}")
     return problems
 
 
@@ -228,11 +242,6 @@ def time_decimals(dt: float) -> int:
     return 9
 
 
-def _signed_ring(dx: np.ndarray, course: float) -> np.ndarray:
-    """Map raw x differences onto the ring into [-course/2, course/2)."""
-    return (dx + 0.5 * course) % course - 0.5 * course
-
-
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return its full trace."""
     problems = validate_scenario(scenario)
@@ -276,14 +285,15 @@ class _Engine:
         self.pair_high: int = -1
         self.phases: RowPhases | None = None
         self.expected = np.array(air.expected_speeds_mps)
-        big, small = air.max_brake_mps2, air.comfort_brake_mps2
-        self.sep_quad = (big - small) / (2.0 * big * small)
-        self.sep_lin = air.reaction_delay_s
+        self.goals = Goals(np.zeros(self.n), np.zeros(self.n), np.zeros(self.n, dtype=bool))
 
     # --- helpers -----------------------------------------------------------
 
-    def _hsep(self, speed: np.ndarray) -> np.ndarray:
-        return self.sep_quad * speed * speed + self.sep_lin * speed
+    def _fleet(self) -> Fleet:
+        resident = self.mode != MODE_SWITCHING
+        return fleet_state(
+            self.x, self.h, self.vx, self.vy, self.layer, resident, self.ids, self.sc.airspace
+        )
 
     def _ris_pos(self) -> tuple[float, float]:
         """Surface position; an airborne surface rides on the low aircraft."""
@@ -291,27 +301,33 @@ class _Engine:
             return self.sc.stationary_ris_pos
         return (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
 
-    def _plan_comm(self) -> None:
-        """Refresh the served pair, the surface phases and the pair goals."""
+    def _zero_path(self, t: float) -> None:
+        """Record that the served link's ends coincide: it has no channel."""
+        partner = int(self.ids[self.pair_low]) if self.pair_low >= 0 else -1
+        self.events.append((t, int(self.ids[self.pair_high]), "ZERO_PATH", f"ris={partner}"))
+
+    def _plan_comm(self, t: float, fleet: Fleet) -> None:
+        """Refresh the served pair, the surface phases and the pair goals.
+
+        A quantized plan whose surface sits on the served aircraft has no
+        phases to quantize: it records ZERO_PATH and serves nothing until a
+        later plan succeeds.
+        """
         sc = self.sc
-        self.goal_active[:] = False
-        cruise_high = np.where((self.layer == 2) & (self.mode != MODE_SWITCHING))[0]
+        self.goals.active[:] = False
+        self.pair_low = self.pair_high = -1
+        self.phases = None
+        cruise_high = layer_residents(fleet, 2)
         if len(cruise_high) == 0:
-            self.pair_low = self.pair_high = -1
-            self.phases = None
             return
         bs = sc.bs_pos
         d_high = np.hypot(self.x[cruise_high] - bs[0], self.h[cruise_high] - bs[1])
         hi = int(cruise_high[np.argmin(d_high)])
-        self.pair_high = hi
         if sc.ris_mode is RisMode.STATIONARY:
-            self.pair_low = -1
             ris_pos = sc.stationary_ris_pos
         else:
-            cruise_low = np.where((self.layer == 1) & (self.mode != MODE_SWITCHING))[0]
+            cruise_low = layer_residents(fleet, 1)
             if len(cruise_low) == 0:
-                self.pair_low = self.pair_high = -1
-                self.phases = None
                 return
             relay_cost = np.hypot(
                 self.x[cruise_low] - bs[0], self.h[cruise_low] - bs[1]
@@ -320,6 +336,7 @@ class _Engine:
             )
             self.pair_low = int(cruise_low[np.argmin(relay_cost)])
             ris_pos = (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
+        self.pair_high = hi
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         if sc.phase_mode is PhaseMode.ZERO:
             self.phases = RowPhases(np.zeros(math.isqrt(sc.ris_elements)), sc.ris_elements)
@@ -327,7 +344,12 @@ class _Engine:
         if sc.phase_mode is PhaseMode.CONTINUOUS:
             # phases track the geometry every tick; aligned_snr has them exactly
             return
-        best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
+        try:
+            best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
+        except ZeroLengthPath:
+            self._zero_path(t)
+            self.pair_low = self.pair_high = -1
+            return
         self.phases = quantize_config(best, sc.phase_resolution)
         horizon = sc.airspace.max_speed_mps * sc.comm_interval * sc.dt
         stationary = sc.ris_mode is RisMode.STATIONARY
@@ -343,12 +365,12 @@ class _Engine:
         (gx_low, gx_high), _ = pso_optimize(query)
         if not stationary:
             lo = self.pair_low
-            self.goal_x[lo] = gx_low
-            self.goal_h[lo] = self.spacing
-            self.goal_active[lo] = True
-        self.goal_x[hi] = gx_high
-        self.goal_h[hi] = 2.0 * self.spacing
-        self.goal_active[hi] = True
+            self.goals.x[lo] = gx_low
+            self.goals.h[lo] = self.spacing
+            self.goals.active[lo] = True
+        self.goals.x[hi] = gx_high
+        self.goals.h[hi] = 2.0 * self.spacing
+        self.goals.active[hi] = True
 
     def _tick_capacity(self, t: float) -> float:
         """Capacity of the served link at the current state.
@@ -368,8 +390,7 @@ class _Engine:
             else:
                 s = snr(sc.bs_pos, ris_pos, high_pos, self.phases, sc.channel)
         except ZeroLengthPath:
-            partner = int(self.ids[self.pair_low]) if self.pair_low >= 0 else -1
-            self.events.append((t, int(self.ids[hi]), "ZERO_PATH", f"ris={partner}"))
+            self._zero_path(t)
             return 0.0
         return capacity(s, sc.channel)
 
@@ -379,9 +400,6 @@ class _Engine:
         sc = self.sc
         n_ticks = int(round(sc.duration_s / sc.dt))
         n = self.n
-        self.goal_x = np.zeros(n)
-        self.goal_h = np.zeros(n)
-        self.goal_active = np.zeros(n, dtype=bool)
         out_t = np.repeat(np.arange(n_ticks) * sc.dt, n)
         out_id = np.tile(self.ids, n_ticks)
         out_x = np.empty(n_ticks * n)
@@ -397,13 +415,12 @@ class _Engine:
         for k in range(n_ticks):
             t = k * sc.dt
             self._capture_step(t)
+            fleet = self._fleet()
             if k % sc.comm_interval == 0:
-                self._plan_comm()
-            front_d, rear_d, prec_idx, conflicts = self._layer_geometry()
-            speed = np.hypot(self.vx, self.vy)
-            d_safe = self._hsep(speed)
-            conflicts |= self._cross_layer_conflicts()
-            fired = self._switch_logic(t, front_d, rear_d, d_safe, conflicts)
+                self._plan_comm(t, fleet)
+            ring = ring_neighbours(fleet, sc.airspace)
+            conflicts = ring.conflicts | cross_layer_conflicts(fleet, sc.airspace)
+            fired = self._switch_logic(t, fleet, ring, conflicts)
             if fired:
                 # A craft that commits to a manoeuvre this tick is recorded
                 # as Switching for this tick; keep episode accounting in step
@@ -413,7 +430,7 @@ class _Engine:
                     p for p in conflicts if p[0] not in gone and p[1] not in gone
                 }
             self.tracker.observe(conflicts, t)
-            acc = self._accelerations(front_d, prec_idx, d_safe)
+            acc = self._accelerations(fleet._replace(resident=self.mode != MODE_SWITCHING), ring)
             cap_now = self._tick_capacity(t)
 
             sl = slice(k * n, (k + 1) * n)
@@ -487,7 +504,6 @@ class _Engine:
                     abs(self.h[i] - self.target_alt[i]) <= sc.capture_band_m
                     and abs(self.vy[i]) <= sc.capture_speed_mps
                 ):
-                    auto.phase = SwitchPhase.CAPTURE
                     self.layer[i] = auto.target_layer
                     self.mode[i] = MODE_CRUISE
                     self.events.append(
@@ -495,110 +511,32 @@ class _Engine:
                     )
                     auto.reset()
 
-    def _layer_geometry(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, set[tuple[int, int]]]:
-        """Ring gaps to the cyclic neighbours inside each layer.
-
-        Returns front gap, rear gap, preceding index (-1 when alone) and the
-        set of conflicting same-layer neighbour pairs, all over non-switching
-        aircraft; switching aircraft get infinite gaps.
-        """
-        n = self.n
-        front = np.full(n, np.inf)
-        rear = np.full(n, np.inf)
-        prec = np.full(n, -1, dtype=int)
-        conflicts: set[tuple[int, int]] = set()
-        active = self.mode != MODE_SWITCHING
-        speed = np.hypot(self.vx, self.vy)
-        for lay in (0, 1, 2):
-            members = np.where(active & (self.layer == lay))[0]
-            if len(members) < 2:
-                continue
-            order = members[np.lexsort((self.ids[members], self.x[members]))]
-            nxt = np.roll(order, -1)
-            dx = (self.x[nxt] - self.x[order]) % self.course
-            dh = self.h[nxt] - self.h[order]
-            gap = np.hypot(dx, dh)
-            front[order] = gap
-            rear[nxt] = gap
-            prec[order] = nxt
-            pair_sep = self._hsep(np.maximum(speed[order], speed[nxt]))
-            for a, b in zip(order[gap < pair_sep], nxt[gap < pair_sep]):
-                ia, ib = int(self.ids[a]), int(self.ids[b])
-                conflicts.add((min(ia, ib), max(ia, ib)))
-        return front, rear, prec, conflicts
-
-    def _cross_layer_conflicts(self) -> set[tuple[int, int]]:
-        """Converging resident pairs in different layers within two spacings.
-
-        Aircraft in the middle of a switch manoeuvre are not counted, exactly
-        as they drop out of the same-layer ring: conflict accounting covers
-        layer residents, and a switcher re-enters it at capture.
-        """
-        sc = self.sc
-        out: set[tuple[int, int]] = set()
-        coeff = sc.airspace.vertical_separation_coeff
-        speed = np.hypot(self.vx, self.vy)
-        resident = self.mode != MODE_SWITCHING
-        groups = {
-            lay: np.where(resident & (self.layer == lay))[0] for lay in (0, 1, 2)
-        }
-        for la, lb in ((0, 1), (1, 2), (0, 2)):
-            ga, gb = groups[la], groups[lb]
-            if len(ga) == 0 or len(gb) == 0:
-                continue
-            sx = _signed_ring(self.x[ga][:, None] - self.x[gb][None, :], self.course)
-            sh = self.h[ga][:, None] - self.h[gb][None, :]
-            dist = np.hypot(sx, sh)
-            rvx = self.vx[ga][:, None] - self.vx[gb][None, :]
-            rvy = self.vy[ga][:, None] - self.vy[gb][None, :]
-            rnorm = np.hypot(rvx, rvy)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cosg = -(sx * rvx + sh * rvy) / (dist * rnorm)
-            cosg = np.where((rnorm == 0.0) | (dist == 0.0), 0.0, cosg)
-            cosg = np.clip(cosg, 0.0, 1.0)
-            vsep = coeff * np.maximum(speed[ga][:, None], speed[gb][None, :]) * cosg
-            hit = (
-                (dist < vsep)
-                & (dist > 0.0)
-                & (np.abs(sh) <= 2.0 * self.spacing + 1e-9)
-            )
-            for r, c in zip(*np.where(hit)):
-                ia, ib = int(self.ids[ga[r]]), int(self.ids[gb[c]])
-                out.add((min(ia, ib), max(ia, ib)))
-        return out
-
     def _pick_target_layer(self, i: int) -> int:
-        """Adjacent layer with the thinner local population; ties go up."""
-        sc = self.sc
+        """Adjacent layer with the thinner local population; ties go up.
+
+        Aircraft that committed to a switch earlier in this tick's pass no
+        longer count.
+        """
         candidates = [lay for lay in (self.layer[i] - 1, self.layer[i] + 1) if 0 <= lay <= 2]
         best_layer = -1
         best_count = -1
         for lay in candidates:
             members = np.where((self.layer == lay) & (self.mode != MODE_SWITCHING))[0]
-            if len(members) == 0:
-                count = 0
-            else:
-                dx = np.abs(_signed_ring(self.x[members] - self.x[i], self.course))
-                count = int(np.sum(dx <= sc.target_window_m))
+            dx = np.abs(ring_offset(self.x[members] - self.x[i], self.course))
+            count = int(np.sum(dx <= self.sc.target_window_m))
             if best_layer < 0 or count < best_count or (count == best_count and lay > best_layer):
                 best_layer, best_count = lay, count
         return best_layer
 
     def _switch_logic(
-        self,
-        t: float,
-        front_d: np.ndarray,
-        rear_d: np.ndarray,
-        d_safe: np.ndarray,
-        conflicts: set[tuple[int, int]],
+        self, t: float, fleet: Fleet, ring: Ring, conflicts: set[tuple[int, int]]
     ) -> set[int]:
         """Trigger sampling plus back-off progression; returns new requests."""
         sc = self.sc
         fired: set[int] = set()
         if not sc.switching_enabled:
             return fired
+        front_d, rear_d, d_safe = ring.front, ring.rear, fleet.d_safe
         violated = (front_d < d_safe) | (rear_d < d_safe)
         # Back-off contention is local: only requests from aircraft currently
         # contending for the same separation gap reset a pending counter.  A
@@ -653,79 +591,10 @@ class _Engine:
                     self.mode[i] = MODE_CRUISE
         return fired
 
-    def _accelerations(
-        self, front_d: np.ndarray, prec_idx: np.ndarray, d_safe: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized composite-field forces, switch profiles overriding."""
+    def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:
+        """Composite-field forces, norm-clipped, switch profiles overriding."""
         sc = self.sc
-        w = sc.weights
-        n = self.n
-        fx = np.zeros(n)
-        fh = np.zeros(n)
-        ref = self.expected[self.layer]
-        # stabilizer, velocity damping toward the layer speed
-        fx -= w.stabilize * 2.0 * (self.vx - ref)
-        fh -= w.stabilize * 2.0 * self.vy
-        # layer altitude well
-        off = np.where(
-            self.h > 1.5 * self.spacing,
-            self.h - 2.0 * self.spacing,
-            np.where(self.h > 0.5 * self.spacing, self.h - self.spacing, self.h),
-        )
-        fh -= w.layer * 2.0 * off
-        # attraction toward the preceding aircraft's comfort gap
-        has_prec = prec_idx >= 0
-        if np.any(has_prec) and w.attract > 0.0:
-            i_idx = np.where(has_prec)[0]
-            p_idx = prec_idx[i_idx]
-            d = front_d[i_idx]
-            gap = d - d_safe[i_idx]
-            pull = np.where((gap >= 0.0) & (d > 0.0), 2.0 * gap / np.maximum(d, 1e-12), 0.0)
-            sx = -_signed_ring(self.x[p_idx] - self.x[i_idx], self.course)
-            shh = self.h[i_idx] - self.h[p_idx]
-            fx[i_idx] -= w.attract * pull * sx
-            fh[i_idx] -= w.attract * pull * shh
-        # repulsion and velocity consensus inside each layer
-        active = self.mode != MODE_SWITCHING
-        for lay in (0, 1, 2):
-            members = np.where(active & (self.layer == lay))[0]
-            m = len(members)
-            if m < 2:
-                continue
-            sx = _signed_ring(
-                self.x[members][None, :] - self.x[members][:, None], self.course
-            )
-            shh = self.h[members][None, :] - self.h[members][:, None]
-            dist = np.hypot(sx, shh)
-            np.fill_diagonal(dist, np.inf)
-            if np.any(dist == 0.0):
-                raise RuntimeError("coincident aircraft in layer " + str(lay))
-            near = dist <= sc.neighbor_radius_m
-            if w.repulse > 0.0:
-                inside = near & (dist < d_safe[members][:, None])
-                if np.any(inside):
-                    inv = np.where(
-                        inside, 1.0 / dist - 1.0 / d_safe[members][:, None], 0.0
-                    )
-                    scale = np.where(inside, -2.0 * inv / dist**3, 0.0)
-                    gx = np.sum(scale * (-sx), axis=1)
-                    gh = np.sum(scale * (-shh), axis=1)
-                    fx[members] -= w.repulse * gx
-                    fh[members] -= w.repulse * gh
-            if w.consensus_gain > 0.0:
-                # summed explicitly (not matmul) so reductions stay
-                # bit-stable regardless of the BLAS thread count
-                deg = near.sum(axis=1)
-                nb_vx = np.sum(np.where(near, self.vx[members][None, :], 0.0), axis=1)
-                nb_vy = np.sum(np.where(near, self.vy[members][None, :], 0.0), axis=1)
-                fx[members] -= w.consensus_gain * (deg * self.vx[members] - nb_vx)
-                fh[members] -= w.consensus_gain * (deg * self.vy[members] - nb_vy)
-        # goal pull for the planned pair
-        if np.any(self.goal_active) and w.goal > 0.0:
-            g = self.goal_active
-            gdx = _signed_ring(self.goal_x[g] - self.x[g], self.course)
-            fx[g] -= w.goal * (-2.0 * gdx)
-            fh[g] -= w.goal * 2.0 * (self.h[g] - self.goal_h[g])
+        fx, fh = force(fleet, ring, self.goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
         # clip to the airframe budget
         norm = np.hypot(fx, fh)
         amax = sc.airspace.max_accel_mps2
@@ -750,63 +619,29 @@ class _Engine:
 def composite_field_total(trace: SimTrace) -> np.ndarray:
     """Fleet-wide weighted scalar field value at every recorded tick.
 
-    Recomputes, from the trace rows, the same attraction / stabilization /
-    repulsion / layer / goal potentials whose gradients drive the engine
-    (velocity consensus is pure damping and has no potential, so it does not
-    appear here).  Useful as a convergence diagnostic: a relaxing flow drives
-    this sum toward its structural floor.
+    Sums, from the trace rows, the values of the same attraction /
+    stabilization / repulsion / layer / goal fields whose gradients drive the
+    engine (velocity consensus is pure damping and has no potential, so it
+    does not appear here).  Useful as a convergence diagnostic: a relaxing
+    flow drives this sum toward its structural floor.
 
     Goal terms are omitted because the trace does not record the planner's
     goal points; with the goal weight at zero, which is how flow-convergence
     scenarios run, nothing is lost.
     """
     sc = trace.scenario
-    air, w = sc.airspace, sc.weights
-    course = air.course_length_m
-    spacing = air.layer_spacing_m
-    expected = np.array(air.expected_speeds_mps)
-    big, small = air.max_brake_mps2, air.comfort_brake_mps2
-    quad = (big - small) / (2.0 * big * small)
-    lin = air.reaction_delay_s
     n = len(sc.aircraft)
     n_ticks = len(trace.t) // n
+    no_goals = Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
     out = np.zeros(n_ticks)
     for k in range(n_ticks):
         sl = slice(k * n, (k + 1) * n)
-        x, h = trace.x[sl], trace.h[sl]
-        vx, vy = trace.vx[sl], trace.vy[sl]
-        layer, mode = trace.layer[sl], trace.mode[sl]
-        ids = trace.aircraft_id[sl]
-        speed = np.hypot(vx, vy)
-        d_safe = quad * speed * speed + lin * speed
-        total = w.stabilize * float(np.sum((vx - expected[layer]) ** 2 + vy**2))
-        off = np.where(
-            h > 1.5 * spacing,
-            h - 2.0 * spacing,
-            np.where(h > 0.5 * spacing, h - spacing, h),
+        fleet = fleet_state(
+            trace.x[sl], trace.h[sl], trace.vx[sl], trace.vy[sl], trace.layer[sl],
+            trace.mode[sl] != MODE_SWITCHING, trace.aircraft_id[sl], sc.airspace,
         )
-        total += w.layer * float(np.sum(off**2))
-        active = mode != MODE_SWITCHING
-        for lay in (0, 1, 2):
-            members = np.where(active & (layer == lay))[0]
-            if len(members) < 2:
-                continue
-            order = members[np.lexsort((ids[members], x[members]))]
-            nxt = np.roll(order, -1)
-            dx = (x[nxt] - x[order]) % course
-            gap = np.hypot(dx, h[nxt] - h[order]) - d_safe[order]
-            total += w.attract * float(np.sum(np.maximum(gap, 0.0) ** 2))
-            if w.repulse > 0.0:
-                sx = _signed_ring(x[members][None, :] - x[members][:, None], course)
-                shh = h[members][None, :] - h[members][:, None]
-                dist = np.hypot(sx, shh)
-                np.fill_diagonal(dist, np.inf)
-                inside = (dist <= sc.neighbor_radius_m) & (
-                    dist < d_safe[members][:, None]
-                )
-                inv = np.where(inside, 1.0 / dist - 1.0 / d_safe[members][:, None], 0.0)
-                total += w.repulse * float(np.sum(inv**2))
-        out[k] = total
+        ring = ring_neighbours(fleet, sc.airspace)
+        out[k] = potential(fleet, ring, no_goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
     return out
 
 

@@ -23,7 +23,6 @@ class SwitchPhase(Enum):
     PENDING = "Pending"
     ACCEL = "Accel"
     DECEL = "Decel"
-    CAPTURE = "Capture"
 
 
 def switch_probability(
@@ -105,8 +104,6 @@ class SwitchAutomaton:
     backoff: int = 2
     target_layer: int = -1
     plan: SwitchPlan | None = None
-    start_altitude: float = 0.0
-    target_altitude: float = 0.0
 
     def __post_init__(self) -> None:
         if not 1 <= self.initial_backoff <= BACKOFF_CAP:

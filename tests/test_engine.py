@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from uamsim import engine, scenarios
+from uamsim.fields import CollisionError, FieldWeights
 from uamsim.engine import (
     AircraftSpec,
     MODE_CRUISE,
@@ -275,14 +276,52 @@ def _parked_on_the_served_aircraft(phase_mode):
     )
 
 
-def test_coincident_surface_serves_nothing_and_says_so():
+@pytest.mark.parametrize("phase_mode", list(PhaseMode), ids=lambda m: m.value)
+def test_coincident_surface_serves_nothing_and_says_so(phase_mode):
     """A stationary surface on the served aircraft has a zero-length path:
-    that tick serves nothing and records a ZERO_PATH event."""
-    tr = run(_parked_on_the_served_aircraft(PhaseMode.CONTINUOUS))
+    that tick serves nothing and records a ZERO_PATH event.  A quantized
+    plan has no phases then, so nothing is served until the next plan."""
+    sc = _parked_on_the_served_aircraft(phase_mode)
+    tr = run(sc)
     zero = [e for e in tr.events if e[2] == "ZERO_PATH"]
     assert zero == [(0.0, 7, "ZERO_PATH", "ris=-1")]
-    assert tr.capacity_bps[0] == 0.0
-    assert np.all(tr.capacity_bps[1:] > 0.0)
+    dark = sc.comm_interval if phase_mode is PhaseMode.QUANTIZED else 1
+    assert np.all(tr.capacity_bps[:dark] == 0.0)
+    assert np.all(tr.capacity_bps[dark:] > 0.0)
+
+
+def test_coincident_start_is_rejected():
+    """Two aircraft on one point of a layer fail validation, not the run."""
+    sc = Scenario(
+        aircraft=(
+            AircraftSpec(aircraft_id=3, layer=1, x=100.0, altitude_offset=2.0),
+            AircraftSpec(aircraft_id=4, layer=1, x=100.0, altitude_offset=2.0),
+            AircraftSpec(aircraft_id=5, layer=1, x=100.0, altitude_offset=-2.0),
+            AircraftSpec(aircraft_id=6, layer=2, x=100.0, altitude_offset=2.0),
+        ),
+    )
+    assert validate_scenario(sc) == ["aircraft 4: starts on aircraft 3"]
+    with pytest.raises(ValueError, match="starts on aircraft 3"):
+        run(sc)
+
+
+def test_coincidence_mid_run_is_a_collision():
+    """With every field off, a 50 m/s aircraft catches a 40 m/s one 10 m
+    ahead on exactly the same point after one second."""
+    off = FieldWeights(attract=0.0, stabilize=0.0, repulse=0.0, layer=0.0, goal=0.0,
+                       consensus_gain=0.0)
+    sc = Scenario(
+        aircraft=(
+            AircraftSpec(aircraft_id=0, layer=1, x=0.0, speed_offset=5.0),
+            AircraftSpec(aircraft_id=1, layer=1, x=10.0, speed_offset=-5.0),
+        ),
+        weights=off,
+        switching_enabled=False,
+        duration_s=2.0,
+    )
+    assert validate_scenario(sc) == []
+    with pytest.raises(CollisionError, match="aircraft 0 and 1 collided in layer 1"):
+        run(sc)
 
 
 def test_other_capacity_errors_propagate(monkeypatch):

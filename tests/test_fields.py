@@ -1,162 +1,213 @@
-"""Scalar guidance fields and their gradients."""
+"""Field values and gradients of the fleet kernel, on small fleets."""
 
 import math
 
 import numpy as np
 import pytest
 
-from uamsim.airspace import AircraftState
-from uamsim.fields import (
-    CollisionError,
-    FieldContext,
-    FieldKind,
-    FieldWeights,
-    acceleration,
-    composite_force,
-    field_gradient,
-    field_value,
-)
+from uamsim import fields
+from uamsim.airspace import AirspaceConfig, fleet_state, ring_neighbours
+from uamsim.engine import AircraftSpec, Scenario, run
+from uamsim.fields import CollisionError, FieldWeights, Goals
+
+CFG = AirspaceConfig()
+RADIUS = 300.0
+KINDS = ("attract", "stabilize", "repulse", "layer", "goal")
 
 
-def _state(x, h, vx, vy):
-    return AircraftState(aircraft_id=0, pos=(x, h), vel=(vx, vy), layer=1)
+def _fleet(rows, layer=1):
+    """rows: (x, h, vx, vy) per aircraft, all resident in one layer."""
+    x, h, vx, vy = (np.array(c, dtype=float) for c in zip(*rows))
+    n = len(rows)
+    return fleet_state(
+        x, h, vx, vy, np.full(n, layer), np.ones(n, dtype=bool), np.arange(n), CFG
+    )
 
 
-def _ctx(**kw):
-    base = dict(safe_separation=100.0, ref_speed=45.0, layer_spacing=100.0)
-    base.update(kw)
-    return FieldContext(**base)
+def _no_goals(n):
+    return Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
+
+
+def _values(fleet, goals):
+    ring = ring_neighbours(fleet, CFG)
+    pairs = fields.layer_pairs(fleet, CFG, RADIUS)
+    return {
+        "attract": fields.attract_value(fleet, ring),
+        "stabilize": fields.stabilize_value(fleet, CFG),
+        "repulse": fields.repulse_value(fleet, pairs),
+        "layer": fields.layer_value(fleet, CFG),
+        "goal": fields.goal_value(fleet, goals, CFG),
+    }
+
+
+def _gradients(fleet, goals):
+    ring = ring_neighbours(fleet, CFG)
+    pairs = fields.layer_pairs(fleet, CFG, RADIUS)
+    return {
+        "attract": fields.attract_gradient(fleet, ring),
+        "stabilize": fields.stabilize_gradient(fleet, CFG),
+        "repulse": fields.repulse_gradient(fleet, pairs),
+        "layer": fields.layer_gradient(fleet, CFG),
+        "goal": fields.goal_gradient(fleet, goals, CFG),
+    }
 
 
 def test_stabilize_value_and_gradient():
-    s = _state(0.0, 100.0, 40.0, 2.0)
-    ctx = _ctx()
-    assert field_value(FieldKind.STABILIZE, s, ctx) == pytest.approx(25.0 + 4.0)
-    g = field_gradient(FieldKind.STABILIZE, s, ctx)
-    assert g == pytest.approx((-10.0, 4.0))
+    f = _fleet([(0.0, 100.0, 40.0, 2.0)])
+    assert fields.stabilize_value(f, CFG)[0] == pytest.approx(25.0 + 4.0)
+    gx, gh = fields.stabilize_gradient(f, CFG)
+    assert (gx[0], gh[0]) == pytest.approx((-10.0, 4.0))
 
 
 def test_layer_well_three_branches():
-    ctx = _ctx()
+    f = _fleet([(0.0, 40.0, 45.0, 0.0), (500.0, 120.0, 45.0, 0.0), (1000.0, 260.0, 45.0, 0.0)])
     # each branch measures the offset from the nearest layer altitude
-    assert field_value(FieldKind.LAYER, _state(0, 40.0, 45, 0), ctx) == pytest.approx(1600.0)
-    assert field_value(FieldKind.LAYER, _state(0, 120.0, 45, 0), ctx) == pytest.approx(400.0)
-    assert field_value(FieldKind.LAYER, _state(0, 260.0, 45, 0), ctx) == pytest.approx(3600.0)
+    assert fields.layer_value(f, CFG) == pytest.approx([1600.0, 400.0, 3600.0])
     # gradient is vertical only
-    gx, gh = field_gradient(FieldKind.LAYER, _state(0, 120.0, 45, 0), ctx)
-    assert gx == 0.0 and gh == pytest.approx(40.0)
+    gx, gh = fields.layer_gradient(f, CFG)
+    assert gx[1] == 0.0 and gh[1] == pytest.approx(40.0)
 
 
 def test_attract_flat_inside_safe_gap():
-    ctx = _ctx(preceding_pos=(80.0, 0.0))
-    s = _state(0.0, 0.0, 45.0, 0.0)
-    # 80 m gap < 100 m separation: no pull at all
-    assert field_value(FieldKind.ATTRACT, s, ctx) == 0.0
-    assert field_gradient(FieldKind.ATTRACT, s, ctx) == (0.0, 0.0)
-    far = _ctx(preceding_pos=(250.0, 0.0))
-    assert field_value(FieldKind.ATTRACT, s, far) == pytest.approx(150.0**2)
+    # 45 m/s needs 149.06 m: a 120 m gap is inside it, so no pull at all
+    near = _fleet([(0.0, 0.0, 45.0, 0.0), (120.0, 0.0, 45.0, 0.0)])
+    ring = ring_neighbours(near, CFG)
+    assert fields.attract_value(near, ring)[0] == 0.0
+    gx, gh = fields.attract_gradient(near, ring)
+    assert (gx[0], gh[0]) == (0.0, 0.0)
+    far = _fleet([(0.0, 0.0, 45.0, 0.0), (300.0, 0.0, 45.0, 0.0)])
+    assert fields.attract_value(far, ring_neighbours(far, CFG))[0] == pytest.approx(
+        (300.0 - 149.0625) ** 2
+    )
+
+
+def test_attraction_pulls_forward_round_the_ring():
+    """Past half the course the preceding aircraft is still ahead: the pull
+    keeps pointing forward and matches the forward gap of the value."""
+    f = _fleet([(100.0, 0.0, 45.0, 0.0), (1500.0, 0.0, 45.0, 0.0)])
+    ring = ring_neighbours(f, CFG)
+    assert ring.prec[0] == 1 and ring.front[0] == pytest.approx(1400.0)
+    gx, _ = fields.attract_gradient(f, ring)
+    assert gx[0] == pytest.approx(-2.0 * (1400.0 - 149.0625))
+    # and the other one, 600 m ahead across the seam, is pulled forward too
+    assert gx[1] == pytest.approx(-2.0 * (600.0 - 149.0625))
 
 
 def test_repulse_blows_up_approaching_contact():
-    near = _ctx(neighbor_pos=((10.0, 0.0),))
-    nearer = _ctx(neighbor_pos=((5.0, 0.0),))
-    s = _state(0.0, 0.0, 45.0, 0.0)
-    assert field_value(FieldKind.REPULSE, s, nearer) > field_value(
-        FieldKind.REPULSE, s, near
+    near = _fleet([(0.0, 0.0, 45.0, 0.0), (10.0, 0.0, 45.0, 0.0)])
+    nearer = _fleet([(0.0, 0.0, 45.0, 0.0), (5.0, 0.0, 45.0, 0.0)])
+    assert fields.repulse_value(nearer, fields.layer_pairs(nearer, CFG, RADIUS))[0] > (
+        fields.repulse_value(near, fields.layer_pairs(near, CFG, RADIUS))[0]
     )
+    touching = _fleet([(0.0, 0.0, 45.0, 0.0), (0.0, 0.0, 45.0, 0.0)])
     with pytest.raises(CollisionError):
-        field_value(FieldKind.REPULSE, s, _ctx(neighbor_pos=((0.0, 0.0),)))
+        fields.layer_pairs(touching, CFG, RADIUS)
+    with pytest.raises(CollisionError):
+        fields.force(
+            touching, ring_neighbours(touching, CFG), _no_goals(2), FieldWeights(), CFG, RADIUS
+        )
 
 
 def test_gradients_match_central_differences():
-    """Finite-difference check across every field, at kink-free states."""
+    """Finite-difference check across every field, at kink-free states:
+    aircraft 0 has a neighbour behind inside its separation and its
+    preceding aircraft ahead, up to most of the course away."""
     rng = np.random.default_rng(99)
     eps = 1e-5
     checked = 0
     for _ in range(400):
-        x = float(rng.uniform(0.0, 500.0))
-        h = float(rng.uniform(10.0, 240.0))
-        vx = float(rng.uniform(20.0, 60.0))
-        vy = float(rng.uniform(-3.0, 3.0))
-        ctx = _ctx(
-            preceding_pos=(x + rng.uniform(50.0, 300.0), h + rng.uniform(-20, 20)),
-            neighbor_pos=((x + rng.uniform(20.0, 90.0), h + rng.uniform(-30, 30)),),
-            goal_pos=(rng.uniform(0, 2000), rng.uniform(0, 200)),
+        x = float(rng.uniform(10.0, 1990.0))
+        h = float(rng.uniform(110.0, 140.0))
+        vx, vy = float(rng.uniform(20.0, 60.0)), float(rng.uniform(-3.0, 3.0))
+        sep = 0.0625 * (vx * vx + vy * vy) + 0.5 * math.hypot(vx, vy)
+        behind = float(rng.uniform(5.0, sep - 5.0))
+        lead = float(rng.uniform(50.0, 1900.0 - behind))
+        rows = [
+            (x, h, vx, vy),
+            ((x + lead) % 2000.0, h + rng.uniform(-20, 20), 45.0, 0.0),
+            ((x - behind) % 2000.0, h + rng.uniform(-2, 2), 45.0, 0.0),
+        ]
+        goals = Goals(
+            np.array([rng.uniform(0, 2000), 0.0, 0.0]),
+            np.array([rng.uniform(0, 200), 0.0, 0.0]),
+            np.array([True, False, False]),
         )
-        for kind in FieldKind:
-            s0 = _state(x, h, vx, vy)
-            base_grad = field_gradient(kind, s0, ctx)
+        base = _gradients(_fleet(rows), goals)
 
-            def val(dx=0.0, dh=0.0, dvx=0.0, dvy=0.0):
-                s = AircraftState(
-                    aircraft_id=0,
-                    pos=(x + dx, h + dh),
-                    vel=(vx + dvx, vy + dvy),
-                    layer=1,
-                )
-                return field_value(kind, s, ctx)
+        def val(kind, dx=0.0, dh=0.0, dvx=0.0, dvy=0.0):
+            moved = [(x + dx, h + dh, vx + dvx, vy + dvy)] + rows[1:]
+            return _values(_fleet(moved), goals)[kind][0]
 
-            if kind is FieldKind.STABILIZE:
+        for kind in KINDS:
+            if kind == "stabilize":
                 num = (
-                    (val(dvx=eps) - val(dvx=-eps)) / (2 * eps),
-                    (val(dvy=eps) - val(dvy=-eps)) / (2 * eps),
+                    (val(kind, dvx=eps) - val(kind, dvx=-eps)) / (2 * eps),
+                    (val(kind, dvy=eps) - val(kind, dvy=-eps)) / (2 * eps),
                 )
             else:
                 num = (
-                    (val(dx=eps) - val(dx=-eps)) / (2 * eps),
-                    (val(dh=eps) - val(dh=-eps)) / (2 * eps),
+                    (val(kind, dx=eps) - val(kind, dx=-eps)) / (2 * eps),
+                    (val(kind, dh=eps) - val(kind, dh=-eps)) / (2 * eps),
                 )
-            # skip exact kinks (attract boundary, layer branch edges)
+            grad = (base[kind][0][0], base[kind][1][0])
             scale = max(1.0, abs(num[0]), abs(num[1]))
-            if not np.isfinite(num).all():
-                continue
-            assert base_grad[0] == pytest.approx(num[0], abs=2e-4 * scale)
-            assert base_grad[1] == pytest.approx(num[1], abs=2e-4 * scale)
+            assert grad[0] == pytest.approx(num[0], abs=2e-4 * scale), kind
+            assert grad[1] == pytest.approx(num[1], abs=2e-4 * scale), kind
             checked += 1
     print(f"gradient pairs checked: {checked}")
     assert checked > 1500
 
 
 def test_composite_force_sums_weighted_gradients():
-    ctx = _ctx(preceding_pos=(300.0, 0.0), neighbor_pos=((60.0, 0.0),))
-    s = _state(0.0, 0.0, 40.0, 1.0)
+    f = _fleet([(0.0, 100.0, 40.0, 1.0), (60.0, 102.0, 47.0, 0.0), (400.0, 97.0, 45.0, -1.0)])
+    goals = Goals(np.array([0.0, 0.0, 900.0]), np.array([0.0, 0.0, 200.0]),
+                  np.array([False, False, True]))
     w = FieldWeights()
-    fx, fh = composite_force(s, ctx, w)
-    manual_x = manual_h = 0.0
-    for kind, wt in (
-        (FieldKind.ATTRACT, w.attract),
-        (FieldKind.REPULSE, w.repulse),
-        (FieldKind.LAYER, w.layer),
-        (FieldKind.GOAL, w.goal),
-        (FieldKind.STABILIZE, w.stabilize),
-    ):
-        gx, gh = field_gradient(kind, s, ctx)
-        manual_x -= wt * gx
-        manual_h -= wt * gh
+    fx, fh = fields.force(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
+    grads = _gradients(f, goals)
+    cx, ch = fields.consensus(f, fields.layer_pairs(f, CFG, RADIUS), w.consensus_gain)
+    manual_x, manual_h = -cx, -ch
+    for kind in KINDS:
+        manual_x = manual_x - getattr(w, kind) * grads[kind][0]
+        manual_h = manual_h - getattr(w, kind) * grads[kind][1]
     assert fx == pytest.approx(manual_x, rel=1e-12)
     assert fh == pytest.approx(manual_h, rel=1e-12)
+    # the total is the same fields' values, weighted
+    total = fields.potential(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
+    values = _values(f, goals)
+    assert total == pytest.approx(sum(getattr(w, k) * values[k].sum() for k in KINDS), rel=1e-12)
 
 
 def test_consensus_pulls_toward_neighbor_velocity():
-    ctx = _ctx(
-        neighbor_pos=((500.0, 0.0),),  # far: no repulsion
-        neighbor_vel=((50.0, 0.0),),
-        safe_separation=100.0,
-    )
-    s = _state(0.0, 0.0, 45.0, 0.0)
-    w = FieldWeights(stabilize=0.0, consensus_gain=0.5)
-    fx, _ = composite_force(s, ctx, w)
-    assert fx == pytest.approx(0.5 * 5.0, rel=1e-12)
+    # 250 m apart: outside the 149 m separation (no repulsion), inside the
+    # 300 m interaction radius
+    f = _fleet([(0.0, 100.0, 45.0, 0.0), (250.0, 100.0, 50.0, 0.0)])
+    w = FieldWeights(stabilize=0.0, attract=0.0, consensus_gain=0.5)
+    fx, _ = fields.force(f, ring_neighbours(f, CFG), _no_goals(2), w, CFG, RADIUS)
+    assert fx == pytest.approx([0.5 * 5.0, -0.5 * 5.0], rel=1e-12)
+    # beyond the radius there is no consensus
+    apart = _fleet([(0.0, 100.0, 45.0, 0.0), (700.0, 100.0, 50.0, 0.0)])
+    fx, _ = fields.force(apart, ring_neighbours(apart, CFG), _no_goals(2), w, CFG, RADIUS)
+    assert fx == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
 def test_acceleration_is_norm_clipped():
-    ctx = _ctx(neighbor_pos=((1e-3, 0.0),))
-    s = _state(0.0, 0.0, 45.0, 0.0)
-    ax, ah = acceleration(s, ctx, FieldWeights(), max_accel=5.0)
-    assert math.hypot(ax, ah) <= 5.0 + 1e-9
-    # direction is preserved under clipping
-    fx, fh = composite_force(s, ctx, FieldWeights())
-    assert math.copysign(1, ax) == math.copysign(1, fx)
+    """1 m apart, repulsion far exceeds the airframe budget: the engine
+    clips its norm to 5 m/s^2 and keeps its direction."""
+    sc = Scenario(
+        aircraft=(AircraftSpec(0, 1, x=0.0), AircraftSpec(1, 1, x=1.0)),
+        switching_enabled=False,
+        duration_s=0.2,
+    )
+    tr = run(sc)
+    ax = (tr.vx[2:4] - tr.vx[0:2]) / sc.dt
+    ah = (tr.vy[2:4] - tr.vy[0:2]) / sc.dt
+    assert np.all(np.hypot(ax, ah) <= 5.0 + 1e-9)
+    assert np.hypot(ax, ah) == pytest.approx([5.0, 5.0], rel=1e-9)
+    f = _fleet([(0.0, 100.0, 45.0, 0.0), (1.0, 100.0, 45.0, 0.0)])
+    fx, _ = fields.force(f, ring_neighbours(f, CFG), _no_goals(2), sc.weights, CFG, RADIUS)
+    assert np.all(np.sign(ax) == np.sign(fx))
+    assert ax[0] < 0.0 < ax[1]
 
 
 def test_weights_must_be_nonnegative():

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps functions by name; every name must exist."""
 
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -27,3 +28,18 @@ def test_every_traced_name_is_bound_in_its_module():
     for mod in tracing.WHOLE_MODULES:
         importlib.import_module(f"uamsim.{mod}")
     assert tracing.bindings()
+
+
+def test_engine_calls_the_separation_and_field_kernel():
+    """The engine binds public functions of ``airspace`` and ``fields``, so
+    the tracer's whole-module wrappers see the physics the runs execute."""
+    engine = importlib.import_module("uamsim.engine")
+    for mod in _tracing().WHOLE_MODULES:
+        module = importlib.import_module(f"uamsim.{mod}")
+        public = {
+            name
+            for name, obj in inspect.getmembers(module, inspect.isfunction)
+            if obj.__module__ == module.__name__ and not name.startswith("_")
+        }
+        bound = {name for name in public if getattr(engine, name, None) is getattr(module, name)}
+        assert bound, f"uamsim.engine calls no public function of uamsim.{mod}"
