@@ -30,7 +30,7 @@ from .netcalc import (
 from .planner import PlanningQuery, p4_fitness, pso_optimize
 from .ris import ChannelParams, PhaseShiftConfig, RowPhases, capacity, optimal_phase_shift, snr
 from .scenarios import BUILTIN, get_scenario, load_scenario, save_scenario
-from .switching import SwitchAutomaton, SwitchPhase, optimal_switch_acceleration
+from .switching import optimal_switch_acceleration
 
 __all__ = [
     "AircraftSpec",
@@ -49,8 +49,6 @@ __all__ = [
     "RowPhases",
     "Scenario",
     "SimTrace",
-    "SwitchAutomaton",
-    "SwitchPhase",
     "capacity",
     "composite_field_total",
     "failure_curve",

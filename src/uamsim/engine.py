@@ -41,23 +41,21 @@ from .ris import (
     snr,
 )
 from .switching import (
-    SwitchAutomaton,
-    SwitchPhase,
+    BACKOFF_CAP,
+    MODE_BACKING_OFF,
+    MODE_CRUISE,
+    MODE_NAMES,
+    MODE_SWITCHING,
+    SwitchState,
     backoff_step,
     optimal_switch_acceleration,
     switch_acceleration_profile,
     switch_probability,
 )
 
-MODE_CRUISE = 0
-MODE_SWITCHING = 1
-MODE_BACKING_OFF = 2
-MODE_NAMES = ("Cruise", "Switching", "BackingOff")
-
 
 class RisMode(Enum):
     AIRBORNE = "airborne"
-    AIRBORNE_INTERFERENCE = "airborne-interference"
     STATIONARY = "stationary"
 
 
@@ -119,8 +117,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("duration must be positive")
     if not 0.0 <= sc.switch_prob <= 0.5:
         problems.append("switch probability must lie in [0, 0.5]")
-    if not 1 <= sc.initial_backoff <= 32:
-        problems.append("initial back-off must lie in [1, 32]")
+    if not 1 <= sc.initial_backoff <= BACKOFF_CAP:
+        problems.append(f"initial back-off must lie in [1, {BACKOFF_CAP}]")
     if sc.neighbor_radius_m <= 0.0 or sc.target_window_m <= 0.0:
         problems.append("interaction radii must be positive")
     root = math.isqrt(sc.ris_elements)
@@ -130,6 +128,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("phase resolution must be positive")
     if sc.capture_band_m <= 0.0 or sc.capture_speed_mps <= 0.0:
         problems.append("capture tolerances must be positive")
+    if sc.capture_band_m >= sc.airspace.layer_spacing_m / 2.0:
+        problems.append("capture band must be under half the layer spacing")
     if not sc.aircraft:
         problems.append("scenario has no aircraft")
     ids = [a.aircraft_id for a in sc.aircraft]
@@ -146,9 +146,10 @@ def validate_scenario(sc: Scenario) -> list[str]:
             problems.append(f"aircraft {a.aircraft_id}: initial speed out of range")
         if abs(a.altitude_offset) > sc.airspace.layer_spacing_m / 2.0:
             problems.append(f"aircraft {a.aircraft_id}: starts outside its band")
-    first_at: dict[tuple[int, float, float], int] = {}
+    first_at: dict[tuple[float, float], int] = {}
     for a in sc.aircraft:
-        other = first_at.setdefault((a.layer, a.x, a.altitude_offset), a.aircraft_id)
+        h = sc.airspace.layer_altitude(a.layer) + a.altitude_offset
+        other = first_at.setdefault((a.x, h), a.aircraft_id)
         if other != a.aircraft_id:
             problems.append(f"aircraft {a.aircraft_id}: starts on aircraft {other}")
     return problems
@@ -268,12 +269,7 @@ class _Engine:
             [air.expected_speeds_mps[a.layer] + a.speed_offset for a in order]
         )
         self.vy = np.zeros(self.n)
-        self.mode = np.full(self.n, MODE_CRUISE, dtype=int)
-        self.autos = [
-            SwitchAutomaton(initial_backoff=sc.initial_backoff) for _ in range(self.n)
-        ]
-        self.start_alt = np.zeros(self.n)
-        self.target_alt = np.zeros(self.n)
+        self.switch = SwitchState(self.n, sc.initial_backoff)
         seed_root = np.random.SeedSequence(sc.seed)
         self.rngs = [
             np.random.Generator(np.random.PCG64(c)) for c in seed_root.spawn(self.n)
@@ -290,9 +286,9 @@ class _Engine:
     # --- helpers -----------------------------------------------------------
 
     def _fleet(self) -> Fleet:
-        resident = self.mode != MODE_SWITCHING
         return fleet_state(
-            self.x, self.h, self.vx, self.vy, self.layer, resident, self.ids, self.sc.airspace
+            self.x, self.h, self.vx, self.vy, self.layer, self.switch.resident, self.ids,
+            self.sc.airspace,
         )
 
     def _ris_pos(self) -> tuple[float, float]:
@@ -430,7 +426,7 @@ class _Engine:
                     p for p in conflicts if p[0] not in gone and p[1] not in gone
                 }
             self.tracker.observe(conflicts, t)
-            acc = self._accelerations(fleet._replace(resident=self.mode != MODE_SWITCHING), ring)
+            acc = self._accelerations(fleet._replace(resident=self.switch.resident), ring)
             cap_now = self._tick_capacity(t)
 
             sl = slice(k * n, (k + 1) * n)
@@ -439,7 +435,7 @@ class _Engine:
             out_vx[sl] = self.vx
             out_vy[sl] = self.vy
             out_layer[sl] = self.layer
-            out_mode[sl] = self.mode
+            out_mode[sl] = self.switch.mode
             if self.pair_high >= 0 and cap_now > 0.0:
                 out_cap[k * n + self.pair_high] = cap_now
                 out_ris[k * n + self.pair_high] = (
@@ -486,30 +482,15 @@ class _Engine:
     # --- per-tick stages ---------------------------------------------------
 
     def _capture_step(self, t: float) -> None:
-        """Finish manoeuvres whose aircraft re-entered a layer band."""
-        sc = self.sc
-        for i in np.where(self.mode == MODE_SWITCHING)[0]:
-            auto = self.autos[i]
-            mid = 0.5 * (self.start_alt[i] + self.target_alt[i])
-            if auto.phase is SwitchPhase.ACCEL:
-                crossed = (
-                    self.h[i] >= mid
-                    if self.target_alt[i] > self.start_alt[i]
-                    else self.h[i] <= mid
-                )
-                if crossed:
-                    auto.phase = SwitchPhase.DECEL
-            if auto.phase is SwitchPhase.DECEL:
-                if (
-                    abs(self.h[i] - self.target_alt[i]) <= sc.capture_band_m
-                    and abs(self.vy[i]) <= sc.capture_speed_mps
-                ):
-                    self.layer[i] = auto.target_layer
-                    self.mode[i] = MODE_CRUISE
-                    self.events.append(
-                        (t, int(self.ids[i]), "LS_DONE", f"layer={auto.target_layer}")
-                    )
-                    auto.reset()
+        """Finish manoeuvres whose aircraft reached their target layer."""
+        sc, sw = self.sc, self.switch
+        target_h = sc.airspace.layer_altitude(sw.target)
+        landed = sw.capture(self.h, self.vy, target_h, sc.capture_band_m, sc.capture_speed_mps)
+        self.layer[landed] = sw.target[landed]
+        self.events += [
+            (t, aid, "LS_DONE", f"layer={lay}")
+            for aid, lay in zip(self.ids[landed].tolist(), self.layer[landed].tolist())
+        ]
 
     def _pick_target_layer(self, i: int) -> int:
         """Adjacent layer with the thinner local population; ties go up.
@@ -521,7 +502,7 @@ class _Engine:
         best_layer = -1
         best_count = -1
         for lay in candidates:
-            members = np.where((self.layer == lay) & (self.mode != MODE_SWITCHING))[0]
+            members = np.where((self.layer == lay) & self.switch.resident)[0]
             dx = np.abs(ring_offset(self.x[members] - self.x[i], self.course))
             count = int(np.sum(dx <= self.sc.target_window_m))
             if best_layer < 0 or count < best_count or (count == best_count and lay > best_layer):
@@ -547,48 +528,36 @@ class _Engine:
             ib = int(np.searchsorted(self.ids, b))
             partners.setdefault(ia, set()).add(ib)
             partners.setdefault(ib, set()).add(ia)
-        for i in range(self.n):
-            if self.mode[i] == MODE_CRUISE and violated[i]:
+        sw = self.switch
+        # Only violated cruisers and backing-off rows act; the pass keeps row
+        # order, since each row hears the requests released before it.
+        cruising = sw.mode == MODE_CRUISE
+        for i in np.flatnonzero((cruising & violated) | (sw.mode == MODE_BACKING_OFF)).tolist():
+            if cruising[i]:
                 prob = switch_probability(
                     float(front_d[i]), float(rear_d[i]), float(d_safe[i]), sc.switch_prob
                 )
                 if self.rngs[i].random() < prob:
                     target = self._pick_target_layer(i)
                     if target >= 0:
-                        self.autos[i].arm(target, self.rngs[i])
-                        self.mode[i] = MODE_BACKING_OFF
-                        continue
-            if self.mode[i] == MODE_BACKING_OFF:
-                # The control plane is instantaneous within a tick: requests
-                # released earlier in this very pass are audible too, so two
-                # contenders never commit on the same tick.
-                audible = (self.requests_last_tick | fired) & partners.get(i, set())
-                foreign = bool(audible - {i})
-                released = backoff_step(
-                    self.autos[i],
-                    separation_restored=not bool(violated[i]),
-                    foreign_request=foreign,
-                    rng=self.rngs[i],
+                        sw.arm(i, target, self.rngs[i])
+                continue
+            # The control plane is instantaneous within a tick: requests
+            # released earlier in this very pass are audible too, so two
+            # contenders never commit on the same tick.
+            audible = (self.requests_last_tick | fired) & partners.get(i, set())
+            foreign = bool(audible - {i})
+            if backoff_step(sw, i, not bool(violated[i]), foreign, self.rngs[i]):
+                layer, target = self.layer[i], sw.target[i]
+                plan = optimal_switch_acceleration(
+                    self.expected[layer],
+                    self.expected[target],
+                    self.spacing * abs(target - layer),
+                    sc.airspace.max_accel_mps2,
                 )
-                if released:
-                    auto = self.autos[i]
-                    v_from = self.expected[self.layer[i]]
-                    v_to = self.expected[auto.target_layer]
-                    auto.plan = optimal_switch_acceleration(
-                        v_from,
-                        v_to,
-                        self.spacing * abs(auto.target_layer - self.layer[i]),
-                        sc.airspace.max_accel_mps2,
-                    )
-                    self.start_alt[i] = sc.airspace.layer_altitude(self.layer[i])
-                    self.target_alt[i] = sc.airspace.layer_altitude(auto.target_layer)
-                    self.mode[i] = MODE_SWITCHING
-                    self.events.append(
-                        (t, int(self.ids[i]), "LS_REQ", f"layer={auto.target_layer}")
-                    )
-                    fired.add(i)
-                elif self.autos[i].phase is SwitchPhase.IDLE:
-                    self.mode[i] = MODE_CRUISE
+                sw.ax[i], sw.ay[i] = plan.ax, plan.ay
+                self.events.append((t, int(self.ids[i]), "LS_REQ", f"layer={target}"))
+                fired.add(i)
         return fired
 
     def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:
@@ -603,13 +572,16 @@ class _Engine:
             fx[over] *= amax / norm[over]
             fh[over] *= amax / norm[over]
         # switching aircraft follow their bang-bang plan instead
-        for i in np.where(self.mode == MODE_SWITCHING)[0]:
-            auto = self.autos[i]
-            ax, ay = switch_acceleration_profile(
-                float(self.h[i]), self.start_alt[i], self.target_alt[i], auto.plan
+        sw = self.switch
+        rows = np.flatnonzero(sw.mode == MODE_SWITCHING)
+        if len(rows):
+            fx[rows], fh[rows] = switch_acceleration_profile(
+                self.h[rows],
+                sc.airspace.layer_altitude(self.layer[rows]),
+                sc.airspace.layer_altitude(sw.target[rows]),
+                sw.ax[rows],
+                sw.ay[rows],
             )
-            fx[i] = ax
-            fh[i] = ay
         return np.column_stack((fx, fh))
 
 

@@ -135,10 +135,7 @@ def repulse_gradient(fleet: Fleet, pairs: list[LayerPairs], weight: float = 1.0)
 
 
 def _layer_offset(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
-    h, spacing = fleet.h, cfg.layer_spacing_m
-    return np.where(
-        h > 1.5 * spacing, h - 2.0 * spacing, np.where(h > 0.5 * spacing, h - spacing, h)
-    )
+    return fleet.h - cfg.layer_altitude(fleet.layer)
 
 
 def layer_value(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:

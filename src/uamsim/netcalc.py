@@ -155,20 +155,21 @@ def min_plus_convolve(a, b):
     raise TypeError("operands must be two curves or two tail tables")
 
 
-def poisson_delay_tail(mean_arrivals: float, threshold: float) -> float:
-    """P{N >= ceil(threshold + mean)} for N ~ Poisson(mean).
+def poisson_delay_tail(
+    mean_arrivals: np.ndarray | float, threshold: np.ndarray | float
+) -> np.ndarray:
+    """P{N >= ceil(threshold + mean)} for N ~ Poisson(mean), elementwise.
 
     The regularized lower incomplete gamma gives the upper tail exactly;
     a start index at or below zero covers the whole distribution.
     """
-    if mean_arrivals < 0.0:
+    mean = np.asarray(mean_arrivals, dtype=float)
+    if np.any(mean < 0.0):
         raise ValueError("mean arrival count cannot be negative")
-    start = math.ceil(threshold + mean_arrivals)
-    if start <= 0:
-        return 1.0
-    if mean_arrivals == 0.0:
-        return 0.0
-    return float(gammainc(start, mean_arrivals))
+    start = np.ceil(threshold + mean)
+    return np.where(
+        start <= 0, 1.0, np.where(mean == 0.0, 0.0, gammainc(np.maximum(start, 1), mean))
+    )
 
 
 def retransmission_ccdf(loss_prob: float, ttl: float, t_max: float, dt: float) -> Ccdf:
@@ -269,17 +270,8 @@ def queueing_tail_ccdf(
     t = np.arange(n) * dt
     values = np.ones(n)
     served = t > curve.latency + 1e-15
-    if np.any(served):
-        ts = t[served]
-        mean = arrival_rate * ts
-        thresh = curve(ts)
-        start = np.ceil(thresh + mean).astype(int)
-        tail = np.where(
-            start <= 0,
-            1.0,
-            np.where(mean == 0.0, 0.0, gammainc(np.maximum(start, 1), mean)),
-        )
-        values[served] = tail
+    ts = t[served]
+    values[served] = poisson_delay_tail(arrival_rate * ts, curve(ts))
     # Each point bounds the delay tail on its own; the tail itself is
     # non-increasing, so the running minimum is a tighter valid bound and
     # removes the sawtooth the integer threshold leaves between jumps.

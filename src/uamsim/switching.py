@@ -11,18 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+# The trace's mode codes; MODE_NAMES spells each one out.
+MODE_CRUISE, MODE_SWITCHING, MODE_BACKING_OFF = 0, 1, 2
+MODE_NAMES = ("Cruise", "Switching", "BackingOff")
 BACKOFF_CAP = 32
-
-
-class SwitchPhase(Enum):
-    IDLE = "Idle"
-    PENDING = "Pending"
-    ACCEL = "Accel"
-    DECEL = "Decel"
 
 
 def switch_probability(
@@ -75,96 +70,107 @@ def optimal_switch_acceleration(
 
 
 def switch_acceleration_profile(
-    altitude: float,
-    start_altitude: float,
-    target_altitude: float,
-    plan: SwitchPlan,
-) -> tuple[float, float]:
-    """Commanded acceleration at ``altitude`` during the manoeuvre.
+    altitude: np.ndarray,
+    start_altitude: np.ndarray,
+    target_altitude: np.ndarray,
+    ax: np.ndarray,
+    ay: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Commanded (ax, ay) at ``altitude`` during the manoeuvre, elementwise.
 
     Vertical sign flips at the midpoint between the two layer altitudes:
     push toward the target in the first half, brake in the second.
     """
     midpoint = 0.5 * (start_altitude + target_altitude)
     going_up = target_altitude > start_altitude
-    if going_up:
-        ay = plan.ay if altitude < midpoint else -plan.ay
-    else:
-        ay = -plan.ay if altitude > midpoint else plan.ay
-    return (plan.ax, ay)
+    push = np.where(going_up, altitude < midpoint, altitude > midpoint)
+    sign = np.where(going_up, 1.0, -1.0)
+    return ax, np.where(push, sign, -sign) * ay
 
 
-@dataclass
-class SwitchAutomaton:
-    """Back-off and manoeuvre bookkeeping for one aircraft."""
+class SwitchState:
+    """The fleet's layer-switch state, one row per aircraft.
 
-    initial_backoff: int = 2
-    phase: SwitchPhase = SwitchPhase.IDLE
-    backoff_max: int = 2
-    backoff: int = 2
-    target_layer: int = -1
-    plan: SwitchPlan | None = None
+    ``mode`` holds the trace's mode codes.  A backing-off row counts
+    ``backoff`` ticks down inside a window of ``backoff_max``; a switching row
+    flies the plan ``ax``/``ay`` toward layer ``target``.  ``target``, ``ax``
+    and ``ay`` belong to the current attempt and go stale in Cruise.  Only
+    the transitions here and in ``backoff_step`` write ``mode``.
+    """
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.initial_backoff <= BACKOFF_CAP:
-            raise ValueError("initial back-off must lie in [1, cap]")
-        self.backoff_max = self.initial_backoff
-        self.backoff = self.backoff_max
+    def __init__(self, n: int, initial_backoff: int) -> None:
+        self.initial_backoff = initial_backoff
+        self.mode = np.full(n, MODE_CRUISE)
+        self.backoff_max = np.full(n, initial_backoff)
+        self.backoff = self.backoff_max.copy()
+        self.target = np.full(n, -1)
+        self.ax = np.zeros(n)
+        self.ay = np.zeros(n)
 
-    def arm(self, target_layer: int, rng: np.random.Generator | None = None) -> None:
-        """Enter Pending with a freshly drawn back-off counter.
+    @property
+    def resident(self) -> np.ndarray:
+        """Rows not in the middle of a manoeuvre."""
+        return self.mode != MODE_SWITCHING
 
-        Without a generator the counter starts at the ceiling, which is the
-        worst case; passing one draws uniformly from [1, ceiling] so that
-        aircraft triggered by the same congestion event do not count down in
-        lockstep.
+    def arm(self, i: int, target_layer: int, rng: np.random.Generator) -> None:
+        """Back off toward ``target_layer`` with a counter drawn from [1, ceiling].
+
+        The draw keeps aircraft triggered by the same congestion event from
+        counting down in lockstep.
         """
-        self.phase = SwitchPhase.PENDING
-        self.target_layer = target_layer
-        if rng is None:
-            self.backoff = self.backoff_max
-        else:
-            self.backoff = int(rng.integers(1, self.backoff_max + 1))
+        self.mode[i] = MODE_BACKING_OFF
+        self.target[i] = target_layer
+        self.backoff[i] = rng.integers(1, int(self.backoff_max[i]) + 1)
 
-    def cancel(self) -> None:
-        """Abandon a pending attempt; an escalated ceiling is kept."""
-        self.phase = SwitchPhase.IDLE
-        self.backoff = self.backoff_max
-        self.target_layer = -1
-        self.plan = None
+    def cancel(self, i: int) -> None:
+        """Abandon a back-off; an escalated ceiling is kept."""
+        self.mode[i] = MODE_CRUISE
+        self.backoff[i] = self.backoff_max[i]
 
-    def reset(self) -> None:
-        """Return to Idle with the ceiling back at its initial value."""
-        self.phase = SwitchPhase.IDLE
-        self.backoff_max = self.initial_backoff
-        self.backoff = self.backoff_max
-        self.target_layer = -1
-        self.plan = None
+    def capture(
+        self, h: np.ndarray, vy: np.ndarray, target_h: np.ndarray, band: float, speed: float
+    ) -> np.ndarray:
+        """Land the switching rows within ``band`` of their target altitude
+        ``target_h`` and no faster than ``speed`` vertically; return them.
+
+        Landing restores the initial ceiling.  Switches go to adjacent layers
+        and the band is under half the spacing, so a captured aircraft is
+        always past the midpoint.
+        """
+        rows = np.flatnonzero(
+            (self.mode == MODE_SWITCHING) & (np.abs(h - target_h) <= band) & (np.abs(vy) <= speed)
+        )
+        self.mode[rows] = MODE_CRUISE
+        self.backoff_max[rows] = self.initial_backoff
+        self.backoff[rows] = self.initial_backoff
+        return rows
 
 
 def backoff_step(
-    auto: SwitchAutomaton,
+    state: SwitchState,
+    i: int,
     separation_restored: bool,
     foreign_request: bool,
     rng: np.random.Generator,
 ) -> bool:
-    """Advance a Pending automaton by one tick; True when it fires Accel.
+    """Advance backing-off row ``i`` by one tick; True when it starts switching.
 
     A restored separation cancels the attempt outright.  A foreign switch
     request doubles the back-off range (capped) and redraws the counter.
     Otherwise the counter falls by one and releases the manoeuvre at zero.
     """
-    if auto.phase is not SwitchPhase.PENDING:
-        raise ValueError("back-off only runs in the Pending phase")
+    if state.mode[i] != MODE_BACKING_OFF:
+        raise ValueError("back-off only runs while backing off")
     if separation_restored:
-        auto.cancel()
+        state.cancel(i)
         return False
     if foreign_request:
-        auto.backoff_max = min(2 * auto.backoff_max, BACKOFF_CAP)
-        auto.backoff = int(rng.integers(1, auto.backoff_max + 1))
+        ceiling = min(2 * int(state.backoff_max[i]), BACKOFF_CAP)
+        state.backoff_max[i] = ceiling
+        state.backoff[i] = rng.integers(1, ceiling + 1)
         return False
-    auto.backoff -= 1
-    if auto.backoff <= 0:
-        auto.phase = SwitchPhase.ACCEL
+    state.backoff[i] -= 1
+    if state.backoff[i] <= 0:
+        state.mode[i] = MODE_SWITCHING
         return True
     return False

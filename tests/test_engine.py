@@ -1,16 +1,20 @@
 """Whole-simulator behaviour: determinism, invariants, episode accounting."""
 
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uamsim import engine, scenarios
 from uamsim.fields import CollisionError, FieldWeights
+from uamsim.switching import MODE_CRUISE, MODE_SWITCHING
 from uamsim.engine import (
     AircraftSpec,
-    MODE_CRUISE,
     PhaseMode,
     RisMode,
     Scenario,
@@ -305,6 +309,18 @@ def test_coincident_start_is_rejected():
         run(sc)
 
 
+def test_cross_layer_coincident_start_is_rejected():
+    """Offsets can put aircraft of adjacent layers on one point: layer 0 at
+    +50 m and layer 1 at -50 m both start at h = 50 m."""
+    sc = Scenario(
+        aircraft=(
+            AircraftSpec(aircraft_id=0, layer=0, x=500.0, altitude_offset=50.0),
+            AircraftSpec(aircraft_id=1, layer=1, x=500.0, altitude_offset=-50.0),
+        ),
+    )
+    assert validate_scenario(sc) == ["aircraft 1: starts on aircraft 0"]
+
+
 def test_coincidence_mid_run_is_a_collision():
     """With every field off, a 50 m/s aircraft catches a 40 m/s one 10 m
     ahead on exactly the same point after one second."""
@@ -332,3 +348,69 @@ def test_other_capacity_errors_propagate(monkeypatch):
     sc = replace(_parked_on_the_served_aircraft(PhaseMode.ZERO), stationary_ris_pos=(400.0, 100.0))
     with pytest.raises(ValueError, match="not a geometry problem"):
         run(sc)
+
+
+# (layer, x, altitude offset, speed offset) on a whole-metre grid; no two
+# aircraft start on the same point.
+_fleet = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 1999), st.integers(-50, 50), st.integers(-25, 5)),
+    min_size=2,
+    max_size=12,
+    unique_by=lambda a: (a[1], 100 * a[0] + a[2]),
+)
+
+
+def _written(tr) -> tuple[bytes, bytes]:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(tr, f"{tmp}/trace.csv")
+        write_events(tr, f"{tmp}/events.csv")
+        return Path(tmp, "trace.csv").read_bytes(), Path(tmp, "events.csv").read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=_fleet, ticks=st.integers(100, 160), seed=st.integers(0, 2**16))
+def test_engine_invariants_on_random_fleets(rows, ticks, seed):
+    """Switching rows run from an LS_REQ to its LS_DONE (or the end), LS
+    events pair up per aircraft and target layer, speed stays under the cap,
+    residents stay inside their layer band, and a rerun is byte-identical.
+    A run may instead end in a collision, which a rerun repeats."""
+    specs = tuple(
+        AircraftSpec(aid, lay, float(x), speed_offset=float(dv), altitude_offset=float(dh))
+        for aid, (lay, x, dh, dv) in enumerate(rows)
+    )
+    sc = Scenario(aircraft=specs, duration_s=ticks * 0.1, seed=seed)
+    assert validate_scenario(sc) == []
+    try:
+        tr = run(sc)
+    except CollisionError as err:
+        # a start too close to brake apart ends the run, the same way each time
+        with pytest.raises(CollisionError, match=re.escape(str(err))):
+            run(sc)
+        return
+    air, n = sc.airspace, len(specs)
+    layer = tr.layer.reshape(ticks, n)
+    switching = tr.mode.reshape(ticks, n) == MODE_SWITCHING
+    for aid in range(n):
+        ls = [
+            (round(t / sc.dt), kind, int(detail.split("=")[1]))
+            for t, a, kind, detail in tr.events
+            if a == aid and kind in ("LS_REQ", "LS_DONE")
+        ]
+        assert [kind for _, kind, _ in ls] == ["LS_REQ", "LS_DONE"] * (len(ls) // 2) + [
+            "LS_REQ"
+        ] * (len(ls) % 2)
+        expected = np.zeros(ticks, dtype=bool)
+        for j in range(0, len(ls), 2):
+            k_req, _, target = ls[j]
+            assert abs(target - layer[k_req, aid]) == 1
+            k_done = ticks
+            if j + 1 < len(ls):
+                k_done, _, landed = ls[j + 1]
+                assert landed == target and layer[k_done, aid] == target
+            expected[k_req:k_done] = True
+        assert np.array_equal(switching[:, aid], expected)
+    assert np.all(np.hypot(tr.vx, tr.vy) <= air.max_speed_mps + 1e-9)
+    resident = ~switching.ravel()
+    band = np.abs(tr.h[resident] - air.layer_altitude(tr.layer[resident]))
+    assert np.all(band <= air.layer_spacing_m / 2.0)
+    assert _written(run(sc)) == _written(tr)

@@ -60,12 +60,19 @@ def test_stabilize_value_and_gradient():
 
 
 def test_layer_well_three_branches():
-    f = _fleet([(0.0, 40.0, 45.0, 0.0), (500.0, 120.0, 45.0, 0.0), (1000.0, 260.0, 45.0, 0.0)])
-    # each branch measures the offset from the nearest layer altitude
+    f = fleet_state(
+        np.array([0.0, 500.0, 1000.0]), np.array([40.0, 120.0, 260.0]), np.full(3, 45.0),
+        np.zeros(3), np.array([0, 1, 2]), np.ones(3, dtype=bool), np.arange(3), CFG,
+    )
+    # each aircraft measures the offset from its own layer's altitude
     assert fields.layer_value(f, CFG) == pytest.approx([1600.0, 400.0, 3600.0])
     # gradient is vertical only
     gx, gh = fields.layer_gradient(f, CFG)
     assert gx[1] == 0.0 and gh[1] == pytest.approx(40.0)
+    # at the foot of its band a layer-1 aircraft is pulled up to its own
+    # layer, not down to layer 0
+    edge = _fleet([(0.0, 50.0, 45.0, 0.0)])
+    assert fields.layer_gradient(edge, CFG)[1][0] == pytest.approx(-100.0)
 
 
 def test_attract_flat_inside_safe_gap():

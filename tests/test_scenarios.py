@@ -114,3 +114,14 @@ def test_loaded_file_rejects_bad_lines(tmp_path):
     p.write_text("this line has no equals sign\n")
     with pytest.raises(ValueError):
         load_scenario(str(p))
+
+
+def test_airborne_interference_mode_is_rejected(tmp_path):
+    """The mode never ran differently from ``airborne``; a file naming it is
+    an error, not a silent airborne run.  Interference is a channel setting."""
+    p = tmp_path / "interference.txt"
+    save_scenario(get_scenario("fig6-interference"), str(p))
+    text = p.read_text().replace("ris_mode = airborne\n", "ris_mode = airborne-interference\n")
+    p.write_text(text)
+    with pytest.raises(ValueError, match="airborne-interference"):
+        load_scenario(str(p))

@@ -1,14 +1,19 @@
-"""Layer-change planning and the back-off arbitration automaton."""
+"""Layer-change planning and the fleet's back-off arbitration state."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uamsim.engine import validate_scenario
+from uamsim.scenarios import get_scenario
 from uamsim.switching import (
     BACKOFF_CAP,
-    SwitchAutomaton,
-    SwitchPhase,
+    MODE_BACKING_OFF,
+    MODE_CRUISE,
+    MODE_SWITCHING,
+    SwitchState,
     backoff_step,
     optimal_switch_acceleration,
     switch_acceleration_profile,
@@ -64,13 +69,23 @@ def test_pure_climb_uses_full_budget_vertically():
 
 def test_profile_sign_flip_both_directions():
     plan = optimal_switch_acceleration(45.0, 60.0, 100.0, 5.0)
-    up_lo = switch_acceleration_profile(120.0, 100.0, 200.0, plan)
-    up_hi = switch_acceleration_profile(180.0, 100.0, 200.0, plan)
+    up_lo = switch_acceleration_profile(120.0, 100.0, 200.0, plan.ax, plan.ay)
+    up_hi = switch_acceleration_profile(180.0, 100.0, 200.0, plan.ax, plan.ay)
     assert up_lo[1] > 0 > up_hi[1]
     assert up_lo[0] == up_hi[0] == plan.ax
-    down_hi = switch_acceleration_profile(180.0, 200.0, 100.0, plan)
-    down_lo = switch_acceleration_profile(120.0, 200.0, 100.0, plan)
+    down_hi = switch_acceleration_profile(180.0, 200.0, 100.0, plan.ax, plan.ay)
+    down_lo = switch_acceleration_profile(120.0, 200.0, 100.0, plan.ax, plan.ay)
     assert down_hi[1] < 0 < down_lo[1]
+
+
+def test_profile_is_elementwise():
+    """One call steers a whole set of switching rows, each by its own plan."""
+    h = np.array([120.0, 180.0, 180.0, 120.0])
+    start = np.array([100.0, 100.0, 200.0, 200.0])
+    target = np.array([200.0, 200.0, 100.0, 100.0])
+    ax, ay = switch_acceleration_profile(h, start, target, np.arange(4.0), np.full(4, 3.0))
+    assert ax.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert ay.tolist() == [3.0, -3.0, -3.0, 3.0]
 
 
 def test_manoeuvre_rejects_degenerate_input():
@@ -82,53 +97,70 @@ def test_manoeuvre_rejects_degenerate_input():
 
 def test_automaton_arm_and_cancel_bookkeeping():
     rng = np.random.default_rng(1)
-    auto = SwitchAutomaton(initial_backoff=2)
-    auto.arm(2, rng)
-    assert auto.phase is SwitchPhase.PENDING
-    assert 1 <= auto.backoff <= 2
-    # escalate the ceiling, then cancel: escalation survives, phase resets
-    backoff_step(auto, separation_restored=False, foreign_request=True, rng=rng)
-    assert auto.backoff_max == 4
-    auto.cancel()
-    assert auto.phase is SwitchPhase.IDLE
-    assert auto.backoff_max == 4
-    assert auto.backoff == 4
-    auto.reset()
-    assert auto.backoff_max == 2
+    state = SwitchState(1, initial_backoff=2)
+    state.arm(0, 2, rng)
+    assert state.mode[0] == MODE_BACKING_OFF
+    assert state.target[0] == 2
+    assert 1 <= state.backoff[0] <= 2
+    # escalate the ceiling, then cancel: escalation survives, mode resets
+    backoff_step(state, 0, separation_restored=False, foreign_request=True, rng=rng)
+    assert state.backoff_max[0] == 4
+    state.cancel(0)
+    assert state.mode[0] == MODE_CRUISE
+    assert state.backoff_max[0] == 4
+    assert state.backoff[0] == 4
+    # landing restores the initial ceiling
+    state.arm(0, 2, rng)
+    state.mode[0] = MODE_SWITCHING
+    landed = state.capture(np.array([199.0]), np.array([0.5]), np.array([200.0]), 2.0, 1.0)
+    assert landed.tolist() == [0]
+    assert state.mode[0] == MODE_CRUISE
+    assert state.backoff_max[0] == 2
+
+
+def test_capture_needs_the_band_and_a_slow_climb():
+    state = SwitchState(4, initial_backoff=2)
+    state.mode[:3] = MODE_SWITCHING
+    h = np.array([198.5, 197.0, 201.0, 200.0])
+    vy = np.array([0.9, 0.0, -1.5, 0.0])
+    landed = state.capture(h, vy, np.full(4, 200.0), 2.0, 1.0)
+    # row 1 is outside the band, row 2 too fast, row 3 was not switching
+    assert landed.tolist() == [0]
+    assert state.mode.tolist() == [MODE_CRUISE, MODE_SWITCHING, MODE_SWITCHING, MODE_CRUISE]
 
 
 def test_backoff_counts_down_to_release():
     rng = np.random.default_rng(2)
-    auto = SwitchAutomaton(initial_backoff=3)
-    auto.arm(1)  # deterministic arm: counter = ceiling
-    assert auto.backoff == 3
-    fired = []
-    for _ in range(3):
-        fired.append(backoff_step(auto, False, False, rng))
-    assert fired == [False, False, True]
-    assert auto.phase is SwitchPhase.ACCEL
+    state = SwitchState(1, initial_backoff=3)
+    state.arm(0, 1, rng)
+    drawn = int(state.backoff[0])
+    assert 1 <= drawn <= 3
+    fired = [backoff_step(state, 0, False, False, rng) for _ in range(drawn)]
+    assert fired == [False] * (drawn - 1) + [True]
+    assert all(type(f) is bool for f in fired)
+    assert state.mode[0] == MODE_SWITCHING
 
 
 def test_restored_separation_cancels():
     rng = np.random.default_rng(3)
-    auto = SwitchAutomaton()
-    auto.arm(0, rng)
-    released = backoff_step(auto, separation_restored=True, foreign_request=False, rng=rng)
+    state = SwitchState(1, initial_backoff=2)
+    state.arm(0, 0, rng)
+    released = backoff_step(state, 0, separation_restored=True, foreign_request=False, rng=rng)
     assert not released
-    assert auto.phase is SwitchPhase.IDLE
+    assert state.mode[0] == MODE_CRUISE
 
 
 def test_foreign_request_doubles_and_redraws():
     rng = np.random.default_rng(4)
     seen_max = []
     draws = []
-    auto = SwitchAutomaton(initial_backoff=2)
-    auto.arm(1, rng)
+    state = SwitchState(1, initial_backoff=2)
+    state.arm(0, 1, rng)
     for _ in range(8):
-        backoff_step(auto, False, True, rng)
-        seen_max.append(auto.backoff_max)
-        draws.append(auto.backoff)
-        assert 1 <= auto.backoff <= auto.backoff_max
+        backoff_step(state, 0, False, True, rng)
+        seen_max.append(int(state.backoff_max[0]))
+        draws.append(int(state.backoff[0]))
+        assert 1 <= state.backoff[0] <= state.backoff_max[0]
     assert seen_max == [4, 8, 16, 32, 32, 32, 32, 32]
     print(f"redraw sequence under sustained contention: {draws}")
 
@@ -138,10 +170,10 @@ def test_redraw_spans_the_whole_window():
     rng = np.random.default_rng(5)
     counts = np.zeros(33, dtype=int)
     for _ in range(10000):
-        auto = SwitchAutomaton(initial_backoff=16)
-        auto.arm(1, rng)
-        backoff_step(auto, False, True, rng)  # doubles to 32, redraws
-        counts[auto.backoff] += 1
+        state = SwitchState(1, initial_backoff=16)
+        state.arm(0, 1, rng)
+        backoff_step(state, 0, False, True, rng)  # doubles to 32, redraws
+        counts[state.backoff[0]] += 1
     assert counts[0] == 0
     assert np.all(counts[1:33] > 0)
     spread = counts[1:33].std() / counts[1:33].mean()
@@ -150,7 +182,7 @@ def test_redraw_spans_the_whole_window():
 
 
 def test_contenders_never_commit_together():
-    """Two mutually audible automatons must not release on the same tick.
+    """Two mutually audible aircraft must not release on the same tick.
 
     Requests travel on the shared control plane: within a tick the second
     craft already hears the first one's release and re-randomizes.  Across
@@ -161,22 +193,21 @@ def test_contenders_never_commit_together():
     rng_b = np.random.default_rng(601)
     simultaneous = 0
     for _ in range(10000):
-        a = SwitchAutomaton(initial_backoff=2)
-        b = SwitchAutomaton(initial_backoff=2)
-        a.arm(1, rng_a)
-        b.arm(1, rng_b)
+        state = SwitchState(2, initial_backoff=2)
+        state.arm(0, 1, rng_a)
+        state.arm(1, 1, rng_b)
         released_prev_a = released_prev_b = False
         for _tick in range(200):
             rel_a = rel_b = False
-            if a.phase is SwitchPhase.PENDING:
-                rel_a = backoff_step(a, False, released_prev_b, rng_a)
-            if b.phase is SwitchPhase.PENDING:
+            if state.mode[0] == MODE_BACKING_OFF:
+                rel_a = backoff_step(state, 0, False, released_prev_b, rng_a)
+            if state.mode[1] == MODE_BACKING_OFF:
                 # same-tick hearing: a's release this tick already counts
-                rel_b = backoff_step(b, False, rel_a or released_prev_a, rng_b)
+                rel_b = backoff_step(state, 1, False, rel_a or released_prev_a, rng_b)
             if rel_a and rel_b:
                 simultaneous += 1
                 break
-            if a.phase is not SwitchPhase.PENDING and b.phase is not SwitchPhase.PENDING:
+            if not np.any(state.mode == MODE_BACKING_OFF):
                 break
             released_prev_a, released_prev_b = rel_a, rel_b
     freq = simultaneous / 10000.0
@@ -186,13 +217,23 @@ def test_contenders_never_commit_together():
 
 def test_backoff_requires_pending():
     rng = np.random.default_rng(9)
-    auto = SwitchAutomaton()
+    state = SwitchState(1, initial_backoff=2)
     with pytest.raises(ValueError):
-        backoff_step(auto, False, False, rng)
+        backoff_step(state, 0, False, False, rng)
 
 
 def test_bad_initial_backoff():
-    with pytest.raises(ValueError):
-        SwitchAutomaton(initial_backoff=0)
-    with pytest.raises(ValueError):
-        SwitchAutomaton(initial_backoff=BACKOFF_CAP + 1)
+    for bad in (0, BACKOFF_CAP + 1):
+        sc = replace(get_scenario("fig12-ipr"), initial_backoff=bad)
+        assert validate_scenario(sc) == [f"initial back-off must lie in [1, {BACKOFF_CAP}]"]
+    assert validate_scenario(replace(get_scenario("fig12-ipr"), initial_backoff=BACKOFF_CAP)) == []
+
+
+def test_capture_band_must_stay_under_half_the_spacing():
+    """A narrower band is what makes every capture lie past the midpoint."""
+    sc = get_scenario("fig12-ipr")
+    half = sc.airspace.layer_spacing_m / 2.0
+    assert validate_scenario(replace(sc, capture_band_m=half)) == [
+        "capture band must be under half the layer spacing"
+    ]
+    assert validate_scenario(replace(sc, capture_band_m=half - 0.5)) == []

@@ -3,8 +3,15 @@
 import importlib
 import inspect
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+SWITCHING = (
+    "switch_probability", "backoff_step", "optimal_switch_acceleration",
+    "switch_acceleration_profile",
+)
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -43,3 +50,25 @@ def test_engine_calls_the_separation_and_field_kernel():
         }
         bound = {name for name in public if getattr(engine, name, None) is getattr(module, name)}
         assert bound, f"uamsim.engine calls no public function of uamsim.{mod}"
+
+
+def test_traced_run_records_the_switching_spans():
+    """A short switching run under the benchmark's tracer: every switching
+    function the engine binds records spans, and each back-off step's
+    outcome is a plain release flag."""
+    from uamsim import cli, engine, scenarios  # noqa: F401  (the tracer wraps them)
+
+    tracing = _tracing()
+    sc = replace(scenarios.get_scenario("fig12-ipr", seed=1), duration_s=2.0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        trace = engine.run(sc)
+    finally:
+        tracer.remove()
+    assert tracing.leftover_wrappers() == []
+    assert any(e[2] == "LS_REQ" for e in trace.events)
+    calls = np.bincount(tracer.arrays()["name"], minlength=len(tracer.names))
+    for name in SWITCHING:
+        assert calls[tracer.names.index(f"switching.{name}")] > 0, name
+    assert set(tracer.outcomes["switching.backoff_step"]) <= {0.0, 1.0}
