@@ -98,13 +98,21 @@ def layer_residents(fleet: Fleet, layer: int) -> np.ndarray:
     return np.where(fleet.resident & (fleet.layer == layer))[0]
 
 
+def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Sorted, distinct codes ``lo * n + hi`` of the row pairs (a[k], b[k]),
+    where lo < hi are rows of an ``n``-aircraft fleet."""
+    if len(a) == 0:  # most ticks have no conflict; skip the sort's overhead
+        return a
+    return np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+
+
 class Ring(NamedTuple):
     """Each resident's cyclic neighbours inside its layer.
 
     ``ahead_x``/``ahead_h`` is the forward offset to the preceding aircraft
     ``prec`` and ``front`` its norm; the alone and non-residents get -1 and
-    infinite gaps.  ``conflicts``: id pairs (smaller first) of neighbours
-    closer than the faster one's separation.
+    infinite gaps.  ``conflicts``: row-pair codes (see ``pair_codes``) of
+    neighbours closer than the faster one's separation.
     """
 
     front: np.ndarray
@@ -112,16 +120,16 @@ class Ring(NamedTuple):
     prec: np.ndarray
     ahead_x: np.ndarray
     ahead_h: np.ndarray
-    conflicts: set[tuple[int, int]]
+    conflicts: np.ndarray
 
 
 def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
     """Ring gaps, preceding aircraft and same-layer conflicts of the residents."""
     n = len(fleet.x)
-    ring = Ring(
-        np.full(n, np.inf), np.full(n, np.inf), np.full(n, -1, dtype=int),
-        np.zeros(n), np.zeros(n), set(),
-    )
+    front, rear = np.full(n, np.inf), np.full(n, np.inf)
+    prec = np.full(n, -1, dtype=int)
+    ahead_x, ahead_h = np.zeros(n), np.zeros(n)
+    close = np.zeros(n, dtype=bool)
     for lay in (0, 1, 2):
         members = layer_residents(fleet, lay)
         if len(members) < 2:
@@ -131,20 +139,18 @@ def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
         dx = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
         dh = fleet.h[nxt] - fleet.h[order]
         gap = np.hypot(dx, dh)
-        ring.front[order] = gap
-        ring.rear[nxt] = gap
-        ring.prec[order] = nxt
-        ring.ahead_x[order] = dx
-        ring.ahead_h[order] = dh
+        front[order] = gap
+        rear[nxt] = gap
+        prec[order] = nxt
+        ahead_x[order] = dx
+        ahead_h[order] = dh
         # the faster aircraft has the larger separation
-        pair_sep = np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
-        for a, b in zip(order[gap < pair_sep], nxt[gap < pair_sep]):
-            ia, ib = int(fleet.ids[a]), int(fleet.ids[b])
-            ring.conflicts.add((min(ia, ib), max(ia, ib)))
-    return ring
+        close[order] = gap < np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
+    rows = np.flatnonzero(close)
+    return Ring(front, rear, prec, ahead_x, ahead_h, pair_codes(rows, prec[rows], n))
 
 
-def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> set[tuple[int, int]]:
+def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     """Converging resident pairs in different layers within two spacings.
 
     A pair conflicts when closer than coeff * (faster speed) * cos(gamma),
@@ -152,16 +158,14 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> set[tuple[int, i
     velocity; a receding or coincident pair never does.  Aircraft in the
     middle of a switch manoeuvre are not counted, exactly as they drop out of
     the same-layer ring: conflict accounting covers layer residents, and a
-    switcher re-enters it at capture.
+    switcher re-enters it at capture.  Returns row-pair codes.
     """
-    out: set[tuple[int, int]] = set()
+    rows_a, rows_b = [], []
     coeff = cfg.vertical_separation_coeff
     groups = {lay: layer_residents(fleet, lay) for lay in (0, 1, 2)}
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     for la, lb in ((0, 1), (1, 2), (0, 2)):
         ga, gb = groups[la], groups[lb]
-        if len(ga) == 0 or len(gb) == 0:
-            continue
         sx = ring_offset(x[ga][:, None] - x[gb][None, :], cfg.course_length_m)
         sh = h[ga][:, None] - h[gb][None, :]
         dist = np.hypot(sx, sh)
@@ -178,7 +182,7 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> set[tuple[int, i
             & (dist > 0.0)
             & (np.abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9)
         )
-        for r, c in zip(*np.where(hit)):
-            ia, ib = int(fleet.ids[ga[r]]), int(fleet.ids[gb[c]])
-            out.add((min(ia, ib), max(ia, ib)))
-    return out
+        r, c = np.nonzero(hit)
+        rows_a.append(ga[r])
+        rows_b.append(gb[c])
+    return pair_codes(np.concatenate(rows_a), np.concatenate(rows_b), len(fleet.x))

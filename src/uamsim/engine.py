@@ -203,35 +203,33 @@ def ipr_threshold(trace: SimTrace) -> float:
     return float(np.max(durations))
 
 
-class _EpisodeTracker:
-    """Merges per-tick violation pairs into maximal episodes.
+# A pair back in violation within this many seconds continues its episode.
+EPISODE_MERGE_WINDOW_S = 1.0
+
+
+def merge_episodes(
+    log: list[tuple[int, np.ndarray]], ids: np.ndarray, dt: float
+) -> list[tuple[int, int, float, float]]:
+    """Maximal episodes (id, id, start, end) from a log of (tick, pair codes)
+    violations, ordered by start, then by pair.
 
     A pair re-entering violation within the merge window continues its
-    previous episode; a longer clean spell starts a fresh one.
+    previous episode; a longer clean spell starts a fresh one.  Codes are
+    pairs of rows of ``ids``, which is sorted, so row order is id order.
     """
-
-    def __init__(self, merge_window_s: float = 1.0) -> None:
-        self.merge_window = merge_window_s
-        self.open: dict[tuple[int, int], list[float]] = {}
-        self.closed: list[tuple[int, int, float, float]] = []
-
-    def observe(self, pairs: set[tuple[int, int]], t: float) -> None:
-        for pair in pairs:
-            entry = self.open.get(pair)
-            if entry is None:
-                self.open[pair] = [t, t]
-            elif t - entry[1] <= self.merge_window + 1e-12:
-                entry[1] = t
-            else:
-                self.closed.append((pair[0], pair[1], entry[0], entry[1]))
-                self.open[pair] = [t, t]
-
-    def finish(self) -> list[tuple[int, int, float, float]]:
-        for pair, entry in sorted(self.open.items()):
-            self.closed.append((pair[0], pair[1], entry[0], entry[1]))
-        self.open.clear()
-        self.closed.sort(key=lambda e: (e[2], e[0], e[1]))
-        return self.closed
+    ticks = np.repeat(np.array([k for k, _ in log], dtype=int), [len(c) for _, c in log])
+    codes = np.concatenate([np.empty(0, dtype=int), *(c for _, c in log)])
+    order = np.lexsort((ticks, codes))
+    k, c = ticks[order], codes[order]
+    t = k * dt
+    split = (c[1:] != c[:-1]) | (t[1:] - t[:-1] > EPISODE_MERGE_WINDOW_S + 1e-12)
+    edge = [len(c) > 0]  # an empty log has no episode bounds
+    first = np.flatnonzero(np.concatenate((edge, split)))
+    last = np.flatnonzero(np.concatenate((split, edge)))
+    by_start = np.lexsort((c[first], k[first]))
+    first, last = first[by_start], last[by_start]
+    a, b = np.divmod(c[first], len(ids))
+    return list(zip(ids[a].tolist(), ids[b].tolist(), t[first].tolist(), t[last].tolist()))
 
 
 def time_decimals(dt: float) -> int:
@@ -274,9 +272,9 @@ class _Engine:
         self.rngs = [
             np.random.Generator(np.random.PCG64(c)) for c in seed_root.spawn(self.n)
         ]
-        self.tracker = _EpisodeTracker()
+        self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
-        self.requests_last_tick: set[int] = set()
+        self.requested = np.zeros(self.n, dtype=bool)
         self.pair_low: int = -1
         self.pair_high: int = -1
         self.phases: RowPhases | None = None
@@ -415,17 +413,14 @@ class _Engine:
             if k % sc.comm_interval == 0:
                 self._plan_comm(t, fleet)
             ring = ring_neighbours(fleet, sc.airspace)
-            conflicts = ring.conflicts | cross_layer_conflicts(fleet, sc.airspace)
+            conflicts = np.union1d(ring.conflicts, cross_layer_conflicts(fleet, sc.airspace))
             fired = self._switch_logic(t, fleet, ring, conflicts)
-            if fired:
+            if len(conflicts):
                 # A craft that commits to a manoeuvre this tick is recorded
                 # as Switching for this tick; keep episode accounting in step
                 # with the recorded modes.
-                gone = {int(self.ids[i]) for i in fired}
-                conflicts = {
-                    p for p in conflicts if p[0] not in gone and p[1] not in gone
-                }
-            self.tracker.observe(conflicts, t)
+                conflicts = conflicts[~(fired[conflicts // n] | fired[conflicts % n])]
+                self.violations.append((k, conflicts))
             acc = self._accelerations(fleet._replace(resident=self.switch.resident), ring)
             cap_now = self._tick_capacity(t)
 
@@ -454,9 +449,9 @@ class _Engine:
                 self.vy[mask] *= scale
             self.x = (self.x + self.vx * sc.dt) % self.course
             self.h += self.vy * sc.dt
-            self.requests_last_tick = fired
+            self.requested = fired
 
-        episodes = self.tracker.finish()
+        episodes = merge_episodes(self.violations, self.ids, sc.dt)
         for a, b, start, end in episodes:
             dur = end - start + sc.dt
             self.events.append((start, a, "CFL", f"with={b} dur={dur:.{dec}f}"))
@@ -510,29 +505,32 @@ class _Engine:
         return best_layer
 
     def _switch_logic(
-        self, t: float, fleet: Fleet, ring: Ring, conflicts: set[tuple[int, int]]
-    ) -> set[int]:
-        """Trigger sampling plus back-off progression; returns new requests."""
-        sc = self.sc
-        fired: set[int] = set()
-        if not sc.switching_enabled:
-            return fired
+        self, t: float, fleet: Fleet, ring: Ring, conflicts: np.ndarray
+    ) -> np.ndarray:
+        """Trigger sampling plus back-off progression; returns a mask of the requesting rows."""
+        sc, sw, n = self.sc, self.switch, self.n
         front_d, rear_d, d_safe = ring.front, ring.rear, fleet.d_safe
         violated = (front_d < d_safe) | (rear_d < d_safe)
-        # Back-off contention is local: only requests from aircraft currently
-        # contending for the same separation gap reset a pending counter.  A
-        # request on the far side of the ring says nothing about this gap.
-        partners: dict[int, set[int]] = {}
-        for a, b in conflicts:
-            ia = int(np.searchsorted(self.ids, a))
-            ib = int(np.searchsorted(self.ids, b))
-            partners.setdefault(ia, set()).add(ib)
-            partners.setdefault(ib, set()).add(ia)
-        sw = self.switch
         # Only violated cruisers and backing-off rows act; the pass keeps row
         # order, since each row hears the requests released before it.
         cruising = sw.mode == MODE_CRUISE
-        for i in np.flatnonzero((cruising & violated) | (sw.mode == MODE_BACKING_OFF)).tolist():
+        acting = np.flatnonzero((cruising & violated) | (sw.mode == MODE_BACKING_OFF))
+        fired = np.zeros(n, dtype=bool)
+        if not sc.switching_enabled or len(acting) == 0:
+            return fired
+        # Back-off contention is local: only requests from aircraft currently
+        # contending for the same separation gap reset a pending counter.  A
+        # request on the far side of the ring says nothing about this gap.
+        # Row i's conflict partners are partners[starts[i]:starts[i + 1]].
+        rows = np.concatenate((conflicts // n, conflicts % n))
+        by_row = np.argsort(rows)
+        partners = np.concatenate((conflicts % n, conflicts // n))[by_row]
+        starts = np.searchsorted(rows[by_row], np.arange(n + 1))
+        # The control plane is instantaneous within a tick: requests
+        # released earlier in this very pass are audible too, so two
+        # contenders never commit on the same tick.
+        heard = self.requested.copy()
+        for i in acting.tolist():
             if cruising[i]:
                 prob = switch_probability(
                     float(front_d[i]), float(rear_d[i]), float(d_safe[i]), sc.switch_prob
@@ -542,11 +540,7 @@ class _Engine:
                     if target >= 0:
                         sw.arm(i, target, self.rngs[i])
                 continue
-            # The control plane is instantaneous within a tick: requests
-            # released earlier in this very pass are audible too, so two
-            # contenders never commit on the same tick.
-            audible = (self.requests_last_tick | fired) & partners.get(i, set())
-            foreign = bool(audible - {i})
+            foreign = bool(heard[partners[starts[i] : starts[i + 1]]].any())
             if backoff_step(sw, i, not bool(violated[i]), foreign, self.rngs[i]):
                 layer, target = self.layer[i], sw.target[i]
                 plan = optimal_switch_acceleration(
@@ -557,7 +551,7 @@ class _Engine:
                 )
                 sw.ax[i], sw.ay[i] = plan.ax, plan.ay
                 self.events.append((t, int(self.ids[i]), "LS_REQ", f"layer={target}"))
-                fired.add(i)
+                fired[i] = heard[i] = True
         return fired
 
     def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:
@@ -591,10 +585,10 @@ class _Engine:
 def composite_field_total(trace: SimTrace) -> np.ndarray:
     """Fleet-wide weighted scalar field value at every recorded tick.
 
-    Sums, from the trace rows, the values of the same attraction /
-    stabilization / repulsion / layer / goal fields whose gradients drive the
-    engine (velocity consensus is pure damping and has no potential, so it
-    does not appear here).  Useful as a convergence diagnostic: a relaxing
+    Sums, over the trace rows not mid-switch, the values of the attraction /
+    stabilization / repulsion / layer / goal fields whose gradients steer
+    those rows in the engine (velocity consensus is pure damping and has no
+    potential, so it does not appear here).  Useful as a convergence diagnostic: a relaxing
     flow drives this sum toward its structural floor.
 
     Goal terms are omitted because the trace does not record the planner's

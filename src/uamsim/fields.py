@@ -208,7 +208,8 @@ def potential(
     fleet: Fleet, ring: Ring, goals: Goals, weights: FieldWeights,
     cfg: AirspaceConfig, radius: float,
 ) -> float:
-    """Fleet-wide weighted sum of the five field values."""
+    """Weighted sum of the five field values over the residents, the rows
+    whose motion ``force`` steers (a switching row flies its profile)."""
     pairs = layer_pairs(fleet, cfg, radius)
     terms = (
         (weights.stabilize, stabilize_value(fleet, cfg)),
@@ -217,4 +218,4 @@ def potential(
         (weights.repulse, repulse_value(fleet, pairs)),
         (weights.goal, goal_value(fleet, goals, cfg)),
     )
-    return sum(w * float(np.sum(v)) for w, v in terms)
+    return sum(w * float(np.sum(v[fleet.resident])) for w, v in terms)

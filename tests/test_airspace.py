@@ -32,8 +32,17 @@ def _fleet(rows, cfg=CFG, resident=None):
     )
 
 
+def _ids(fleet, codes):
+    """Row-pair codes as a set of id pairs, smaller id first."""
+    n = len(fleet.x)
+    assert np.all(np.diff(codes) > 0), "codes must be sorted and distinct"
+    return {tuple(sorted(fleet.ids[[c // n, c % n]].tolist())) for c in codes}
+
+
 def _conflicts(fleet, cfg=CFG):
-    return ring_neighbours(fleet, cfg).conflicts | cross_layer_conflicts(fleet, cfg)
+    return _ids(fleet, ring_neighbours(fleet, cfg).conflicts) | _ids(
+        fleet, cross_layer_conflicts(fleet, cfg)
+    )
 
 
 def test_horizontal_separation_worked_values():
@@ -88,7 +97,7 @@ def test_vertical_separation_head_on_and_oblique():
 
     def hit(other_x, other_h, cfg):
         fleet = _fleet([(0, 0.0, 0.0, 60.0, 0.0, 0), (1, other_x, other_h, 0.0, 0.0, 1)], cfg)
-        return cross_layer_conflicts(fleet, cfg) == {(0, 1)}
+        return _ids(fleet, cross_layer_conflicts(fleet, cfg)) == {(0, 1)}
 
     assert hit(59.9, 0.0, cfg) and not hit(60.1, 0.0, cfg)
     # 45 degrees off: cos gamma = 1/sqrt(2), i.e. 42.43 m at 60 m/s.
@@ -103,12 +112,13 @@ def test_vertical_separation_head_on_and_oblique():
 
 def test_vertical_separation_receding_is_zero():
     receding = _fleet([(0, 0.0, 0.0, -30.0, 0.0, 0), (1, 1.0, 0.5, 0.0, 0.0, 1)])
-    assert cross_layer_conflicts(receding, CFG) == set()
+    assert _ids(receding, cross_layer_conflicts(receding, CFG)) == set()
     # the same geometry closing is a conflict; three spacings apart never is
     closing = _fleet([(0, 0.0, 0.0, 30.0, 0.0, 0), (1, 1.0, 0.5, 0.0, 0.0, 1)])
-    assert cross_layer_conflicts(closing, CFG) == {(0, 1)}
+    assert _ids(closing, cross_layer_conflicts(closing, CFG)) == {(0, 1)}
     far = _fleet([(0, 0.0, 0.0, 0.0, 65.0, 0), (1, 0.0, 201.0, 0.0, 0.0, 2)])
-    assert cross_layer_conflicts(far, replace(CFG, vertical_separation_coeff=10.0)) == set()
+    wide = replace(CFG, vertical_separation_coeff=10.0)
+    assert _ids(far, cross_layer_conflicts(far, wide)) == set()
 
 
 def test_conflict_is_symmetric():
@@ -191,9 +201,9 @@ def test_ring_skips_the_alone_and_the_switching():
     ring = ring_neighbours(fleet, CFG)
     assert np.all(np.isinf(ring.front)) and np.all(np.isinf(ring.rear))
     assert list(ring.prec) == [-1, -1, -1]
-    assert ring.conflicts == set()
+    assert _ids(fleet, ring.conflicts) == set()
     # the switching aircraft takes no part in the cross-layer rule either
-    assert cross_layer_conflicts(fleet, CFG) == set()
+    assert _ids(fleet, cross_layer_conflicts(fleet, CFG)) == set()
     assert _conflicts(_fleet(rows)) == {(1, 2)}
 
 

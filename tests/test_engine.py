@@ -11,17 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uamsim import engine, scenarios
+from uamsim.airspace import cross_layer_conflicts, ring_neighbours
 from uamsim.fields import CollisionError, FieldWeights
-from uamsim.switching import MODE_CRUISE, MODE_SWITCHING
+from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_SWITCHING
 from uamsim.engine import (
     AircraftSpec,
     PhaseMode,
     RisMode,
     Scenario,
-    _EpisodeTracker,
+    EPISODE_MERGE_WINDOW_S,
     composite_field_total,
     ipr,
     ipr_threshold,
+    merge_episodes,
     run,
     summarize,
     time_decimals,
@@ -106,14 +108,20 @@ def test_ipr_counts_and_conventions():
     assert ipr_threshold(quiet) == 0.0
 
 
+def _log(entries):
+    """The engine's violation log from (tick, [pair code, ...]) entries."""
+    return [(k, np.array(codes, dtype=int)) for k, codes in entries]
+
+
 def test_ipr_arithmetic_is_exact():
     # 10 episodes on a 0.1 s grid, 2 of them 0.5 s long, the rest one tick
-    tracker = _EpisodeTracker()
-    for k in range(10):
-        n_ticks = 5 if k < 2 else 1
-        for tick in range(n_ticks):
-            tracker.observe({(2 * k, 2 * k + 1)}, 100.0 * k + 0.1 * tick)
-    eps = tracker.finish()
+    ids = np.arange(20)
+    log = [
+        (1000 * k + tick, [2 * k * 20 + 2 * k + 1])
+        for k in range(10)
+        for tick in range(5 if k < 2 else 1)
+    ]
+    eps = merge_episodes(_log(log), ids, 0.1)
     assert len(eps) == 10
     durations = np.array([e - s + 0.1 for _, _, s, e in eps])
     n_int = int(np.sum(durations > 0.3 + 1e-12))
@@ -122,15 +130,47 @@ def test_ipr_arithmetic_is_exact():
 
 
 def test_episode_merge_window():
-    tracker = _EpisodeTracker(merge_window_s=1.0)
-    tracker.observe({(0, 1)}, 0.0)
-    tracker.observe({(0, 1)}, 0.1)
-    # a 0.9 s clean spell continues the same episode
-    tracker.observe({(0, 1)}, 1.0)
-    # a 1.5 s clean spell starts a new one
-    tracker.observe({(0, 1)}, 2.5)
-    eps = tracker.finish()
+    assert EPISODE_MERGE_WINDOW_S == 1.0
+    # ticks of 0.1 s at 0.0 and 0.1; a 0.9 s clean spell continues the same
+    # episode at 1.0; a 1.5 s clean spell starts a new one at 2.5
+    log = [(0, [1]), (1, [1]), (10, [1]), (25, [1])]
+    eps = merge_episodes(_log(log), np.array([0, 1]), 0.1)
     assert eps == [(0, 1, 0.0, 1.0), (0, 1, 2.5, 2.5)]
+
+
+def _tracker_episodes(log, dt):
+    """Brute-force oracle: merge each tick's id pairs into open episodes as
+    they arrive, the way the engine once tracked them during the run."""
+    open_eps, closed = {}, []
+    for k, pairs in log:
+        t = k * dt
+        for pair in pairs:
+            entry = open_eps.get(pair)
+            if entry is None:
+                open_eps[pair] = [t, t]
+            elif t - entry[1] <= EPISODE_MERGE_WINDOW_S + 1e-12:
+                entry[1] = t
+            else:
+                closed.append((*pair, *entry))
+                open_eps[pair] = [t, t]
+    closed += [(*pair, *entry) for pair, entry in open_eps.items()]
+    return sorted(closed, key=lambda e: (e[2], e[0], e[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.integers(0, 50), min_size=2, max_size=5, unique=True),
+    dt=st.sampled_from([0.1, 0.05, 0.2, 0.3, 0.25]),
+    data=st.data(),
+)
+def test_episodes_match_the_per_tick_merge(ids, dt, data):
+    ids = np.array(sorted(ids))
+    n = len(ids)
+    all_codes = [lo * n + hi for lo in range(n) for hi in range(lo + 1, n)]
+    ticks = data.draw(st.lists(st.integers(0, 80), max_size=40, unique=True).map(sorted))
+    log = [(k, sorted(data.draw(st.sets(st.sampled_from(all_codes), min_size=1)))) for k in ticks]
+    id_log = [(k, [(int(ids[c // n]), int(ids[c % n])) for c in codes]) for k, codes in log]
+    assert merge_episodes(_log(log), ids, dt) == _tracker_episodes(id_log, dt)
 
 
 def test_single_aircraft_cruises_forever():
@@ -184,6 +224,27 @@ def test_switch_completion_changes_layer():
     # captured close to the layer altitude
     h_after = tr.h[after][:5]
     assert np.all(np.abs(h_after - target * 100.0) < 5.0)
+
+
+def test_backoff_contention_is_local():
+    """Rows 0-1 and rows 2-3 are two separate conflicts, all four backing
+    off but row 3.  Row 0 releases its switch; its partner, row 1, hears the
+    request in the same pass and redraws under a doubled ceiling, while
+    row 2, whose only partner is row 3, counts down."""
+    xs = (0.0, 50.0, 1000.0, 1050.0)
+    sc = Scenario(aircraft=tuple(AircraftSpec(i, 0, x=x) for i, x in enumerate(xs)))
+    eng = engine._Engine(sc)
+    fleet = eng._fleet()
+    ring = ring_neighbours(fleet, sc.airspace)
+    conflicts = np.union1d(ring.conflicts, cross_layer_conflicts(fleet, sc.airspace))
+    assert conflicts.tolist() == [0 * 4 + 1, 2 * 4 + 3]
+    sw = eng.switch
+    for i, counter in ((0, 1), (1, 2), (2, 2)):
+        sw.mode[i], sw.target[i], sw.backoff[i] = MODE_BACKING_OFF, 1, counter
+    fired = eng._switch_logic(0.0, fleet, ring, conflicts)
+    assert fired.tolist() == [True, False, False, False]
+    assert sw.backoff_max[1] == 4
+    assert (sw.backoff_max[2], sw.backoff[2]) == (2, 1)
 
 
 def test_composite_field_total_decays():

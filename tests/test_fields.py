@@ -185,6 +185,24 @@ def test_composite_force_sums_weighted_gradients():
     assert total == pytest.approx(sum(getattr(w, k) * values[k].sum() for k in KINDS), rel=1e-12)
 
 
+def test_mid_climb_aircraft_adds_nothing_to_the_total():
+    """No field steers a switching aircraft, so the total leaves it out:
+    the same two rows with the climber resident count its values."""
+    rows = [(0.0, 100.0, 40.0, 0.0), (500.0, 150.0, 52.0, 6.0)]
+    w = FieldWeights()
+    x, h, vx, vy = (np.array(c) for c in zip(*rows))
+
+    def total(resident):
+        f = fleet_state(x, h, vx, vy, np.ones(2, dtype=int), np.array(resident), np.arange(2), CFG)
+        return fields.potential(f, ring_neighbours(f, CFG), _no_goals(2), w, CFG, RADIUS)
+
+    alone = _fleet(rows[:1])
+    assert total([True, False]) == fields.potential(
+        alone, ring_neighbours(alone, CFG), _no_goals(1), w, CFG, RADIUS
+    )
+    assert total([True, True]) > total([True, False]) + 100.0
+
+
 def test_consensus_pulls_toward_neighbor_velocity():
     # 250 m apart: outside the 149 m separation (no repulsion), inside the
     # 300 m interaction radius
