@@ -23,7 +23,6 @@ from .airspace import (
     fleet_state,
     layer_residents,
     ring_neighbours,
-    ring_offset,
 )
 from .fields import FieldWeights, Goals, force, potential
 from .netcalc import ProtocolParams
@@ -51,6 +50,8 @@ from .switching import (
     optimal_switch_acceleration,
     switch_acceleration_profile,
     switch_probability,
+    target_layers,
+    triggered,
 )
 
 
@@ -109,12 +110,16 @@ class Scenario:
 def validate_scenario(sc: Scenario) -> list[str]:
     """Collect every configuration problem instead of failing on the first."""
     problems: list[str] = []
-    if sc.dt <= 0.0:
-        problems.append("dt must be positive")
+    if sc.name != sc.name.strip() or "\n" in sc.name or "\r" in sc.name:
+        problems.append("name must not have outer whitespace or a line break")
+    if not 0.0 < sc.dt < math.inf:
+        problems.append("dt must be positive and finite")
     if sc.comm_interval < 1:
         problems.append("comm interval must be at least one tick")
-    if sc.duration_s <= 0.0:
-        problems.append("duration must be positive")
+    if not 0.0 < sc.duration_s < math.inf:
+        problems.append("duration must be positive and finite")
+    if any(len(p) != 2 or not np.all(np.isfinite(p)) for p in (sc.bs_pos, sc.stationary_ris_pos)):
+        problems.append("base station and surface positions must be two finite numbers")
     if not 0.0 <= sc.switch_prob <= 0.5:
         problems.append("switch probability must lie in [0, 0.5]")
     if not 1 <= sc.initial_backoff <= BACKOFF_CAP:
@@ -274,7 +279,6 @@ class _Engine:
         ]
         self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
-        self.requested = np.zeros(self.n, dtype=bool)
         self.pair_low: int = -1
         self.pair_high: int = -1
         self.phases: RowPhases | None = None
@@ -317,19 +321,15 @@ class _Engine:
         bs = sc.bs_pos
         d_high = np.hypot(self.x[cruise_high] - bs[0], self.h[cruise_high] - bs[1])
         hi = int(cruise_high[np.argmin(d_high)])
-        if sc.ris_mode is RisMode.STATIONARY:
-            ris_pos = sc.stationary_ris_pos
-        else:
+        stationary = sc.ris_mode is RisMode.STATIONARY
+        if not stationary:
             cruise_low = layer_residents(fleet, 1)
             if len(cruise_low) == 0:
                 return
-            relay_cost = np.hypot(
-                self.x[cruise_low] - bs[0], self.h[cruise_low] - bs[1]
-            ) + np.hypot(
-                self.x[cruise_low] - self.x[hi], self.h[cruise_low] - self.h[hi]
-            )
+            x, h = self.x[cruise_low], self.h[cruise_low]
+            relay_cost = np.hypot(x - bs[0], h - bs[1]) + np.hypot(x - self.x[hi], h - self.h[hi])
             self.pair_low = int(cruise_low[np.argmin(relay_cost)])
-            ris_pos = (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
+        ris_pos = self._ris_pos()
         self.pair_high = hi
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         if sc.phase_mode is PhaseMode.ZERO:
@@ -346,7 +346,6 @@ class _Engine:
             return
         self.phases = quantize_config(best, sc.phase_resolution)
         horizon = sc.airspace.max_speed_mps * sc.comm_interval * sc.dt
-        stationary = sc.ris_mode is RisMode.STATIONARY
         query = PlanningQuery(
             bs_pos=sc.bs_pos,
             low_pos=ris_pos,
@@ -449,7 +448,6 @@ class _Engine:
                 self.vy[mask] *= scale
             self.x = (self.x + self.vx * sc.dt) % self.course
             self.h += self.vy * sc.dt
-            self.requested = fired
 
         episodes = merge_episodes(self.violations, self.ids, sc.dt)
         for a, b, start, end in episodes:
@@ -482,41 +480,26 @@ class _Engine:
         target_h = sc.airspace.layer_altitude(sw.target)
         landed = sw.capture(self.h, self.vy, target_h, sc.capture_band_m, sc.capture_speed_mps)
         self.layer[landed] = sw.target[landed]
-        self.events += [
-            (t, aid, "LS_DONE", f"layer={lay}")
-            for aid, lay in zip(self.ids[landed].tolist(), self.layer[landed].tolist())
-        ]
+        self._layer_events(t, "LS_DONE", landed, self.layer[landed])
 
-    def _pick_target_layer(self, i: int) -> int:
-        """Adjacent layer with the thinner local population; ties go up.
-
-        Aircraft that committed to a switch earlier in this tick's pass no
-        longer count.
-        """
-        candidates = [lay for lay in (self.layer[i] - 1, self.layer[i] + 1) if 0 <= lay <= 2]
-        best_layer = -1
-        best_count = -1
-        for lay in candidates:
-            members = np.where((self.layer == lay) & self.switch.resident)[0]
-            dx = np.abs(ring_offset(self.x[members] - self.x[i], self.course))
-            count = int(np.sum(dx <= self.sc.target_window_m))
-            if best_layer < 0 or count < best_count or (count == best_count and lay > best_layer):
-                best_layer, best_count = lay, count
-        return best_layer
+    def _layer_events(self, t: float, kind: str, rows: np.ndarray, layers: np.ndarray) -> None:
+        """One ``kind`` event for each of ``rows``, naming its layer in ``layers``."""
+        ids = self.ids[rows].tolist()
+        self.events += [(t, aid, kind, f"layer={lay}") for aid, lay in zip(ids, layers.tolist())]
 
     def _switch_logic(
         self, t: float, fleet: Fleet, ring: Ring, conflicts: np.ndarray
     ) -> np.ndarray:
-        """Trigger sampling plus back-off progression; returns a mask of the requesting rows."""
+        """Back-off arbitration in row order, then the released rows' climb
+        plans and the violated cruisers' triggers as array steps; returns a
+        mask of the requesting rows.  The order changes no outcome: each row
+        draws from its own stream, and only a backing-off row can be released."""
         sc, sw, n = self.sc, self.switch, self.n
-        front_d, rear_d, d_safe = ring.front, ring.rear, fleet.d_safe
-        violated = (front_d < d_safe) | (rear_d < d_safe)
-        # Only violated cruisers and backing-off rows act; the pass keeps row
-        # order, since each row hears the requests released before it.
-        cruising = sw.mode == MODE_CRUISE
-        acting = np.flatnonzero((cruising & violated) | (sw.mode == MODE_BACKING_OFF))
+        violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
+        backing = np.flatnonzero(sw.mode == MODE_BACKING_OFF)
+        cruisers = np.flatnonzero((sw.mode == MODE_CRUISE) & violated)
         fired = np.zeros(n, dtype=bool)
-        if not sc.switching_enabled or len(acting) == 0:
+        if not sc.switching_enabled or len(backing) + len(cruisers) == 0:
             return fired
         # Back-off contention is local: only requests from aircraft currently
         # contending for the same separation gap reset a pending counter.  A
@@ -526,32 +509,30 @@ class _Engine:
         by_row = np.argsort(rows)
         partners = np.concatenate((conflicts % n, conflicts // n))[by_row]
         starts = np.searchsorted(rows[by_row], np.arange(n + 1))
-        # The control plane is instantaneous within a tick: requests
-        # released earlier in this very pass are audible too, so two
-        # contenders never commit on the same tick.
-        heard = self.requested.copy()
-        for i in acting.tolist():
-            if cruising[i]:
-                prob = switch_probability(
-                    float(front_d[i]), float(rear_d[i]), float(d_safe[i]), sc.switch_prob
-                )
-                if self.rngs[i].random() < prob:
-                    target = self._pick_target_layer(i)
-                    if target >= 0:
-                        sw.arm(i, target, self.rngs[i])
-                continue
-            foreign = bool(heard[partners[starts[i] : starts[i + 1]]].any())
-            if backoff_step(sw, i, not bool(violated[i]), foreign, self.rngs[i]):
-                layer, target = self.layer[i], sw.target[i]
-                plan = optimal_switch_acceleration(
-                    self.expected[layer],
-                    self.expected[target],
-                    self.spacing * abs(target - layer),
-                    sc.airspace.max_accel_mps2,
-                )
-                sw.ax[i], sw.ay[i] = plan.ax, plan.ay
-                self.events.append((t, int(self.ids[i]), "LS_REQ", f"layer={target}"))
-                fired[i] = heard[i] = True
+        # The control plane is instantaneous within a tick: a row hears the
+        # requests released before it in this pass, so two contenders never
+        # commit on the same tick.
+        for i in backing.tolist():
+            foreign = bool(fired[partners[starts[i] : starts[i + 1]]].any())
+            fired[i] = backoff_step(sw, i, not bool(violated[i]), foreign, self.rngs[i])
+        released = np.flatnonzero(fired)
+        if len(released):
+            layer, target = self.layer[released], sw.target[released]
+            plan = optimal_switch_acceleration(
+                self.expected[layer], self.expected[target],
+                self.spacing * np.abs(target - layer), sc.airspace.max_accel_mps2,
+            )
+            sw.ax[released], sw.ay[released] = plan.ax, plan.ay
+            self._layer_events(t, "LS_REQ", released, target)
+        if len(cruisers):
+            prob = switch_probability(
+                ring.front[cruisers], ring.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
+            )
+            armed = triggered(cruisers, prob, self.rngs)
+            targets = target_layers(
+                armed, self.x, self.layer, sw.resident, fired, sc.target_window_m, self.course
+            )
+            sw.arm(armed, targets, self.rngs)
         return fired
 
     def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:

@@ -51,11 +51,12 @@ def _format_value(value) -> str:
 def _parse_value(field_name: str, raw: str, current):
     if field_name in _NONE_OK and raw.lower() == "none":
         return None
-    if field_name == "interference_pos":
+    if isinstance(current, tuple) or field_name == "interference_pos":
         parts = raw.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{field_name}: expected two coordinates")
-        return (float(parts[0]), float(parts[1]))
+        size = 2 if current is None else len(current)
+        if len(parts) != size:
+            raise ValueError(f"{field_name}: expected {size} numbers")
+        return tuple(float(p) for p in parts)
     if field_name == "arrival_rate":
         return float(raw)
     if isinstance(current, RisMode) or field_name == "ris_mode":
@@ -72,8 +73,6 @@ def _parse_value(field_name: str, raw: str, current):
         return int(raw)
     if isinstance(current, float):
         return float(raw)
-    if isinstance(current, tuple):
-        return tuple(float(p) for p in raw.split(","))
     if isinstance(current, str):
         return raw
     raise ValueError(f"{field_name}: unsupported setting type")

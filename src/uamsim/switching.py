@@ -9,10 +9,11 @@ the same instant while saturating the airframe acceleration budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .airspace import ring_offset
 
 # The trace's mode codes; MODE_NAMES spells each one out.
 MODE_CRUISE, MODE_SWITCHING, MODE_BACKING_OFF = 0, 1, 2
@@ -20,52 +21,68 @@ MODE_NAMES = ("Cruise", "Switching", "BackingOff")
 BACKOFF_CAP = 32
 
 
-def switch_probability(
-    d_front: float, d_rear: float, d_safe: float, base_prob: float
-) -> float:
-    """Trigger probability from the two gap checks: 0, p, or min(2p, 1).
+def switch_probability(d_front, d_rear, d_safe, base_prob: float):
+    """Trigger probability from the two gap checks, elementwise: 0, p, or min(2p, 1).
 
     One violated side makes a switch attractive; both sides violated doubles
     the urgency (capped at certainty).
     """
     if not 0.0 <= base_prob <= 0.5:
         raise ValueError("base probability must lie in [0, 0.5]")
-    n = int(d_front < d_safe) + int(d_rear < d_safe)
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return base_prob
-    return min(2.0 * base_prob, 1.0)
+    sides = np.less(d_front, d_safe).astype(int) + np.less(d_rear, d_safe)
+    return np.minimum(sides * base_prob, 1.0)
+
+
+def triggered(rows: np.ndarray, prob: np.ndarray, rngs) -> np.ndarray:
+    """The ``rows`` whose one uniform draw on their own stream ``rngs[i]`` is under ``prob``."""
+    return rows[np.array([rngs[i].random() for i in rows.tolist()]) < prob]
+
+
+def target_layers(rows, x, layer, resident, released, window, course) -> np.ndarray:
+    """Adjacent layer with the fewer residents within ``window`` of each of
+    ``rows``; ties go up.  Of the rows the back-off pass ``released`` (no longer
+    ``resident``), those at a higher row index still count, as in row order."""
+    out = np.empty_like(rows)
+    for lo in range(0, len(rows), 32):  # blocks bound the (rows, fleet) temporaries
+        r = rows[lo : lo + 32]
+        counted = resident | (released & (np.arange(len(x)) > r[:, None]))
+        near = counted & (np.abs(ring_offset(x - x[r, None], course)) <= window)
+        own = layer[r]
+        down = np.sum(near & (layer == own[:, None] - 1), axis=1)
+        up = np.sum(near & (layer == own[:, None] + 1), axis=1)
+        out[lo : lo + 32] = np.where((own == 2) | ((own == 1) & (down < up)), own - 1, own + 1)
+    return out
 
 
 @dataclass
 class SwitchPlan:
     """Bang-bang accelerations and duration for one layer change."""
 
-    ax: float
-    ay: float
-    duration: float
+    ax: float | np.ndarray
+    ay: float | np.ndarray
+    duration: float | np.ndarray
 
 
 def optimal_switch_acceleration(
     v_from: float, v_to: float, altitude_change: float, max_accel: float
 ) -> SwitchPlan:
-    """Accelerations that finish the climb and the speed change together.
+    """Accelerations, elementwise, that finish the climb and the speed change together.
 
     With dv = v_to - v_from and H the layer spacing, the vertical component
     solves ay^2 + dv^2/(4H) * ay = a_max^2 so that ax^2 + ay^2 = a_max^2,
-    dv = ax * t and H/4... specifically the half-climb H covers
-    ay * t^2 / 4 under the symmetric bang-bang profile.
+    dv = ax * t and H = ay * t^2 / 4 under the symmetric bang-bang profile.
     """
-    if altitude_change <= 0.0:
+    if np.any(np.less_equal(altitude_change, 0.0)):
         raise ValueError("altitude change must be positive")
-    if max_accel <= 0.0:
+    if np.any(np.less_equal(max_accel, 0.0)):
         raise ValueError("acceleration budget must be positive")
     dv = v_to - v_from
     h = altitude_change
-    ay = (math.sqrt(dv**4 + 64.0 * h * h * max_accel * max_accel) - dv * dv) / (8.0 * h)
-    ax = dv * math.sqrt(ay * h) / (2.0 * h)
-    duration = math.sqrt(4.0 * h / ay)
+    # dv^4 as a product: an array pow may round differently from CPU to CPU
+    dv2 = dv * dv
+    ay = (np.sqrt(dv2 * dv2 + 64.0 * h * h * max_accel * max_accel) - dv2) / (8.0 * h)
+    ax = dv * np.sqrt(ay * h) / (2.0 * h)
+    duration = np.sqrt(4.0 * h / ay)
     return SwitchPlan(ax=ax, ay=ay, duration=duration)
 
 
@@ -112,15 +129,17 @@ class SwitchState:
         """Rows not in the middle of a manoeuvre."""
         return self.mode != MODE_SWITCHING
 
-    def arm(self, i: int, target_layer: int, rng: np.random.Generator) -> None:
-        """Back off toward ``target_layer`` with a counter drawn from [1, ceiling].
+    def arm(self, rows, targets, rngs) -> None:
+        """Back ``rows`` off toward their ``targets``, each with a counter drawn
+        from [1, ceiling] on its own stream ``rngs[i]``.
 
         The draw keeps aircraft triggered by the same congestion event from
         counting down in lockstep.
         """
-        self.mode[i] = MODE_BACKING_OFF
-        self.target[i] = target_layer
-        self.backoff[i] = rng.integers(1, int(self.backoff_max[i]) + 1)
+        self.mode[rows] = MODE_BACKING_OFF
+        self.target[rows] = targets
+        ceilings = self.backoff_max[rows].tolist()
+        self.backoff[rows] = [rngs[i].integers(1, m + 1) for i, m in zip(rows, ceilings)]
 
     def cancel(self, i: int) -> None:
         """Abandon a back-off; an escalated ceiling is kept."""

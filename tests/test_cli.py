@@ -23,6 +23,21 @@ def test_validate_rejects_broken_override(capsys):
     assert "problem" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        pytest.param("dt=nan", "problem: dt must be positive and finite", id="dt"),
+        pytest.param("duration_s=inf", "problem: duration must be positive and finite", id="duration"),
+        pytest.param("bs_pos=1,2,3", "error: bs_pos: expected 2 numbers", id="bs_pos"),
+        pytest.param("stationary_ris_pos=400", "error: stationary_ris_pos: expected 2 numbers", id="ris_pos"),
+    ],
+)
+def test_validate_rejects_non_finite_times_and_bad_positions(setting, message, capsys):
+    rc = main(["validate", "--scenario", "fig6-airborne", "--set", setting])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+
+
 def test_simulate_writes_all_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run")
     rc = main(

@@ -1,5 +1,6 @@
 """Whole-simulator behaviour: determinism, invariants, episode accounting."""
 
+import math
 import re
 import tempfile
 from dataclasses import replace
@@ -280,6 +281,44 @@ def test_validate_scenario_reports_problems():
     assert len(problems) == 2
     with pytest.raises(ValueError):
         run(bad)
+
+
+_POS = "base station and surface positions must be two finite numbers"
+_PROBLEM = {
+    "dt": "dt must be positive and finite",
+    "duration_s": "duration must be positive and finite",
+    "bs_pos": _POS,
+    "stationary_ris_pos": _POS,
+    "name": "name must not have outer whitespace or a line break",
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("dt", math.nan),
+        ("dt", math.inf),
+        ("duration_s", math.inf),
+        ("duration_s", math.nan),
+        ("bs_pos", (1.0, 2.0, 3.0)),
+        ("bs_pos", (-math.inf, 0.0)),
+        ("stationary_ris_pos", (400.0,)),
+        ("stationary_ris_pos", (400.0, math.nan)),
+        ("name", " fig6"),
+        ("name", "fig6\t"),
+        ("name", "fig\n6"),
+        ("name", "fig\r6"),
+    ],
+    ids=repr,
+)
+def test_validate_rejects_what_a_run_or_a_file_cannot_take(key, value):
+    """Non-finite times once passed validation and crashed the run; a third
+    coordinate was silently dropped; a padded or broken name did not come
+    back from the scenario file."""
+    sc = replace(scenarios.get_scenario("fig6-airborne"), **{key: value})
+    assert validate_scenario(sc) == [_PROBLEM[key]]
+    with pytest.raises(ValueError, match="invalid scenario"):
+        run(sc)
 
 
 def test_summary_has_the_headline_numbers():

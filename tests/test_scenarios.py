@@ -1,10 +1,18 @@
 """Scenario catalogue, file round-trips and overrides."""
 
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from uamsim import scenarios
-from uamsim.engine import validate_scenario
+from uamsim.airspace import AirspaceConfig
+from uamsim.engine import AircraftSpec, PhaseMode, RisMode, Scenario, validate_scenario
+from uamsim.fields import FieldWeights
+from uamsim.netcalc import ProtocolParams
+from uamsim.ris import ChannelParams
 from uamsim.scenarios import (
     BUILTIN,
     apply_settings,
@@ -31,6 +39,96 @@ def test_roundtrip_through_file(tmp_path):
         back = load_scenario(str(path))
         assert back == sc, name
         assert "pso." not in path.read_text()
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+_point = st.tuples(_floats(None, None), _floats(None, None))
+
+
+@st.composite
+def _valid_scenarios(draw):
+    v0 = draw(_floats(5.0, 40.0))
+    v1 = v0 + draw(_floats(1.0, 20.0))
+    v2 = v1 + draw(_floats(1.0, 20.0))
+    air = AirspaceConfig(
+        layer_spacing_m=draw(_floats(20.0, 200.0)),
+        expected_speeds_mps=(v0, v1, v2),
+        course_length_m=draw(_floats(500.0, 5000.0)),
+        max_speed_mps=v2 + draw(_floats(3.0, 20.0)),
+    )
+    half = air.layer_spacing_m / 2.0
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=6, unique=True))
+    craft = tuple(
+        AircraftSpec(
+            aid,
+            draw(st.integers(0, 2)),
+            draw(_floats(0.0, air.course_length_m, exclude_max=True)),
+            draw(_floats(-3.0, 3.0)),
+            draw(_floats(-half, half)),
+        )
+        for aid in sorted(ids)
+    )
+    return Scenario(
+        name=draw(st.text(max_size=12)),
+        airspace=air,
+        channel=ChannelParams(
+            interference_pos=draw(st.none() | _point),
+            interference_power_w=draw(_floats(0.0, 1.0)),
+        ),
+        protocol=ProtocolParams(
+            loss_prob=draw(_floats(0.0, 0.99)),
+            arrival_rate=draw(st.none() | _floats(0.1, 1e3)),
+        ),
+        weights=FieldWeights(goal=draw(_floats(0.0, 1.0)), repulse=draw(_floats(0.0, 1e5))),
+        aircraft=craft,
+        dt=draw(_floats(1e-3, 1.0)),
+        comm_interval=draw(st.integers(1, 20)),
+        duration_s=draw(_floats(1e-2, 1e4)),
+        seed=draw(st.integers(0, 2**63)),
+        switch_prob=draw(_floats(0.0, 0.5)),
+        switching_enabled=draw(st.booleans()),
+        initial_backoff=draw(st.integers(1, 32)),
+        neighbor_radius_m=draw(_floats(1.0, 1e3)),
+        target_window_m=draw(_floats(1.0, 1e4)),
+        ris_mode=draw(st.sampled_from(RisMode)),
+        stationary_ris_pos=draw(_point),
+        bs_pos=draw(_point),
+        ris_elements=draw(st.integers(1, 64)) ** 2,
+        phase_mode=draw(st.sampled_from(PhaseMode)),
+        phase_resolution=draw(_floats(1e-6, 4.0)),
+        capture_band_m=draw(_floats(1e-2, half, exclude_max=True)),
+        capture_speed_mps=draw(_floats(1e-2, 10.0)),
+        intrusion_threshold_s=draw(_floats(0.0, 10.0)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(sc=_valid_scenarios())
+def test_save_then_load_is_exact_for_valid_scenarios(sc):
+    assume(validate_scenario(sc) == [])
+    with tempfile.TemporaryDirectory() as tmp:
+        save_scenario(sc, f"{tmp}/sc.txt")
+        assert load_scenario(f"{tmp}/sc.txt") == sc
+
+
+def test_settings_reject_a_tuple_of_the_wrong_length():
+    """A third coordinate used to be kept and silently ignored by the run."""
+    for name in ("fig6-airborne", "fig6-interference"):
+        sc = get_scenario(name)
+        for key, raw in (
+            ("bs_pos", "1,2,3"),
+            ("stationary_ris_pos", "400"),
+            ("airspace.expected_speeds_mps", "30,45"),
+            ("channel.interference_pos", "1,2,3"),
+        ):
+            with pytest.raises(ValueError, match="expected"):
+                apply_settings(sc, [(key, raw)])
+    out = apply_settings(sc, [("bs_pos", "1,2"), ("airspace.expected_speeds_mps", "20,40,60")])
+    assert out.bs_pos == (1.0, 2.0)
+    assert out.airspace.expected_speeds_mps == (20.0, 40.0, 60.0)
 
 
 def test_settings_override_sections_and_top_level():

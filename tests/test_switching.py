@@ -5,7 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uamsim.airspace import ring_offset
 from uamsim.engine import validate_scenario
 from uamsim.scenarios import get_scenario
 from uamsim.switching import (
@@ -18,6 +21,7 @@ from uamsim.switching import (
     optimal_switch_acceleration,
     switch_acceleration_profile,
     switch_probability,
+    target_layers,
 )
 
 
@@ -29,6 +33,13 @@ def test_switch_probability_three_cases():
     assert switch_probability(10.0, 10.0, 149.0, 0.5) == 1.0
     with pytest.raises(ValueError):
         switch_probability(1.0, 1.0, 2.0, 0.6)
+    # elementwise: each entry is the scalar call on that entry
+    front = np.array([200.0, 120.0, 200.0, 120.0, 10.0, 149.0])
+    rear = np.array([200.0, 200.0, 120.0, 120.0, 10.0, 148.0])
+    d_safe = np.array([149.0, 149.0, 149.0, 149.0, 149.0, 149.0])
+    for p in (0.0, 0.4, 0.5):
+        got = switch_probability(front, rear, d_safe, p)
+        assert got.tolist() == [switch_probability(*c, p) for c in zip(front, rear, d_safe)]
 
 
 def test_manoeuvre_worked_point():
@@ -43,14 +54,17 @@ def test_manoeuvre_worked_point():
 
 
 def test_manoeuvre_identities_hold_everywhere():
-    """dv = ax t, H = ay t^2 / 4 and ax^2 + ay^2 = a_max^2, random sweep."""
+    """dv = ax t, H = ay t^2 / 4 and ax^2 + ay^2 = a_max^2, random sweep;
+    one call on the whole sweep equals the scalar call at every point."""
     rng = np.random.default_rng(12345)
+    dvs = rng.uniform(-30.0, 30.0, 20000)
+    heights = rng.uniform(50.0, 200.0, 20000)
+    amaxs = rng.uniform(1.0, 10.0, 20000)
+    plans = optimal_switch_acceleration(0.0, dvs, heights, amaxs)
     worst = 0.0
-    for _ in range(20000):
-        dv = float(rng.uniform(-30.0, 30.0))
-        height = float(rng.uniform(50.0, 200.0))
-        amax = float(rng.uniform(1.0, 10.0))
+    for k, (dv, height, amax) in enumerate(zip(dvs.tolist(), heights.tolist(), amaxs.tolist())):
         plan = optimal_switch_acceleration(0.0, dv, height, amax)
+        assert (plans.ax[k], plans.ay[k], plans.duration[k]) == (plan.ax, plan.ay, plan.duration)
         t = plan.duration
         r1 = abs(plan.ax * t - dv) / max(1.0, abs(dv))
         r2 = abs(plan.ay * t * t / 4.0 - height) / height
@@ -93,12 +107,16 @@ def test_manoeuvre_rejects_degenerate_input():
         optimal_switch_acceleration(45.0, 60.0, 0.0, 5.0)
     with pytest.raises(ValueError):
         optimal_switch_acceleration(45.0, 60.0, 100.0, -1.0)
+    # one non-positive altitude change anywhere fails the whole array
+    for bad in (0.0, -100.0):
+        with pytest.raises(ValueError, match="altitude change"):
+            optimal_switch_acceleration(45.0, np.full(3, 60.0), np.array([100.0, bad, 100.0]), 5.0)
 
 
 def test_automaton_arm_and_cancel_bookkeeping():
     rng = np.random.default_rng(1)
     state = SwitchState(1, initial_backoff=2)
-    state.arm(0, 2, rng)
+    state.arm([0], [2], [rng])
     assert state.mode[0] == MODE_BACKING_OFF
     assert state.target[0] == 2
     assert 1 <= state.backoff[0] <= 2
@@ -110,7 +128,7 @@ def test_automaton_arm_and_cancel_bookkeeping():
     assert state.backoff_max[0] == 4
     assert state.backoff[0] == 4
     # landing restores the initial ceiling
-    state.arm(0, 2, rng)
+    state.arm([0], [2], [rng])
     state.mode[0] = MODE_SWITCHING
     landed = state.capture(np.array([199.0]), np.array([0.5]), np.array([200.0]), 2.0, 1.0)
     assert landed.tolist() == [0]
@@ -132,7 +150,7 @@ def test_capture_needs_the_band_and_a_slow_climb():
 def test_backoff_counts_down_to_release():
     rng = np.random.default_rng(2)
     state = SwitchState(1, initial_backoff=3)
-    state.arm(0, 1, rng)
+    state.arm([0], [1], [rng])
     drawn = int(state.backoff[0])
     assert 1 <= drawn <= 3
     fired = [backoff_step(state, 0, False, False, rng) for _ in range(drawn)]
@@ -144,7 +162,7 @@ def test_backoff_counts_down_to_release():
 def test_restored_separation_cancels():
     rng = np.random.default_rng(3)
     state = SwitchState(1, initial_backoff=2)
-    state.arm(0, 0, rng)
+    state.arm([0], [0], [rng])
     released = backoff_step(state, 0, separation_restored=True, foreign_request=False, rng=rng)
     assert not released
     assert state.mode[0] == MODE_CRUISE
@@ -155,7 +173,7 @@ def test_foreign_request_doubles_and_redraws():
     seen_max = []
     draws = []
     state = SwitchState(1, initial_backoff=2)
-    state.arm(0, 1, rng)
+    state.arm([0], [1], [rng])
     for _ in range(8):
         backoff_step(state, 0, False, True, rng)
         seen_max.append(int(state.backoff_max[0]))
@@ -171,7 +189,7 @@ def test_redraw_spans_the_whole_window():
     counts = np.zeros(33, dtype=int)
     for _ in range(10000):
         state = SwitchState(1, initial_backoff=16)
-        state.arm(0, 1, rng)
+        state.arm([0], [1], [rng])
         backoff_step(state, 0, False, True, rng)  # doubles to 32, redraws
         counts[state.backoff[0]] += 1
     assert counts[0] == 0
@@ -194,8 +212,7 @@ def test_contenders_never_commit_together():
     simultaneous = 0
     for _ in range(10000):
         state = SwitchState(2, initial_backoff=2)
-        state.arm(0, 1, rng_a)
-        state.arm(1, 1, rng_b)
+        state.arm([0, 1], [1, 1], [rng_a, rng_b])
         released_prev_a = released_prev_b = False
         for _tick in range(200):
             rel_a = rel_b = False
@@ -237,3 +254,82 @@ def test_capture_band_must_stay_under_half_the_spacing():
         "capture band must be under half the layer spacing"
     ]
     assert validate_scenario(replace(sc, capture_band_m=half - 0.5)) == []
+
+
+def _pick_target_layer(i, x, layer, resident, window, course):
+    """Reference: the per-row rule the engine ran before the array step.
+    Adjacent layer with the thinner local population among the current
+    residents; ties go up."""
+    candidates = [lay for lay in (layer[i] - 1, layer[i] + 1) if 0 <= lay <= 2]
+    best_layer = -1
+    best_count = -1
+    for lay in candidates:
+        members = np.where((layer == lay) & resident)[0]
+        dx = np.abs(ring_offset(x[members] - x[i], course))
+        count = int(np.sum(dx <= window))
+        if best_layer < 0 or count < best_count or (count == best_count and lay > best_layer):
+            best_layer, best_count = lay, count
+    return best_layer
+
+
+def _row_order_pass(rows, x, layer, resident, released, window, course):
+    """Reference: the old mixed pass in row order.  Released rows are still
+    resident when it starts and leave at their turn; a triggering row picks
+    its layer at its own turn."""
+    live = resident | released
+    picks = []
+    for j in range(len(x)):
+        live[j] &= not released[j]
+        if j in rows:
+            picks.append(_pick_target_layer(j, x, layer, live, window, course))
+    return picks
+
+
+def _targets(rows, x, layer, resident, released, window=500.0):
+    args = (np.array(x, dtype=float), np.array(layer), np.array(resident, dtype=bool),
+            np.array(released, dtype=bool))
+    return target_layers(np.array(rows), *args, window, 2000.0).tolist()
+
+
+# (x on a 50 m grid, layer, role in the pass, triggers if resident)
+_craft = st.tuples(
+    st.integers(0, 39),
+    st.integers(0, 2),
+    st.sampled_from(("resident", "released", "switching")),
+    st.booleans(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    craft=st.lists(_craft, min_size=1, max_size=9),
+    window=st.sampled_from([50.0, 100.0, 500.0, 999.0, 1000.0, 1500.0]) | st.floats(1.0, 3000.0),
+)
+def test_target_layers_match_the_row_order_pass(craft, window):
+    """The array step picks what the per-row rule picked in the row-order
+    pass, for random small fleets, windows up to beyond half the course
+    included."""
+    x = np.array([50.0 * c[0] for c in craft])
+    layer = np.array([c[1] for c in craft])
+    resident = np.array([c[2] == "resident" for c in craft])
+    released = np.array([c[2] == "released" for c in craft])
+    rows = np.flatnonzero(resident & np.array([c[3] for c in craft]))
+    got = target_layers(rows, x, layer, resident, released, window, 2000.0)
+    assert got.tolist() == _row_order_pass(rows, x, layer, resident, released, window, 2000.0)
+
+
+def test_target_layers_worked_cases():
+    # one neighbour above, one below: the tie goes up
+    assert _targets([0], [0, 100, 100], [1, 0, 2], [True] * 3, [False] * 3) == [2]
+    # one neighbour more below than above: down
+    assert _targets([0], [0, 100, 100, 200], [1, 2, 0, 2], [True] * 4, [False] * 4) == [0]
+    # out of the window, or not resident, a neighbour does not count
+    assert _targets([0], [0, 600, 100], [1, 2, 0], [True] * 3, [False] * 3) == [2]
+    assert _targets([0], [0, 100, 100, 200], [1, 2, 0, 2], [1, 0, 1, 1], [0] * 4) == [2]
+    # the ground and the high layer have one candidate each, however crowded
+    layer = [0, 2, 1, 1, 1]
+    assert _targets([0, 1], [0, 10, 20, 30, 40], layer, [True] * 5, [False] * 5) == [1, 1]
+    # a row released at a lower row index has left layer 0 ...
+    assert _targets([1], [0, 50, 100], [0, 1, 2], [0, 1, 1], [1, 0, 0]) == [0]
+    # ... one released at a higher index still counts in layer 2
+    assert _targets([0], [0, 50], [1, 2], [1, 0], [0, 1]) == [0]
