@@ -27,8 +27,8 @@ from .netcalc import (
     failure_curve,
     failure_probability,
 )
-from .planner import PlanningQuery, p4_fitness, pso_optimize
-from .ris import ChannelParams, PhaseShiftConfig, RowPhases, capacity, optimal_phase_shift, snr
+from .planner import PlanningQuery, pso_optimize
+from .ris import ChannelParams, RowPhases, capacity, optimal_phase_shift, snr
 from .scenarios import BUILTIN, get_scenario, load_scenario, save_scenario
 from .switching import optimal_switch_acceleration
 
@@ -42,7 +42,6 @@ __all__ = [
     "CollisionError",
     "FieldWeights",
     "PhaseMode",
-    "PhaseShiftConfig",
     "PlanningQuery",
     "ProtocolParams",
     "RisMode",
@@ -60,7 +59,6 @@ __all__ = [
     "load_scenario",
     "optimal_phase_shift",
     "optimal_switch_acceleration",
-    "p4_fitness",
     "pso_optimize",
     "run",
     "save_scenario",

@@ -5,10 +5,21 @@ Every rule works on whole-fleet arrays; x offsets are taken around the ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
+
+
+def nonfinite(settings) -> list[str]:
+    """Names of the fields of a settings dataclass holding a NaN or infinite float."""
+    names = []
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if any(isinstance(v, float) and not np.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            names.append(f.name)
+    return names
 
 
 @dataclass(frozen=True)
@@ -32,6 +43,8 @@ class AirspaceConfig:
     vertical_separation_coeff: float = 0.5
 
     def __post_init__(self) -> None:
+        if bad := nonfinite(self):
+            raise ValueError(f"{', '.join(bad)} must be finite")
         v0, v1, v2 = self.expected_speeds_mps
         if not (0.0 < v0 < v1 < v2):
             raise ValueError("expected speeds must be positive and increasing")

@@ -22,6 +22,7 @@ from .airspace import (
     cross_layer_conflicts,
     fleet_state,
     layer_residents,
+    nonfinite,
     ring_neighbours,
 )
 from .fields import FieldWeights, Goals, force, potential
@@ -106,10 +107,16 @@ class Scenario:
     capture_speed_mps: float = 1.0
     intrusion_threshold_s: float = 0.3
 
+    def __post_init__(self) -> None:
+        # one roster order, by id: the engine's rows and the saved file follow it
+        by_id = tuple(sorted(self.aircraft, key=lambda a: a.aircraft_id))
+        object.__setattr__(self, "aircraft", by_id)
+
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Collect every configuration problem instead of failing on the first."""
-    problems: list[str] = []
+    ranged = ("dt", "duration_s", "bs_pos", "stationary_ris_pos")  # checked below with their ranges
+    problems = [f"{name} must be finite" for name in nonfinite(sc) if name not in ranged]
     if sc.name != sc.name.strip() or "\n" in sc.name or "\r" in sc.name:
         problems.append("name must not have outer whitespace or a line break")
     if not 0.0 < sc.dt < math.inf:
@@ -141,6 +148,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if len(set(ids)) != len(ids):
         problems.append("aircraft ids must be unique")
     for a in sc.aircraft:
+        problems += [f"aircraft {a.aircraft_id}: {name} must be finite" for name in nonfinite(a)]
         if not 0.0 <= a.x < sc.airspace.course_length_m:
             problems.append(f"aircraft {a.aircraft_id}: x outside the course")
         if a.layer not in (0, 1, 2):
@@ -261,15 +269,14 @@ class _Engine:
         self.n = len(sc.aircraft)
         self.course = air.course_length_m
         self.spacing = air.layer_spacing_m
-        order = sorted(sc.aircraft, key=lambda a: a.aircraft_id)
-        self.ids = np.array([a.aircraft_id for a in order], dtype=int)
-        self.layer = np.array([a.layer for a in order], dtype=int)
-        self.x = np.array([a.x for a in order], dtype=float)
+        self.ids = np.array([a.aircraft_id for a in sc.aircraft], dtype=int)
+        self.layer = np.array([a.layer for a in sc.aircraft], dtype=int)
+        self.x = np.array([a.x for a in sc.aircraft], dtype=float)
         self.h = np.array(
-            [air.layer_altitude(a.layer) + a.altitude_offset for a in order]
+            [air.layer_altitude(a.layer) + a.altitude_offset for a in sc.aircraft]
         )
         self.vx = np.array(
-            [air.expected_speeds_mps[a.layer] + a.speed_offset for a in order]
+            [air.expected_speeds_mps[a.layer] + a.speed_offset for a in sc.aircraft]
         )
         self.vy = np.zeros(self.n)
         self.switch = SwitchState(self.n, sc.initial_backoff)
@@ -333,7 +340,7 @@ class _Engine:
         self.pair_high = hi
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         if sc.phase_mode is PhaseMode.ZERO:
-            self.phases = RowPhases(np.zeros(math.isqrt(sc.ris_elements)), sc.ris_elements)
+            self.phases = RowPhases(np.zeros(math.isqrt(sc.ris_elements)))
             return
         if sc.phase_mode is PhaseMode.CONTINUOUS:
             # phases track the geometry every tick; aligned_snr has them exactly

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import AirspaceConfig, Fleet, Ring, layer_residents, ring_offset
+from .airspace import AirspaceConfig, Fleet, Ring, layer_residents, nonfinite, ring_offset
 
 
 class CollisionError(RuntimeError):
@@ -35,6 +35,8 @@ class FieldWeights:
     consensus_gain: float = 0.5
 
     def __post_init__(self) -> None:
+        if bad := nonfinite(self):
+            raise ValueError(f"{', '.join(bad)} must be finite")
         for w in (self.attract, self.stabilize, self.repulse, self.layer, self.goal,
                   self.consensus_gain):
             if w < 0.0:

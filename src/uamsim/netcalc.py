@@ -40,6 +40,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import gammainc
 
+from .airspace import nonfinite
+
 
 class ChannelKind(Enum):
     CONTROL = "Control"
@@ -67,6 +69,8 @@ class ProtocolParams:
     arrival_rate: float | None = None  # packets per second; None: match the load
 
     def __post_init__(self) -> None:
+        if bad := nonfinite(self):
+            raise ValueError(f"{', '.join(bad)} must be finite")
         for r in (self.omni_rate, self.direct_rate, self.ris_rate_in, self.ris_rate_out):
             if r <= 0.0:
                 raise ValueError("rates must be positive")

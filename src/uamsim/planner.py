@@ -110,23 +110,6 @@ def grid_fitness(
     return np.mean(residual**2, axis=-1)
 
 
-def p4_fitness(candidate: tuple[float, float], query: PlanningQuery) -> float:
-    """Mean squared distance of the element alignment terms from the grid.
-
-    For each element the steering term u_l * mismatch must land on an integer
-    multiple of the resolution for the quantizer to cancel it exactly.
-    Candidates outside the forward search box are infeasible.
-    """
-    x_low, x_high = candidate
-    lo_x, hi_x = query.low_pos[0], query.high_pos[0]
-    lo_h, hi_h = query.horizon_m
-    low_ok = x_low == lo_x if query.low_fixed else lo_x < x_low <= lo_x + lo_h
-    if not (low_ok and hi_x < x_high <= hi_x + hi_h):
-        return math.inf
-    mism = cosine_mismatch(x_low, x_high, query)
-    return float(grid_fitness(mism, query.num_elements, query.resolution))
-
-
 def best_mismatch(
     m_lo: float, m_hi: float, num_elements: int, resolution: float, near: float
 ) -> float:

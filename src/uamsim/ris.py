@@ -9,9 +9,11 @@ departing paths only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .airspace import nonfinite
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,6 +39,8 @@ class ChannelParams:
     interference_alpha: float = 2.2
 
     def __post_init__(self) -> None:
+        if bad := nonfinite(self):
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.ref_gain <= 0.0 or self.tx_power_w <= 0.0 or self.noise_power_w <= 0.0:
             raise ValueError("powers and reference gain must be positive")
         for a in (self.alpha_bs_k, self.alpha_bs_i, self.alpha_i_k, self.interference_alpha):
@@ -46,68 +50,36 @@ class ChannelParams:
             raise ValueError("bandwidth must be positive")
         if self.interference_power_w < 0.0:
             raise ValueError("interference power cannot be negative")
-
-
-def _check_phases(phases: np.ndarray, resolution: float | None) -> None:
-    """Phases in [0, 2*pi), on the resolution grid when one is given."""
-    if not (phases.min() >= 0.0 and phases.max() < TWO_PI):  # NaN fails too
-        raise ValueError("phases must lie in [0, 2*pi)")
-    if resolution is not None:
-        if resolution <= 0.0:
-            raise ValueError("resolution must be positive")
-        ratio = phases / (resolution * math.pi)
-        if np.abs(ratio - np.rint(ratio)).max() > 1e-9:
-            raise ValueError("phase off the resolution grid")
-
-
-def _check_square(n: int) -> int:
-    """sqrt(n) for a positive perfect square n."""
-    root = math.isqrt(n)
-    if root * root != n or n == 0:
-        raise ValueError("element count must be a positive perfect square")
-    return root
-
-
-@dataclass(frozen=True)
-class PhaseShiftConfig:
-    """Per-element phase shifts in [0, 2*pi).
-
-    ``resolution`` is the grid step as a fraction of pi (e.g. 1/4 means the
-    grid {m * pi/4}); None means continuously adjustable phases.  Any phase
-    pattern fits; the simulator itself only needs ``RowPhases``.
-    """
-
-    phases: tuple[float, ...]
-    resolution: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_square(len(self.phases))
-        _check_phases(np.asarray(self.phases, dtype=float), self.resolution)
-
-    @property
-    def num_elements(self) -> int:
-        return len(self.phases)
+        if self.interference_power_w > 0.0 and self.interference_pos is None:
+            raise ValueError("interference power needs an interference position")
 
 
 @dataclass(frozen=True, eq=False)
 class RowPhases:
-    """Phase shifts shared along each steering row: element l takes
-    ``phases[l mod sqrt(L)]``.
+    """Surface phase shifts, one per steering row: each of the L = rows**2
+    elements takes ``phases[l mod sqrt(L)]``.
 
     Every phase the simulator produces depends on the element only through
     its steering index, so sqrt(L) values describe the whole surface.
-    ``phases`` is a read-only array; ``resolution`` as in PhaseShiftConfig.
+    ``phases`` is a read-only array in [0, 2*pi); ``resolution`` is the grid
+    step as a fraction of pi (1/4: the grid {m * pi/4}), None if continuous.
     """
 
     phases: np.ndarray
-    num_elements: int
     resolution: float | None = None
 
     def __post_init__(self) -> None:
         rows = np.array(self.phases, dtype=float)
-        if rows.shape != (_check_square(self.num_elements),):
-            raise ValueError("row phases need one value per steering row")
-        _check_phases(rows, self.resolution)
+        if rows.ndim != 1 or rows.size == 0:
+            raise ValueError("row phases must be a non-empty 1-D array")
+        if not (rows.min() >= 0.0 and rows.max() < TWO_PI):  # NaN fails too
+            raise ValueError("phases must lie in [0, 2*pi)")
+        if self.resolution is not None:
+            if self.resolution <= 0.0:
+                raise ValueError("resolution must be positive")
+            ratio = rows / (self.resolution * math.pi)
+            if np.abs(ratio - np.rint(ratio)).max() > 1e-9:
+                raise ValueError("phase off the resolution grid")
         rows.flags.writeable = False
         object.__setattr__(self, "phases", rows)
 
@@ -123,14 +95,6 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return d
 
 
-def steering_indices(num_elements: int) -> np.ndarray:
-    """Per-element steering multipliers (l - 1) mod sqrt(L)."""
-    root = math.isqrt(num_elements)
-    if root * root != num_elements:
-        raise ValueError("element count must be a perfect square")
-    return np.arange(num_elements) % root
-
-
 def direct_gain(
     bs_pos: tuple[float, float], k_pos: tuple[float, float], params: ChannelParams
 ) -> complex:
@@ -138,36 +102,36 @@ def direct_gain(
     d = _distance(bs_pos, k_pos)
     return complex(math.sqrt(params.ref_gain / d ** params.alpha_bs_k))
 
-def azimuth_cosine(src: tuple[float, float], dst: tuple[float, float]) -> float:
-    """Cosine of the departure angle measured against the +x axis."""
-    return (dst[0] - src[0]) / _distance(src, dst)
+
+def _cascade_geometry(
+    bs_pos: tuple[float, float], ris_pos: tuple[float, float], k_pos: tuple[float, float]
+) -> tuple[float, float, float]:
+    """Path lengths d1 (BS->surface) and d2 (surface->aircraft), and the
+    mismatch cos_in - cos_out of the two azimuth cosines against +x."""
+    d1 = _distance(bs_pos, ris_pos)
+    d2 = _distance(ris_pos, k_pos)
+    return d1, d2, (ris_pos[0] - bs_pos[0]) / d1 - (k_pos[0] - ris_pos[0]) / d2
 
 
 def cascaded_gain(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float],
     k_pos: tuple[float, float],
-    phases: PhaseShiftConfig | RowPhases,
+    phases: RowPhases,
     params: ChannelParams,
 ) -> complex:
     """Reflected-path amplitude through the surface.
 
     Element l contributes exp(j * (pi * u_l * (cos_in - cos_out) + theta_l))
     with u_l its steering index; the common amplitude is
-    beta / sqrt(d1^a1 * d2^a2).  Row phases sum over the sqrt(L) rows, each
+    beta / sqrt(d1^a1 * d2^a2).  The sum runs over the sqrt(L) rows, each
     standing for sqrt(L) equal elements.
     """
-    d1 = _distance(bs_pos, ris_pos)
-    d2 = _distance(ris_pos, k_pos)
-    cos_in = (ris_pos[0] - bs_pos[0]) / d1
-    cos_out = (k_pos[0] - ris_pos[0]) / d2
-    theta = np.asarray(phases.phases, dtype=float)
-    u = np.arange(theta.size) % math.isqrt(phases.num_elements)
-    summed = np.exp(1j * (math.pi * u * (cos_in - cos_out) + theta)).sum()
-    summed *= phases.num_elements // theta.size
-    amp = params.ref_gain / math.sqrt(
-        d1 ** params.alpha_bs_i * d2 ** params.alpha_i_k
-    )
+    d1, d2, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    theta = phases.phases
+    summed = np.exp(1j * (math.pi * np.arange(theta.size) * mismatch + theta)).sum()
+    summed *= theta.size
+    amp = params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
     return complex(amp * summed)
 
 
@@ -179,11 +143,8 @@ def cascaded_gain_bound(
     params: ChannelParams,
 ) -> float:
     """Upper bound L * beta / sqrt(d1^a1 * d2^a2) on the cascade magnitude."""
-    d1 = _distance(bs_pos, ris_pos)
-    d2 = _distance(ris_pos, k_pos)
-    return num_elements * params.ref_gain / math.sqrt(
-        d1 ** params.alpha_bs_i * d2 ** params.alpha_i_k
-    )
+    d1, d2, _ = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    return num_elements * params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
 
 
 def optimal_phase_shift(
@@ -197,46 +158,27 @@ def optimal_phase_shift(
     theta_u = -pi * u * (cos_in - cos_out) per steering row u, wrapped into
     [0, 2*pi).  With these the cascade sum hits its magnitude bound exactly.
     """
-    cos_in = azimuth_cosine(bs_pos, ris_pos)
-    cos_out = azimuth_cosine(ris_pos, k_pos)
-    u = np.arange(_check_square(num_elements))
-    theta = np.mod(-math.pi * u * (cos_in - cos_out), TWO_PI)
+    rows = math.isqrt(num_elements)
+    if rows * rows != num_elements or num_elements == 0:
+        raise ValueError("element count must be a positive perfect square")
+    _, _, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    theta = np.mod(-math.pi * np.arange(rows) * mismatch, TWO_PI)
     # mod can return the period itself when the operand is a tiny negative
     theta[theta >= TWO_PI] = 0.0
-    return RowPhases(theta, num_elements)
+    return RowPhases(theta)
 
 
-def quantize_phase(theta: float, resolution: float) -> float:
-    """Snap ``theta`` to the nearest multiple of resolution * pi.
-
-    Exact midpoints round toward the smaller multiple.
-    """
+def quantize_config(config: RowPhases, resolution: float) -> RowPhases:
+    """Snap every row phase to the nearest multiple of resolution * pi, exact
+    midpoints toward the smaller one, wrapped back into [0, 2*pi)."""
     if resolution <= 0.0:
         raise ValueError("resolution must be positive")
     step = resolution * math.pi
-    m = math.ceil(theta / step - 0.5)
-    return m * step
-
-
-def quantize_config(
-    config: PhaseShiftConfig | RowPhases, resolution: float
-) -> PhaseShiftConfig | RowPhases:
-    """Quantize every phase of ``config`` onto the given grid, keeping its form.
-
-    Element by element the same arithmetic as quantize_phase, wrapped back
-    into [0, 2*pi).
-    """
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    step = resolution * math.pi
-    theta = np.asarray(config.phases, dtype=float)
-    snapped = np.fmod(np.ceil(theta / step - 0.5) * step, TWO_PI)
+    snapped = np.fmod(np.ceil(config.phases / step - 0.5) * step, TWO_PI)
     snapped[snapped < 0.0] += TWO_PI
     # guard against fmod returning the period itself
     snapped[snapped >= TWO_PI] = 0.0
-    if isinstance(config, RowPhases):
-        return RowPhases(snapped, config.num_elements, resolution)
-    return PhaseShiftConfig(tuple(snapped.tolist()), resolution)
+    return RowPhases(snapped, resolution)
 
 
 def interference_at(k_pos: tuple[float, float], params: ChannelParams) -> float:
@@ -257,7 +199,7 @@ def snr(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float] | None,
     k_pos: tuple[float, float],
-    phases: PhaseShiftConfig | RowPhases | None,
+    phases: RowPhases | None,
     params: ChannelParams,
 ) -> float:
     """Receive SNR of the combined direct and reflected paths.

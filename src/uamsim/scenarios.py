@@ -128,11 +128,9 @@ def apply_settings(sc: Scenario, items: list[tuple[str, str]]) -> Scenario:
         for name, over in section_over.items()
         if over
     }
-    out = dataclasses.replace(sc, **new_sections, **top_over)
     if craft_dirty:
-        specs = tuple(sorted(craft.values(), key=lambda a: a.aircraft_id))
-        out = dataclasses.replace(out, aircraft=specs)
-    return out
+        top_over["aircraft"] = tuple(craft.values())
+    return dataclasses.replace(sc, **new_sections, **top_over)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -159,7 +157,7 @@ def save_scenario(sc: Scenario, path: str) -> None:
                 fh.write(
                     f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}\n"
                 )
-        for a in sorted(sc.aircraft, key=lambda s: s.aircraft_id):
+        for a in sc.aircraft:
             fh.write(
                 f"aircraft.{a.aircraft_id} = {a.layer},{a.x!r},"
                 f"{a.speed_offset!r},{a.altitude_offset!r}\n"

@@ -30,11 +30,10 @@ from uamsim.engine import (
 from uamsim.netcalc import ChannelKind, ProtocolParams, failure_probability
 from uamsim.ris import (
     ChannelParams,
-    PhaseShiftConfig,
+    RowPhases,
     cascaded_gain,
     cascaded_gain_bound,
     optimal_phase_shift,
-    steering_indices,
 )
 from uamsim.switching import optimal_switch_acceleration
 
@@ -67,7 +66,7 @@ def test_criterion_01_phase_alignment_reaches_the_bound():
         d2 = math.hypot(k[0] - ris[0], k[1] - ris[1])
         cos_in = (ris[0] - bs[0]) / d1
         cos_out = (k[0] - ris[0]) / d2
-        u = steering_indices(n)
+        u = np.arange(n) % math.isqrt(n)
         theta = rng.uniform(0.0, 2.0 * math.pi - 1e-9, size=(100, n))
         sums = np.abs(
             np.exp(1j * (math.pi * u * (cos_in - cos_out) + theta)).sum(axis=1)
@@ -76,12 +75,12 @@ def test_criterion_01_phase_alignment_reaches_the_bound():
         if np.any(draws > bound * (1.0 + 1e-12)):
             dominated = False
         if g % 1000 == 0:
-            # tie the vectorized draw model back to the public function
-            cfg = PhaseShiftConfig(
-                phases=tuple(float(p) for p in theta[0]), resolution=None
-            )
-            direct = abs(cascaded_gain(bs, ris, k, cfg, par))
-            assert direct == pytest.approx(float(draws[0]), rel=1e-12)
+            # tie the vectorized draw model back to the public function on a
+            # row-structured draw: element l takes the phase of row l mod sqrt(n)
+            rows = theta[0, : math.isqrt(n)]
+            tiled = np.exp(1j * (math.pi * u * (cos_in - cos_out) + np.tile(rows, math.isqrt(n))))
+            direct = abs(cascaded_gain(bs, ris, k, RowPhases(rows), par))
+            assert direct == pytest.approx(bound / n * abs(tiled.sum()), rel=1e-12)
     wall = time.time() - t0
     ok = worst_rel < 1e-9 and dominated and wall < 30.0
     _verdict(
@@ -482,6 +481,9 @@ def test_criterion_10_bitwise_deterministic_artifacts(tmp_path):
         env["OMP_NUM_THREADS"] = threads
         env["OPENBLAS_NUM_THREADS"] = threads
         env["MKL_NUM_THREADS"] = threads
+        # the child imports the package under test, also when only pytest's
+        # own pythonpath setting put it on sys.path
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(scenarios.__file__))
         subprocess.run(
             [sys.executable, "-c", script.format(out=out)],
             check=True,

@@ -38,6 +38,30 @@ def test_validate_rejects_non_finite_times_and_bad_positions(setting, message, c
     assert capsys.readouterr().out.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("channel.interference_pos=nan,0", "error: interference_pos must be finite"),
+        ("channel.noise_power_w=nan", "error: noise_power_w must be finite"),
+        ("neighbor_radius_m=nan", "problem: neighbor_radius_m must be finite"),
+        ("channel.interference_pos=none", "error: interference power needs an interference position"),
+    ],
+)
+def test_validate_rejects_non_finite_settings(setting, message, capsys):
+    """Each of these used to print ``ok``: a NaN source or noise floor served
+    nothing, and an interference power without a source was ignored."""
+    rc = main(["validate", "--scenario", "fig6-interference", "--set", setting])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+
+
+def test_delay_bounds_rejects_a_non_finite_rate(tmp_path):
+    """A NaN rate used to print "none" for every fashion."""
+    with pytest.raises(ValueError, match="omni_rate must be finite"):
+        main(["delay-bounds", "--out", str(tmp_path), "--set", "protocol.omni_rate=nan"])
+    assert not (tmp_path / "delay_bounds.csv").exists()
+
+
 def test_simulate_writes_all_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run")
     rc = main(

@@ -16,11 +16,9 @@ from uamsim.planner import (
     best_mismatch,
     cosine_mismatch,
     grid_fitness,
-    p4_fitness,
     pso_minimize,
     pso_optimize,
 )
-from uamsim.ris import steering_indices
 
 
 def _query(resolution=1.0 / 12.0, num_elements=1024):
@@ -35,14 +33,14 @@ def _query(resolution=1.0 / 12.0, num_elements=1024):
 
 
 def candidate_fitness(xs, query):
-    """p4_fitness over an (n, 2) array of in-box candidates."""
+    """Grid fitness over an (n, 2) array of in-box candidates."""
     mism = cosine_mismatch(xs[:, 0], xs[:, 1], query)
     return grid_fitness(mism, query.num_elements, query.resolution)
 
 
 def _element_fitness(mism, query):
     """Reference: the P4 fitness element by element over all L elements."""
-    u = steering_indices(query.num_elements)
+    u = np.arange(query.num_elements) % math.isqrt(query.num_elements)
     terms = u * mism
     residual = terms - np.round(terms / query.resolution) * query.resolution
     return float(np.mean(residual**2))
@@ -74,6 +72,12 @@ def _random_best(query, rng, n=200):
     return float(np.min(candidate_fitness(np.column_stack([xl, xh]), query)))
 
 
+def _fitness(point, query):
+    """Grid fitness of one (x_low, x_high) candidate."""
+    mism = cosine_mismatch(point[0], point[1], query)
+    return float(grid_fitness(mism, query.num_elements, query.resolution))
+
+
 def _assert_in_box(point, query):
     xl, xh = point
     lx, hx = query.low_pos[0], query.high_pos[0]
@@ -97,20 +101,29 @@ def test_swarm_fitness_matches_scalar_everywhere():
     )
     vec = candidate_fitness(xs, q)
     for row, f in zip(xs, vec):
-        assert f == pytest.approx(p4_fitness((row[0], row[1]), q), rel=1e-12, abs=1e-18)
+        _assert_in_box(row, q)
+        assert f == pytest.approx(_fitness(row, q), rel=1e-12, abs=1e-18)
         mism = cosine_mismatch(row[0], row[1], q)
         assert f == pytest.approx(_element_fitness(mism, q), rel=1e-12, abs=1e-18)
 
 
 def test_out_of_box_is_infeasible():
+    """The search box runs strictly ahead of each aircraft up to its horizon;
+    a fixed surface's x_low is pinned where it is."""
+
+    def inside(point, query):
+        lower, upper = query.search_box()
+        return bool(np.all((lower <= point) & (point <= upper)))
+
     q = _query()
-    assert p4_fitness((299.0, 600.0), q) == math.inf
-    assert p4_fitness((400.0, 900.0), q) == math.inf
-    assert p4_fitness((300.0, 600.0), q) == math.inf
-    assert p4_fitness((400.0, 600.0), q) < math.inf
+    assert not inside((299.0, 600.0), q)
+    assert not inside((400.0, 900.0), q)
+    assert not inside((300.0, 600.0), q)
+    assert inside((400.0, 600.0), q)
+    assert inside((500.0, 760.0), q)
     fixed = replace(q, low_fixed=True)
-    assert p4_fitness((300.0, 600.0), fixed) < math.inf
-    assert p4_fitness((400.0, 600.0), fixed) == math.inf
+    assert inside((300.0, 600.0), fixed)
+    assert not inside((400.0, 600.0), fixed)
 
 
 def test_zero_mismatch_means_zero_fitness():
@@ -131,7 +144,7 @@ def test_zero_mismatch_means_zero_fitness():
     dx = c * 100.0 / math.sqrt(1.0 - c * c)
     x_high = x_low + dx
     assert cosine_mismatch(x_low, x_high, q) == pytest.approx(0.0, abs=1e-12)
-    assert p4_fitness((x_low, x_high), q) == pytest.approx(0.0, abs=1e-18)
+    assert _fitness((x_low, x_high), q) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_pso_minimizes_a_convex_bowl():
@@ -162,7 +175,8 @@ def test_pso_is_deterministic_per_seed():
     (xl, xh), fit = a
     assert 300.0 < xl <= 500.0 and 500.0 < xh <= 760.0
     assert math.isfinite(fit)
-    assert fit == p4_fitness((xl, xh), q)
+    _assert_in_box((xl, xh), q)
+    assert fit == _fitness((xl, xh), q)
     for seed in (42, 43):
         assert fit <= _oracle(q, seed) * (1.0 + 1e-9)
 
@@ -255,7 +269,7 @@ def test_exact_planner_never_loses(g, seed):
     point, fit = pso_optimize(q)
     _assert_in_box(point, q)
     assert pso_optimize(_from(g)) == (point, fit)
-    assert fit == p4_fitness(point, q)
+    assert fit == _fitness(point, q)
     assert fit <= _oracle(q, seed) * (1.0 + 1e-9) + 1e-24
     assert fit <= _random_best(q, np.random.default_rng(seed)) * (1.0 + 1e-9) + 1e-24
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from uamsim.ris import (
     ChannelParams,
-    PhaseShiftConfig,
     RowPhases,
     aligned_snr,
     capacity,
@@ -19,22 +18,30 @@ from uamsim.ris import (
     interference_at,
     optimal_phase_shift,
     quantize_config,
-    quantize_phase,
     snr,
-    steering_indices,
 )
 
 
 PAR = ChannelParams()
 
 
-def test_steering_indices_cycle():
-    assert list(steering_indices(9)) == [0, 1, 2, 0, 1, 2, 0, 1, 2]
-    assert list(steering_indices(4)) == [0, 1, 0, 1]
-    u = steering_indices(1024)
-    assert u.min() == 0 and u.max() == 31
-    # each index appears equally often
-    assert all(np.sum(u == k) == 32 for k in range(32))
+def _element_cascade(bs, ris, k, rows, params):
+    """Reference cascade summed element by element over all L = rows**2
+    elements: element l has steering index l mod sqrt(L) and takes the phase
+    of that row."""
+    root = len(rows.phases)
+    u = np.arange(root * root) % root
+    theta = np.tile(rows.phases, root)
+    d1 = math.hypot(ris[0] - bs[0], ris[1] - bs[1])
+    d2 = math.hypot(k[0] - ris[0], k[1] - ris[1])
+    mismatch = (ris[0] - bs[0]) / d1 - (k[0] - ris[0]) / d2
+    amp = params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
+    return complex(amp * np.exp(1j * (math.pi * u * mismatch + theta)).sum())
+
+
+def _snap(theta, resolution):
+    """quantize_config on a single row phase."""
+    return float(quantize_config(RowPhases(np.array([theta])), resolution).phases[0])
 
 
 def test_direct_gain_inverse_power_law():
@@ -73,43 +80,39 @@ def test_random_phases_never_beat_the_bound():
         bs = (0.0, 0.0)
         ris = (float(rng.uniform(100, 1000)), 100.0)
         k = (float(rng.uniform(100, 1900)), 200.0)
-        draw = PhaseShiftConfig(
-            phases=tuple(float(p) for p in rng.uniform(0.0, 2 * math.pi - 1e-9, n)),
-            resolution=None,
-        )
+        draw = RowPhases(rng.uniform(0.0, 2 * math.pi - 1e-9, math.isqrt(n)))
         got = abs(cascaded_gain(bs, ris, k, draw, PAR))
         assert got <= cascaded_gain_bound(bs, ris, k, n, PAR) * (1 + 1e-12)
 
 
 def test_quantize_phase_examples():
     step = math.pi / 12.0
-    assert quantize_phase(0.3, 1.0 / 12.0) == pytest.approx(step, abs=1e-12)
-    assert quantize_phase(0.12, 1.0 / 12.0) == pytest.approx(0.0, abs=1e-12)
+    assert _snap(0.3, 1.0 / 12.0) == pytest.approx(step, abs=1e-12)
+    assert _snap(0.12, 1.0 / 12.0) == pytest.approx(0.0, abs=1e-12)
     # exact midpoint rounds to the smaller multiple
-    assert quantize_phase(1.5 * step, 1.0 / 12.0) == pytest.approx(step, abs=1e-12)
+    assert _snap(1.5 * step, 1.0 / 12.0) == pytest.approx(step, abs=1e-12)
     # coarse one-bit grid: everything near pi snaps onto pi
-    assert quantize_phase(3.0, 1.0) == pytest.approx(math.pi, abs=1e-12)
+    assert _snap(3.0, 1.0) == pytest.approx(math.pi, abs=1e-12)
+    # the multiple at 2*pi wraps to 0
+    assert _snap(2.0 * math.pi - 0.01, 1.0 / 12.0) == 0.0
 
 
 def test_quantize_error_bounded_by_half_step():
+    """The snapped phase is within half a grid step of the raw one, measured
+    around the circle, since the top multiple wraps to 0."""
     rng = np.random.default_rng(77)
     for res in (1.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0):
         step = res * math.pi
-        errs = []
-        for _ in range(500):
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            q = quantize_phase(theta, res)
-            errs.append(abs(q - theta))
-        assert max(errs) <= step / 2.0 + 1e-12
-        print(f"res {res:.4f}: max quantization error {max(errs):.4f} rad")
+        theta = rng.uniform(0.0, 2.0 * math.pi, 500)
+        q = quantize_config(RowPhases(theta), res).phases
+        errs = np.abs(np.mod(q - theta + math.pi, 2.0 * math.pi) - math.pi)
+        assert errs.max() <= step / 2.0 + 1e-12
+        print(f"res {res:.4f}: max quantization error {errs.max():.4f} rad")
 
 
 def test_quantize_config_stays_in_range():
     rng = np.random.default_rng(3)
-    raw = PhaseShiftConfig(
-        phases=tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi - 1e-6, 16)),
-        resolution=None,
-    )
+    raw = RowPhases(rng.uniform(0.0, 2.0 * math.pi - 1e-6, 16))
     snapped = quantize_config(raw, 1.0 / 6.0)
     assert snapped.resolution == 1.0 / 6.0
     step = math.pi / 6.0
@@ -120,14 +123,14 @@ def test_quantize_config_stays_in_range():
 
 def test_phase_grid_validation():
     with pytest.raises(ValueError):
-        PhaseShiftConfig(phases=(0.0, 0.1, 0.2), resolution=None)  # not square
-    with pytest.raises(ValueError):
-        PhaseShiftConfig(phases=(0.0, 7.0, 0.0, 0.0), resolution=None)  # out of range
+        RowPhases(np.array([0.0, 7.0]))  # out of range
     with pytest.raises(ValueError):
         # claims a grid it does not sit on
-        PhaseShiftConfig(phases=(0.0, 0.1, 0.0, 0.0), resolution=1.0)
+        RowPhases(np.array([0.0, 0.1]), resolution=1.0)
     with pytest.raises(ValueError):
-        quantize_phase(0.3, 0.0)
+        RowPhases(np.zeros(2), resolution=0.0)
+    with pytest.raises(ValueError):
+        quantize_config(RowPhases(np.array([0.3])), 0.0)
 
 
 def test_snr_gains_from_surface():
@@ -169,14 +172,6 @@ def test_interference_raises_failure_floor():
     assert snr(bs, None, k, None, par) < snr(bs, None, k, None, PAR)
 
 
-def _per_element(rows: RowPhases) -> PhaseShiftConfig:
-    """The same surface written element by element: element l takes row l mod sqrt(L)."""
-    root = len(rows.phases)
-    return PhaseShiftConfig(
-        phases=tuple(np.tile(rows.phases, root).tolist()), resolution=rows.resolution
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-500.0, 500.0),
@@ -187,37 +182,38 @@ def _per_element(rows: RowPhases) -> PhaseShiftConfig:
 )
 def test_row_cascade_equals_the_element_cascade(bx, rx, kx, n, seed):
     bs, ris, k = (bx, 0.0), (rx, 100.0), (kx, 200.0)
-    rows = RowPhases(
-        np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi - 1e-9, math.isqrt(n)), n
-    )
+    rows = RowPhases(np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi - 1e-9, math.isqrt(n)))
     by_rows = cascaded_gain(bs, ris, k, rows, PAR)
-    by_elements = cascaded_gain(bs, ris, k, _per_element(rows), PAR)
+    by_elements = _element_cascade(bs, ris, k, rows, PAR)
     assert abs(by_rows - by_elements) <= 1e-12 * cascaded_gain_bound(bs, ris, k, n, PAR)
 
 
 def test_row_quantization_matches_the_element_quantization():
+    """quantize_config snaps each row as the one-phase rule would: the
+    nearest multiple, midpoints down, wrapped into [0, 2*pi)."""
     rng = np.random.default_rng(9)
     for res in (1.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0):
-        rows = RowPhases(rng.uniform(0.0, 2.0 * math.pi - 1e-9, 32), 1024)
+        rows = RowPhases(rng.uniform(0.0, 2.0 * math.pi - 1e-9, 32))
         snapped = quantize_config(rows, res)
         assert isinstance(snapped, RowPhases) and snapped.resolution == res
-        assert quantize_config(_per_element(rows), res) == _per_element(snapped)
+        step = res * math.pi
         for theta, q in zip(rows.phases, snapped.phases):
-            assert q == math.fmod(quantize_phase(float(theta), res), 2.0 * math.pi)
+            one = math.fmod(math.ceil(float(theta) / step - 0.5) * step, 2.0 * math.pi)
+            assert q == (0.0 if one >= 2.0 * math.pi else one)
 
 
 def test_row_phase_validation():
     with pytest.raises(ValueError):
-        RowPhases(np.zeros(3), 16)  # sqrt(16) = 4 rows
+        RowPhases(np.zeros((2, 2)))  # one value per row, not a grid
     with pytest.raises(ValueError):
-        RowPhases(np.zeros(3), 10)  # not square
+        RowPhases(np.zeros(0))
     with pytest.raises(ValueError):
-        RowPhases(np.array([0.0, 7.0]), 4)
+        RowPhases(np.array([0.0, 7.0]))
     with pytest.raises(ValueError):
-        RowPhases(np.array([0.0, math.nan]), 4)
+        RowPhases(np.array([0.0, math.nan]))
     with pytest.raises(ValueError):
-        RowPhases(np.array([0.0, 0.1]), 4, resolution=1.0)
-    rows = RowPhases(np.array([0.0, math.pi]), 4, resolution=1.0)
+        RowPhases(np.array([0.0, 0.1]), resolution=1.0)
+    rows = RowPhases(np.array([0.0, math.pi]), resolution=1.0)
     with pytest.raises(ValueError):
         rows.phases[0] = 1.0
 

@@ -1,5 +1,7 @@
 """Scenario catalogue, file round-trips and overrides."""
 
+import dataclasses
+import math
 import tempfile
 
 import numpy as np
@@ -69,14 +71,15 @@ def _valid_scenarios(draw):
             draw(_floats(-3.0, 3.0)),
             draw(_floats(-half, half)),
         )
-        for aid in sorted(ids)
+        for aid in ids
     )
+    source = draw(st.none() | _point)
     return Scenario(
         name=draw(st.text(max_size=12)),
         airspace=air,
         channel=ChannelParams(
-            interference_pos=draw(st.none() | _point),
-            interference_power_w=draw(_floats(0.0, 1.0)),
+            interference_pos=source,
+            interference_power_w=0.0 if source is None else draw(_floats(0.0, 1.0)),
         ),
         protocol=ProtocolParams(
             loss_prob=draw(_floats(0.0, 0.99)),
@@ -112,6 +115,58 @@ def test_save_then_load_is_exact_for_valid_scenarios(sc):
     with tempfile.TemporaryDirectory() as tmp:
         save_scenario(sc, f"{tmp}/sc.txt")
         assert load_scenario(f"{tmp}/sc.txt") == sc
+
+
+def _float_settings(sc):
+    """(key, current value) of every float setting of ``sc`` and its
+    sections, tuples of floats and the two that may be None included."""
+    out = {"channel.interference_pos": (0.0, 0.0), "protocol.arrival_rate": 1.0}
+    for prefix, obj in [("", sc)] + [(f"{s}.", getattr(sc, s)) for s in scenarios._SECTIONS]:
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if values and all(isinstance(v, float) for v in values):
+                out[prefix + f.name] = value
+    return sorted(out.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(BUILTIN)), st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_a_non_finite_setting_is_rejected(name, data, bad):
+    """NaN passed every ``x <= 0`` range check; now any float setting that is
+    not finite fails loading or validation."""
+    sc = get_scenario(name)
+    key, value = data.draw(st.sampled_from(_float_settings(sc)))
+    values = list(value) if isinstance(value, tuple) else [value]
+    values[data.draw(st.integers(0, len(values) - 1))] = bad
+    try:
+        changed = apply_settings(sc, [(key, ",".join(map(repr, values)))])
+    except ValueError as exc:
+        assert "finite" in str(exc), (key, exc)
+        return
+    assert validate_scenario(changed) != [], key
+
+
+def test_a_non_finite_aircraft_value_is_rejected():
+    sc = apply_settings(get_scenario("fig12-ipr"), [("aircraft.3", "1,500.0,0.0,nan")])
+    assert validate_scenario(sc) == ["aircraft 3: altitude_offset must be finite"]
+
+
+def test_interference_power_needs_a_source():
+    """A power with no source position used to be ignored by the run."""
+    with pytest.raises(ValueError, match="interference position"):
+        apply_settings(get_scenario("fig6-interference"), [("channel.interference_pos", "none")])
+    with pytest.raises(ValueError, match="interference position"):
+        ChannelParams(interference_power_w=1e-3)
+
+
+def test_roster_order_is_by_id():
+    """Any roster order gives one scenario: sorted by id, the order the
+    engine's rows and the saved file use."""
+    sc = get_scenario("fig12-ipr")
+    back = Scenario(aircraft=sc.aircraft[::-1])
+    assert back.aircraft == sc.aircraft
+    assert dataclasses.replace(sc, aircraft=sc.aircraft[::-1]) == sc
 
 
 def test_settings_reject_a_tuple_of_the_wrong_length():
