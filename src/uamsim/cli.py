@@ -1,9 +1,18 @@
-"""Command line front end: run scenarios, sweeps and the delay bounds."""
+"""Command line front end: run scenarios, sweeps and the delay bounds.
+
+Each command first builds and checks every scenario and argument it will
+use, and only then writes.  Bad input ends the command before any file is
+written: ``error:`` lines for input that cannot be read, ``problem:`` lines
+for a scenario that fails validation, and exit status 1.  So each ``cmd_*``
+only builds: it returns the scenarios it will run and a function that runs
+them and writes, which ``main`` calls once every scenario has validated.
+"""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 
@@ -13,131 +22,132 @@ from . import engine, netcalc, scenarios
 from .engine import PhaseMode
 
 
-def _split_settings(raw: list[str]) -> list[tuple[str, str]]:
-    items = []
-    for entry in raw:
-        if "=" not in entry:
-            raise SystemExit(f"--set expects key=value, got {entry!r}")
-        key, value = entry.split("=", 1)
-        items.append((key, value))
-    return items
+def _assignment(entry: str) -> tuple[str, str]:
+    key, eq, value = entry.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {entry!r}")
+    return key, value
 
 
-def _resolve(args) -> engine.Scenario:
-    sc = scenarios.get_scenario(args.scenario, args.seed)
-    if args.set:
-        sc = scenarios.apply_settings(sc, _split_settings(args.set))
-    return sc
+def _scenario(args) -> engine.Scenario:
+    return scenarios.apply_settings(scenarios.get_scenario(args.scenario, args.seed), args.set)
 
 
-def _prepare_out(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
+def _numbers(raw: str) -> list[float]:
+    values = [float(p) for p in raw.replace(" ", "").split(",") if p]
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"expected a comma list of finite numbers, got {raw!r}")
+    return values
 
 
-def _parse_float_list(raw: str) -> list[float]:
-    return [float(p) for p in raw.replace(" ", "").split(",") if p]
+def cmd_simulate(args):
+    sc = _scenario(args)
+
+    def write() -> int:
+        os.makedirs(args.out, exist_ok=True)
+        trace = engine.run(sc)
+        engine.write_trace(trace, os.path.join(args.out, "trace.csv"))
+        engine.write_events(trace, os.path.join(args.out, "events.csv"))
+        metrics = engine.summarize(trace)
+        engine.write_metrics(metrics, os.path.join(args.out, "metrics.txt"))
+        scenarios.save_scenario(sc, os.path.join(args.out, "scenario.txt"))
+        for key, value in metrics.items():
+            print(f"{key} = {value}")
+        print(f"wrote trace.csv, events.csv, metrics.txt, scenario.txt to {args.out}")
+        return 0
+
+    return [sc], write
 
 
-def cmd_simulate(args) -> int:
-    sc = _resolve(args)
-    out = _prepare_out(args)
-    trace = engine.run(sc)
-    engine.write_trace(trace, os.path.join(out, "trace.csv"))
-    engine.write_events(trace, os.path.join(out, "events.csv"))
-    metrics = engine.summarize(trace)
-    engine.write_metrics(metrics, os.path.join(out, "metrics.txt"))
-    scenarios.save_scenario(sc, os.path.join(out, "scenario.txt"))
-    for key, value in metrics.items():
-        print(f"{key} = {value}")
-    print(f"wrote trace.csv, events.csv, metrics.txt, scenario.txt to {out}")
-    return 0
+def cmd_delay_bounds(args):
+    sc = _scenario(args)
+    loads = _numbers(args.loads)
+    for load in loads:
+        netcalc.check_scan(load, args.t_max, args.grid_dt)
+
+    def write() -> int:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "delay_bounds.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("kind,load,t,failure_prob\n")
+            for kind in netcalc.ChannelKind:
+                for load in loads:
+                    curve = netcalc.failure_curve(
+                        kind, load, args.t_max, sc.protocol, args.grid_dt
+                    )
+                    n = len(curve.values)
+                    crossing = None
+                    for i in range(1, n):
+                        t = i * curve.dt
+                        p = curve.values[i]
+                        fh.write(f"{kind.value},{load:g},{t:.6f},{p:.9f}\n")
+                        if crossing is None and p <= 0.2:
+                            crossing = t
+                    label = f"{crossing:.3f}s" if crossing is not None else "none"
+                    print(
+                        f"{kind.value} load={load:g}Mb: delay at failure 0.2 = {label}"
+                    )
+        print(f"wrote delay_bounds.csv to {args.out}")
+        return 0
+
+    return [sc], write
 
 
-def cmd_delay_bounds(args) -> int:
-    sc = _resolve(args)
-    out = _prepare_out(args)
-    loads = _parse_float_list(args.loads)
-    kinds = (
-        netcalc.ChannelKind.CONTROL,
-        netcalc.ChannelKind.DIRECT,
-        netcalc.ChannelKind.RIS,
-    )
-    path = os.path.join(out, "delay_bounds.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("kind,load,t,failure_prob\n")
-        for kind in kinds:
-            for load in loads:
-                curve = netcalc.failure_curve(
-                    kind, load, args.t_max, sc.protocol, args.grid_dt
-                )
-                n = len(curve.values)
-                crossing = None
-                for i in range(1, n):
-                    t = i * curve.dt
-                    p = curve.values[i]
-                    fh.write(f"{kind.value},{load:g},{t:.6f},{p:.9f}\n")
-                    if crossing is None and p <= 0.2:
-                        crossing = t
-                label = f"{crossing:.3f}s" if crossing is not None else "none"
-                print(
-                    f"{kind.value} load={load:g}Mb: delay at failure 0.2 = {label}"
-                )
-    print(f"wrote delay_bounds.csv to {out}")
-    return 0
-
-
-def _parse_resolution_token(token: str) -> tuple[str, float | None]:
+def _resolution(token: str) -> tuple[PhaseMode, float | None]:
     if token in ("cont", "continuous"):
-        return "continuous", None
+        return PhaseMode.CONTINUOUS, None
     if token == "zero":
-        return "zero", None
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return "quantized", float(num) / float(den)
-    return "quantized", float(token)
+        return PhaseMode.ZERO, None
+    num, slash, den = token.partition("/")
+    try:
+        return PhaseMode.QUANTIZED, (float(num) / float(den) if slash else float(token))
+    except ZeroDivisionError:
+        raise ValueError(f"resolution {token!r} divides by zero") from None
 
 
-def cmd_phase_sweep(args) -> int:
-    sc = _resolve(args)
-    out = _prepare_out(args)
-    tokens = [t for t in args.resolutions.replace(" ", ",").split(",") if t]
-    path = os.path.join(out, "phase_sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("setting,resolution,capacity_mean_bps,capacity_ticks\n")
-        for token in tokens:
-            mode, res = _parse_resolution_token(token)
-            override = {"phase_mode": PhaseMode(mode)}
-            if res is not None:
-                override["phase_resolution"] = res
-            run_sc = dataclasses.replace(sc, **override)
-            trace = engine.run(run_sc)
-            served = trace.capacity_bps > 0.0
-            mean = float(np.mean(trace.capacity_bps[served])) if served.any() else 0.0
-            fh.write(
-                f"{token},{res if res is not None else ''},"
-                f"{mean:.9f},{int(served.sum())}\n"
-            )
-            print(f"{token}: capacity mean = {mean:.6f}")
-    print(f"wrote phase_sweep.csv to {out}")
-    return 0
+def cmd_phase_sweep(args):
+    sc = _scenario(args)
+    runs = []
+    for token in (t for t in args.resolutions.replace(" ", ",").split(",") if t):
+        mode, res = _resolution(token)
+        resolution = sc.phase_resolution if res is None else res
+        runs.append((token, res, dataclasses.replace(sc, phase_mode=mode, phase_resolution=resolution)))
+    if not runs:
+        raise ValueError("no phase resolutions given")
+
+    def write() -> int:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "phase_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("setting,resolution,capacity_mean_bps,capacity_ticks\n")
+            for token, res, run_sc in runs:
+                trace = engine.run(run_sc)
+                served = trace.capacity_bps > 0.0
+                mean = float(np.mean(trace.capacity_bps[served])) if served.any() else 0.0
+                fh.write(
+                    f"{token},{res if res is not None else ''},"
+                    f"{mean:.9f},{int(served.sum())}\n"
+                )
+                print(f"{token}: capacity mean = {mean:.6f}")
+        print(f"wrote phase_sweep.csv to {args.out}")
+        return 0
+
+    return [run_sc for _, _, run_sc in runs], write
 
 
-def cmd_ipr_sweep(args) -> int:
-    out = _prepare_out(args)
-    rosters = [int(round(r)) for r in _parse_float_list(args.rosters)]
-    thresholds = _parse_float_list(args.thresholds)
+def cmd_ipr_sweep(args):
+    thresholds = _numbers(args.thresholds)
     seed = args.seed if args.seed is not None else 1
-    overrides = _split_settings(args.set) if args.set else []
-    path = os.path.join(out, "ipr_sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("per_layer,switching,t_dur,ipr\n")
-        for per_layer in rosters:
-            for enabled in (True, False):
-                sc = scenarios.congestion_scenario(per_layer, seed)
-                sc = dataclasses.replace(sc, switching_enabled=enabled)
-                if overrides:
-                    sc = scenarios.apply_settings(sc, overrides)
+    runs = []
+    for per_layer in (int(p) for p in args.rosters.replace(" ", "").split(",")):
+        for enabled in (True, False):
+            sc = scenarios.congestion_scenario(per_layer, seed)
+            sc = dataclasses.replace(sc, switching_enabled=enabled)
+            runs.append((per_layer, enabled, scenarios.apply_settings(sc, args.set)))
+
+    def write() -> int:
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "ipr_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("per_layer,switching,t_dur,ipr\n")
+            for per_layer, enabled, sc in runs:
                 trace = engine.run(sc)
                 flag = "on" if enabled else "off"
                 for thr in thresholds:
@@ -149,87 +159,66 @@ def cmd_ipr_sweep(args) -> int:
                     f"{len(trace.episodes)} episodes, "
                     f"full prevention above {engine.ipr_threshold(trace):.2f}s"
                 )
-    print(f"wrote ipr_sweep.csv to {out}")
-    return 0
+        print(f"wrote ipr_sweep.csv to {args.out}")
+        return 0
+
+    return [sc for _, _, sc in runs], write
 
 
-def cmd_validate(args) -> int:
-    try:
-        sc = _resolve(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}")
-        return 1
-    problems = engine.validate_scenario(sc)
-    if problems:
-        for p in problems:
-            print(f"problem: {p}")
-        return 1
-    print(f"ok: {sc.name} ({len(sc.aircraft)} aircraft, {sc.duration_s:g}s)")
-    return 0
+def cmd_validate(args):
+    sc = _scenario(args)
 
+    def report() -> int:
+        print(f"ok: {sc.name} ({len(sc.aircraft)} aircraft, {sc.duration_s:g}s)")
+        return 0
 
-def _add_common(sub: argparse.ArgumentParser, default_scenario: str) -> None:
-    sub.add_argument(
-        "--scenario",
-        default=default_scenario,
-        help="builtin name or scenario file path",
-    )
-    sub.add_argument("--seed", type=int, default=None, help="override the seed")
-    sub.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one scenario setting (repeatable)",
-    )
+    return [sc], report
 
 
 def main(argv: list[str] | None = None) -> int:
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--seed", type=int, default=None, help="override the seed")
+    settings.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        type=_assignment,
+        metavar="KEY=VALUE",
+        help="override one scenario setting (repeatable)",
+    )
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="out", help="output directory")
+
     parser = argparse.ArgumentParser(
         prog="uamsim",
         description="Layered airspace simulator with surface-assisted links",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="run one scenario and dump its trace")
-    _add_common(sim, "table1-5perlayer")
-    sim.add_argument("--out", default="out", help="output directory")
-    sim.set_defaults(func=cmd_simulate)
+    def command(name, prepare, help, scenario=None, writes=True):
+        sub = subs.add_parser(name, help=help, parents=[settings, output] if writes else [settings])
+        if scenario is not None:
+            sub.add_argument("--scenario", default=scenario, help="builtin name or scenario file path")
+        sub.set_defaults(prepare=prepare)
+        return sub
 
-    delay = subs.add_parser(
-        "delay-bounds", help="tabulate delay-failure curves per transmission fashion"
+    command("simulate", cmd_simulate, "run one scenario and dump its trace", "table1-5perlayer")
+    delay = command(
+        "delay-bounds", cmd_delay_bounds,
+        "tabulate delay-failure curves per transmission fashion", "fig5-delay",
     )
-    _add_common(delay, "fig5-delay")
-    delay.add_argument("--out", default="out", help="output directory")
     delay.add_argument("--loads", default="5,15,25,35", help="loads in Mb")
     delay.add_argument("--t-max", type=float, default=2.0, help="largest budget (s)")
     delay.add_argument("--grid-dt", type=float, default=0.005, help="time grid step")
-    delay.set_defaults(func=cmd_delay_bounds)
-
-    phase = subs.add_parser(
-        "phase-sweep", help="capacity across phase resolutions"
-    )
-    _add_common(phase, "fig9-phase")
-    phase.add_argument("--out", default="out", help="output directory")
+    phase = command("phase-sweep", cmd_phase_sweep, "capacity across phase resolutions", "fig9-phase")
     phase.add_argument(
         "--resolutions",
         default="zero,1,1/3,1/6,1/12,cont",
         help="comma list of cont, zero or grid fractions of pi like 1/12",
     )
-    phase.set_defaults(func=cmd_phase_sweep)
-
-    iprs = subs.add_parser(
-        "ipr-sweep",
-        help="intrusion prevention across traffic densities, switching on and off",
-    )
-    iprs.add_argument("--out", default="out", help="output directory")
-    iprs.add_argument("--seed", type=int, default=None, help="override the seed")
-    iprs.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override one scenario setting (repeatable)",
+    iprs = command(
+        "ipr-sweep", cmd_ipr_sweep,
+        "intrusion prevention across traffic densities, switching on and off",
     )
     iprs.add_argument(
         "--rosters", default="5,20,30,50", help="aircraft per layer, comma list"
@@ -237,14 +226,18 @@ def main(argv: list[str] | None = None) -> int:
     iprs.add_argument(
         "--thresholds", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0"
     )
-    iprs.set_defaults(func=cmd_ipr_sweep)
-
-    val = subs.add_parser("validate", help="check a scenario without running it")
-    _add_common(val, "table1-5perlayer")
-    val.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check a scenario without running it", "table1-5perlayer", writes=False)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        checked, write = args.prepare(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}")
+        return 1
+    problems = dict.fromkeys(p for sc in checked for p in engine.validate_scenario(sc))
+    for p in problems:
+        print(f"problem: {p}")
+    return 1 if problems else write()
 
 
 if __name__ == "__main__":

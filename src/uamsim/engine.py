@@ -39,6 +39,7 @@ from .ris import (
     optimal_phase_shift,
     quantize_config,
     snr,
+    steering_rows,
 )
 from .switching import (
     BACKOFF_CAP,
@@ -127,15 +128,18 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("duration must be positive and finite")
     if any(len(p) != 2 or not np.all(np.isfinite(p)) for p in (sc.bs_pos, sc.stationary_ris_pos)):
         problems.append("base station and surface positions must be two finite numbers")
+    if sc.seed < 0:
+        problems.append("seed must be non-negative")
     if not 0.0 <= sc.switch_prob <= 0.5:
         problems.append("switch probability must lie in [0, 0.5]")
     if not 1 <= sc.initial_backoff <= BACKOFF_CAP:
         problems.append(f"initial back-off must lie in [1, {BACKOFF_CAP}]")
     if sc.neighbor_radius_m <= 0.0 or sc.target_window_m <= 0.0:
         problems.append("interaction radii must be positive")
-    root = math.isqrt(sc.ris_elements)
-    if root * root != sc.ris_elements or sc.ris_elements == 0:
-        problems.append("surface element count must be a positive perfect square")
+    try:
+        steering_rows(sc.ris_elements)
+    except ValueError as exc:
+        problems.append(f"surface {exc}")
     if sc.phase_mode is PhaseMode.QUANTIZED and sc.phase_resolution <= 0.0:
         problems.append("phase resolution must be positive")
     if sc.capture_band_m <= 0.0 or sc.capture_speed_mps <= 0.0:
@@ -340,7 +344,7 @@ class _Engine:
         self.pair_high = hi
         high_pos = (float(self.x[hi]), float(self.h[hi]))
         if sc.phase_mode is PhaseMode.ZERO:
-            self.phases = RowPhases(np.zeros(math.isqrt(sc.ris_elements)))
+            self.phases = RowPhases(np.zeros(steering_rows(sc.ris_elements)))
             return
         if sc.phase_mode is PhaseMode.CONTINUOUS:
             # phases track the geometry every tick; aligned_snr has them exactly

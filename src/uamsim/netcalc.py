@@ -282,6 +282,16 @@ def queueing_tail_ccdf(
     return Ccdf(t_max, dt, np.minimum.accumulate(values))
 
 
+def check_scan(load: float, t_max: float, grid_dt: float) -> None:
+    """Reject a load, budget or grid step that ``failure_curve`` cannot tabulate."""
+    if not 0.0 <= load < math.inf:
+        raise ValueError("load must be finite and non-negative")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("time budget must be positive and finite")
+    if not 0.0 < grid_dt <= t_max / 10.0:
+        raise ValueError("grid step must be positive and at most a tenth of the budget")
+
+
 def failure_curve(
     kind: ChannelKind,
     load: float,
@@ -296,12 +306,7 @@ def failure_curve(
     handshake steps and the queueing stage split the budget through a
     min-plus convolution of their tails.
     """
-    if load < 0.0:
-        raise ValueError("load cannot be negative")
-    if t_max <= 0.0:
-        raise ValueError("time budget must be positive")
-    if grid_dt > t_max / 10.0:
-        raise ValueError("grid too coarse for the requested budget")
+    check_scan(load, t_max, grid_dt)
     p = replace(params, data_volume=load)
     lam = p.arrival_rate if p.arrival_rate is not None else load
     success = queueing_tail_ccdf(service_curve_stack(kind, p), lam, t_max, grid_dt)

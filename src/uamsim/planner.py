@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ris import steering_rows
+
 
 @dataclass(frozen=True)
 class PsoParams:
@@ -60,9 +62,7 @@ class PlanningQuery:
     def __post_init__(self) -> None:
         if self.horizon_m[0] <= 0.0 or self.horizon_m[1] <= 0.0:
             raise ValueError("planning horizons must be positive")
-        root = math.isqrt(self.num_elements)
-        if root * root != self.num_elements or self.num_elements == 0:
-            raise ValueError("element count must be a positive perfect square")
+        steering_rows(self.num_elements)
         if self.resolution <= 0.0:
             raise ValueError("resolution must be positive")
 

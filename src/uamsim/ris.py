@@ -147,6 +147,13 @@ def cascaded_gain_bound(
     return num_elements * params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
 
 
+def steering_rows(num_elements: int) -> int:
+    """Rows of a square surface of ``num_elements`` elements, its square root."""
+    if num_elements < 1 or math.isqrt(num_elements) ** 2 != num_elements:
+        raise ValueError("element count must be a positive perfect square")
+    return math.isqrt(num_elements)
+
+
 def optimal_phase_shift(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float],
@@ -158,9 +165,7 @@ def optimal_phase_shift(
     theta_u = -pi * u * (cos_in - cos_out) per steering row u, wrapped into
     [0, 2*pi).  With these the cascade sum hits its magnitude bound exactly.
     """
-    rows = math.isqrt(num_elements)
-    if rows * rows != num_elements or num_elements == 0:
-        raise ValueError("element count must be a positive perfect square")
+    rows = steering_rows(num_elements)
     _, _, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
     theta = np.mod(-math.pi * np.arange(rows) * mismatch, TWO_PI)
     # mod can return the period itself when the operand is a tiny negative

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import typing
+from enum import Enum
 
 import numpy as np
 
@@ -25,13 +27,22 @@ _SECTIONS = {
     "protocol": ProtocolParams,
     "weights": FieldWeights,
 }
-_TOP_FIELDS = tuple(
-    f.name
-    for f in dataclasses.fields(Scenario)
-    if f.name not in _SECTIONS and f.name != "aircraft"
-)
-# fields that accept "none" in place of a value
-_NONE_OK = {"interference_pos", "arrival_rate"}
+
+
+def _declared_types(cls) -> dict[str, object]:
+    """Declared type of each plain setting of a settings dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: hints[f.name]
+        for f in dataclasses.fields(cls)
+        if f.name not in _SECTIONS and f.name != "aircraft"
+    }
+
+
+# setting types by key prefix: "" for the top-level fields, else the section
+_TYPES = {"": _declared_types(Scenario)} | {
+    name: _declared_types(cls) for name, cls in _SECTIONS.items()
+}
 
 
 def _format_value(value) -> str:
@@ -39,7 +50,7 @@ def _format_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (RisMode, PhaseMode)):
+    if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
         return ",".join(repr(float(v)) for v in value)
@@ -48,34 +59,26 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(field_name: str, raw: str, current):
-    if field_name in _NONE_OK and raw.lower() == "none":
-        return None
-    if isinstance(current, tuple) or field_name == "interference_pos":
+def _parse_value(name: str, kind, raw: str):
+    """Parse ``raw`` as a value of the declared type ``kind``."""
+    if type(None) in typing.get_args(kind):  # X | None
+        if raw.lower() == "none":
+            return None
+        (kind,) = set(typing.get_args(kind)) - {type(None)}
+    if typing.get_origin(kind) is tuple and set(typing.get_args(kind)) == {float}:
         parts = raw.split(",")
-        size = 2 if current is None else len(current)
-        if len(parts) != size:
-            raise ValueError(f"{field_name}: expected {size} numbers")
+        if len(parts) != len(typing.get_args(kind)):
+            raise ValueError(f"{name}: expected {len(typing.get_args(kind))} numbers")
         return tuple(float(p) for p in parts)
-    if field_name == "arrival_rate":
-        return float(raw)
-    if isinstance(current, RisMode) or field_name == "ris_mode":
-        return RisMode(raw)
-    if isinstance(current, PhaseMode) or field_name == "phase_mode":
-        return PhaseMode(raw)
-    if isinstance(current, bool):
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{field_name}: expected true or false, got {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, str):
-        return raw
-    raise ValueError(f"{field_name}: unsupported setting type")
+        raise ValueError(f"{name}: expected true or false, got {raw!r}")
+    if kind in (float, int, str) or issubclass(kind, Enum):
+        return kind(raw)  # an Enum by its value
+    raise TypeError(f"{name}: unsupported setting type {kind}")
 
 
 def _parse_aircraft(aid: int, raw: str) -> AircraftSpec:
@@ -93,44 +96,30 @@ def _parse_aircraft(aid: int, raw: str) -> AircraftSpec:
 
 def apply_settings(sc: Scenario, items: list[tuple[str, str]]) -> Scenario:
     """Return a scenario with the given dotted-key assignments applied."""
-    section_over: dict[str, dict] = {name: {} for name in _SECTIONS}
-    top_over: dict = {}
+    over: dict[str, dict] = {prefix: {} for prefix in _TYPES}
     craft = {a.aircraft_id: a for a in sc.aircraft}
-    craft_dirty = False
     for key, raw in items:
         key = key.strip()
         raw = raw.strip()
-        if key.startswith("aircraft."):
-            tail = key.split(".", 1)[1]
+        prefix, _, name = key.rpartition(".")
+        if prefix == "aircraft":
             try:
-                aid = int(tail)
+                aid = int(name)
             except ValueError:
                 raise ValueError(f"bad aircraft id in key {key!r}") from None
             craft[aid] = _parse_aircraft(aid, raw)
-            craft_dirty = True
-        elif "." in key:
-            section, field_name = key.split(".", 1)
-            if section not in _SECTIONS:
-                raise ValueError(f"unknown settings section {section!r}")
-            obj = getattr(sc, section)
-            names = {f.name for f in dataclasses.fields(obj)}
-            if field_name not in names:
-                raise ValueError(f"unknown setting {key!r}")
-            section_over[section][field_name] = _parse_value(
-                field_name, raw, getattr(obj, field_name)
-            )
+        elif prefix not in _TYPES or key.startswith("."):
+            raise ValueError(f"unknown settings section {prefix!r}")
+        elif name not in _TYPES[prefix]:
+            raise ValueError(f"unknown setting {key!r}")
         else:
-            if key not in _TOP_FIELDS:
-                raise ValueError(f"unknown setting {key!r}")
-            top_over[key] = _parse_value(key, raw, getattr(sc, key))
-    new_sections = {
-        name: dataclasses.replace(getattr(sc, name), **over)
-        for name, over in section_over.items()
-        if over
+            over[prefix][name] = _parse_value(name, _TYPES[prefix][name], raw)
+    sections = {
+        name: dataclasses.replace(getattr(sc, name), **over[name])
+        for name in _SECTIONS
+        if over[name]
     }
-    if craft_dirty:
-        top_over["aircraft"] = tuple(craft.values())
-    return dataclasses.replace(sc, **new_sections, **top_over)
+    return dataclasses.replace(sc, **over[""], **sections, aircraft=tuple(craft.values()))
 
 
 def load_scenario(path: str) -> Scenario:
@@ -149,14 +138,11 @@ def load_scenario(path: str) -> Scenario:
 
 def save_scenario(sc: Scenario, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for name in _TOP_FIELDS:
-            fh.write(f"{name} = {_format_value(getattr(sc, name))}\n")
-        for section in _SECTIONS:
-            obj = getattr(sc, section)
-            for f in dataclasses.fields(obj):
-                fh.write(
-                    f"{section}.{f.name} = {_format_value(getattr(obj, f.name))}\n"
-                )
+        for prefix, names in _TYPES.items():
+            obj = getattr(sc, prefix) if prefix else sc
+            for name in names:
+                key = f"{prefix}.{name}" if prefix else name
+                fh.write(f"{key} = {_format_value(getattr(obj, name))}\n")
         for a in sc.aircraft:
             fh.write(
                 f"aircraft.{a.aircraft_id} = {a.layer},{a.x!r},"

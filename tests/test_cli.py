@@ -1,10 +1,13 @@
 """Command-line entry points: artifacts, purity, exit codes."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from uamsim import cli
 from uamsim.cli import main
 
 
@@ -55,11 +58,62 @@ def test_validate_rejects_non_finite_settings(setting, message, capsys):
     assert capsys.readouterr().out.splitlines() == [message]
 
 
-def test_delay_bounds_rejects_a_non_finite_rate(tmp_path):
+def test_delay_bounds_rejects_a_non_finite_rate(tmp_path, capsys):
     """A NaN rate used to print "none" for every fashion."""
-    with pytest.raises(ValueError, match="omni_rate must be finite"):
-        main(["delay-bounds", "--out", str(tmp_path), "--set", "protocol.omni_rate=nan"])
+    rc = main(["delay-bounds", "--out", str(tmp_path), "--set", "protocol.omni_rate=nan"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == ["error: omni_rate must be finite"]
     assert not (tmp_path / "delay_bounds.csv").exists()
+
+
+_BAD_INPUTS = {
+    "unknown scenario": ["--scenario", "definitely-not-real"],
+    "section nan": ["--set", "channel.noise_power_w=nan"],
+    "scenario problem": ["--set", "dt=nan"],
+    "negative seed": ["--seed", "-1"],
+}
+_BAD_ARGUMENTS = {
+    "delay-bounds": [["--loads", "5,-1"], ["--grid-dt", "0"]],
+    "phase-sweep": [["--resolutions", "1,0"], ["--resolutions", "abc"], ["--resolutions", "1/0"], ["--resolutions", ","]],
+    "ipr-sweep": [["--rosters", "2,0"], ["--rosters", "2.5"], ["--rosters", "2", "--thresholds", "0.5,nan"]],
+}
+_REJECTIONS = [
+    pytest.param(command, bad, id=f"{command}-{label}")
+    for command in ("simulate", "delay-bounds", "phase-sweep", "ipr-sweep", "validate")
+    for label, bad in _BAD_INPUTS.items()
+    if not (command == "ipr-sweep" and label == "unknown scenario")  # it builds its own rosters
+] + [
+    pytest.param(command, bad, id=f"{command}-{' '.join(bad)}")
+    for command, cases in _BAD_ARGUMENTS.items()
+    for bad in cases
+]
+
+
+@pytest.mark.parametrize("command, bad", _REJECTIONS)
+def test_bad_input_is_rejected_before_anything_is_written(command, bad, tmp_path, monkeypatch, capsys):
+    """Every command checks all its scenarios and arguments first: bad input
+    gives exit 1 and only error/problem lines, and writes no file.  The
+    commands other than validate used to end in a traceback, the sweeps
+    after writing part of their CSV."""
+    monkeypatch.chdir(tmp_path)
+    out = [] if command == "validate" else ["--out", "out"]
+    assert main([command, *bad, *out]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(l.startswith(("error: ", "problem: ")) for l in lines), lines
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_module_entry_point_exits_1_without_a_traceback(tmp_path):
+    """The exit status reaches the process, as through the console script."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "uamsim.cli", "simulate", "--set", "dt=nan"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert done.stdout == "problem: dt must be positive and finite\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_writes_all_artifacts(tmp_path, capsys):

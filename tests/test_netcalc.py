@@ -11,6 +11,7 @@ from uamsim.netcalc import (
     ChannelKind,
     LatencyRateCurve,
     ProtocolParams,
+    check_scan,
     failure_curve,
     failure_probability,
     handshake_ccdf,
@@ -240,3 +241,24 @@ def test_params_validation():
         failure_curve(ChannelKind.RIS, -1.0, 2.0, PAR)
     with pytest.raises(ValueError):
         failure_curve(ChannelKind.RIS, 5.0, 2.0, PAR, grid_dt=0.5)
+
+
+@pytest.mark.parametrize(
+    "load, t_max, grid_dt",
+    [
+        (math.nan, 2.0, 0.005),
+        (math.inf, 2.0, 0.005),
+        (5.0, math.nan, 0.005),
+        (5.0, math.inf, 0.005),
+        (5.0, 2.0, 0.0),
+        (5.0, 2.0, -0.005),
+        (5.0, 2.0, math.nan),
+    ],
+)
+def test_a_scan_needs_finite_inputs_and_a_positive_grid(load, t_max, grid_dt):
+    """``uamsim delay-bounds`` checks its loads and grid with the same rule
+    the curve applies, before it writes."""
+    with pytest.raises(ValueError):
+        check_scan(load, t_max, grid_dt)
+    with pytest.raises(ValueError):
+        failure_curve(ChannelKind.RIS, load, t_max, PAR, grid_dt)

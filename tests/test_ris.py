@@ -1,12 +1,14 @@
 """Reflected-path channel model: gains, phase alignment, quantization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uamsim.engine import validate_scenario
 from uamsim.ris import (
     ChannelParams,
     RowPhases,
@@ -19,7 +21,9 @@ from uamsim.ris import (
     optimal_phase_shift,
     quantize_config,
     snr,
+    steering_rows,
 )
+from uamsim.scenarios import get_scenario
 
 
 PAR = ChannelParams()
@@ -200,6 +204,17 @@ def test_row_quantization_matches_the_element_quantization():
         for theta, q in zip(rows.phases, snapped.phases):
             one = math.fmod(math.ceil(float(theta) / step - 0.5) * step, 2.0 * math.pi)
             assert q == (0.0 if one >= 2.0 * math.pi else one)
+
+
+@pytest.mark.parametrize("count", [0, -4, 8, 1023])
+def test_a_surface_is_a_positive_perfect_square(count):
+    """One rule for the element count, shared by validation, the planner and
+    the phase solver; a negative count used to crash validation in isqrt."""
+    assert [steering_rows(n) for n in (1, 4, 1024)] == [1, 2, 32]
+    with pytest.raises(ValueError, match="positive perfect square"):
+        steering_rows(count)
+    sc = replace(get_scenario("fig9-phase"), ris_elements=count)
+    assert validate_scenario(sc) == ["surface element count must be a positive perfect square"]
 
 
 def test_row_phase_validation():

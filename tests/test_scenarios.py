@@ -213,6 +213,8 @@ def test_settings_reject_unknown_keys():
         apply_settings(sc, [("airspace.frobnicate", "1")])
     with pytest.raises(ValueError):
         apply_settings(sc, [("made_up_section.x", "1")])
+    with pytest.raises(ValueError, match="unknown settings section ''"):
+        apply_settings(sc, [(".dt", "0.2")])
     # the swarm settings went with the swarm planner
     with pytest.raises(ValueError):
         apply_settings(sc, [("pso.swarm_size", "30")])
