@@ -5,7 +5,8 @@ use, and only then writes.  Bad input ends the command before any file is
 written: ``error:`` lines for input that cannot be read, ``problem:`` lines
 for a scenario that fails validation, and exit status 1.  So each ``cmd_*``
 only builds: it returns the scenarios it will run and a function that runs
-them and writes, which ``main`` calls once every scenario has validated.
+them and writes, which ``main`` calls once every scenario has validated and
+it has made the ``--out`` directory.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ def cmd_simulate(args):
     sc = _scenario(args)
 
     def write() -> int:
-        os.makedirs(args.out, exist_ok=True)
         trace = engine.run(sc)
         engine.write_trace(trace, os.path.join(args.out, "trace.csv"))
         engine.write_events(trace, os.path.join(args.out, "events.csv"))
@@ -66,7 +66,6 @@ def cmd_delay_bounds(args):
         netcalc.check_scan(load, args.t_max, args.grid_dt)
 
     def write() -> int:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "delay_bounds.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("kind,load,t,failure_prob\n")
             for kind in netcalc.ChannelKind:
@@ -115,7 +114,6 @@ def cmd_phase_sweep(args):
         raise ValueError("no phase resolutions given")
 
     def write() -> int:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "phase_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("setting,resolution,capacity_mean_bps,capacity_ticks\n")
             for token, res, run_sc in runs:
@@ -144,7 +142,6 @@ def cmd_ipr_sweep(args):
             runs.append((per_layer, enabled, scenarios.apply_settings(sc, args.set)))
 
     def write() -> int:
-        os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "ipr_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
             fh.write("per_layer,switching,t_dur,ipr\n")
             for per_layer, enabled, sc in runs:
@@ -237,7 +234,15 @@ def main(argv: list[str] | None = None) -> int:
     problems = dict.fromkeys(p for sc in checked for p in engine.validate_scenario(sc))
     for p in problems:
         print(f"problem: {p}")
-    return 1 if problems else write()
+    if problems:
+        return 1
+    if "out" in args:
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            print(f"error: {exc}")
+            return 1
+    return write()
 
 
 if __name__ == "__main__":

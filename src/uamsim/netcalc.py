@@ -8,8 +8,8 @@ the rates take their minimum and the latencies add.
 * **Rate.**  Only the hops the data crosses set the rate: the omnidirectional
   channel for Control, the directional link for Direct, and the surface's
   incoming and outgoing hops for Ris, so min(in, out).  The handshake
-  messages never carry data; each is a pure delay (an infinite-rate server)
-  and cannot be the bottleneck.
+  messages never carry data; each is a pure delay, so only its latency
+  enters the stack and it cannot be the bottleneck.
 * **Latency.**  Each handshake step adds zeta * volume / omni_rate of its
   largest message; the data adds zeta * volume / rate once per data hop
   (twice for Ris, into and out of the surface).
@@ -23,10 +23,11 @@ the rates take their minimum and the latencies add.
   of the later completion, P{max > t} <= P{T_cts > t} + P{T_rtr > t}, the
   union bound, which like the min-plus split assumes no independence.
 
-Arrivals are Poisson in unit-size packets; the probability that the delay of
-a transfer exceeds a budget t combines the handshake retransmission tails
-with the queueing tail through a min-plus convolution over the time split,
-one split per handshake step.
+Arrivals are Poisson in unit-size packets.  A tail is a plain array on the
+one time grid ``failure_curve`` builds.  The probability that the delay of a
+transfer exceeds a budget t is the left fold of ``min_plus_convolve`` over
+the handshake steps' retransmission tails and then the queueing tail: one
+split of the budget per handshake step, none for Control.
 """
 
 from __future__ import annotations
@@ -88,38 +89,27 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class LatencyRateCurve:
-    """Service curve beta(t) = rate * (t - latency)+ .
-
-    An infinite rate is the pure delay: nothing before the latency, then
-    everything at once.
-    """
+    """Service curve beta(t) = rate * (t - latency)+ ."""
 
     rate: float
     latency: float
 
     def __post_init__(self) -> None:
-        if self.rate <= 0.0 or self.latency < 0.0:
-            raise ValueError("rate must be positive and latency non-negative")
+        if not (0.0 < self.rate < math.inf and 0.0 <= self.latency < math.inf):
+            raise ValueError("rate must be positive and latency non-negative, both finite")
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
-        lag = np.maximum(np.asarray(t, dtype=float) - self.latency, 0.0)
-        if math.isinf(self.rate):
-            return np.where(lag > 0.0, math.inf, 0.0)
-        return self.rate * lag
+        return self.rate * np.maximum(np.asarray(t, dtype=float) - self.latency, 0.0)
 
 
 @dataclass(frozen=True)
 class Ccdf:
-    """Tail probability tabulated on the uniform grid [0, t_max]."""
+    """Tail probability tabulated on the uniform grid 0, dt, 2 dt, ..."""
 
-    t_max: float
     dt: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        n = int(round(self.t_max / self.dt)) + 1
-        if len(self.values) != n:
-            raise ValueError("value count does not match the grid")
         v = np.asarray(self.values, dtype=float)
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
             raise ValueError("tail probabilities must lie in [0, 1]")
@@ -132,31 +122,17 @@ class Ccdf:
         return float(self.values[idx])
 
 
-def _cascade(a: LatencyRateCurve, b: LatencyRateCurve) -> LatencyRateCurve:
-    """Two latency-rate servers in series: minimum rate, summed latency."""
-    return LatencyRateCurve(min(a.rate, b.rate), a.latency + b.latency)
+def min_plus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Min-plus convolution of two tail tables on one grid.
 
-
-def min_plus_convolve(a, b):
-    """Min-plus convolution of two service curves or two tail tables.
-
-    For latency-rate curves the result is closed form: the rates take their
-    minimum and the latencies add.  For tabulated tails the infimum over the
-    grid split is taken exactly, then clamped back into [0, 1].
+    out[i] = min over j <= i of a[j] + b[i - j]: the infimum over every
+    split of the budget between the two stages, clamped back into [0, 1].
     """
-    if isinstance(a, LatencyRateCurve) and isinstance(b, LatencyRateCurve):
-        return _cascade(a, b)
-    if isinstance(a, Ccdf) and isinstance(b, Ccdf):
-        if abs(a.dt - b.dt) > 1e-15 or abs(a.t_max - b.t_max) > 1e-12:
-            raise ValueError("tail tables must share one grid")
-        av = a.values
-        bv = b.values
-        n = len(av)
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = np.min(av[: i + 1] + bv[i::-1])
-        return Ccdf(a.t_max, a.dt, np.clip(out, 0.0, 1.0))
-    raise TypeError("operands must be two curves or two tail tables")
+    n = len(a)
+    out = np.empty(n)
+    for i in range(n):
+        out[i] = np.min(a[: i + 1] + b[i::-1])
+    return np.clip(out, 0.0, 1.0)
 
 
 def poisson_delay_tail(
@@ -176,8 +152,8 @@ def poisson_delay_tail(
     )
 
 
-def retransmission_ccdf(loss_prob: float, ttl: float, t_max: float, dt: float) -> Ccdf:
-    """Tail of the handshake completion time under per-ttl retries.
+def retransmission_ccdf(loss_prob: float, ttl: float, t: np.ndarray) -> np.ndarray:
+    """Tail of the handshake completion time under per-ttl retries, at times t.
 
     P{T > t} = loss^ceil(t/ttl + 1): one mandatory attempt plus one retry
     per elapsed ttl.
@@ -186,9 +162,7 @@ def retransmission_ccdf(loss_prob: float, ttl: float, t_max: float, dt: float) -
         raise ValueError("loss probability must lie in [0, 1)")
     if ttl <= 0.0:
         raise ValueError("ttl must be positive")
-    t = np.arange(int(round(t_max / dt)) + 1) * dt
-    exponents = np.ceil(t / ttl + 1.0).astype(int)
-    return Ccdf(t_max, dt, np.power(loss_prob, exponents))
+    return np.power(loss_prob, np.ceil(t / ttl + 1.0).astype(int))
 
 
 class Message(NamedTuple):
@@ -198,33 +172,24 @@ class Message(NamedTuple):
     ttl: float
 
 
-def _handshake_steps(
+def _fashion(
     kind: ChannelKind, params: ProtocolParams
-) -> tuple[tuple[Message, ...], ...]:
-    """Handshake of one fashion as steps in series; a step's messages run together.
+) -> tuple[tuple[tuple[Message, ...], ...], tuple[float, ...]]:
+    """Handshake steps and data-hop rates (Mb/s) of one fashion, in order.
 
-    Direct: RTS, then CTS.  Ris: RTS, then CTS and RTR sent together on the
-    broadcast control plane.  Control has no handshake.
+    The steps run in series and a step's messages run together.  Control
+    has no handshake; Direct sends RTS, then CTS; Ris sends RTS, then CTS
+    and RTR together on the broadcast control plane.
     """
     rts = Message(params.rts_volume, params.rts_ttl)
     cts = Message(params.cts_volume, params.cts_ttl)
     if kind is ChannelKind.CONTROL:
-        return ()
+        return (), (params.omni_rate,)
     if kind is ChannelKind.DIRECT:
-        return ((rts,), (cts,))
+        return ((rts,), (cts,)), (params.direct_rate,)
     if kind is ChannelKind.RIS:
-        return ((rts,), (cts, Message(params.rtr_volume, params.rtr_ttl)))
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
-def _data_hops(kind: ChannelKind, params: ProtocolParams) -> tuple[float, ...]:
-    """Rates (Mb/s) of the hops the data crosses, in order."""
-    if kind is ChannelKind.CONTROL:
-        return (params.omni_rate,)
-    if kind is ChannelKind.DIRECT:
-        return (params.direct_rate,)
-    if kind is ChannelKind.RIS:
-        return (params.ris_rate_in, params.ris_rate_out)
+        rtr = Message(params.rtr_volume, params.rtr_ttl)
+        return ((rts,), (cts, rtr)), (params.ris_rate_in, params.ris_rate_out)
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
@@ -233,53 +198,33 @@ def service_curve_stack(kind: ChannelKind, params: ProtocolParams) -> LatencyRat
 
     Each handshake step is a pure delay of zeta * (largest message volume) /
     omni_rate; each data hop is a server of its own rate with latency
-    zeta * data_volume / rate.  The cascade of all of them (the min-plus
-    rule) therefore has the rate of the slowest data hop and the summed
-    latency of every step and hop.
+    zeta * data_volume / rate.  Their series (the min-plus rule) has the
+    rate of the slowest data hop and the summed latency of every step and
+    hop.
     """
     z = params.access_weight
-    hops = [
-        LatencyRateCurve(math.inf, z * max(m.volume for m in step) / params.omni_rate)
-        for step in _handshake_steps(kind, params)
-    ]
-    hops += [LatencyRateCurve(r, z * params.data_volume / r) for r in _data_hops(kind, params)]
-    return reduce(_cascade, hops)
-
-
-def handshake_ccdf(
-    kind: ChannelKind, params: ProtocolParams, t_max: float, dt: float
-) -> Ccdf | None:
-    """Tail of the handshake completion time, or None for a fashion without one.
-
-    A step ends when the last of its messages is through, so its tail is
-    bounded by the sum of the messages' retransmission tails (clamped to 1);
-    the steps in series split the budget by min-plus convolution.
-    """
-    tails = []
-    for step in _handshake_steps(kind, params):
-        union = sum(retransmission_ccdf(params.loss_prob, m.ttl, t_max, dt).values for m in step)
-        tails.append(Ccdf(t_max, dt, np.minimum(union, 1.0)))
-    return reduce(min_plus_convolve, tails) if tails else None
+    steps, rates = _fashion(kind, params)
+    latencies = [z * max(m.volume for m in step) / params.omni_rate for step in steps]
+    latencies += [z * params.data_volume / r for r in rates]
+    return LatencyRateCurve(min(rates), sum(latencies))
 
 
 def queueing_tail_ccdf(
-    curve: LatencyRateCurve, arrival_rate: float, t_max: float, dt: float
-) -> Ccdf:
-    """Delay tail of the queueing stage alone, tabulated on the grid.
+    curve: LatencyRateCurve, arrival_rate: float, t: np.ndarray
+) -> np.ndarray:
+    """Delay tail of the queueing stage alone, at the grid times t.
 
     Below the stack latency no service has happened, so the tail is 1; past
     it, the Poisson count over the budget must beat the accumulated service.
     """
-    n = int(round(t_max / dt)) + 1
-    t = np.arange(n) * dt
-    values = np.ones(n)
+    values = np.ones(len(t))
     served = t > curve.latency + 1e-15
     ts = t[served]
     values[served] = poisson_delay_tail(arrival_rate * ts, curve(ts))
     # Each point bounds the delay tail on its own; the tail itself is
     # non-increasing, so the running minimum is a tighter valid bound and
     # removes the sawtooth the integer threshold leaves between jumps.
-    return Ccdf(t_max, dt, np.minimum.accumulate(values))
+    return np.minimum.accumulate(values)
 
 
 def check_scan(load: float, t_max: float, grid_dt: float) -> None:
@@ -302,16 +247,21 @@ def failure_curve(
     """Delay-failure tail of a transfer of ``load`` Mb, tabulated to t_max.
 
     ``load`` sets the data volume of the stack and, unless the params pin an
-    arrival rate, the Poisson intensity over a one-second window.  The
-    handshake steps and the queueing stage split the budget through a
-    min-plus convolution of their tails.
+    arrival rate, the Poisson intensity over a one-second window.  Each
+    handshake step's tail is the union bound over its messages, clamped to
+    1; the steps and the queueing stage split the budget by one left fold
+    of min-plus convolutions, so Control's curve is its queueing tail.
     """
     check_scan(load, t_max, grid_dt)
     p = replace(params, data_volume=load)
     lam = p.arrival_rate if p.arrival_rate is not None else load
-    success = queueing_tail_ccdf(service_curve_stack(kind, p), lam, t_max, grid_dt)
-    handshake = handshake_ccdf(kind, p, t_max, grid_dt)
-    return success if handshake is None else min_plus_convolve(handshake, success)
+    t = np.arange(int(round(t_max / grid_dt)) + 1) * grid_dt
+    queue_tail = queueing_tail_ccdf(service_curve_stack(kind, p), lam, t)
+    step_tails = [
+        np.minimum(sum(retransmission_ccdf(p.loss_prob, m.ttl, t) for m in step), 1.0)
+        for step in _fashion(kind, p)[0]
+    ]
+    return Ccdf(grid_dt, reduce(min_plus_convolve, [*step_tails, queue_tail]))
 
 
 def failure_probability(

@@ -222,6 +222,13 @@ def _phase_sweep_base(seed: int) -> Scenario:
     )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The placement generator of a randomly drawn builtin."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
 def _flow_convergence(seed: int) -> Scenario:
     """Slow fleet entry, goal pull off: pure flow-field relaxation.
 
@@ -232,7 +239,7 @@ def _flow_convergence(seed: int) -> Scenario:
     decaying velocity terms.
     """
     air = AirspaceConfig()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = _seeded_rng(seed)
     counts = {0: 27, 1: 13, 2: 8}
     specs = []
     aid = 0
@@ -269,7 +276,7 @@ def congestion_scenario(per_layer: int, seed: int, name: str | None = None) -> S
     if per_layer < 1:
         raise ValueError("per_layer must be at least 1")
     air = AirspaceConfig()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = _seeded_rng(seed)
     return Scenario(
         name=name if name is not None else f"congestion-{per_layer}perlayer",
         aircraft=_random_specs(per_layer, air.course_length_m, rng),

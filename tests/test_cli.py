@@ -71,17 +71,21 @@ _BAD_INPUTS = {
     "section nan": ["--set", "channel.noise_power_w=nan"],
     "scenario problem": ["--set", "dt=nan"],
     "negative seed": ["--seed", "-1"],
+    "out names a file": ["--out", "F"],
 }
 _BAD_ARGUMENTS = {
     "delay-bounds": [["--loads", "5,-1"], ["--grid-dt", "0"]],
     "phase-sweep": [["--resolutions", "1,0"], ["--resolutions", "abc"], ["--resolutions", "1/0"], ["--resolutions", ","]],
     "ipr-sweep": [["--rosters", "2,0"], ["--rosters", "2.5"], ["--rosters", "2", "--thresholds", "0.5,nan"]],
+    # builtins drawn at random from their seed
+    "validate": [["--scenario", "fig11-cpf", "--seed", "-1"], ["--scenario", "fig12-ipr", "--seed", "-1"]],
 }
 _REJECTIONS = [
     pytest.param(command, bad, id=f"{command}-{label}")
     for command in ("simulate", "delay-bounds", "phase-sweep", "ipr-sweep", "validate")
     for label, bad in _BAD_INPUTS.items()
     if not (command == "ipr-sweep" and label == "unknown scenario")  # it builds its own rosters
+    and not (command == "validate" and label == "out names a file")  # it writes nothing
 ] + [
     pytest.param(command, bad, id=f"{command}-{' '.join(bad)}")
     for command, cases in _BAD_ARGUMENTS.items()
@@ -94,13 +98,20 @@ def test_bad_input_is_rejected_before_anything_is_written(command, bad, tmp_path
     """Every command checks all its scenarios and arguments first: bad input
     gives exit 1 and only error/problem lines, and writes no file.  The
     commands other than validate used to end in a traceback, the sweeps
-    after writing part of their CSV."""
+    after writing part of their CSV, and ``--out F`` naming an existing
+    file after passing every check."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "F").write_text("keep\n")
     out = [] if command == "validate" else ["--out", "out"]
-    assert main([command, *bad, *out]) == 1
+    assert main([command, *out, *bad]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines and all(l.startswith(("error: ", "problem: ")) for l in lines), lines
-    assert list(tmp_path.iterdir()) == []
+    if "--seed" in bad:
+        assert [l.split(": ", 1)[1] for l in lines] == ["seed must be non-negative"]
+    if "F" in bad:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert [p.name for p in tmp_path.iterdir()] == ["F"]
+    assert (tmp_path / "F").read_text() == "keep\n"
 
 
 def test_the_module_entry_point_exits_1_without_a_traceback(tmp_path):

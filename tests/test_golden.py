@@ -1,4 +1,5 @@
-"""Pinned artifacts: every builtin at seed 1 writes the same bytes as before.
+"""Pinned artifacts: every builtin at seed 1, and ``uamsim delay-bounds`` with
+its defaults, write the same bytes as before.
 
 A change that alters a digest must explain the new numbers in CHANGES.md and
 update the table below.
@@ -9,6 +10,7 @@ import hashlib
 import pytest
 
 from uamsim import engine, scenarios
+from uamsim.cli import main
 
 # scenario -> file -> (sha256, line count), for seed 1
 GOLDEN = {
@@ -61,6 +63,10 @@ GOLDEN = {
 
 FILES = ("trace.csv", "events.csv", "metrics.txt")
 
+# uamsim delay-bounds with default arguments: fig5-delay's protocol, loads
+# 5,15,25,35 Mb, budgets to 2 s on a 5 ms grid
+DELAY_BOUNDS = ("0c4b1ab9232dfdab90904d914462e4f36c41744da8341b85a9645c29e8a42c24", 4801)
+
 
 def write_artifacts(name, out):
     """Write the three deterministic artifacts of builtin ``name`` at seed 1."""
@@ -85,3 +91,9 @@ def test_builtin_artifacts_match_their_digests(name, tmp_path):
     for fname in FILES:
         got = digest(tmp_path / fname)
         assert got == GOLDEN[name][fname], f"{name}: {fname} differs from its pinned digest"
+
+
+def test_delay_bounds_match_their_digest(tmp_path, capsys):
+    assert main(["delay-bounds", "--out", str(tmp_path)]) == 0
+    got = digest(tmp_path / "delay_bounds.csv")
+    assert got == DELAY_BOUNDS, "delay_bounds.csv differs from its pinned digest"

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uamsim.netcalc import (
     Ccdf,
@@ -14,7 +16,6 @@ from uamsim.netcalc import (
     check_scan,
     failure_curve,
     failure_probability,
-    handshake_ccdf,
     min_plus_convolve,
     poisson_delay_tail,
     queueing_tail_ccdf,
@@ -35,12 +36,14 @@ def test_latency_rate_curve_shape():
     np.testing.assert_allclose(beta(t), [0.0, 0.0, 10.0, 30.0])
 
 
-def test_infinite_rate_is_pure_delay():
-    delay = LatencyRateCurve(rate=math.inf, latency=0.5)
-    np.testing.assert_array_equal(delay(np.array([0.0, 0.5, 0.51])), [0.0, 0.0, math.inf])
-    c = min_plus_convolve(delay, LatencyRateCurve(40.0, 0.2))
-    assert c.rate == 40.0
-    assert c.latency == pytest.approx(0.7, rel=1e-12)
+@pytest.mark.parametrize(
+    "rate, latency", [(math.inf, 0.5), (math.nan, 0.5), (0.0, 0.5), (20.0, -0.1), (20.0, math.inf)]
+)
+def test_latency_rate_curve_rejects_a_non_finite_or_empty_server(rate, latency):
+    """A handshake step is a pure delay held as a latency, never as an
+    infinite-rate curve: evaluating one would give inf * 0 = NaN."""
+    with pytest.raises(ValueError):
+        LatencyRateCurve(rate, latency)
 
 
 def test_stack_latencies():
@@ -78,7 +81,7 @@ def test_stack_latencies():
     )
 
 
-def _brute_handshake_and_failure(kind, load, t_max, dt, par):
+def _brute_failure(kind, load, t_max, dt, par):
     """Failure tail of T = T_rts + T_step2 + T_queue by brute force over the grid.
 
     The message sequence, spelled out: Direct sends RTS, then CTS; Ris sends
@@ -96,11 +99,8 @@ def _brute_handshake_and_failure(kind, load, t_max, dt, par):
         step2 = retry_tail(par.cts_ttl)
     else:
         step2 = np.minimum(retry_tail(par.cts_ttl) + retry_tail(par.rtr_ttl), 1.0)
-    handshake = np.array(
-        [min(rts[i] + step2[k - i] for i in range(k + 1)) for k in range(n)]
-    )
     p = replace(par, data_volume=load)
-    queue = queueing_tail_ccdf(service_curve_stack(kind, p), load, t_max, dt).values
+    queue = queueing_tail_ccdf(service_curve_stack(kind, p), load, t)
     failure = np.array(
         [
             min(
@@ -111,7 +111,7 @@ def _brute_handshake_and_failure(kind, load, t_max, dt, par):
             for k in range(n)
         ]
     )
-    return np.minimum(handshake, 1.0), np.minimum(failure, 1.0)
+    return np.minimum(failure, 1.0)
 
 
 def test_handshake_tails_match_message_sequence():
@@ -120,12 +120,15 @@ def test_handshake_tails_match_message_sequence():
     par = ProtocolParams(loss_prob=0.3, rts_ttl=0.05, cts_ttl=0.08, rtr_ttl=0.13)
     t_max, dt = 0.6, 0.01
     for kind in (ChannelKind.DIRECT, ChannelKind.RIS):
-        hs_brute, fail_brute = _brute_handshake_and_failure(kind, 12.0, t_max, dt, par)
-        hs = handshake_ccdf(kind, par, t_max, dt)
-        np.testing.assert_allclose(hs.values, hs_brute, rtol=0.0, atol=1e-12)
         fail = failure_curve(kind, 12.0, t_max, par, grid_dt=dt)
+        fail_brute = _brute_failure(kind, 12.0, t_max, dt, par)
         np.testing.assert_allclose(fail.values, fail_brute, rtol=0.0, atol=1e-12)
-    assert handshake_ccdf(ChannelKind.CONTROL, par, t_max, dt) is None
+    # Control has no handshake: its failure curve is its queueing tail
+    t = np.arange(int(round(t_max / dt)) + 1) * dt
+    p = replace(par, data_volume=12.0)
+    queue = queueing_tail_ccdf(service_curve_stack(ChannelKind.CONTROL, p), 12.0, t)
+    control = failure_curve(ChannelKind.CONTROL, 12.0, t_max, par, grid_dt=dt)
+    np.testing.assert_array_equal(control.values, queue)
 
 
 def test_poisson_tail_matches_direct_sum():
@@ -151,49 +154,40 @@ def test_poisson_tail_matches_direct_sum():
 
 def test_queueing_tail_is_one_before_service_starts():
     curve = LatencyRateCurve(rate=20.0, latency=0.6)
-    tail = queueing_tail_ccdf(curve, arrival_rate=10.0, t_max=2.0, dt=0.005)
-    t = np.arange(len(tail.values)) * 0.005
-    assert np.all(tail.values[t <= 0.6] == 1.0)
-    assert np.all(np.diff(tail.values) <= 1e-12), "tail must be non-increasing"
-    assert tail.values[-1] < 1e-6
+    t = np.arange(401) * 0.005
+    tail = queueing_tail_ccdf(curve, arrival_rate=10.0, t=t)
+    assert np.all(tail[t <= 0.6] == 1.0)
+    assert np.all(np.diff(tail) <= 1e-12), "tail must be non-increasing"
+    assert tail[-1] < 1e-6
 
 
 def test_retransmission_tail_values():
-    tail = retransmission_ccdf(0.15, 0.08, 1.0, 0.005)
+    t = np.array([0.0, 0.05, 0.1, 0.9])
+    tail = retransmission_ccdf(0.15, 0.08, t)
     # one mandatory attempt at t=0, one more chance per elapsed ttl
-    assert tail.at(0.0) == pytest.approx(0.15, rel=1e-12)
-    assert tail.at(0.05) == pytest.approx(0.15**2, rel=1e-12)
-    assert tail.at(0.1) == pytest.approx(0.15**3, rel=1e-12)
-    assert tail.at(0.9) <= 0.15**12
+    assert tail[0] == pytest.approx(0.15, rel=1e-12)
+    assert tail[1] == pytest.approx(0.15**2, rel=1e-12)
+    assert tail[2] == pytest.approx(0.15**3, rel=1e-12)
+    assert tail[3] <= 0.15**12
 
 
-def test_min_plus_of_curves_is_closed_form():
-    a = LatencyRateCurve(20.0, 0.3)
-    b = LatencyRateCurve(40.0, 0.2)
-    c = min_plus_convolve(a, b)
-    assert c.rate == 20.0
-    assert c.latency == pytest.approx(0.5, rel=1e-12)
+@st.composite
+def _tail_tables(draw):
+    """Two non-increasing tables in [0, 1] on one grid of 1 to 60 points."""
+    n = draw(st.integers(1, 60))
+    table = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return [np.sort(draw(table))[::-1] for _ in range(2)]
 
 
-def test_min_plus_of_tails_against_brute_force():
-    dt, t_max = 0.01, 0.5
-    n = int(round(t_max / dt)) + 1
-    rng = np.random.default_rng(5)
-    av = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
-    bv = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
-    a = Ccdf(t_max, dt, av)
-    b = Ccdf(t_max, dt, bv)
-    c = min_plus_convolve(a, b)
-    for i in range(0, n, 7):
+@settings(max_examples=200, deadline=None)
+@given(_tail_tables())
+def test_min_plus_of_tails_against_brute_force(tables):
+    av, bv = tables
+    c = min_plus_convolve(av, bv)
+    assert c.shape == av.shape
+    for i in range(len(av)):
         brute = min(av[j] + bv[i - j] for j in range(i + 1))
-        assert c.values[i] == pytest.approx(min(1.0, brute), abs=1e-12)
-
-
-def test_min_plus_rejects_mismatched_grids():
-    a = Ccdf(1.0, 0.01, np.ones(101))
-    b = Ccdf(1.0, 0.02, np.ones(51))
-    with pytest.raises(ValueError):
-        min_plus_convolve(a, b)
+        assert c[i] == min(1.0, brute)
 
 
 def test_failure_curve_monotone_in_time_and_load():
@@ -222,7 +216,7 @@ def test_pinned_arrival_rate_decouples_queueing():
 
 
 def test_ccdf_at_rounds_to_grid_and_guards_range():
-    c = Ccdf(1.0, 0.1, np.linspace(1.0, 0.0, 11))
+    c = Ccdf(0.1, np.linspace(1.0, 0.0, 11))
     assert c.at(0.3) == pytest.approx(0.7)
     assert c.at(1.0) == 0.0
     assert c.at(0.55) in (c.values[5], c.values[6])
