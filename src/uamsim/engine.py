@@ -126,6 +126,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("comm interval must be at least one tick")
     if not 0.0 < sc.duration_s < math.inf:
         problems.append("duration must be positive and finite")
+    elif 0.0 < sc.dt < math.inf:
+        ticks = sc.duration_s / sc.dt  # inf when dt is tiny enough
+        whole = math.isfinite(ticks) and abs(ticks - round(ticks)) <= 1e-9 * ticks
+        if not whole or round(ticks) < 1:
+            problems.append("duration must be a whole number of ticks, at least one")
     if any(len(p) != 2 or not np.all(np.isfinite(p)) for p in (sc.bs_pos, sc.stationary_ris_pos)):
         problems.append("base station and surface positions must be two finite numbers")
     if sc.seed < 0:
@@ -151,6 +156,9 @@ def validate_scenario(sc: Scenario) -> list[str]:
     ids = [a.aircraft_id for a in sc.aircraft]
     if len(set(ids)) != len(ids):
         problems.append("aircraft ids must be unique")
+    if any(aid < 0 for aid in ids):
+        # -1 marks "no airborne relay" in the trace and in ZERO_PATH events
+        problems.append("aircraft ids must be non-negative")
     for a in sc.aircraft:
         problems += [f"aircraft {a.aircraft_id}: {name} must be finite" for name in nonfinite(a)]
         if not 0.0 <= a.x < sc.airspace.course_length_m:
@@ -174,11 +182,13 @@ def validate_scenario(sc: Scenario) -> list[str]:
 
 @dataclass
 class SimTrace:
-    """Per-tick state table plus events and closed conflict episodes."""
+    """Per-tick state plus events and closed conflict episodes.
+
+    Each state column is an (n_ticks, n) array: index [k, j] is aircraft row
+    j, in roster (id) order, at tick k.  Times and ids come from the scenario.
+    """
 
     scenario: Scenario
-    t: np.ndarray
-    aircraft_id: np.ndarray
     x: np.ndarray
     h: np.ndarray
     vx: np.ndarray
@@ -189,6 +199,16 @@ class SimTrace:
     ris_partner: np.ndarray
     events: list[tuple[float, int, str, str]]
     episodes: list[tuple[int, int, float, float]]
+
+    @property
+    def t(self) -> np.ndarray:
+        """Time of each tick."""
+        return np.arange(len(self.x)) * self.scenario.dt
+
+    @property
+    def ids(self) -> np.ndarray:
+        """Aircraft id of each row."""
+        return np.array([a.aircraft_id for a in self.scenario.aircraft], dtype=int)
 
     @property
     def episode_durations(self) -> np.ndarray:
@@ -234,7 +254,7 @@ def merge_episodes(
     previous episode; a longer clean spell starts a fresh one.  Codes are
     pairs of rows of ``ids``, which is sorted, so row order is id order.
     """
-    ticks = np.repeat(np.array([k for k, _ in log], dtype=int), [len(c) for _, c in log])
+    ticks = np.concatenate([np.empty(0, dtype=int), *(np.full(len(c), k) for k, c in log)])
     codes = np.concatenate([np.empty(0, dtype=int), *(c for _, c in log)])
     order = np.lexsort((ticks, codes))
     k, c = ticks[order], codes[order]
@@ -402,21 +422,23 @@ class _Engine:
 
     def run(self) -> SimTrace:
         sc = self.sc
-        n_ticks = int(round(sc.duration_s / sc.dt))
-        n = self.n
-        out_t = np.repeat(np.arange(n_ticks) * sc.dt, n)
-        out_id = np.tile(self.ids, n_ticks)
-        out_x = np.empty(n_ticks * n)
-        out_h = np.empty(n_ticks * n)
-        out_vx = np.empty(n_ticks * n)
-        out_vy = np.empty(n_ticks * n)
-        out_layer = np.empty(n_ticks * n, dtype=int)
-        out_mode = np.empty(n_ticks * n, dtype=int)
-        out_cap = np.zeros(n_ticks * n)
-        out_ris = np.full(n_ticks * n, -1, dtype=int)
+        shape = (int(round(sc.duration_s / sc.dt)), self.n)
+        trace = SimTrace(
+            scenario=sc,
+            x=np.empty(shape),
+            h=np.empty(shape),
+            vx=np.empty(shape),
+            vy=np.empty(shape),
+            layer=np.empty(shape, dtype=int),
+            mode=np.empty(shape, dtype=int),
+            capacity_bps=np.zeros(shape),
+            ris_partner=np.full(shape, -1, dtype=int),
+            events=self.events,
+            episodes=[],
+        )
         dec = time_decimals(sc.dt)
 
-        for k in range(n_ticks):
+        for k in range(shape[0]):
             t = k * sc.dt
             self._capture_step(t)
             fleet = self._fleet()
@@ -429,21 +451,17 @@ class _Engine:
                 # A craft that commits to a manoeuvre this tick is recorded
                 # as Switching for this tick; keep episode accounting in step
                 # with the recorded modes.
-                conflicts = conflicts[~(fired[conflicts // n] | fired[conflicts % n])]
+                lo, hi = np.divmod(conflicts, self.n)
+                conflicts = conflicts[~(fired[lo] | fired[hi])]
                 self.violations.append((k, conflicts))
             acc = self._accelerations(fleet._replace(resident=self.switch.resident), ring)
             cap_now = self._tick_capacity(t)
 
-            sl = slice(k * n, (k + 1) * n)
-            out_x[sl] = self.x
-            out_h[sl] = self.h
-            out_vx[sl] = self.vx
-            out_vy[sl] = self.vy
-            out_layer[sl] = self.layer
-            out_mode[sl] = self.switch.mode
+            trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy
+            trace.layer[k], trace.mode[k] = self.layer, self.switch.mode
             if self.pair_high >= 0 and cap_now > 0.0:
-                out_cap[k * n + self.pair_high] = cap_now
-                out_ris[k * n + self.pair_high] = (
+                trace.capacity_bps[k, self.pair_high] = cap_now
+                trace.ris_partner[k, self.pair_high] = (
                     self.ids[self.pair_low] if self.pair_low >= 0 else -1
                 )
 
@@ -460,28 +478,13 @@ class _Engine:
             self.x = (self.x + self.vx * sc.dt) % self.course
             self.h += self.vy * sc.dt
 
-        episodes = merge_episodes(self.violations, self.ids, sc.dt)
-        for a, b, start, end in episodes:
-            dur = end - start + sc.dt
+        trace.episodes = merge_episodes(self.violations, self.ids, sc.dt)
+        for (a, b, start, _), dur in zip(trace.episodes, trace.episode_durations):
             self.events.append((start, a, "CFL", f"with={b} dur={dur:.{dec}f}"))
             if dur > sc.intrusion_threshold_s + 1e-12:
                 self.events.append((start, a, "INTRUSION", f"with={b} dur={dur:.{dec}f}"))
         self.events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return SimTrace(
-            scenario=sc,
-            t=out_t,
-            aircraft_id=out_id,
-            x=out_x,
-            h=out_h,
-            vx=out_vx,
-            vy=out_vy,
-            layer=out_layer,
-            mode=out_mode,
-            capacity_bps=out_cap,
-            ris_partner=out_ris,
-            events=self.events,
-            episodes=episodes,
-        )
+        return trace
 
     # --- per-tick stages ---------------------------------------------------
 
@@ -516,9 +519,10 @@ class _Engine:
         # contending for the same separation gap reset a pending counter.  A
         # request on the far side of the ring says nothing about this gap.
         # Row i's conflict partners are partners[starts[i]:starts[i + 1]].
-        rows = np.concatenate((conflicts // n, conflicts % n))
+        lo, hi = np.divmod(conflicts, n)
+        rows = np.concatenate((lo, hi))
         by_row = np.argsort(rows)
-        partners = np.concatenate((conflicts % n, conflicts // n))[by_row]
+        partners = np.concatenate((hi, lo))[by_row]
         starts = np.searchsorted(rows[by_row], np.arange(n + 1))
         # The control plane is instantaneous within a tick: a row hears the
         # requests released before it in this pass, so two contenders never
@@ -588,15 +592,13 @@ def composite_field_total(trace: SimTrace) -> np.ndarray:
     scenarios run, nothing is lost.
     """
     sc = trace.scenario
-    n = len(sc.aircraft)
-    n_ticks = len(trace.t) // n
+    n, ids = len(sc.aircraft), trace.ids
     no_goals = Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
-    out = np.zeros(n_ticks)
-    for k in range(n_ticks):
-        sl = slice(k * n, (k + 1) * n)
+    out = np.zeros(len(trace.x))
+    for k in range(len(trace.x)):
         fleet = fleet_state(
-            trace.x[sl], trace.h[sl], trace.vx[sl], trace.vy[sl], trace.layer[sl],
-            trace.mode[sl] != MODE_SWITCHING, trace.aircraft_id[sl], sc.airspace,
+            trace.x[k], trace.h[k], trace.vx[k], trace.vy[k], trace.layer[k],
+            trace.mode[k] != MODE_SWITCHING, ids, sc.airspace,
         )
         ring = ring_neighbours(fleet, sc.airspace)
         out[k] = potential(fleet, ring, no_goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
@@ -624,15 +626,12 @@ def summarize(trace: SimTrace) -> dict[str, float | int | str]:
     out["capacity_mean"] = (
         round(float(np.mean(trace.capacity_bps[served])), 6) if np.any(served) else 0.0
     )
-    half = trace.t > sc.duration_s / 2.0
+    half = (trace.t > sc.duration_s / 2.0)[:, None]
     for lay in (0, 1, 2):
         rows = (trace.layer == lay) & ~switching_ticks & half
         if np.any(rows):
             out[f"speed_mean_layer{lay}"] = round(float(np.mean(trace.vx[rows])), 6)
     return out
-
-
-_WRITE_BLOCK_ROWS = 4096
 
 
 def write_trace(trace: SimTrace, path: str) -> None:
@@ -641,11 +640,9 @@ def write_trace(trace: SimTrace, path: str) -> None:
     The time column comes from the tick index, at the decimals dt needs.
     """
     dt = trace.scenario.dt
-    n = len(trace.scenario.aircraft)
     dec = time_decimals(dt)
-    stamps = [f"{k * dt:.{dec}f}" for k in range(len(trace.t) // n)]
+    ids = trace.ids.tolist()
     columns = (
-        trace.aircraft_id,
         trace.x,
         trace.h,
         trace.vx,
@@ -657,13 +654,15 @@ def write_trace(trace: SimTrace, path: str) -> None:
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
-        # Python lists format fastest; a block at a time bounds their memory.
-        for start in range(0, len(trace.t), _WRITE_BLOCK_ROWS):
-            block = zip(*(c[start : start + _WRITE_BLOCK_ROWS].tolist() for c in columns))
+        # Python lists format fastest; a tick at a time bounds their memory.
+        for k in range(len(trace.x)):
+            stamp = f"{k * dt:.{dec}f}"
             fh.writelines(
-                f"{stamps[i // n]},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
+                f"{stamp},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
                 f"{lay},{MODE_NAMES[mode]},{cap:.6f},{ris}\n"
-                for i, (aid, x, h, vx, vy, lay, mode, cap, ris) in enumerate(block, start)
+                for aid, x, h, vx, vy, lay, mode, cap, ris in zip(
+                    ids, *(c[k].tolist() for c in columns)
+                )
             )
 
 

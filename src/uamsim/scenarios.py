@@ -59,7 +59,23 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, kind, raw: str):
+# what each plain type expects, for the message when a value does not parse
+_EXPECTED = {float: "a number", int: "an integer"}
+
+
+def _convert(key: str, kind, raw: str):
+    """``kind(raw)``, an Enum by its value; a ValueError names ``key``."""
+    try:
+        return kind(raw)
+    except ValueError:
+        if issubclass(kind, Enum):
+            expected = "one of " + ", ".join(m.value for m in kind)
+        else:
+            expected = _EXPECTED[kind]
+        raise ValueError(f"{key}: expected {expected}, got {raw!r}") from None
+
+
+def _parse_value(key: str, kind, raw: str):
     """Parse ``raw`` as a value of the declared type ``kind``."""
     if type(None) in typing.get_args(kind):  # X | None
         if raw.lower() == "none":
@@ -68,30 +84,26 @@ def _parse_value(name: str, kind, raw: str):
     if typing.get_origin(kind) is tuple and set(typing.get_args(kind)) == {float}:
         parts = raw.split(",")
         if len(parts) != len(typing.get_args(kind)):
-            raise ValueError(f"{name}: expected {len(typing.get_args(kind))} numbers")
-        return tuple(float(p) for p in parts)
+            raise ValueError(f"{key}: expected {len(typing.get_args(kind))} numbers")
+        return tuple(_convert(key, float, p) for p in parts)
     if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"{name}: expected true or false, got {raw!r}")
+        raise ValueError(f"{key}: expected true or false, got {raw!r}")
     if kind in (float, int, str) or issubclass(kind, Enum):
-        return kind(raw)  # an Enum by its value
-    raise TypeError(f"{name}: unsupported setting type {kind}")
+        return _convert(key, kind, raw)
+    raise TypeError(f"{key}: unsupported setting type {kind}")
 
 
 def _parse_aircraft(aid: int, raw: str) -> AircraftSpec:
+    key = f"aircraft.{aid}"
     parts = [p.strip() for p in raw.split(",")]
     if not 2 <= len(parts) <= 4:
-        raise ValueError(
-            f"aircraft.{aid}: expected layer,x[,speed_offset[,altitude_offset]]"
-        )
-    layer = int(parts[0])
-    x = float(parts[1])
-    dv = float(parts[2]) if len(parts) > 2 else 0.0
-    dh = float(parts[3]) if len(parts) > 3 else 0.0
-    return AircraftSpec(aid, layer, x, dv, dh)
+        raise ValueError(f"{key}: expected layer,x[,speed_offset[,altitude_offset]]")
+    layer = _convert(key, int, parts[0])
+    return AircraftSpec(aid, layer, *(_convert(key, float, p) for p in parts[1:]))
 
 
 def apply_settings(sc: Scenario, items: list[tuple[str, str]]) -> Scenario:
@@ -113,7 +125,7 @@ def apply_settings(sc: Scenario, items: list[tuple[str, str]]) -> Scenario:
         elif name not in _TYPES[prefix]:
             raise ValueError(f"unknown setting {key!r}")
         else:
-            over[prefix][name] = _parse_value(name, _TYPES[prefix][name], raw)
+            over[prefix][name] = _parse_value(key, _TYPES[prefix][name], raw)
     sections = {
         name: dataclasses.replace(getattr(sc, name), **over[name])
         for name in _SECTIONS
@@ -153,73 +165,25 @@ def save_scenario(sc: Scenario, path: str) -> None:
 # --- built-in scenarios ----------------------------------------------------
 
 
-def _even_specs(per_layer: int, course: float) -> tuple[AircraftSpec, ...]:
-    specs = []
-    aid = 0
-    for lay in (0, 1, 2):
-        for k in range(per_layer):
-            specs.append(AircraftSpec(aid, lay, x=k * course / per_layer))
-            aid += 1
-    return tuple(specs)
-
-
-def _random_specs(
-    per_layer: int, course: float, rng: np.random.Generator
-) -> tuple[AircraftSpec, ...]:
-    specs = []
-    aid = 0
-    for lay in (0, 1, 2):
-        for x in np.sort(rng.uniform(0.0, course, per_layer)):
-            specs.append(AircraftSpec(aid, lay, x=float(x)))
-            aid += 1
-    return tuple(specs)
-
-
-def _baseline(seed: int) -> Scenario:
+def _roster(per_layer: int, rng: np.random.Generator | None = None) -> tuple[AircraftSpec, ...]:
+    """``per_layer`` aircraft in each layer, ids in layer order: evenly spaced
+    along the course, or, given ``rng``, drawn uniformly and sorted."""
     course = AirspaceConfig().course_length_m
-    return Scenario(
-        name="table1-5perlayer",
-        aircraft=_even_specs(5, course),
-        seed=seed,
+    xs = [
+        np.arange(per_layer) * course / per_layer if rng is None
+        else np.sort(rng.uniform(0.0, course, per_layer))
+        for _ in (0, 1, 2)
+    ]
+    return tuple(
+        AircraftSpec(lay * per_layer + k, lay, x=float(x))
+        for lay in (0, 1, 2)
+        for k, x in enumerate(xs[lay])
     )
 
 
-def _capacity_airborne(seed: int) -> Scenario:
-    sc = _baseline(seed)
-    return dataclasses.replace(
-        sc,
-        name="fig6-airborne",
-        phase_mode=PhaseMode.CONTINUOUS,
-        ris_mode=RisMode.AIRBORNE,
-    )
-
-
-def _capacity_interference(seed: int) -> Scenario:
-    sc = _capacity_airborne(seed)
-    channel = dataclasses.replace(
-        sc.channel,
-        interference_pos=(800.0, 100.0),
-        interference_power_w=1.26e-3,
-        interference_alpha=2.2,
-    )
-    return dataclasses.replace(sc, name="fig6-interference", channel=channel)
-
-
-def _capacity_stationary(seed: int) -> Scenario:
-    sc = _capacity_airborne(seed)
-    return dataclasses.replace(
-        sc, name="fig6-stationary", ris_mode=RisMode.STATIONARY
-    )
-
-
-def _phase_sweep_base(seed: int) -> Scenario:
-    sc = _baseline(seed)
-    return dataclasses.replace(
-        sc,
-        name="fig9-phase",
-        phase_mode=PhaseMode.QUANTIZED,
-        phase_resolution=1.0 / 12.0,
-    )
+def _even(name: str, **settings) -> typing.Callable[[int], Scenario]:
+    """A builtin flying five evenly spaced aircraft per layer."""
+    return lambda seed: Scenario(name=name, aircraft=_roster(5), seed=seed, **settings)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -275,40 +239,35 @@ def congestion_scenario(per_layer: int, seed: int, name: str | None = None) -> S
     """
     if per_layer < 1:
         raise ValueError("per_layer must be at least 1")
-    air = AirspaceConfig()
-    rng = _seeded_rng(seed)
     return Scenario(
         name=name if name is not None else f"congestion-{per_layer}perlayer",
-        aircraft=_random_specs(per_layer, air.course_length_m, rng),
+        aircraft=_roster(per_layer, _seeded_rng(seed)),
         seed=seed,
     )
 
 
-def _congestion(seed: int) -> Scenario:
-    """Random placement at the baseline density; a few pairs start violated."""
-    return congestion_scenario(5, seed, name="fig12-ipr")
+_INTERFERER = ChannelParams(
+    interference_pos=(800.0, 100.0), interference_power_w=1.26e-3, interference_alpha=2.2
+)
 
-
-def _congestion_dense(seed: int) -> Scenario:
-    """Random placement far beyond the layer capacities: permanent crowding."""
-    return congestion_scenario(30, seed, name="fig12-ipr-dense")
-
-
-def _protocol_only(seed: int) -> Scenario:
-    sc = _baseline(seed)
-    return dataclasses.replace(sc, name="fig5-delay")
-
-
+# Each builtin by name, built from its seed.  The congestion builtins look
+# congestion_scenario up at call time, so a wrapper bound to it sees them.
 BUILTIN = {
-    "table1-5perlayer": _baseline,
-    "fig6-airborne": _capacity_airborne,
-    "fig6-interference": _capacity_interference,
-    "fig6-stationary": _capacity_stationary,
-    "fig9-phase": _phase_sweep_base,
+    "table1-5perlayer": _even("table1-5perlayer"),
+    "fig6-airborne": _even("fig6-airborne", phase_mode=PhaseMode.CONTINUOUS),
+    "fig6-interference": _even(
+        "fig6-interference", phase_mode=PhaseMode.CONTINUOUS, channel=_INTERFERER
+    ),
+    "fig6-stationary": _even(
+        "fig6-stationary", phase_mode=PhaseMode.CONTINUOUS, ris_mode=RisMode.STATIONARY
+    ),
+    "fig9-phase": _even("fig9-phase"),
     "fig11-cpf": _flow_convergence,
-    "fig12-ipr": _congestion,
-    "fig12-ipr-dense": _congestion_dense,
-    "fig5-delay": _protocol_only,
+    # random placement at the baseline density; a few pairs start violated
+    "fig12-ipr": lambda seed: congestion_scenario(5, seed, name="fig12-ipr"),
+    # random placement far beyond the layer capacities: permanent crowding
+    "fig12-ipr-dense": lambda seed: congestion_scenario(30, seed, name="fig12-ipr-dense"),
+    "fig5-delay": _even("fig5-delay"),
 }
 
 

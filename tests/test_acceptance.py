@@ -318,7 +318,7 @@ def test_criterion_05_speed_regulation_on_even_rings():
     manoeuvres, over the full 40 s run."""
     sc = scenarios.get_scenario("table1-5perlayer")
     tr = run(sc)
-    late = (tr.t > 10.0) & (tr.mode != MODE_SWITCHING)
+    late = (tr.t > 10.0)[:, None] & (tr.mode != MODE_SWITCHING)
     refs = np.array([30.0, 45.0, 60.0])
     dev = np.abs(tr.vx[late] - refs[tr.layer[late]])
     vy = np.abs(tr.vy[tr.mode != MODE_SWITCHING])

@@ -58,6 +58,32 @@ def test_validate_rejects_non_finite_settings(setting, message, capsys):
     assert capsys.readouterr().out.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        pytest.param(setting, message, id=setting)
+        for setting, message in [
+            ("comm_interval=1.5", "error: comm_interval: expected an integer, got '1.5'"),
+            (
+                "phase_mode=foo",
+                "error: phase_mode: expected one of continuous, quantized, zero, got 'foo'",
+            ),
+            ("dt=abc", "error: dt: expected a number, got 'abc'"),
+            ("bs_pos=1,abc", "error: bs_pos: expected a number, got 'abc'"),
+            ("channel.noise_power_w=x", "error: channel.noise_power_w: expected a number, got 'x'"),
+            ("aircraft.0=1,abc", "error: aircraft.0: expected a number, got 'abc'"),
+            ("aircraft.0=one,100", "error: aircraft.0: expected an integer, got 'one'"),
+        ]
+    ],
+)
+def test_a_setting_that_does_not_parse_is_named(setting, message, capsys):
+    """These used to print the bare conversion error, such as
+    ``could not convert string to float: 'abc'``, without the setting."""
+    rc = main(["validate", "--set", setting])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+
+
 def test_delay_bounds_rejects_a_non_finite_rate(tmp_path, capsys):
     """A NaN rate used to print "none" for every fashion."""
     rc = main(["delay-bounds", "--out", str(tmp_path), "--set", "protocol.omni_rate=nan"])
@@ -70,6 +96,11 @@ _BAD_INPUTS = {
     "unknown scenario": ["--scenario", "definitely-not-real"],
     "section nan": ["--set", "channel.noise_power_w=nan"],
     "scenario problem": ["--set", "dt=nan"],
+    # -1 marks "no airborne relay" in trace.csv and ZERO_PATH events
+    "negative aircraft id": ["--set", "aircraft.-1=1,401"],
+    # durations that are not a whole number of ticks used to be rounded
+    "duration under one tick": ["--set", "duration_s=0.01"],
+    "duration between ticks": ["--set", "duration_s=1.05"],
     "negative seed": ["--seed", "-1"],
     "out names a file": ["--out", "F"],
 }

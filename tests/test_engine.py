@@ -69,7 +69,7 @@ def test_even_spacing_stays_quiet():
     assert len(tr.episodes) == 0
     assert not any(ev[2] == "LS_REQ" for ev in tr.events)
     expected = {0: 30.0, 1: 45.0, 2: 60.0}
-    late = tr.t > 6.0
+    late = (tr.t > 6.0)[:, None]
     for lay, ref in expected.items():
         sel = late & (tr.layer == lay)
         dev = np.max(np.abs(tr.vx[sel] - ref))
@@ -197,7 +197,7 @@ def test_ring_wraparound_is_seamless():
     tr = run(sc)
     assert np.min(tr.x) < 100.0 and np.max(tr.x) > 1900.0
     # velocity stays smooth through the seam
-    assert np.max(np.abs(np.diff(tr.vx))) < 1.0
+    assert np.max(np.abs(np.diff(tr.vx, axis=0))) < 1.0
 
 
 def test_events_sorted_and_paired():
@@ -219,11 +219,11 @@ def test_switch_completion_changes_layer():
         pytest.skip("seed produced no completed manoeuvre in the window")
     t_done, aid, _, detail = done[0]
     target = int(detail.split("=")[1])
-    rows = tr.aircraft_id == aid
-    after = rows & (tr.t > t_done + 0.2)
-    assert np.all(tr.layer[after][:5] == target)
+    row = tr.ids.tolist().index(aid)
+    after = tr.t > t_done + 0.2
+    assert np.all(tr.layer[after, row][:5] == target)
     # captured close to the layer altitude
-    h_after = tr.h[after][:5]
+    h_after = tr.h[after, row][:5]
     assert np.all(np.abs(h_after - target * 100.0) < 5.0)
 
 
@@ -366,7 +366,7 @@ def test_fine_dt_prints_one_timestamp_per_tick(tmp_path):
 def test_default_dt_times_keep_one_decimal(tmp_path):
     tr = run(_short(scenarios.get_scenario("fig12-ipr", seed=2), 3.0))
     write_trace(tr, str(tmp_path / "trace.csv"))
-    assert _columns(tmp_path / "trace.csv") == [f"{t:.1f}" for t in tr.t]
+    assert _columns(tmp_path / "trace.csv") == [f"{t:.1f}" for t in tr.t for _ in tr.ids]
 
 
 def _parked_on_the_served_aircraft(phase_mode):
@@ -488,8 +488,7 @@ def test_engine_invariants_on_random_fleets(rows, ticks, seed):
             run(sc)
         return
     air, n = sc.airspace, len(specs)
-    layer = tr.layer.reshape(ticks, n)
-    switching = tr.mode.reshape(ticks, n) == MODE_SWITCHING
+    switching = tr.mode == MODE_SWITCHING
     for aid in range(n):
         ls = [
             (round(t / sc.dt), kind, int(detail.split("=")[1]))
@@ -502,15 +501,15 @@ def test_engine_invariants_on_random_fleets(rows, ticks, seed):
         expected = np.zeros(ticks, dtype=bool)
         for j in range(0, len(ls), 2):
             k_req, _, target = ls[j]
-            assert abs(target - layer[k_req, aid]) == 1
+            assert abs(target - tr.layer[k_req, aid]) == 1
             k_done = ticks
             if j + 1 < len(ls):
                 k_done, _, landed = ls[j + 1]
-                assert landed == target and layer[k_done, aid] == target
+                assert landed == target and tr.layer[k_done, aid] == target
             expected[k_req:k_done] = True
         assert np.array_equal(switching[:, aid], expected)
     assert np.all(np.hypot(tr.vx, tr.vy) <= air.max_speed_mps + 1e-9)
-    resident = ~switching.ravel()
+    resident = ~switching
     band = np.abs(tr.h[resident] - air.layer_altitude(tr.layer[resident]))
     assert np.all(band <= air.layer_spacing_m / 2.0)
     assert _written(run(sc)) == _written(tr)

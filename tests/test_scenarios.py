@@ -74,6 +74,7 @@ def _valid_scenarios(draw):
         for aid in ids
     )
     source = draw(st.none() | _point)
+    dt = draw(_floats(1e-3, 1.0))
     return Scenario(
         name=draw(st.text(max_size=12)),
         airspace=air,
@@ -87,9 +88,9 @@ def _valid_scenarios(draw):
         ),
         weights=FieldWeights(goal=draw(_floats(0.0, 1.0)), repulse=draw(_floats(0.0, 1e5))),
         aircraft=craft,
-        dt=draw(_floats(1e-3, 1.0)),
+        dt=dt,
         comm_interval=draw(st.integers(1, 20)),
-        duration_s=draw(_floats(1e-2, 1e4)),
+        duration_s=draw(st.integers(1, 10**4)) * dt,  # a whole number of ticks
         seed=draw(st.integers(0, 2**63)),
         switch_prob=draw(_floats(0.0, 0.5)),
         switching_enabled=draw(st.booleans()),
