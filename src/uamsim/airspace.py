@@ -172,12 +172,26 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     middle of a switch manoeuvre are not counted, exactly as they drop out of
     the same-layer ring: conflict accounting covers layer residents, and a
     switcher re-enters it at capture.  Returns row-pair codes.
+
+    A hit needs |dh| <= dist < coeff * (faster speed), so two layers whose
+    altitude bands are at least coeff times their fastest speed apart are
+    skipped before their pair matrices are built; rounding is monotone, so
+    the skip drops no pair the matrices would find.
     """
-    rows_a, rows_b = [], []
+    rows_a, rows_b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     coeff = cfg.vertical_separation_coeff
-    groups = {lay: layer_residents(fleet, lay) for lay in (0, 1, 2)}
+    groups = [layer_residents(fleet, lay) for lay in (0, 1, 2)]
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
+    # lowest and highest altitude and fastest speed of each layer's residents;
+    # an empty layer is infinitely far from every other
+    bands = [
+        (h[g].min(), h[g].max(), speed[g].max()) if len(g) else (np.inf, -np.inf, 0.0)
+        for g in groups
+    ]
     for la, lb in ((0, 1), (1, 2), (0, 2)):
+        (lo_a, hi_a, fast_a), (lo_b, hi_b, fast_b) = bands[la], bands[lb]
+        if max(lo_b - hi_a, lo_a - hi_b) >= coeff * max(fast_a, fast_b):
+            continue
         ga, gb = groups[la], groups[lb]
         sx = ring_offset(x[ga][:, None] - x[gb][None, :], cfg.course_length_m)
         sh = h[ga][:, None] - h[gb][None, :]

@@ -34,10 +34,15 @@ def _scenario(args) -> engine.Scenario:
     return scenarios.apply_settings(scenarios.get_scenario(args.scenario, args.seed), args.set)
 
 
-def _numbers(raw: str) -> list[float]:
-    values = [float(p) for p in raw.replace(" ", "").split(",") if p]
+def _numbers(option: str, raw: str, kind: type = float) -> list:
+    """The comma list given to ``--option``: finite floats, or ints."""
+    try:
+        values = [kind(p) for p in raw.replace(" ", "").split(",") if p]
+    except ValueError:
+        values = []
     if not values or not all(map(math.isfinite, values)):
-        raise ValueError(f"expected a comma list of finite numbers, got {raw!r}")
+        noun = "integers" if kind is int else "finite numbers"
+        raise ValueError(f"--{option}: expected a comma list of {noun}, got {raw!r}")
     return values
 
 
@@ -61,7 +66,7 @@ def cmd_simulate(args):
 
 def cmd_delay_bounds(args):
     sc = _scenario(args)
-    loads = _numbers(args.loads)
+    loads = _numbers("loads", args.loads)
     for load in loads:
         netcalc.check_scan(load, args.t_max, args.grid_dt)
 
@@ -99,8 +104,12 @@ def _resolution(token: str) -> tuple[PhaseMode, float | None]:
     num, slash, den = token.partition("/")
     try:
         return PhaseMode.QUANTIZED, (float(num) / float(den) if slash else float(token))
+    except ValueError:
+        raise ValueError(
+            f"--resolutions: expected cont, zero, a number or a fraction like 1/12, got {token!r}"
+        ) from None
     except ZeroDivisionError:
-        raise ValueError(f"resolution {token!r} divides by zero") from None
+        raise ValueError(f"--resolutions: {token!r} divides by zero") from None
 
 
 def cmd_phase_sweep(args):
@@ -111,7 +120,7 @@ def cmd_phase_sweep(args):
         resolution = sc.phase_resolution if res is None else res
         runs.append((token, res, dataclasses.replace(sc, phase_mode=mode, phase_resolution=resolution)))
     if not runs:
-        raise ValueError("no phase resolutions given")
+        raise ValueError(f"--resolutions: expected at least one resolution, got {args.resolutions!r}")
 
     def write() -> int:
         with open(os.path.join(args.out, "phase_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -132,10 +141,10 @@ def cmd_phase_sweep(args):
 
 
 def cmd_ipr_sweep(args):
-    thresholds = _numbers(args.thresholds)
+    thresholds = _numbers("thresholds", args.thresholds)
     seed = args.seed if args.seed is not None else 1
     runs = []
-    for per_layer in (int(p) for p in args.rosters.replace(" ", "").split(",")):
+    for per_layer in _numbers("rosters", args.rosters, int):
         for enabled in (True, False):
             sc = scenarios.congestion_scenario(per_layer, seed)
             sc = dataclasses.replace(sc, switching_enabled=enabled)

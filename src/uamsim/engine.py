@@ -642,28 +642,26 @@ def write_trace(trace: SimTrace, path: str) -> None:
     dt = trace.scenario.dt
     dec = time_decimals(dt)
     ids = trace.ids.tolist()
-    columns = (
-        trace.x,
-        trace.h,
-        trace.vx,
-        trace.vy,
-        trace.layer,
-        trace.mode,
-        trace.capacity_bps,
-        trace.ris_partner,
-    )
+    n = len(ids)
+    names = np.array(MODE_NAMES, dtype=object)
+    # One % format per tick over its cells, interleaved row by row; a tick at
+    # a time bounds their memory.
+    fmt = "%s,%d,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%d\n" * n
+    cells = [None] * (10 * n)
+    cells[1::10] = ids
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
-        # Python lists format fastest; a tick at a time bounds their memory.
         for k in range(len(trace.x)):
-            stamp = f"{k * dt:.{dec}f}"
-            fh.writelines(
-                f"{stamp},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
-                f"{lay},{MODE_NAMES[mode]},{cap:.6f},{ris}\n"
-                for aid, x, h, vx, vy, lay, mode, cap, ris in zip(
-                    ids, *(c[k].tolist() for c in columns)
-                )
-            )
+            cells[0::10] = [f"{k * dt:.{dec}f}"] * n
+            cells[2::10] = trace.x[k].tolist()
+            cells[3::10] = trace.h[k].tolist()
+            cells[4::10] = trace.vx[k].tolist()
+            cells[5::10] = trace.vy[k].tolist()
+            cells[6::10] = trace.layer[k].tolist()
+            cells[7::10] = names[trace.mode[k]].tolist()
+            cells[8::10] = trace.capacity_bps[k].tolist()
+            cells[9::10] = trace.ris_partner[k].tolist()
+            fh.write(fmt % tuple(cells))
 
 
 def write_events(trace: SimTrace, path: str) -> None:

@@ -110,6 +110,20 @@ def test_vertical_separation_head_on_and_oblique():
     assert not hit(c * (edge / 2 + 0.1), s * (edge / 2 + 0.1), CFG)
 
 
+def test_a_vertical_approach_hits_up_to_the_band_bound():
+    """Straight down onto a hovering craft: dist is the height gap and
+    cos gamma is 1, so the pair is a hit just inside coeff * (faster speed)
+    and is skipped from that gap on."""
+    cfg = AirspaceConfig(vertical_separation_coeff=1.0)
+
+    def hits(gap):
+        fleet = _fleet([(0, 5.0, 0.0, 0.0, 0.0, 0), (1, 5.0, gap, 0.0, -60.0, 1)], cfg)
+        return _ids(fleet, cross_layer_conflicts(fleet, cfg))
+
+    assert hits(59.999) == {(0, 1)}
+    assert hits(60.0) == set()
+
+
 def test_vertical_separation_receding_is_zero():
     receding = _fleet([(0, 0.0, 0.0, -30.0, 0.0, 0), (1, 1.0, 0.5, 0.0, 0.0, 1)])
     assert _ids(receding, cross_layer_conflicts(receding, CFG)) == set()
@@ -173,6 +187,74 @@ def test_conflict_translation_invariant(rows, shift):
     """A ring translation by an exactly representable shift keeps the pairs."""
     ids = list(range(len(rows)))
     assert _conflicts(_grid_fleet(rows, ids, shift)) == _conflicts(_grid_fleet(rows, ids))
+
+
+def _cross_layer_reference(fleet, cfg):
+    """The cross-layer rule one resident pair at a time, lower layer first."""
+    codes = []
+    n = len(fleet.x)
+    for i in range(n):
+        for j in range(n):
+            if not (fleet.resident[i] and fleet.resident[j] and fleet.layer[i] < fleet.layer[j]):
+                continue
+            sx = ring_offset(fleet.x[i] - fleet.x[j], cfg.course_length_m)
+            sh = fleet.h[i] - fleet.h[j]
+            dist = np.hypot(sx, sh)
+            rvx, rvy = fleet.vx[i] - fleet.vx[j], fleet.vy[i] - fleet.vy[j]
+            rnorm = np.hypot(rvx, rvy)
+            cosg = 0.0
+            if rnorm != 0.0 and dist != 0.0:
+                cosg = min(max(-(sx * rvx + sh * rvy) / (dist * rnorm), 0.0), 1.0)
+            vsep = cfg.vertical_separation_coeff * max(fleet.speed[i], fleet.speed[j]) * cosg
+            if 0.0 < dist < vsep and abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9:
+                codes.append(min(i, j) * n + max(i, j))
+    return sorted(codes)
+
+
+def _layered_fleet(data, max_offset):
+    """Up to 8 aircraft within 100 m of the ring's seam, x often coincident,
+    altitudes within ``max_offset`` of their layer, some mid-switch.  Climb
+    rates up to 60 m/s give the near-vertical approaches that reach the
+    band bound."""
+    count = data.draw(st.integers(1, 8))
+    xs = st.one_of(
+        st.sampled_from([0.0, 0.5, 1999.5]), st.floats(0.0, 100.0), st.floats(1900.0, 1999.999)
+    )
+    rows = [
+        data.draw(
+            st.tuples(
+                xs,
+                st.floats(-max_offset, max_offset),
+                st.floats(-40.0, 60.0),
+                st.floats(-60.0, 60.0),
+                st.integers(0, 2),
+                st.booleans(),
+            )
+        )
+        for _ in range(count)
+    ]
+    x, offset, vx, vy, layer, resident = (np.array(c) for c in zip(*rows))
+    h = layer * CFG.layer_spacing_m + offset
+    return fleet_state(x, h, vx, vy, layer, resident, np.arange(count), CFG)
+
+
+@pytest.mark.parametrize(
+    "max_offset, coeffs",
+    [
+        # bands close enough for the pair matrices to be evaluated
+        pytest.param(50.0, st.floats(0.0, 10.0), id="evaluated"),
+        # residents as the engine keeps them: every layer pair is out of reach
+        pytest.param(2.2, st.just(CFG.vertical_separation_coeff), id="culled"),
+    ],
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cross_layer_rule_matches_the_per_pair_loop(max_offset, coeffs, data):
+    """Skipping layer pairs whose altitude bands are out of reach drops no
+    pair that the full comparison would find."""
+    fleet = _layered_fleet(data, max_offset)
+    cfg = replace(CFG, vertical_separation_coeff=data.draw(coeffs))
+    assert cross_layer_conflicts(fleet, cfg).tolist() == _cross_layer_reference(fleet, cfg)
 
 
 def test_same_layer_conflict_uses_faster_speed():

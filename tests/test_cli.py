@@ -84,6 +84,71 @@ def test_a_setting_that_does_not_parse_is_named(setting, message, capsys):
     assert capsys.readouterr().out.splitlines() == [message]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(argv, message, id=" ".join(argv))
+        for argv, message in [
+            (
+                ["delay-bounds", "--loads", "5,abc"],
+                "error: --loads: expected a comma list of finite numbers, got '5,abc'",
+            ),
+            (
+                ["delay-bounds", "--loads", "5,nan"],
+                "error: --loads: expected a comma list of finite numbers, got '5,nan'",
+            ),
+            (
+                ["ipr-sweep", "--rosters", "abc"],
+                "error: --rosters: expected a comma list of integers, got 'abc'",
+            ),
+            (
+                ["ipr-sweep", "--rosters", "2.5"],
+                "error: --rosters: expected a comma list of integers, got '2.5'",
+            ),
+            (
+                ["ipr-sweep", "--thresholds", "0.5,nan"],
+                "error: --thresholds: expected a comma list of finite numbers, got '0.5,nan'",
+            ),
+            (
+                ["phase-sweep", "--resolutions", "1/x"],
+                "error: --resolutions: expected cont, zero, a number or a fraction like 1/12, got '1/x'",
+            ),
+            (["phase-sweep", "--resolutions", "1/0"], "error: --resolutions: '1/0' divides by zero"),
+            (
+                ["phase-sweep", "--resolutions", ","],
+                "error: --resolutions: expected at least one resolution, got ','",
+            ),
+        ]
+    ],
+)
+def test_an_option_that_does_not_parse_is_named(argv, message, tmp_path, capsys):
+    """These used to print the bare conversion error, such as
+    ``could not convert string to float: 'abc'``, without the option."""
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out.splitlines() == [message]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_only_the_delay_bounds_load_the_special_functions(tmp_path):
+    """scipy.special, for the Poisson tail alone, stays out of a simulate run."""
+    code = (
+        "import sys\n"
+        "import uamsim\n"
+        "from uamsim import cli\n"
+        "cli.main(['simulate', '--set', 'duration_s=1', '--out', 'sim'])\n"
+        "print('loaded', 'scipy.special' in sys.modules)\n"
+        "cli.main(['delay-bounds', '--loads', '5', '--out', 'delay'])\n"
+        "print('loaded', 'scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = [l for l in done.stdout.splitlines() if l.startswith("loaded ")]
+    assert loaded == ["loaded False", "loaded True"]
+
+
 def test_delay_bounds_rejects_a_non_finite_rate(tmp_path, capsys):
     """A NaN rate used to print "none" for every fashion."""
     rc = main(["delay-bounds", "--out", str(tmp_path), "--set", "protocol.omni_rate=nan"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from uamsim import engine, scenarios
 from uamsim.airspace import cross_layer_conflicts, ring_neighbours
 from uamsim.fields import CollisionError, FieldWeights
-from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_SWITCHING
+from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
 from uamsim.engine import (
     AircraftSpec,
     PhaseMode,
@@ -367,6 +367,50 @@ def test_default_dt_times_keep_one_decimal(tmp_path):
     tr = run(_short(scenarios.get_scenario("fig12-ipr", seed=2), 3.0))
     write_trace(tr, str(tmp_path / "trace.csv"))
     assert _columns(tmp_path / "trace.csv") == [f"{t:.1f}" for t in tr.t for _ in tr.ids]
+
+
+def _write_trace_per_row(trace, path):
+    """The trace writer as one f-string per row, kept as write_trace's reference."""
+    dt = trace.scenario.dt
+    dec = time_decimals(dt)
+    ids = trace.ids.tolist()
+    columns = (trace.x, trace.h, trace.vx, trace.vy, trace.layer, trace.mode,
+               trace.capacity_bps, trace.ris_partner)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
+        for k in range(len(trace.x)):
+            stamp = f"{k * dt:.{dec}f}"
+            fh.writelines(
+                f"{stamp},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
+                f"{lay},{MODE_NAMES[mode]},{cap:.6f},{ris}\n"
+                for aid, x, h, vx, vy, lay, mode, cap, ris in zip(
+                    ids, *(c[k].tolist() for c in columns)
+                )
+            )
+
+
+def _same_trace_bytes(tr, tmp_path):
+    write_trace(tr, str(tmp_path / "trace.csv"))
+    _write_trace_per_row(tr, str(tmp_path / "reference.csv"))
+    return (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.025], ids=["2-decimal", "3-decimal"])
+@pytest.mark.parametrize("name", sorted(scenarios.BUILTIN))
+def test_write_trace_matches_the_per_row_formatter(name, dt, tmp_path):
+    """The golden digests pin dt 0.1 only; finer steps stamp more decimals."""
+    tr = run(replace(scenarios.get_scenario(name, seed=1), dt=dt, duration_s=2.0))
+    assert _same_trace_bytes(tr, tmp_path)
+
+
+def test_write_trace_matches_the_per_row_formatter_on_edge_values(tmp_path):
+    tr = run(_short(scenarios.get_scenario("fig6-airborne", seed=1), 1.0))
+    tr.x[0, 0] = tr.h[0, 1] = -0.0
+    tr.vx[1, 0], tr.vy[1, 1], tr.vx[2, 2] = 1e15, -1e15, -1e-7
+    tr.capacity_bps[2] = 0.0
+    tr.capacity_bps[3, 0] = 1e15
+    assert _same_trace_bytes(tr, tmp_path)
+    assert "-0.000000" in (tmp_path / "trace.csv").read_text()
 
 
 def _parked_on_the_served_aircraft(phase_mode):
