@@ -22,6 +22,14 @@ def nonfinite(settings) -> list[str]:
     return names
 
 
+class OutOfRange(ValueError):
+    """A value outside its range; ``param`` names the argument that held it."""
+
+    def __init__(self, param: str, message: str) -> None:
+        super().__init__(message)
+        self.param = param
+
+
 @dataclass(frozen=True)
 class AirspaceConfig:
     """Static description of the layered corridor.

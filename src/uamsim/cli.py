@@ -20,7 +20,11 @@ import sys
 import numpy as np
 
 from . import engine, netcalc, scenarios
+from .airspace import OutOfRange
 from .engine import PhaseMode
+
+# the option that carries each range-checked argument
+_OPTIONS = {"load": "loads", "t_max": "t-max", "grid_dt": "grid-dt", "per_layer": "rosters"}
 
 
 def _assignment(entry: str) -> tuple[str, str]:
@@ -78,11 +82,9 @@ def cmd_delay_bounds(args):
                     curve = netcalc.failure_curve(
                         kind, load, args.t_max, sc.protocol, args.grid_dt
                     )
-                    n = len(curve.values)
                     crossing = None
-                    for i in range(1, n):
+                    for i, p in enumerate(curve.values[1:], start=1):
                         t = i * curve.dt
-                        p = curve.values[i]
                         fh.write(f"{kind.value},{load:g},{t:.6f},{p:.9f}\n")
                         if crossing is None and p <= 0.2:
                             crossing = t
@@ -238,7 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         checked, write = args.prepare(args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}")
+        option = f"--{_OPTIONS[exc.param]}: " if isinstance(exc, OutOfRange) else ""
+        print(f"error: {option}{exc}")
         return 1
     problems = dict.fromkeys(p for sc in checked for p in engine.validate_scenario(sc))
     for p in problems:

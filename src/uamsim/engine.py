@@ -36,6 +36,7 @@ from .ris import (
     ZeroLengthPath,
     aligned_snr,
     capacity,
+    grid_steps,
     optimal_phase_shift,
     quantize_config,
     snr,
@@ -145,8 +146,11 @@ def validate_scenario(sc: Scenario) -> list[str]:
         steering_rows(sc.ris_elements)
     except ValueError as exc:
         problems.append(f"surface {exc}")
-    if sc.phase_mode is PhaseMode.QUANTIZED and sc.phase_resolution <= 0.0:
-        problems.append("phase resolution must be positive")
+    if sc.phase_mode is PhaseMode.QUANTIZED and math.isfinite(sc.phase_resolution):
+        try:
+            grid_steps(sc.phase_resolution)
+        except ValueError as exc:
+            problems.append(str(exc))
     if sc.capture_band_m <= 0.0 or sc.capture_speed_mps <= 0.0:
         problems.append("capture tolerances must be positive")
     if sc.capture_band_m >= sc.airspace.layer_spacing_m / 2.0:

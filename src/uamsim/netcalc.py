@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import nonfinite
+from .airspace import OutOfRange, nonfinite
 
 
 class ChannelKind(Enum):
@@ -71,17 +71,14 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if bad := nonfinite(self):
             raise ValueError(f"{', '.join(bad)} must be finite")
-        for r in (self.omni_rate, self.direct_rate, self.ris_rate_in, self.ris_rate_out):
-            if r <= 0.0:
-                raise ValueError("rates must be positive")
-        for v in (self.rts_volume, self.cts_volume, self.rtr_volume, self.data_volume):
-            if v < 0.0:
-                raise ValueError("message volumes cannot be negative")
+        if min(self.omni_rate, self.direct_rate, self.ris_rate_in, self.ris_rate_out) <= 0.0:
+            raise ValueError("rates must be positive")
+        if min(self.rts_volume, self.cts_volume, self.rtr_volume, self.data_volume) < 0.0:
+            raise ValueError("message volumes cannot be negative")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss probability must lie in [0, 1)")
-        for ttl in (self.rts_ttl, self.cts_ttl, self.rtr_ttl):
-            if ttl <= 0.0:
-                raise ValueError("retransmission ttls must be positive")
+        if min(self.rts_ttl, self.cts_ttl, self.rtr_ttl) <= 0.0:
+            raise ValueError("retransmission ttls must be positive")
         if self.access_weight <= 0.0:
             raise ValueError("access weight must be positive")
 
@@ -232,11 +229,11 @@ def queueing_tail_ccdf(
 def check_scan(load: float, t_max: float, grid_dt: float) -> None:
     """Reject a load, budget or grid step that ``failure_curve`` cannot tabulate."""
     if not 0.0 <= load < math.inf:
-        raise ValueError("load must be finite and non-negative")
+        raise OutOfRange("load", "load must be finite and non-negative")
     if not 0.0 < t_max < math.inf:
-        raise ValueError("time budget must be positive and finite")
+        raise OutOfRange("t_max", "time budget must be positive and finite")
     if not 0.0 < grid_dt <= t_max / 10.0:
-        raise ValueError("grid step must be positive and at most a tenth of the budget")
+        raise OutOfRange("grid_dt", "grid step must be positive and at most a tenth of the budget")
 
 
 def failure_curve(

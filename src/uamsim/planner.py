@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ris import steering_rows
+from .ris import grid_steps, steering_rows
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ class PlanningQuery:
         if self.horizon_m[0] <= 0.0 or self.horizon_m[1] <= 0.0:
             raise ValueError("planning horizons must be positive")
         steering_rows(self.num_elements)
-        if self.resolution <= 0.0:
-            raise ValueError("resolution must be positive")
+        grid_steps(self.resolution)
 
     def search_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Closed (lower, upper) corners of the box the solvers search.
@@ -104,7 +103,7 @@ def grid_fitness(
     multiplicity, so the mean over the rows equals the mean over all L
     elements.  Vectorized over any array of mismatches.
     """
-    u = np.arange(math.isqrt(num_elements), dtype=float)
+    u = np.arange(steering_rows(num_elements), dtype=float)
     terms = np.multiply.outer(np.asarray(mismatch, dtype=float), u)
     residual = terms - np.round(terms / resolution) * resolution
     return np.mean(residual**2, axis=-1)
@@ -123,7 +122,7 @@ def best_mismatch(
     m* = resolution * sum(u k_u) / sum(u^2), clipped to the piece.  The best
     of those candidates is the global minimum.
     """
-    u = np.arange(1, math.isqrt(num_elements), dtype=float)
+    u = np.arange(1, steering_rows(num_elements), dtype=float)
     if u.size == 0:  # a single element has nothing to align
         return min(max(near, m_lo), m_hi)
     k = round(near / resolution)

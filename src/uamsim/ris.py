@@ -43,9 +43,8 @@ class ChannelParams:
             raise ValueError(f"{', '.join(bad)} must be finite")
         if self.ref_gain <= 0.0 or self.tx_power_w <= 0.0 or self.noise_power_w <= 0.0:
             raise ValueError("powers and reference gain must be positive")
-        for a in (self.alpha_bs_k, self.alpha_bs_i, self.alpha_i_k, self.interference_alpha):
-            if a <= 0.0:
-                raise ValueError("path-loss exponents must be positive")
+        if min(self.alpha_bs_k, self.alpha_bs_i, self.alpha_i_k, self.interference_alpha) <= 0.0:
+            raise ValueError("path-loss exponents must be positive")
         if self.bandwidth_hz <= 0.0:
             raise ValueError("bandwidth must be positive")
         if self.interference_power_w < 0.0:
@@ -75,8 +74,7 @@ class RowPhases:
         if not (rows.min() >= 0.0 and rows.max() < TWO_PI):  # NaN fails too
             raise ValueError("phases must lie in [0, 2*pi)")
         if self.resolution is not None:
-            if self.resolution <= 0.0:
-                raise ValueError("resolution must be positive")
+            grid_steps(self.resolution)
             ratio = rows / (self.resolution * math.pi)
             if np.abs(ratio - np.rint(ratio)).max() > 1e-9:
                 raise ValueError("phase off the resolution grid")
@@ -173,17 +171,22 @@ def optimal_phase_shift(
     return RowPhases(theta)
 
 
+def grid_steps(resolution: float) -> int:
+    """Steps per turn n of the phase grid of step resolution * pi: the one
+    rule for a resolution, which must be 2/n for a whole n >= 1 (to 1e-9)."""
+    steps = 2.0 / resolution if resolution > 0.0 else 0.0  # NaN gives 0
+    whole = round(steps) if math.isfinite(steps) else 0
+    if whole < 1 or abs(steps - whole) > 1e-9 * steps:
+        raise ValueError("phase resolution must be 2/n for a whole number n >= 1")
+    return whole
+
+
 def quantize_config(config: RowPhases, resolution: float) -> RowPhases:
     """Snap every row phase to the nearest multiple of resolution * pi, exact
-    midpoints toward the smaller one, wrapped back into [0, 2*pi)."""
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
+    midpoints toward the smaller one; the step at 2*pi wraps to step 0."""
+    n = grid_steps(resolution)
     step = resolution * math.pi
-    snapped = np.fmod(np.ceil(config.phases / step - 0.5) * step, TWO_PI)
-    snapped[snapped < 0.0] += TWO_PI
-    # guard against fmod returning the period itself
-    snapped[snapped >= TWO_PI] = 0.0
-    return RowPhases(snapped, resolution)
+    return RowPhases(np.ceil(config.phases / step - 0.5) % n * step, resolution)
 
 
 def interference_at(k_pos: tuple[float, float], params: ChannelParams) -> float:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .airspace import AirspaceConfig
+from .airspace import AirspaceConfig, OutOfRange
 from .engine import AircraftSpec, PhaseMode, RisMode, Scenario
 from .fields import FieldWeights
 from .netcalc import ProtocolParams
@@ -165,25 +165,23 @@ def save_scenario(sc: Scenario, path: str) -> None:
 # --- built-in scenarios ----------------------------------------------------
 
 
-def _roster(per_layer: int, rng: np.random.Generator | None = None) -> tuple[AircraftSpec, ...]:
-    """``per_layer`` aircraft in each layer, ids in layer order: evenly spaced
-    along the course, or, given ``rng``, drawn uniformly and sorted."""
+def _roster(counts: tuple[int, ...], rng: np.random.Generator | None = None) -> tuple[AircraftSpec, ...]:
+    """``counts[layer]`` aircraft in each layer, ids running on in layer order:
+    evenly spaced along the course, or, given ``rng``, drawn uniformly and sorted."""
     course = AirspaceConfig().course_length_m
     xs = [
-        np.arange(per_layer) * course / per_layer if rng is None
-        else np.sort(rng.uniform(0.0, course, per_layer))
-        for _ in (0, 1, 2)
+        np.arange(n) * course / n if rng is None else np.sort(rng.uniform(0.0, course, n))
+        for n in counts
     ]
     return tuple(
-        AircraftSpec(lay * per_layer + k, lay, x=float(x))
-        for lay in (0, 1, 2)
-        for k, x in enumerate(xs[lay])
+        AircraftSpec(aid, int(lay), x=float(x))
+        for aid, (lay, x) in enumerate(zip(np.repeat((0, 1, 2), counts), np.concatenate(xs)))
     )
 
 
 def _even(name: str, **settings) -> typing.Callable[[int], Scenario]:
     """A builtin flying five evenly spaced aircraft per layer."""
-    return lambda seed: Scenario(name=name, aircraft=_roster(5), seed=seed, **settings)
+    return lambda seed: Scenario(name=name, aircraft=_roster((5, 5, 5)), seed=seed, **settings)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -202,26 +200,13 @@ def _flow_convergence(seed: int) -> Scenario:
     speed plus per-aircraft jitter, so the field energy is dominated by the
     decaying velocity terms.
     """
-    air = AirspaceConfig()
     rng = _seeded_rng(seed)
-    counts = {0: 27, 1: 13, 2: 8}
-    specs = []
-    aid = 0
-    for lay in (0, 1, 2):
-        for k in range(counts[lay]):
-            dv = -5.0 + float(rng.uniform(-2.0, 2.0))
-            specs.append(
-                AircraftSpec(
-                    aid,
-                    lay,
-                    x=k * air.course_length_m / counts[lay],
-                    speed_offset=dv,
-                )
-            )
-            aid += 1
     return Scenario(
         name="fig11-cpf",
-        aircraft=tuple(specs),
+        aircraft=tuple(
+            dataclasses.replace(a, speed_offset=-5.0 + float(rng.uniform(-2.0, 2.0)))
+            for a in _roster((27, 13, 8))
+        ),
         weights=dataclasses.replace(FieldWeights(), goal=0.0),
         switching_enabled=False,
         duration_s=30.0,
@@ -238,10 +223,10 @@ def congestion_scenario(per_layer: int, seed: int, name: str | None = None) -> S
     whole run.
     """
     if per_layer < 1:
-        raise ValueError("per_layer must be at least 1")
+        raise OutOfRange("per_layer", "per_layer must be at least 1")
     return Scenario(
         name=name if name is not None else f"congestion-{per_layer}perlayer",
-        aircraft=_roster(per_layer, _seeded_rng(seed)),
+        aircraft=_roster((per_layer,) * 3, _seeded_rng(seed)),
         seed=seed,
     )
 

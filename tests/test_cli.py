@@ -26,6 +26,16 @@ def test_validate_rejects_broken_override(capsys):
     assert "problem" in capsys.readouterr().out
 
 
+def test_validate_rejects_a_grid_that_does_not_divide_the_turn(capsys):
+    """Step 0.3 pi used to validate, then fail the run with ``phase off the
+    resolution grid``."""
+    rc = main(["validate", "--scenario", "fig9-phase", "--set", "phase_resolution=0.3"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "problem: phase resolution must be 2/n for a whole number n >= 1"
+    ]
+
+
 @pytest.mark.parametrize(
     "setting, message",
     [
@@ -118,12 +128,20 @@ def test_a_setting_that_does_not_parse_is_named(setting, message, capsys):
                 ["phase-sweep", "--resolutions", ","],
                 "error: --resolutions: expected at least one resolution, got ','",
             ),
+            (
+                ["delay-bounds", "--grid-dt", "0"],
+                "error: --grid-dt: grid step must be positive and at most a tenth of the budget",
+            ),
+            (["delay-bounds", "--t-max", "-1"], "error: --t-max: time budget must be positive and finite"),
+            (["delay-bounds", "--loads", "5,-1"], "error: --loads: load must be finite and non-negative"),
+            (["ipr-sweep", "--rosters", "2,0"], "error: --rosters: per_layer must be at least 1"),
         ]
     ],
 )
 def test_an_option_that_does_not_parse_is_named(argv, message, tmp_path, capsys):
     """These used to print the bare conversion error, such as
-    ``could not convert string to float: 'abc'``, without the option."""
+    ``could not convert string to float: 'abc'``, or the bare range error,
+    such as ``load must be finite and non-negative``, without the option."""
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().out.splitlines() == [message]
     assert list(tmp_path.iterdir()) == []
@@ -166,12 +184,14 @@ _BAD_INPUTS = {
     # durations that are not a whole number of ticks used to be rounded
     "duration under one tick": ["--set", "duration_s=0.01"],
     "duration between ticks": ["--set", "duration_s=1.05"],
+    # a quantized grid used to pass validation, then fail the run mid-way
+    "grid that does not divide the turn": ["--set", "phase_resolution=0.3"],
     "negative seed": ["--seed", "-1"],
     "out names a file": ["--out", "F"],
 }
 _BAD_ARGUMENTS = {
     "delay-bounds": [["--loads", "5,-1"], ["--grid-dt", "0"]],
-    "phase-sweep": [["--resolutions", "1,0"], ["--resolutions", "abc"], ["--resolutions", "1/0"], ["--resolutions", ","]],
+    "phase-sweep": [["--resolutions", "1,0"], ["--resolutions", "1,0.3"], ["--resolutions", "abc"], ["--resolutions", "1/0"], ["--resolutions", ","]],
     "ipr-sweep": [["--rosters", "2,0"], ["--rosters", "2.5"], ["--rosters", "2", "--thresholds", "0.5,nan"]],
     # builtins drawn at random from their seed
     "validate": [["--scenario", "fig11-cpf", "--seed", "-1"], ["--scenario", "fig12-ipr", "--seed", "-1"]],
@@ -182,6 +202,8 @@ _REJECTIONS = [
     for label, bad in _BAD_INPUTS.items()
     if not (command == "ipr-sweep" and label == "unknown scenario")  # it builds its own rosters
     and not (command == "validate" and label == "out names a file")  # it writes nothing
+    # its resolution tokens replace the setting
+    and not (command == "phase-sweep" and label == "grid that does not divide the turn")
 ] + [
     pytest.param(command, bad, id=f"{command}-{' '.join(bad)}")
     for command, cases in _BAD_ARGUMENTS.items()

@@ -17,6 +17,7 @@ from uamsim.ris import (
     cascaded_gain,
     cascaded_gain_bound,
     direct_gain,
+    grid_steps,
     interference_at,
     optimal_phase_shift,
     quantize_config,
@@ -204,6 +205,39 @@ def test_row_quantization_matches_the_element_quantization():
         for theta, q in zip(rows.phases, snapped.phases):
             one = math.fmod(math.ceil(float(theta) / step - 0.5) * step, 2.0 * math.pi)
             assert q == (0.0 if one >= 2.0 * math.pi else one)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 512), st.integers(0, 2**32 - 1))
+def test_quantized_rows_lie_on_a_grid_that_divides_the_turn(n, seed):
+    """On the grid 2*pi/n for any whole n: every snapped row is a whole
+    step in [0, 2*pi), within half a step of its phase around the circle."""
+    res = 2.0 / n
+    assert grid_steps(res) == n
+    step = res * math.pi
+    theta = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, 64)
+    q = quantize_config(RowPhases(theta), res).phases
+    assert np.all((q >= 0.0) & (q < 2.0 * math.pi))
+    index = q / step
+    assert np.all(np.abs(index - np.rint(index)) <= 1e-9)
+    errs = np.abs(np.mod(q - theta + math.pi, 2.0 * math.pi) - math.pi)
+    assert errs.max() <= step / 2.0 + 1e-12
+
+
+@pytest.mark.parametrize("res", [0.0, -1.0, math.nan, math.inf, 0.3, 0.7, 3.0, 4.0])
+def test_a_grid_that_does_not_divide_the_turn_is_rejected(res):
+    """One rule for the phase resolution, shared by validation, the quantizer
+    and RowPhases; 0.3 used to pass every check but the run's."""
+    assert [grid_steps(r) for r in (2.0, 1.0, 2.0 / 3.0, 1.0 / 12.0, 1.0 / 7.0)] == [1, 2, 3, 24, 14]
+    with pytest.raises(ValueError, match="2/n for a whole number"):
+        grid_steps(res)
+    with pytest.raises(ValueError, match="2/n for a whole number"):
+        quantize_config(RowPhases(np.array([0.3])), res)
+    with pytest.raises(ValueError, match="2/n for a whole number"):
+        RowPhases(np.zeros(2), resolution=res)
+    sc = replace(get_scenario("fig9-phase"), phase_resolution=res)
+    problem = "phase resolution must be 2/n for a whole number n >= 1"
+    assert validate_scenario(sc) == [problem if math.isfinite(res) else "phase_resolution must be finite"]
 
 
 @pytest.mark.parametrize("count", [0, -4, 8, 1023])
