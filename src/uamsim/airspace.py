@@ -5,6 +5,7 @@ Every rule works on whole-fleet arrays; x offsets are taken around the ring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ def nonfinite(settings) -> list[str]:
     names = []
     for f in fields(settings):
         value = getattr(settings, f.name)
-        if any(isinstance(v, float) and not np.isfinite(v)
+        if any(isinstance(v, float) and not math.isfinite(v)
                for v in (value if isinstance(value, tuple) else (value,))):
             names.append(f.name)
     return names

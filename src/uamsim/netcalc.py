@@ -39,8 +39,13 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .airspace import OutOfRange, nonfinite
+
+
+# float64 elements in one block of the convolution's window: 1 MB
+BLOCK = 1 << 17
 
 
 class ChannelKind(Enum):
@@ -123,11 +128,23 @@ def min_plus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     out[i] = min over j <= i of a[j] + b[i - j]: the infimum over every
     split of the budget between the two stages, clamped back into [0, 1].
+    Row i of the window over b holds b[i - j] at column j, and +inf past
+    j = i, so each row's minimum sees the same sums as that definition.
+    Rows go in blocks of at most ``BLOCK`` elements, so the temporary stays
+    bounded whatever the grid length.
     """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape or a.size == 0:
+        raise ValueError("tails must be non-empty 1-D tables on one grid")
     n = len(a)
+    padded = np.concatenate((b[::-1], np.full(n - 1, np.inf)))
+    window = sliding_window_view(padded, n)[::-1]
+    rows = max(1, BLOCK // n)
     out = np.empty(n)
-    for i in range(n):
-        out[i] = np.min(a[: i + 1] + b[i::-1])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        # columns past the block's last row hold only +inf
+        out[start:stop] = np.min(a[:stop] + window[start:stop, :stop], axis=1)
     return np.clip(out, 0.0, 1.0)
 
 

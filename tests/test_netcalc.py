@@ -1,6 +1,7 @@
 """Delay-bound machinery: service curves, tails, min-plus composition."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uamsim.netcalc import (
+    BLOCK,
     Ccdf,
     ChannelKind,
     LatencyRateCurve,
@@ -188,6 +190,64 @@ def test_min_plus_of_tails_against_brute_force(tables):
     for i in range(len(av)):
         brute = min(av[j] + bv[i - j] for j in range(i + 1))
         assert c[i] == min(1.0, brute)
+
+
+def _min_plus_reference(a, b):
+    """The per-point loop the window kernel replaced: one minimum per grid point."""
+    out = np.empty(len(a))
+    for i in range(len(a)):
+        out[i] = np.min(a[: i + 1] + b[i::-1])
+    return np.clip(out, 0.0, 1.0)
+
+
+@st.composite
+def _unsorted_tables(draw):
+    """Two arbitrary tables in [0, 1] on one grid of 1 to 80 points."""
+    n = draw(st.integers(1, 80))
+    table = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    return [np.array(draw(table)) for _ in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unsorted_tables())
+def test_min_plus_matches_the_per_point_loop(tables):
+    """The window kernel assumes no monotonicity and gives the loop's bits."""
+    assert np.array_equal(min_plus_convolve(*tables), _min_plus_reference(*tables))
+
+
+def test_min_plus_matches_the_per_point_loop_across_row_blocks():
+    # 1000 points: BLOCK // 1000 rows per block, so several blocks
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.0, 1.0, 1000), rng.uniform(0.0, 1.0, 1000)
+    assert BLOCK // 1000 < 1000
+    assert np.array_equal(min_plus_convolve(a, b), _min_plus_reference(a, b))
+
+
+def test_a_long_grid_keeps_the_convolution_in_bounded_memory():
+    """12 001 points: an unblocked (n, n) window would peak above 1 GB."""
+    tracemalloc.start()
+    try:
+        curve = failure_curve(ChannelKind.RIS, 20.0, 60.0, PAR)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(curve.values) == 12001
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.ones(3), np.ones(5)),
+        (np.ones(5), np.ones(3)),
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.ones(0), np.ones(0)),
+    ],
+    ids=["shorter-first", "longer-first", "two-dimensional", "empty"],
+)
+def test_min_plus_rejects_tables_off_one_grid(a, b):
+    with pytest.raises(ValueError, match="non-empty 1-D tables on one grid"):
+        min_plus_convolve(a, b)
 
 
 def test_failure_curve_monotone_in_time_and_load():
