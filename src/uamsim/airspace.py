@@ -76,7 +76,11 @@ class AirspaceConfig:
 
 class Fleet(NamedTuple):
     """One instant of the fleet in the vertical (x, h) plane; ``resident``
-    marks aircraft not in the middle of a layer switch."""
+    marks aircraft not in the middle of a layer switch.  ``order``, built by
+    ``fleet_state`` only, is the one resident order: resident rows by (layer,
+    x, id), layer l's ring being ``order[bounds[l]:bounds[l + 1]]``.  Sorted
+    back to row order, a segment gives ``fields.layer_pairs`` the column order
+    its sums' bits depend on, and the served pair its ties to the lowest row."""
 
     x: np.ndarray
     h: np.ndarray
@@ -87,12 +91,22 @@ class Fleet(NamedTuple):
     ids: np.ndarray
     speed: np.ndarray
     d_safe: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+
+    def segment(self, layer: int) -> np.ndarray:
+        """Rows resident in ``layer``, in ring order (by x, then id)."""
+        return self.order[self.bounds[layer] : self.bounds[layer + 1]]
 
 
 def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Fleet:
-    """Bundle the fleet arrays and derive speeds and safe separations."""
+    """Bundle the fleet arrays and derive speeds, safe separations and the resident order."""
     speed = np.hypot(vx, vy)
-    return Fleet(x, h, vx, vy, layer, resident, ids, speed, horizontal_safe_separation(speed, cfg))
+    d_safe = horizontal_safe_separation(speed, cfg)
+    rows = np.flatnonzero(resident)
+    order = rows[np.lexsort((ids[rows], x[rows], layer[rows]))]
+    bounds = np.searchsorted(layer[order], np.arange(4))
+    return Fleet(x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds)
 
 
 def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.ndarray:
@@ -113,11 +127,6 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
 def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
     """Map raw x differences onto the ring into [-course/2, course/2)."""
     return (dx + 0.5 * course) % course - 0.5 * course
-
-
-def layer_residents(fleet: Fleet, layer: int) -> np.ndarray:
-    """Indices of the aircraft resident in ``layer``."""
-    return np.where(fleet.resident & (fleet.layer == layer))[0]
 
 
 def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -146,30 +155,22 @@ class Ring(NamedTuple):
 
 
 def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
-    """Ring gaps, preceding aircraft and same-layer conflicts of the residents."""
-    n = len(fleet.x)
-    front, rear = np.full(n, np.inf), np.full(n, np.inf)
+    """Ring gaps, preceding aircraft and same-layer conflicts of the residents;
+    each row's preceding aircraft is the next of its segment, cyclically."""
+    n, order = len(fleet.x), fleet.order
+    lay = fleet.layer[order]
+    step = np.arange(1, len(order) + 1)
+    nxt = order[np.where(step == fleet.bounds[lay + 1], fleet.bounds[lay], step)]
     prec = np.full(n, -1, dtype=int)
-    ahead_x, ahead_h = np.zeros(n), np.zeros(n)
-    close = np.zeros(n, dtype=bool)
-    for lay in (0, 1, 2):
-        members = layer_residents(fleet, lay)
-        if len(members) < 2:
-            continue
-        order = members[np.lexsort((fleet.ids[members], fleet.x[members]))]
-        nxt = np.roll(order, -1)
-        dx = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
-        dh = fleet.h[nxt] - fleet.h[order]
-        gap = np.hypot(dx, dh)
-        front[order] = gap
-        rear[nxt] = gap
-        prec[order] = nxt
-        ahead_x[order] = dx
-        ahead_h[order] = dh
-        # the faster aircraft has the larger separation
-        close[order] = gap < np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
-    rows = np.flatnonzero(close)
-    return Ring(front, rear, prec, ahead_x, ahead_h, pair_codes(rows, prec[rows], n))
+    prec[order] = np.where(nxt == order, -1, nxt)  # a layer's only resident has none
+    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    ahead_x[order] = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
+    ahead_h[order] = fleet.h[nxt] - fleet.h[order]
+    front = np.where(prec >= 0, np.hypot(ahead_x, ahead_h), np.inf)
+    rear[nxt] = front[order]
+    # the faster aircraft has the larger separation
+    close = front[order] < np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
+    return Ring(front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n))
 
 
 def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
@@ -189,7 +190,7 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     """
     rows_a, rows_b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     coeff = cfg.vertical_separation_coeff
-    groups = [layer_residents(fleet, lay) for lay in (0, 1, 2)]
+    groups = [fleet.segment(lay) for lay in range(3)]
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     # lowest and highest altitude and fastest speed of each layer's residents;
     # an empty layer is infinitely far from every other

@@ -21,7 +21,6 @@ from .airspace import (
     Ring,
     cross_layer_conflicts,
     fleet_state,
-    layer_residents,
     nonfinite,
     ring_neighbours,
 )
@@ -350,7 +349,7 @@ class _Engine:
         self.goals.active[:] = False
         self.pair_low = self.pair_high = -1
         self.phases = None
-        cruise_high = layer_residents(fleet, 2)
+        cruise_high = np.sort(fleet.segment(2))  # row order: argmin ties go to the lowest row
         if len(cruise_high) == 0:
             return
         bs = sc.bs_pos
@@ -358,7 +357,7 @@ class _Engine:
         hi = int(cruise_high[np.argmin(d_high)])
         stationary = sc.ris_mode is RisMode.STATIONARY
         if not stationary:
-            cruise_low = layer_residents(fleet, 1)
+            cruise_low = np.sort(fleet.segment(1))
             if len(cruise_low) == 0:
                 return
             x, h = self.x[cruise_low], self.h[cruise_low]
@@ -458,7 +457,7 @@ class _Engine:
                 lo, hi = np.divmod(conflicts, self.n)
                 conflicts = conflicts[~(fired[lo] | fired[hi])]
                 self.violations.append((k, conflicts))
-            acc = self._accelerations(fleet._replace(resident=self.switch.resident), ring)
+            acc = self._accelerations(self._fleet(), ring)  # without this tick's switchers
             cap_now = self._tick_capacity(t)
 
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy

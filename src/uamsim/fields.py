@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import AirspaceConfig, Fleet, Ring, layer_residents, nonfinite, ring_offset
+from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_offset
 
 
 class CollisionError(RuntimeError):
@@ -63,10 +63,10 @@ class LayerPairs(NamedTuple):
 
 
 def layer_pairs(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> list[LayerPairs]:
-    """Pairwise geometry of every layer with at least two residents."""
+    """Pairwise geometry of every layer with at least two residents, in row order."""
     out = []
-    for lay in (0, 1, 2):
-        members = layer_residents(fleet, lay)
+    for lay in range(3):
+        members = np.sort(fleet.segment(lay))
         if len(members) < 2:
             continue
         x, h = fleet.x[members], fleet.h[members]

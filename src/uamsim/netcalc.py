@@ -112,7 +112,7 @@ class Ccdf:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
+        if not np.all((v >= -1e-12) & (v <= 1.0 + 1e-12)):  # NaN fails too
             raise ValueError("tail probabilities must lie in [0, 1]")
         object.__setattr__(self, "values", np.clip(v, 0.0, 1.0))
 

@@ -13,6 +13,7 @@ from uamsim.airspace import (
     cross_layer_conflicts,
     fleet_state,
     horizontal_safe_separation,
+    pair_codes,
     ring_neighbours,
     ring_offset,
 )
@@ -213,7 +214,8 @@ def _cross_layer_reference(fleet, cfg):
 
 def _layered_fleet(data, max_offset):
     """Up to 8 aircraft within 100 m of the ring's seam, x often coincident,
-    altitudes within ``max_offset`` of their layer, some mid-switch.  Climb
+    altitudes within ``max_offset`` of their layer, some mid-switch, ids in a
+    drawn order; layers are often empty or hold a lone resident.  Climb
     rates up to 60 m/s give the near-vertical approaches that reach the
     band bound."""
     count = data.draw(st.integers(1, 8))
@@ -235,7 +237,9 @@ def _layered_fleet(data, max_offset):
     ]
     x, offset, vx, vy, layer, resident = (np.array(c) for c in zip(*rows))
     h = layer * CFG.layer_spacing_m + offset
-    return fleet_state(x, h, vx, vy, layer, resident, np.arange(count), CFG)
+    # ids out of row order, so an x tie is broken by id, not by row
+    ids = np.array(data.draw(st.permutations(range(count))))
+    return fleet_state(x, h, vx, vy, layer, resident, ids, CFG)
 
 
 @pytest.mark.parametrize(
@@ -255,6 +259,47 @@ def test_cross_layer_rule_matches_the_per_pair_loop(max_offset, coeffs, data):
     fleet = _layered_fleet(data, max_offset)
     cfg = replace(CFG, vertical_separation_coeff=data.draw(coeffs))
     assert cross_layer_conflicts(fleet, cfg).tolist() == _cross_layer_reference(fleet, cfg)
+
+
+def _ring_reference(fleet, cfg):
+    """The ring one layer at a time: sort the layer's residents by (x, id)
+    and pair each with the next, the last with the first."""
+    n = len(fleet.x)
+    front, rear = np.full(n, np.inf), np.full(n, np.inf)
+    prec = np.full(n, -1, dtype=int)
+    ahead_x, ahead_h = np.zeros(n), np.zeros(n)
+    close = np.zeros(n, dtype=bool)
+    for lay in (0, 1, 2):
+        members = np.flatnonzero(fleet.resident & (fleet.layer == lay))
+        if len(members) < 2:
+            continue
+        order = members[np.lexsort((fleet.ids[members], fleet.x[members]))]
+        nxt = np.roll(order, -1)
+        dx = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
+        dh = fleet.h[nxt] - fleet.h[order]
+        gap = np.hypot(dx, dh)
+        front[order] = gap
+        rear[nxt] = gap
+        prec[order] = nxt
+        ahead_x[order] = dx
+        ahead_h[order] = dh
+        close[order] = gap < np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
+    rows = np.flatnonzero(close)
+    return front, rear, prec, ahead_x, ahead_h, pair_codes(rows, prec[rows], n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_ring_matches_the_per_layer_loop(data):
+    """The ring read off the fleet's one resident order matches the
+    per-layer sort bit for bit, and each layer's segment holds exactly that
+    layer's residents."""
+    fleet = _layered_fleet(data, 50.0)
+    for lay in (0, 1, 2):
+        members = np.flatnonzero(fleet.resident & (fleet.layer == lay))
+        assert np.sort(fleet.segment(lay)).tolist() == members.tolist()
+    for got, want in zip(ring_neighbours(fleet, CFG), _ring_reference(fleet, CFG)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_same_layer_conflict_uses_faster_speed():

@@ -227,6 +227,22 @@ def test_switch_completion_changes_layer():
     assert np.all(np.abs(h_after - target * 100.0) < 5.0)
 
 
+def test_served_pair_tie_goes_to_the_lowest_row():
+    """Both layer-2 aircraft are exactly 250 m from the base station, and
+    the lower row is served although the other has the smaller x."""
+    sc = Scenario(
+        aircraft=(
+            AircraftSpec(0, 2, x=150.0),
+            AircraftSpec(1, 2, x=70.0, altitude_offset=40.0),
+            AircraftSpec(2, 1, x=100.0),
+        ),
+        duration_s=0.1,
+    )
+    tr = run(sc)
+    assert tr.capacity_bps[0, 0] > 0.0
+    assert tr.capacity_bps[0, 1] == 0.0
+
+
 def test_backoff_contention_is_local():
     """Rows 0-1 and rows 2-3 are two separate conflicts, all four backing
     off but row 3.  Row 0 releases its switch; its partner, row 1, hears the

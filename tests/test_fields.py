@@ -52,6 +52,13 @@ def _gradients(fleet, goals):
     }
 
 
+def test_layer_pairs_keep_row_order():
+    """The field sums run along a matrix row, and their bits depend on the
+    order of its columns: the members stay in row order, not ring order."""
+    f = _fleet([(300.0, 100.0, 45.0, 0.0), (100.0, 100.0, 45.0, 0.0), (200.0, 100.0, 45.0, 0.0)])
+    assert [p.members.tolist() for p in fields.layer_pairs(f, CFG, RADIUS)] == [[0, 1, 2]]
+
+
 def test_stabilize_value_and_gradient():
     f = _fleet([(0.0, 100.0, 40.0, 2.0)])
     assert fields.stabilize_value(f, CFG)[0] == pytest.approx(25.0 + 4.0)

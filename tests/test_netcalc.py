@@ -284,6 +284,8 @@ def test_ccdf_at_rounds_to_grid_and_guards_range():
         c.at(-5.0)
     with pytest.raises(ValueError):
         c.at(99.0)
+    with pytest.raises(ValueError):
+        Ccdf(0.1, np.array([np.nan, 0.5]))
 
 
 def test_params_validation():
