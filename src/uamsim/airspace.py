@@ -78,9 +78,9 @@ class Fleet(NamedTuple):
     """One instant of the fleet in the vertical (x, h) plane; ``resident``
     marks aircraft not in the middle of a layer switch.  ``order``, built by
     ``fleet_state`` only, is the one resident order: resident rows by (layer,
-    x, id), layer l's ring being ``order[bounds[l]:bounds[l + 1]]``.  Sorted
-    back to row order, a segment gives ``fields.layer_pairs`` the column order
-    its sums' bits depend on, and the served pair its ties to the lowest row."""
+    x, id), layer l's ring being ``order[bounds[l]:bounds[l + 1]]``.
+    ``ring_laps`` unrolls the segments for search by x; sorted back to row
+    order, a segment gives the served pair its ties to the lowest row."""
 
     x: np.ndarray
     h: np.ndarray
@@ -126,7 +126,54 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
 
 def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
     """Map raw x differences onto the ring into [-course/2, course/2)."""
-    return (dx + 0.5 * course) % course - 0.5 * course
+    v = np.asarray(dx + 0.5 * course, dtype=float)
+    # v % course is v itself on [0, course), where most offsets land; the
+    # float remainder is slow, so it runs on the others only
+    off = (v < 0.0) | (v >= course)
+    v[off] %= course
+    return v - 0.5 * course
+
+
+# Key offset of lap k (-1, 0, 1) of layer l, in courses: 4 l + k.
+_LAP_SHIFT = np.array([-1.0, 0.0, 1.0, 3.0, 4.0, 5.0, 7.0, 8.0, 9.0])
+
+
+class Laps(NamedTuple):
+    """The rings unrolled: each layer's segment three times over, so that a
+    window round the ring is one slice of ``rows``.  Lap k of layer l holds
+    keys x + (4 l + k) course, so ``keys`` ascends and layers never mix;
+    ``sizes`` are the segment lengths."""
+
+    rows: np.ndarray
+    keys: np.ndarray
+    sizes: np.ndarray
+    course: float
+
+    def window(self, layer, centre, reach: float):
+        """Slices [first, stop) of ``rows``: the residents of each query's
+        ``layer`` whose x lies in [centre - reach, centre + reach] round the
+        ring, at most ``course`` either side.  A slice of ``sizes[layer]`` or
+        more covers the whole ring, so its first that many entries hold each
+        resident once."""
+        reach = min(reach, self.course)  # the middle lap and one more either side
+        at = centre + 4.0 * self.course * layer
+        lo = np.searchsorted(self.keys, at - reach, "left")
+        return lo, np.searchsorted(self.keys, at + reach, "right")
+
+    def slack(self, reach: float) -> float:
+        """Rounding slack of a window of ``reach``: far above the few ulps by
+        which a searched bound and ``ring_offset`` can disagree, so the window
+        widened by it holds every resident within reach, and the one narrowed
+        by it only residents within reach."""
+        return 1e-9 * (self.course + reach)
+
+
+def ring_laps(fleet: Fleet, course: float) -> Laps:
+    """Unroll the fleet's rings for ``Laps.window``."""
+    sizes = np.diff(fleet.bounds)
+    rows = np.concatenate([fleet.segment(lay) for lay in range(3) for _ in range(3)])
+    keys = fleet.x[rows] + np.repeat(_LAP_SHIFT * course, np.repeat(sizes, 3))
+    return Laps(rows, keys, sizes, course)
 
 
 def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -243,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         option = f"--{_OPTIONS[exc.param]}: " if isinstance(exc, OutOfRange) else ""
         print(f"error: {option}{exc}")
         return 1
-    problems = dict.fromkeys(p for sc in checked for p in engine.validate_scenario(sc))
+    problems = dict.fromkeys(p for sc in checked for p in sc.problems)
     for p in problems:
         print(f"problem: {p}")
     if problems:

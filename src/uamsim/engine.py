@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,13 @@ class Scenario:
         # one roster order, by id: the engine's rows and the saved file follow it
         by_id = tuple(sorted(self.aircraft, key=lambda a: a.aircraft_id))
         object.__setattr__(self, "aircraft", by_id)
+
+    @cached_property
+    def problems(self) -> tuple[str, ...]:
+        """``validate_scenario``'s findings, kept: a scenario does not change,
+        so a command that checks its scenarios before it runs them validates
+        each once."""
+        return tuple(validate_scenario(self))
 
 
 def validate_scenario(sc: Scenario) -> list[str]:
@@ -283,9 +291,8 @@ def time_decimals(dt: float) -> int:
 
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return its full trace."""
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    if scenario.problems:
+        raise ValueError("invalid scenario: " + "; ".join(scenario.problems))
     return _Engine(scenario).run()
 
 
@@ -547,9 +554,7 @@ class _Engine:
                 ring.front[cruisers], ring.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
             )
             armed = triggered(cruisers, prob, self.rngs)
-            targets = target_layers(
-                armed, self.x, self.layer, sw.resident, fired, sc.target_window_m, self.course
-            )
+            targets = target_layers(armed, fleet, fired, sc.target_window_m, self.course)
             sw.arm(armed, targets, self.rngs)
         return fired
 

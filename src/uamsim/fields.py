@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_offset
+from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset
 
 
 class CollisionError(RuntimeError):
@@ -51,35 +51,58 @@ class Goals(NamedTuple):
     active: np.ndarray
 
 
-class LayerPairs(NamedTuple):
-    """Offsets from ``members[a]`` to ``members[b]``, the short way round;
-    ``dist`` is infinite on the diagonal, ``near`` within the radius."""
+class Band(NamedTuple):
+    """The same-layer pairs within the radius: resident ``a[k]`` sees
+    resident ``b[k]`` at offset ``sx[k]``, ``sh[k]`` (the short way round),
+    ``dist[k]`` away.  The pairs run resident by resident, in ring order,
+    and each resident's in row order of ``b``: the column order of its row
+    of the dense pair matrix."""
 
-    members: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     sx: np.ndarray
     sh: np.ndarray
     dist: np.ndarray
-    near: np.ndarray
 
 
-def layer_pairs(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> list[LayerPairs]:
-    """Pairwise geometry of every layer with at least two residents, in row order."""
-    out = []
-    for lay in range(3):
-        members = np.sort(fleet.segment(lay))
-        if len(members) < 2:
-            continue
-        x, h = fleet.x[members], fleet.h[members]
-        sx = ring_offset(x[None, :] - x[:, None], cfg.course_length_m)
-        sh = h[None, :] - h[:, None]
-        dist = np.hypot(sx, sh)
-        np.fill_diagonal(dist, np.inf)
-        if np.any(dist == 0.0):
-            a, b = np.argwhere(dist == 0.0)[0]
-            ia, ib = fleet.ids[members[a]], fleet.ids[members[b]]
-            raise CollisionError(f"aircraft {ia} and {ib} collided in layer {lay}")
-        out.append(LayerPairs(members, sx, sh, dist, dist <= radius))
-    return out
+def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
+    """The band of the fleet's residents.  Each one's candidates are the
+    window of its layer's ring within ``radius`` in x, widened by the
+    rounding slack, so that dist <= radius is tested exactly on them."""
+    course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
+    laps = ring_laps(fleet, course)
+    lay = fleet.layer[rows]
+    first, stop = laps.window(lay, fleet.x[rows], radius + laps.slack(radius))
+    count = np.minimum(stop - first, laps.sizes[lay])
+    slot = np.arange(count.max(initial=0))
+    nb = laps.rows[first[:, None] + np.minimum(slot, count[:, None] - 1)]
+    # each window padded with n, and sorted into row order; 32-bit keys sort
+    # about twice as fast
+    nb = np.sort(np.where(slot < count[:, None], nb, n).astype(np.int32), axis=1)
+    a = np.repeat(rows, count - 1)  # a window holds its own row once
+    b = nb[(nb < n) & (nb != rows[:, None])].astype(np.intp)
+    sx = ring_offset(fleet.x[b] - fleet.x[a], course)
+    sh = fleet.h[b] - fleet.h[a]
+    dist = np.hypot(sx, sh)
+    if np.any(dist == 0.0):
+        # the dense pair matrices' first: lowest layer, then lowest rows
+        k = np.flatnonzero(dist == 0.0)
+        i = k[np.lexsort((b[k], a[k], fleet.layer[a[k]]))[0]]
+        ia, ib, la = fleet.ids[a[i]], fleet.ids[b[i]], fleet.layer[a[i]]
+        raise CollisionError(f"aircraft {ia} and {ib} collided in layer {la}")
+    near = dist <= radius
+    return Band(a[near], b[near], sx[near], sh[near], dist[near])
+
+
+def _row_sums(fleet: Fleet, a: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row r, the sum of the ``terms`` of the pairs with a == r.
+
+    A weighted bincount adds its terms one by one in input order, so a row's
+    sum runs in the band's row order: it is the in-order row sum of the dense
+    pair matrix, whose other entries are zeros, up to the sign of a zero sum,
+    which no force can show.
+    """
+    return np.bincount(a, terms, len(fleet.x))
 
 
 def attract_value(fleet: Fleet, ring: Ring) -> np.ndarray:
@@ -110,30 +133,25 @@ def stabilize_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
     return weight * 2.0 * (fleet.vx - ref), weight * 2.0 * fleet.vy
 
 
-def _intrusions(fleet: Fleet, pairs: list[LayerPairs]):
-    """Per layer with a pair inside the row aircraft's separation: the
-    pairs, the pairs inside, and 1/d - 1/d_safe there (0 elsewhere)."""
-    for p in pairs:
-        d_safe = fleet.d_safe[p.members][:, None]
-        inside = p.near & (p.dist < d_safe)
-        if np.any(inside):
-            yield p, inside, np.where(inside, 1.0 / p.dist - 1.0 / d_safe, 0.0)
+def _inside(fleet: Fleet, band: Band):
+    """The band pairs closer than ``a``'s separation, by index, and
+    1/d - 1/d_safe on each."""
+    d_safe = fleet.d_safe[band.a]
+    k = np.flatnonzero(band.dist < d_safe)
+    return k, 1.0 / band.dist[k] - 1.0 / d_safe[k]
 
 
-def repulse_value(fleet: Fleet, pairs: list[LayerPairs]) -> np.ndarray:
-    out = np.zeros(len(fleet.x))
-    for p, _, inv in _intrusions(fleet, pairs):
-        out[p.members] = np.sum(inv * inv, axis=1)
-    return out
+def repulse_value(fleet: Fleet, band: Band) -> np.ndarray:
+    k, inv = _inside(fleet, band)
+    return _row_sums(fleet, band.a[k], inv * inv)
 
 
-def repulse_gradient(fleet: Fleet, pairs: list[LayerPairs], weight: float = 1.0):
-    gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    for p, inside, inv in _intrusions(fleet, pairs):
-        scale = np.where(inside, -2.0 * inv / p.dist**3, 0.0)
-        gx[p.members] = weight * np.sum(scale * -p.sx, axis=1)
-        gh[p.members] = weight * np.sum(scale * -p.sh, axis=1)
-    return gx, gh
+def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
+    k, inv = _inside(fleet, band)
+    scale = -2.0 * inv / band.dist[k] ** 3
+    a = band.a[k]
+    return (weight * _row_sums(fleet, a, scale * -band.sx[k]),
+            weight * _row_sums(fleet, a, scale * -band.sh[k]))
 
 
 def _layer_offset(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
@@ -164,22 +182,16 @@ def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float
     return gx, gh
 
 
-def consensus(fleet: Fleet, pairs: list[LayerPairs], gain: float):
+def consensus(fleet: Fleet, band: Band, gain: float):
     """gain * sum over near neighbours of (own - neighbour velocity).
 
     Pure damping with no potential; the force subtracts it like a gradient.
     Summed explicitly (not matmul) so reductions stay bit-stable regardless
     of the BLAS thread count.
     """
-    cx, ch = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    for p in pairs:
-        m = p.members
-        deg = p.near.sum(axis=1)
-        nb_vx = np.sum(np.where(p.near, fleet.vx[m][None, :], 0.0), axis=1)
-        nb_vy = np.sum(np.where(p.near, fleet.vy[m][None, :], 0.0), axis=1)
-        cx[m] = gain * (deg * fleet.vx[m] - nb_vx)
-        ch[m] = gain * (deg * fleet.vy[m] - nb_vy)
-    return cx, ch
+    deg = np.bincount(band.a, minlength=len(fleet.x))
+    return (gain * (deg * fleet.vx - _row_sums(fleet, band.a, fleet.vx[band.b])),
+            gain * (deg * fleet.vy - _row_sums(fleet, band.a, fleet.vy[band.b])))
 
 
 def force(
@@ -191,14 +203,14 @@ def force(
     ``ring`` gives the attraction's preceding aircraft; repulsion and
     consensus act among the fleet's residents within ``radius``.
     """
-    pairs = layer_pairs(fleet, cfg, radius)
+    band = neighbour_band(fleet, cfg, radius)
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for gx, gh in (
         stabilize_gradient(fleet, cfg, weights.stabilize),
         layer_gradient(fleet, cfg, weights.layer),
         attract_gradient(fleet, ring, weights.attract),
-        repulse_gradient(fleet, pairs, weights.repulse),
-        consensus(fleet, pairs, weights.consensus_gain),
+        repulse_gradient(fleet, band, weights.repulse),
+        consensus(fleet, band, weights.consensus_gain),
         goal_gradient(fleet, goals, cfg, weights.goal),
     ):
         fx -= gx
@@ -212,12 +224,12 @@ def potential(
 ) -> float:
     """Weighted sum of the five field values over the residents, the rows
     whose motion ``force`` steers (a switching row flies its profile)."""
-    pairs = layer_pairs(fleet, cfg, radius)
+    band = neighbour_band(fleet, cfg, radius)
     terms = (
         (weights.stabilize, stabilize_value(fleet, cfg)),
         (weights.layer, layer_value(fleet, cfg)),
         (weights.attract, attract_value(fleet, ring)),
-        (weights.repulse, repulse_value(fleet, pairs)),
+        (weights.repulse, repulse_value(fleet, band)),
         (weights.goal, goal_value(fleet, goals, cfg)),
     )
     return sum(w * float(np.sum(v[fleet.resident])) for w, v in terms)

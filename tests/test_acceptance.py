@@ -265,22 +265,22 @@ def test_criterion_04_field_gradients_match_finite_differences():
 
         def values(f):
             ring = ring_neighbours(f, air)
-            pairs = fields.layer_pairs(f, air, radius)
+            band = fields.neighbour_band(f, air, radius)
             return (
                 fields.attract_value(f, ring)[0],
                 fields.stabilize_value(f, air)[0],
-                fields.repulse_value(f, pairs)[0],
+                fields.repulse_value(f, band)[0],
                 fields.layer_value(f, air)[0],
                 fields.goal_value(f, goals, air)[0],
             )
 
         base = fleet()
         ring = ring_neighbours(base, air)
-        pairs = fields.layer_pairs(base, air, radius)
+        band = fields.neighbour_band(base, air, radius)
         grads = (
             fields.attract_gradient(base, ring),
             fields.stabilize_gradient(base, air),
-            fields.repulse_gradient(base, pairs),
+            fields.repulse_gradient(base, band),
             fields.layer_gradient(base, air),
             fields.goal_gradient(base, goals, air),
         )

@@ -92,6 +92,25 @@ def test_ring_offset_takes_the_short_way():
     assert ring_offset(dx, 2000.0) == pytest.approx([0, 999, -1000, -999, 999, -1, 1])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    dx=st.lists(
+        st.sampled_from([0.0, -0.0, 1000.0, -1000.0, 3000.0, -3000.0, 1e-300, -1e-300])
+        | st.floats(-1e7, 1e7),
+        min_size=1, max_size=20,
+    ),
+    course=st.sampled_from([2000.0, 0.3]) | st.floats(1e-3, 1e6),
+)
+def test_ring_offset_matches_the_plain_remainder(dx, course):
+    """The remainder runs only off [0, course); every offset keeps the bits
+    of (dx + course/2) % course - course/2, and a scalar stays a scalar."""
+    dx = np.array(dx)
+    want = (dx + 0.5 * course) % course - 0.5 * course
+    assert ring_offset(dx, course).tobytes() == want.tobytes()
+    scalar = ring_offset(float(dx[0]), course)
+    assert isinstance(scalar, np.float64) and scalar.tobytes() == want[0].tobytes()
+
+
 def test_vertical_separation_head_on_and_oblique():
     # Straight toward the other craft: the full speed counts.
     cfg = AirspaceConfig(vertical_separation_coeff=1.0)

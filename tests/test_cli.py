@@ -1,5 +1,6 @@
 """Command-line entry points: artifacts, purity, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from uamsim import cli
+from uamsim import cli, engine
 from uamsim.cli import main
 
 
@@ -267,6 +268,22 @@ def test_simulate_writes_all_artifacts(tmp_path, capsys):
     assert header == "t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id"
     text = capsys.readouterr().out
     assert "conflict_episodes" in text
+
+
+def test_simulate_validates_its_scenario_once(tmp_path, monkeypatch, capsys):
+    """``main`` checks the scenario before it writes, and ``engine.run``
+    checks it again; the scenario keeps the findings, so the validation runs
+    once.  A library caller's bad scenario is still rejected by the run."""
+    checked = []
+    validate = engine.validate_scenario
+    monkeypatch.setattr(engine, "validate_scenario", lambda sc: checked.append(sc) or validate(sc))
+    argv = ["simulate", "--scenario", "fig9-phase", "--set", "duration_s=0.5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert [sc.name for sc in checked] == ["fig9-phase"]
+    bad = dataclasses.replace(checked[0], dt=-0.1)
+    with pytest.raises(ValueError, match="invalid scenario: dt must be positive"):
+        engine.run(bad)
+    assert checked[1:] == [bad]
 
 
 def test_simulate_reruns_byte_identical(tmp_path):

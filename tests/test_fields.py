@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uamsim import fields
-from uamsim.airspace import AirspaceConfig, fleet_state, ring_neighbours
+from uamsim.airspace import AirspaceConfig, fleet_state, ring_neighbours, ring_offset
 from uamsim.engine import AircraftSpec, Scenario, run
 from uamsim.fields import CollisionError, FieldWeights, Goals
 
@@ -30,11 +32,11 @@ def _no_goals(n):
 
 def _values(fleet, goals):
     ring = ring_neighbours(fleet, CFG)
-    pairs = fields.layer_pairs(fleet, CFG, RADIUS)
+    band = fields.neighbour_band(fleet, CFG, RADIUS)
     return {
         "attract": fields.attract_value(fleet, ring),
         "stabilize": fields.stabilize_value(fleet, CFG),
-        "repulse": fields.repulse_value(fleet, pairs),
+        "repulse": fields.repulse_value(fleet, band),
         "layer": fields.layer_value(fleet, CFG),
         "goal": fields.goal_value(fleet, goals, CFG),
     }
@@ -42,21 +44,174 @@ def _values(fleet, goals):
 
 def _gradients(fleet, goals):
     ring = ring_neighbours(fleet, CFG)
-    pairs = fields.layer_pairs(fleet, CFG, RADIUS)
+    band = fields.neighbour_band(fleet, CFG, RADIUS)
     return {
         "attract": fields.attract_gradient(fleet, ring),
         "stabilize": fields.stabilize_gradient(fleet, CFG),
-        "repulse": fields.repulse_gradient(fleet, pairs),
+        "repulse": fields.repulse_gradient(fleet, band),
         "layer": fields.layer_gradient(fleet, CFG),
         "goal": fields.goal_gradient(fleet, goals, CFG),
     }
 
 
+# --- dense reference: each layer's (m, m) pair matrices, rows summed in order
+
+
+def _dense_pairs(fleet, cfg, radius):
+    """(members, sx, sh, dist, near) of every layer with two residents or
+    more, members in row order; ``dist`` is infinite on the diagonal."""
+    out = []
+    for lay in range(3):
+        members = np.sort(fleet.segment(lay))
+        if len(members) < 2:
+            continue
+        x, h = fleet.x[members], fleet.h[members]
+        sx = ring_offset(x[None, :] - x[:, None], cfg.course_length_m)
+        sh = h[None, :] - h[:, None]
+        dist = np.hypot(sx, sh)
+        np.fill_diagonal(dist, np.inf)
+        if np.any(dist == 0.0):
+            a, b = np.argwhere(dist == 0.0)[0]
+            ia, ib = fleet.ids[members[a]], fleet.ids[members[b]]
+            raise CollisionError(f"aircraft {ia} and {ib} collided in layer {lay}")
+        out.append((members, sx, sh, dist, dist <= radius))
+    return out
+
+
+def _in_order(terms):
+    """Row sums that add each row's entries one by one, left to right."""
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
+def _dense_repulsion(fleet, pairs):
+    """Repulsion value and gradient, unweighted."""
+    n = len(fleet.x)
+    value, gx, gh = np.zeros(n), np.zeros(n), np.zeros(n)
+    for members, sx, sh, dist, near in pairs:
+        d_safe = fleet.d_safe[members][:, None]
+        inside = near & (dist < d_safe)
+        inv = np.where(inside, 1.0 / dist - 1.0 / d_safe, 0.0)
+        scale = np.where(inside, -2.0 * inv / dist**3, 0.0)
+        value[members] = _in_order(inv * inv)
+        gx[members] = _in_order(scale * -sx)
+        gh[members] = _in_order(scale * -sh)
+    return value, gx, gh
+
+
+def _dense_consensus(fleet, pairs, gain):
+    cx, ch = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
+    for members, _, _, _, near in pairs:
+        deg = near.sum(axis=1)
+        for out, v in ((cx, fleet.vx), (ch, fleet.vy)):
+            out[members] = gain * (deg * v[members] - _in_order(np.where(near, v[members], 0.0)))
+    return cx, ch
+
+
+def _dense_force_and_total(fleet, ring, goals, w, cfg, radius):
+    pairs = _dense_pairs(fleet, cfg, radius)
+    value, gx, gh = _dense_repulsion(fleet, pairs)
+    fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
+    for ax, ah in (
+        fields.stabilize_gradient(fleet, cfg, w.stabilize),
+        fields.layer_gradient(fleet, cfg, w.layer),
+        fields.attract_gradient(fleet, ring, w.attract),
+        (w.repulse * gx, w.repulse * gh),
+        _dense_consensus(fleet, pairs, w.consensus_gain),
+        fields.goal_gradient(fleet, goals, cfg, w.goal),
+    ):
+        fx -= ax
+        fh -= ah
+    terms = (
+        (w.stabilize, fields.stabilize_value(fleet, cfg)),
+        (w.layer, fields.layer_value(fleet, cfg)),
+        (w.attract, fields.attract_value(fleet, ring)),
+        (w.repulse, value),
+        (w.goal, fields.goal_value(fleet, goals, cfg)),
+    )
+    return fx, fh, sum(wt * float(np.sum(v[fleet.resident])) for wt, v in terms)
+
+
+# (layer, x as a fraction of the course, on a 40-point grid or off it,
+# altitude offset, vx, vy, resident); no offset is so small that the cube of
+# a distance underflows
+_craft = st.tuples(
+    st.integers(0, 2),
+    st.integers(0, 39).map(lambda k: k / 40.0)
+    | st.floats(0.0, 1.0, exclude_max=True).filter(lambda v: v == 0.0 or v >= 1e-9),
+    st.sampled_from([0.0, 1.5]) | st.floats(-30.0, 30.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-9),
+    st.floats(20.0, 60.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([True, True, True, False]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    craft=st.lists(_craft, min_size=1, max_size=16),
+    course=st.sampled_from([200.0, 2000.0]),
+    reach=st.sampled_from([0.1, 0.15, 0.5, 0.6, 2.0]) | st.floats(0.001, 2.0),
+    goal=st.integers(0, 15),
+    edge=st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15)),
+)
+def test_band_matches_the_dense_reference(craft, course, reach, goal, edge):
+    """The band's force and field total equal, bit for bit, those of dense
+    per-layer pair matrices summed in order.  The fleets wrap the ring, have
+    radii beyond half the course, lone residents, empty layers, non-residents
+    and coincident x; a coincident point raises the same collision.  With
+    ``edge``, two aircraft fly level in one layer, and the radius is the x
+    offset between them: their distance meets it exactly."""
+    cfg = AirspaceConfig(course_length_m=course)
+    lay, frac, dh, vx, vy, resident = (np.array(c) for c in zip(*craft))
+    n = len(craft)
+    x = (frac * course) % course
+    radius = reach * course
+    if edge is not None:
+        i, j = edge[0] % n, edge[1] % n
+        lay[j], dh[j], resident[[i, j]] = lay[i], dh[i], True
+        radius = float(np.abs(ring_offset(x[j] - x[i], course))) or radius
+    fleet = fleet_state(
+        x, lay * cfg.layer_spacing_m + dh, vx, vy, lay, resident, np.arange(n) * 7 + 3, cfg
+    )
+    active = np.arange(n) == goal
+    goals = Goals(np.full(n, 0.3 * course), np.full(n, 150.0), active)
+    ring = ring_neighbours(fleet, cfg)
+    w = FieldWeights()
+    try:
+        want = _dense_force_and_total(fleet, ring, goals, w, cfg, radius)
+    except CollisionError as exc:
+        for call in (fields.force, fields.potential):
+            with pytest.raises(CollisionError) as got:
+                call(fleet, ring, goals, w, cfg, radius)
+            assert str(got.value) == str(exc)
+        return
+    fx, fh = fields.force(fleet, ring, goals, w, cfg, radius)
+    assert np.array_equal(fx, want[0]) and np.array_equal(fh, want[1])
+    assert fields.potential(fleet, ring, goals, w, cfg, radius) == want[2]
+
+
+def test_band_keeps_a_neighbour_exactly_on_the_radius():
+    """x_0 + r rounds below x_1, though the ring offset from 0 to 1 is r: a
+    window searched without the rounding slack would drop the pair, which
+    dist <= r admits."""
+    x = np.array([469.0204033396479, 869.8951044502841])
+    f = fleet_state(
+        x, np.zeros(2), np.full(2, 45.0), np.zeros(2), np.zeros(2, dtype=int),
+        np.ones(2, dtype=bool), np.arange(2), CFG,
+    )
+    r = float(abs(ring_offset(x[1] - x[0], CFG.course_length_m)))
+    assert x[0] + r < x[1]
+    band = fields.neighbour_band(f, CFG, r)
+    assert list(zip(band.a.tolist(), band.b.tolist())) == [(0, 1), (1, 0)]
+
+
 def test_layer_pairs_keep_row_order():
-    """The field sums run along a matrix row, and their bits depend on the
-    order of its columns: the members stay in row order, not ring order."""
+    """The field sums add a row's terms one by one, and their bits depend on
+    the order of the terms: each row's neighbours stay in row order, not in
+    ring order, and the rows follow the ring."""
     f = _fleet([(300.0, 100.0, 45.0, 0.0), (100.0, 100.0, 45.0, 0.0), (200.0, 100.0, 45.0, 0.0)])
-    assert [p.members.tolist() for p in fields.layer_pairs(f, CFG, RADIUS)] == [[0, 1, 2]]
+    band = fields.neighbour_band(f, CFG, RADIUS)
+    assert band.a.tolist() == [1, 1, 2, 2, 0, 0]
+    assert band.b.tolist() == [0, 2, 0, 1, 1, 2]
 
 
 def test_stabilize_value_and_gradient():
@@ -110,12 +265,12 @@ def test_attraction_pulls_forward_round_the_ring():
 def test_repulse_blows_up_approaching_contact():
     near = _fleet([(0.0, 0.0, 45.0, 0.0), (10.0, 0.0, 45.0, 0.0)])
     nearer = _fleet([(0.0, 0.0, 45.0, 0.0), (5.0, 0.0, 45.0, 0.0)])
-    assert fields.repulse_value(nearer, fields.layer_pairs(nearer, CFG, RADIUS))[0] > (
-        fields.repulse_value(near, fields.layer_pairs(near, CFG, RADIUS))[0]
+    assert fields.repulse_value(nearer, fields.neighbour_band(nearer, CFG, RADIUS))[0] > (
+        fields.repulse_value(near, fields.neighbour_band(near, CFG, RADIUS))[0]
     )
     touching = _fleet([(0.0, 0.0, 45.0, 0.0), (0.0, 0.0, 45.0, 0.0)])
     with pytest.raises(CollisionError):
-        fields.layer_pairs(touching, CFG, RADIUS)
+        fields.neighbour_band(touching, CFG, RADIUS)
     with pytest.raises(CollisionError):
         fields.force(
             touching, ring_neighbours(touching, CFG), _no_goals(2), FieldWeights(), CFG, RADIUS
@@ -179,7 +334,7 @@ def test_composite_force_sums_weighted_gradients():
     w = FieldWeights()
     fx, fh = fields.force(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
     grads = _gradients(f, goals)
-    cx, ch = fields.consensus(f, fields.layer_pairs(f, CFG, RADIUS), w.consensus_gain)
+    cx, ch = fields.consensus(f, fields.neighbour_band(f, CFG, RADIUS), w.consensus_gain)
     manual_x, manual_h = -cx, -ch
     for kind in KINDS:
         manual_x = manual_x - getattr(w, kind) * grads[kind][0]

@@ -1,12 +1,16 @@
 """Pinned artifacts: every builtin at seed 1, and ``uamsim delay-bounds`` with
-its defaults, write the same bytes as before.
+its defaults, write the same bytes as before.  Four builtins also pin the
+raw state arrays of their trace, every bit of which the files' 6 decimals
+would not show.
 
 A change that alters a digest must explain the new numbers in CHANGES.md and
 update the table below.
 """
 
 import hashlib
+from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from uamsim import engine, scenarios
@@ -63,14 +67,66 @@ GOLDEN = {
 
 FILES = ("trace.csv", "events.csv", "metrics.txt")
 
+# scenario -> SimTrace state array -> sha256 of its bytes (float64 and int64,
+# little-endian), for seed 1
+RAW = {
+    "fig12-ipr": {
+        "x": "c4ba8bf049403b86b1f91446e729590a93bf4d35e0c3c542592cdcda6cac76b9",
+        "h": "c6e50c9377ddc308f1f008a544d6290be280096a541a80418e351360e3ebb989",
+        "vx": "90d698af666db714af278c8276c2ebfe70b507d2f00d7d46db3fa6152fecac37",
+        "vy": "b8fa09e40e3922993cd2e3c3e1aa4762f961d66a394ec324993217670f48c197",
+        "layer": "d5ec8f2261399f79cc2e5e544b5c144d0caace8b0dc25a76cd83e53b9046637c",
+        "mode": "8e1c35c180ac0fb730f8bb42394ce74617aae1b6ce8d02f6155615a9cc4bbb16",
+        "capacity_bps": "1005cf1a83f78c5ddbbddf6b71e5dc83b33e4d5682f207760f8f7762bb9f5fb6",
+        "ris_partner": "411a42ca7f91053ba24324f61ce1f657d2e685074193ec9c230fa763a57388a1",
+    },
+    "fig12-ipr-dense": {
+        "x": "c34a2a8938e3af571b1ee865a0ae79b87e77223d874bf02bb4e7752fa8c0ceea",
+        "h": "f7d50430f8ecad3f15946d5823062b00b7f80badb57dbc6081d2227f8e6c0ab4",
+        "vx": "2a8e90931aaf315d9d7c7c7e4b65670421e492851032b9850bbdd06704ba689c",
+        "vy": "89822cb17ad0704f3fd20e90c4f53c60d32ee2e677553f79feceb01c6df4c698",
+        "layer": "8f259ce6062b31d986b3395e373df6fda155201a96c2910c2fc713b465194d71",
+        "mode": "58fca0557542a1f12eccb1405e18ccf052842145f60d350894ca0aab9906deab",
+        "capacity_bps": "21ef918a96ab8e98a9d31232bbad29c6270ca88ade562a4058731b697493fee9",
+        "ris_partner": "9ab4db43617e15b3b120b25ba1307d5c752c0fc76092a2c73dc6d53ec6ac0ac7",
+    },
+    "fig6-airborne": {
+        "x": "5d37ed9d444fc4e7535bb3db864f0679861a379042dd7af7378bd634a7c8ec3b",
+        "h": "25c1167242e7b3981f53d40db76696561638e8f0b1fe8ac0cdc3ae061200af3c",
+        "vx": "894b511750ff0adcd5fb5891bab4f4abcf0802719da5431ca3bc6486218d891d",
+        "vy": "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "layer": "7abd0fdf6b30cde67208d377bd97230a9e1bab55e80b099447b59b53a2309966",
+        "mode": "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "capacity_bps": "5514f844e5dcc325f28d326b23f0eb774e9a87224cc578748ecc3083749a5482",
+        "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
+    },
+    "fig9-phase": {
+        "x": "2a4ea80c98e4d76c3ed1410e2447da34d707cd7cc0d71e29936b6e58f46526ea",
+        "h": "25c1167242e7b3981f53d40db76696561638e8f0b1fe8ac0cdc3ae061200af3c",
+        "vx": "375c75c33aa773d981460376fea6532ae7e440da36010de14140a8589a2d7799",
+        "vy": "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "layer": "7abd0fdf6b30cde67208d377bd97230a9e1bab55e80b099447b59b53a2309966",
+        "mode": "bb918147fe10391b43adeba4bd21b9ef32e5bd6c5076c3517733a05ed6dd0569",
+        "capacity_bps": "75b9c6f6da3c23aa9984dc11cba035789d60a37238298c032bcf6295c3496b3f",
+        "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
+    },
+}
+RAW_ARRAYS = ("x", "h", "vx", "vy", "layer", "mode", "capacity_bps", "ris_partner")
+
 # uamsim delay-bounds with default arguments: fig5-delay's protocol, loads
 # 5,15,25,35 Mb, budgets to 2 s on a 5 ms grid
 DELAY_BOUNDS = ("0c4b1ab9232dfdab90904d914462e4f36c41744da8341b85a9645c29e8a42c24", 4801)
 
 
+@lru_cache(maxsize=None)
+def run_builtin(name):
+    """The trace of builtin ``name`` at seed 1, flown once per test run."""
+    return engine.run(scenarios.get_scenario(name, seed=1))
+
+
 def write_artifacts(name, out):
     """Write the three deterministic artifacts of builtin ``name`` at seed 1."""
-    trace = engine.run(scenarios.get_scenario(name, seed=1))
+    trace = run_builtin(name)
     engine.write_trace(trace, str(out / "trace.csv"))
     engine.write_events(trace, str(out / "events.csv"))
     engine.write_metrics(engine.summarize(trace), str(out / "metrics.txt"))
@@ -91,6 +147,17 @@ def test_builtin_artifacts_match_their_digests(name, tmp_path):
     for fname in FILES:
         got = digest(tmp_path / fname)
         assert got == GOLDEN[name][fname], f"{name}: {fname} differs from its pinned digest"
+
+
+@pytest.mark.parametrize("name", sorted(RAW))
+def test_raw_trace_arrays_match_their_digests(name):
+    trace = run_builtin(name)
+    got = {
+        key: hashlib.sha256(np.ascontiguousarray(getattr(trace, key)).tobytes()).hexdigest()
+        for key in RAW_ARRAYS
+    }
+    differ = [key for key in RAW_ARRAYS if got[key] != RAW[name][key]]
+    assert differ == [], f"{name}: {', '.join(differ)} differ from their pinned digests"
 
 
 def test_delay_bounds_match_their_digest(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uamsim.airspace import ring_offset
+from uamsim.airspace import AirspaceConfig, fleet_state, ring_offset
 from uamsim.engine import validate_scenario
 from uamsim.scenarios import get_scenario
 from uamsim.switching import (
@@ -285,10 +285,21 @@ def _row_order_pass(rows, x, layer, resident, released, window, course):
     return picks
 
 
+def _target_layers(rows, x, layer, resident, released, window):
+    """``target_layers`` on a 2 km course, for the fleet the back-off pass
+    starts from: the ``resident`` rows and the rows it ``released``."""
+    x, layer = np.array(x, dtype=float), np.array(layer)
+    resident, released = np.array(resident, dtype=bool), np.array(released, dtype=bool)
+    n = len(x)
+    fleet = fleet_state(
+        x, np.zeros(n), np.zeros(n), np.zeros(n), layer, resident | released, np.arange(n),
+        AirspaceConfig(),
+    )
+    return target_layers(np.array(rows, dtype=int), fleet, released, window, 2000.0)
+
+
 def _targets(rows, x, layer, resident, released, window=500.0):
-    args = (np.array(x, dtype=float), np.array(layer), np.array(resident, dtype=bool),
-            np.array(released, dtype=bool))
-    return target_layers(np.array(rows), *args, window, 2000.0).tolist()
+    return _target_layers(rows, x, layer, resident, released, window).tolist()
 
 
 # (x on a 50 m grid, layer, role in the pass, triggers if resident)
@@ -300,21 +311,42 @@ _craft = st.tuples(
 )
 
 
+# off-grid x: a shift in [0, 50) per aircraft, and the two aircraft whose
+# ring offset becomes the window: a triggering row of the middle layer, and
+# a resident of the high layer
+_edge = st.tuples(
+    st.lists(st.floats(0.0, 50.0, exclude_max=True), min_size=9, max_size=9),
+    st.integers(0, 8),
+    st.integers(0, 8),
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     craft=st.lists(_craft, min_size=1, max_size=9),
     window=st.sampled_from([50.0, 100.0, 500.0, 999.0, 1000.0, 1500.0]) | st.floats(1.0, 3000.0),
+    edge=st.none() | _edge,
 )
-def test_target_layers_match_the_row_order_pass(craft, window):
+def test_target_layers_match_the_row_order_pass(craft, window, edge):
     """The array step picks what the per-row rule picked in the row-order
     pass, for random small fleets, windows up to beyond half the course
-    included."""
+    included.  With ``edge``, x leaves the grid and the window is a ring
+    offset between two aircraft, so the window's edge is hit exactly in
+    floating point."""
     x = np.array([50.0 * c[0] for c in craft])
+    if edge is not None:
+        shift, i, j = edge
+        i, j = i % len(craft), j % len(craft)
+        x = (x + shift[: len(x)]) % 2000.0
+        window = float(np.abs(ring_offset(x[j] - x[i], 2000.0)))
+        if i != j:
+            craft = list(craft)
+            craft[i], craft[j] = (0, 1, "resident", True), (0, 2, "resident", False)
     layer = np.array([c[1] for c in craft])
     resident = np.array([c[2] == "resident" for c in craft])
     released = np.array([c[2] == "released" for c in craft])
     rows = np.flatnonzero(resident & np.array([c[3] for c in craft]))
-    got = target_layers(rows, x, layer, resident, released, window, 2000.0)
+    got = _target_layers(rows, x, layer, resident, released, window)
     assert got.tolist() == _row_order_pass(rows, x, layer, resident, released, window, 2000.0)
 
 
