@@ -69,6 +69,8 @@ class AirspaceConfig:
             raise ValueError("max brake rate must exceed the comfort rate")
         if self.max_accel_mps2 <= 0.0:
             raise ValueError("max acceleration must be positive")
+        if self.reaction_delay_s < 0.0 or self.vertical_separation_coeff < 0.0:
+            raise ValueError("reaction_delay_s and vertical_separation_coeff cannot be negative")
 
     def layer_altitude(self, layer: int) -> float:
         return layer * self.layer_spacing_m
@@ -79,7 +81,7 @@ class Fleet(NamedTuple):
     marks aircraft not in the middle of a layer switch.  ``order``, built by
     ``fleet_state`` only, is the one resident order: resident rows by (layer,
     x, id), layer l's ring being ``order[bounds[l]:bounds[l + 1]]``.
-    ``ring_laps`` unrolls the segments for search by x; sorted back to row
+    ``ring_pairs`` finds neighbours by x in the segments; sorted back to row
     order, a segment gives the served pair its ties to the lowest row."""
 
     x: np.ndarray
@@ -149,31 +151,37 @@ class Laps(NamedTuple):
     sizes: np.ndarray
     course: float
 
-    def window(self, layer, centre, reach: float):
-        """Slices [first, stop) of ``rows``: the residents of each query's
-        ``layer`` whose x lies in [centre - reach, centre + reach] round the
-        ring, at most ``course`` either side.  A slice of ``sizes[layer]`` or
-        more covers the whole ring, so its first that many entries hold each
-        resident once."""
-        reach = min(reach, self.course)  # the middle lap and one more either side
-        at = centre + 4.0 * self.course * layer
-        lo = np.searchsorted(self.keys, at - reach, "left")
-        return lo, np.searchsorted(self.keys, at + reach, "right")
-
-    def slack(self, reach: float) -> float:
-        """Rounding slack of a window of ``reach``: far above the few ulps by
-        which a searched bound and ``ring_offset`` can disagree, so the window
-        widened by it holds every resident within reach, and the one narrowed
-        by it only residents within reach."""
-        return 1e-9 * (self.course + reach)
-
 
 def ring_laps(fleet: Fleet, course: float) -> Laps:
-    """Unroll the fleet's rings for ``Laps.window``."""
+    """Unroll the fleet's rings for ``ring_pairs``."""
     sizes = np.diff(fleet.bounds)
     rows = np.concatenate([fleet.segment(lay) for lay in range(3) for _ in range(3)])
     keys = fleet.x[rows] + np.repeat(_LAP_SHIFT * course, np.repeat(sizes, 3))
     return Laps(rows, keys, sizes, course)
+
+
+def ring_pairs(
+    fleet: Fleet, laps: Laps, layer: int | np.ndarray, rows: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (k, j), k ascending: each resident j of ``layer`` (one
+    for all queries, or one per query) whose x lies within ``reach`` of
+    x[rows[k]] round the ring, appearing at most once per query.
+
+    The window is widened by a rounding slack far above the few ulps by
+    which a searched bound and ``ring_offset`` can disagree, so it holds
+    every resident with |ring_offset| <= reach; each caller applies its
+    exact rule to the candidates.
+    """
+    course = laps.course
+    # the middle lap and one more either side
+    reach = min(reach + 1e-9 * (course + reach), course)
+    at = fleet.x[rows] + 4.0 * course * np.asarray(layer)
+    first = np.searchsorted(laps.keys, at - reach, "left")
+    # a slice of sizes[layer] or more covers the whole ring: its first that
+    # many entries hold each resident once
+    count = np.minimum(np.searchsorted(laps.keys, at + reach, "right") - first, laps.sizes[layer])
+    k = np.repeat(np.arange(len(rows)), count)
+    return k, laps.rows[np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(k))]
 
 
 def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -230,13 +238,13 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     the same-layer ring: conflict accounting covers layer residents, and a
     switcher re-enters it at capture.  Returns row-pair codes.
 
-    A hit needs |dh| <= dist < coeff * (faster speed), so two layers whose
-    altitude bands are at least coeff times their fastest speed apart are
-    skipped before their pair matrices are built; rounding is monotone, so
-    the skip drops no pair the matrices would find.
+    A hit needs |dx|, |dh| <= dist < coeff * (faster speed), so two layers
+    whose altitude bands are at least coeff times their fastest speed apart
+    are skipped, and the others test the rule on their ``ring_pairs`` within
+    that reach; rounding is monotone, so neither drops a pair the rule finds.
     """
     rows_a, rows_b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    coeff = cfg.vertical_separation_coeff
+    coeff, course = cfg.vertical_separation_coeff, cfg.course_length_m
     groups = [fleet.segment(lay) for lay in range(3)]
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     # lowest and highest altitude and fastest speed of each layer's residents;
@@ -245,28 +253,26 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
         (h[g].min(), h[g].max(), speed[g].max()) if len(g) else (np.inf, -np.inf, 0.0)
         for g in groups
     ]
+    laps = None
     for la, lb in ((0, 1), (1, 2), (0, 2)):
         (lo_a, hi_a, fast_a), (lo_b, hi_b, fast_b) = bands[la], bands[lb]
-        if max(lo_b - hi_a, lo_a - hi_b) >= coeff * max(fast_a, fast_b):
+        reach = coeff * max(fast_a, fast_b)
+        if max(lo_b - hi_a, lo_a - hi_b) >= reach:
             continue
-        ga, gb = groups[la], groups[lb]
-        sx = ring_offset(x[ga][:, None] - x[gb][None, :], cfg.course_length_m)
-        sh = h[ga][:, None] - h[gb][None, :]
+        laps = laps or ring_laps(fleet, course)  # only a pair in reach needs them
+        k, b = ring_pairs(fleet, laps, lb, groups[la], reach)
+        a = groups[la][k]
+        sx = ring_offset(x[a] - x[b], course)
+        sh = h[a] - h[b]
         dist = np.hypot(sx, sh)
-        rvx = vx[ga][:, None] - vx[gb][None, :]
-        rvy = vy[ga][:, None] - vy[gb][None, :]
+        rvx, rvy = vx[a] - vx[b], vy[a] - vy[b]
         rnorm = np.hypot(rvx, rvy)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosg = -(sx * rvx + sh * rvy) / (dist * rnorm)
         cosg = np.where((rnorm == 0.0) | (dist == 0.0), 0.0, cosg)
         cosg = np.clip(cosg, 0.0, 1.0)
-        vsep = coeff * np.maximum(speed[ga][:, None], speed[gb][None, :]) * cosg
-        hit = (
-            (dist < vsep)
-            & (dist > 0.0)
-            & (np.abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9)
-        )
-        r, c = np.nonzero(hit)
-        rows_a.append(ga[r])
-        rows_b.append(gb[c])
+        vsep = coeff * np.maximum(speed[a], speed[b]) * cosg
+        hit = (dist < vsep) & (dist > 0.0) & (np.abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9)
+        rows_a.append(a[hit])
+        rows_b.append(b[hit])
     return pair_codes(np.concatenate(rows_a), np.concatenate(rows_b), len(fleet.x))

@@ -130,6 +130,8 @@ def validate_scenario(sc: Scenario) -> list[str]:
         problems.append("name must not have outer whitespace or a line break")
     if not 0.0 < sc.dt < math.inf:
         problems.append("dt must be positive and finite")
+    elif sc.dt < 1e-9:
+        problems.append("dt must be at least 1e-9 s, the finest step 9 decimals print")
     if sc.comm_interval < 1:
         problems.append("comm interval must be at least one tick")
     if not 0.0 < sc.duration_s < math.inf:
@@ -281,10 +283,12 @@ def merge_episodes(
 
 
 def time_decimals(dt: float) -> int:
-    """Fewest decimals, at least one, that print every multiple of dt exactly."""
+    """Fewest decimals, at least one, that print every multiple of dt exactly,
+    whole to a rounding error relative to dt; 9 if none up to 9 do (a dt
+    under 1e-9 fails ``validate_scenario``)."""
     for d in range(1, 10):
         scaled = dt * 10**d
-        if abs(scaled - round(scaled)) < 1e-6:
+        if abs(scaled - round(scaled)) <= 1e-9 * scaled:
             return d
     return 9
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset
+from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset, ring_pairs
 
 
 class CollisionError(RuntimeError):
@@ -66,21 +66,18 @@ class Band(NamedTuple):
 
 
 def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
-    """The band of the fleet's residents.  Each one's candidates are the
-    window of its layer's ring within ``radius`` in x, widened by the
-    rounding slack, so that dist <= radius is tested exactly on them."""
+    """The band of the fleet's residents: dist <= radius tested exactly on
+    each one's ``ring_pairs`` within ``radius`` in its own layer."""
     course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
-    laps = ring_laps(fleet, course)
-    lay = fleet.layer[rows]
-    first, stop = laps.window(lay, fleet.x[rows], radius + laps.slack(radius))
-    count = np.minimum(stop - first, laps.sizes[lay])
-    slot = np.arange(count.max(initial=0))
-    nb = laps.rows[first[:, None] + np.minimum(slot, count[:, None] - 1)]
-    # each window padded with n, and sorted into row order; 32-bit keys sort
-    # about twice as fast
-    nb = np.sort(np.where(slot < count[:, None], nb, n).astype(np.int32), axis=1)
-    a = np.repeat(rows, count - 1)  # a window holds its own row once
-    b = nb[(nb < n) & (nb != rows[:, None])].astype(np.intp)
+    # a starts as the query index k, b as the resident j.  Sorting the codes
+    # k * n + j puts each window in row order and leaves k in place, as k
+    # ascends; windows mostly ascend already, and the stable sort merges
+    # their runs.  Rebinding a and b frees each pair-sized array after use.
+    a, b = ring_pairs(fleet, ring_laps(fleet, course), fleet.layer[rows], rows, radius)
+    b = np.sort(a * n + b, kind="stable") - a * n
+    a = rows[a]
+    other = a != b  # a window holds its own row once
+    a, b = a[other], b[other]
     sx = ring_offset(fleet.x[b] - fleet.x[a], course)
     sh = fleet.h[b] - fleet.h[a]
     dist = np.hypot(sx, sh)

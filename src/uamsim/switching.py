@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airspace import ring_laps, ring_offset
+from .airspace import ring_laps, ring_offset, ring_pairs
 
 # The trace's mode codes; MODE_NAMES spells each one out.
 MODE_CRUISE, MODE_SWITCHING, MODE_BACKING_OFF = 0, 1, 2
@@ -42,12 +42,8 @@ def target_layers(rows, fleet, released, window, course) -> np.ndarray:
     """Adjacent layer with the fewer residents within ``window`` of each of
     ``rows``; ties go up.  ``fleet`` holds the residents before the back-off
     pass: of the rows the pass ``released``, those at a higher row index
-    still count, as in row order.
-
-    A resident is within the window when |ring_offset| <= window.  Counts
-    come from searches of the sorted rings: the window narrowed by the
-    rounding slack is counted whole, and the thin margin that widening it
-    adds is checked one resident at a time by that rule.
+    still count, as in row order.  A resident is within the window when
+    |ring_offset| <= window, tested on the ``ring_pairs`` candidates.
     """
     own = fleet.layer[rows]
     out = np.where(own == 2, 1, own + 1)
@@ -55,36 +51,16 @@ def target_layers(rows, fleet, released, window, course) -> np.ndarray:
     if len(mid) == 0:
         return out
     laps = ring_laps(fleet, course)
-    down, up = [_window_counts(fleet, laps, mid, lay, window) for lay in (0, 2)]
-    gone = np.flatnonzero(released)
-    if len(gone):
-        left = (gone < mid[:, None]) & (
-            np.abs(ring_offset(fleet.x[gone] - fleet.x[mid, None], course)) <= window
-        )
-        down = down - np.sum(left & (fleet.layer[gone] == 0), axis=1)
-        up = up - np.sum(left & (fleet.layer[gone] == 2), axis=1)
+    counts = []
+    for lay in (0, 2):
+        k, j = ring_pairs(fleet, laps, lay, mid, window)
+        i = mid[k]
+        near = np.abs(ring_offset(fleet.x[j] - fleet.x[i], course)) <= window
+        left = released[j] & (j < i)  # released earlier in the pass
+        counts.append(np.bincount(k[near & ~left], minlength=len(mid)))
+    down, up = counts
     out[own == 1] = np.where(down < up, 0, 2)
     return out
-
-
-def _window_counts(fleet, laps, rows, layer, window) -> np.ndarray:
-    """Residents of ``layer`` with |ring_offset| <= ``window`` from each of ``rows``."""
-    x, size = fleet.x[rows], laps.sizes[layer]
-    slack = laps.slack(window)
-    a_out, b_out = laps.window(layer, x, window + slack)
-    a_in, b_in = laps.window(layer, x, window - slack) if window > slack else (a_out, a_out)
-    inner = np.minimum(b_in - a_in, size)
-    # The margin: the residents the outer window holds and the inner lacks.
-    # An outer window round the whole ring holds all the inner one lacks.
-    wide = b_out - a_out >= size
-    first = np.concatenate((np.where(wide, a_in + inner, a_out), b_in))
-    length = np.concatenate(
-        (np.where(wide, size - inner, a_in - a_out), np.where(wide, 0, b_out - b_in))
-    )
-    query = np.repeat(np.tile(np.arange(len(rows)), 2), length)
-    j = laps.rows[np.repeat(first - np.cumsum(length) + length, length) + np.arange(length.sum())]
-    hit = np.abs(ring_offset(fleet.x[j] - x[query], laps.course)) <= window
-    return inner + np.bincount(query[hit], minlength=len(rows))
 
 
 @dataclass

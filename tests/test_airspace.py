@@ -14,8 +14,10 @@ from uamsim.airspace import (
     fleet_state,
     horizontal_safe_separation,
     pair_codes,
+    ring_laps,
     ring_neighbours,
     ring_offset,
+    ring_pairs,
 )
 from uamsim.engine import AircraftSpec, Scenario, validate_scenario
 
@@ -321,6 +323,68 @@ def test_ring_matches_the_per_layer_loop(data):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+# x as a fraction of the course: on the seam, coincident, or anywhere
+_fraction = st.sampled_from([0.0, 0.25, 0.5, 0.999]) | st.floats(0.0, 1.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    craft=st.lists(
+        st.tuples(_fraction, st.integers(0, 2), st.sampled_from([True, True, False])),
+        min_size=1, max_size=12,
+    ),
+    course=st.sampled_from([200.0, 2000.0]),
+    reach=st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0]) | st.floats(0.0, 3.0),
+    edge=st.none() | st.integers(0, 11),
+    data=st.data(),
+)
+def test_ring_pairs_hold_every_resident_in_reach_once(craft, course, reach, edge, data):
+    """Every resident of the queried layer with |ring_offset| <= reach is a
+    candidate of the query exactly once, and no candidate lies beyond reach
+    plus the rounding slack, 1e-9 (course + reach).  The fleets wrap the
+    ring and have empty layers and lone residents; reaches run from 0 to
+    3 courses.  With ``edge``, the reach is the ring offset from the first
+    query to a resident of its layer, so the window's edge is hit exactly
+    in floating point."""
+    frac, lay, resident = (np.array(c) for c in zip(*craft))
+    n = len(craft)
+    x = (frac * course) % course
+    reach *= course
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=edge is not None, max_size=8))
+    one = data.draw(st.none() | st.integers(0, 2))  # one layer for all queries, or one each
+    each = st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows))
+    layers = np.full(len(rows), one) if one is not None else np.array(data.draw(each), dtype=int)
+    if edge is not None:
+        j = edge % n
+        lay[j], resident[j] = layers[0], True
+        reach = float(np.abs(ring_offset(x[j] - x[rows[0]], course)))
+    cfg = AirspaceConfig(course_length_m=course)
+    fleet = fleet_state(x, lay * 100.0, np.zeros(n), np.zeros(n), lay, resident, np.arange(n), cfg)
+    laps = ring_laps(fleet, course)
+    k, j = ring_pairs(fleet, laps, layers if one is None else one, np.array(rows, dtype=int), reach)
+    assert np.all(np.diff(k) >= 0)
+    for q, row in enumerate(rows):
+        got = j[k == q]
+        members = np.flatnonzero(resident & (lay == layers[q]))
+        assert len(set(got.tolist())) == len(got) and np.all(np.isin(got, members))
+        off = np.abs(ring_offset(x[got] - x[row], course))
+        assert np.all(off <= reach + 1e-9 * (course + reach))
+        near = members[np.abs(ring_offset(x[members] - x[row], course)) <= reach]
+        assert np.all(np.isin(near, got))
+
+
+def test_ring_pairs_reach_round_the_ring_once():
+    """A reach of several courses holds each resident of the layer once,
+    and never one of the layer below or above."""
+    x, lay = np.array([500.0, 1500.0, 100.0]), np.array([0, 0, 1])
+    zero = np.zeros(3)
+    fleet = fleet_state(x, lay * 100.0, zero, zero, lay, np.ones(3, bool), np.arange(3), CFG)
+    laps = ring_laps(fleet, CFG.course_length_m)
+    for layer, want in ((1, [2]), (0, [0, 1])):
+        k, j = ring_pairs(fleet, laps, layer, np.array([2]), 2.5 * CFG.course_length_m)
+        assert k.tolist() == [0] * len(want) and sorted(j.tolist()) == want
+
+
 def test_same_layer_conflict_uses_faster_speed():
     # 140 m apart: inside the 45 m/s bubble (149.06) but outside 30 m/s (71.25)
     slow = (0, 0.0, 0.0, 30.0, 0.0, 0)
@@ -373,3 +437,6 @@ def test_config_rejects_nonsense():
         AirspaceConfig(layer_spacing_m=-5.0)
     with pytest.raises(ValueError):
         AirspaceConfig(max_brake_mps2=2.0, comfort_brake_mps2=4.0)
+    for rate in ("reaction_delay_s", "vertical_separation_coeff"):
+        with pytest.raises(ValueError, match="cannot be negative"):
+            AirspaceConfig(**{rate: -1.0})

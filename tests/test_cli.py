@@ -188,6 +188,11 @@ _BAD_INPUTS = {
     # a quantized grid used to pass validation, then fail the run mid-way
     "grid that does not divide the turn": ["--set", "phase_resolution=0.3"],
     "negative seed": ["--seed", "-1"],
+    # a negative reach or delay used to print ok
+    "negative vertical separation": ["--set", "airspace.vertical_separation_coeff=-1"],
+    "negative reaction delay": ["--set", "airspace.reaction_delay_s=-1"],
+    # its ticks all printed as t = 0.0
+    "step under a nanosecond": ["--set", "dt=1e-10", "--set", "duration_s=1e-9"],
     "out names a file": ["--out", "F"],
 }
 _BAD_ARGUMENTS = {

@@ -356,6 +356,20 @@ def test_write_events_file(tmp_path):
 
 def test_time_decimals():
     assert [time_decimals(dt) for dt in (0.1, 0.05, 0.025, 1.0, 0.5, 2.0)] == [1, 2, 3, 1, 1, 1]
+    # whole relative to dt: 1e-9 and 1e-10 were both whole at one decimal
+    assert [time_decimals(dt) for dt in (1e-9, 2.5e-8, 1e-10, 100.00001)] == [9, 9, 9, 5]
+
+
+def test_nanosecond_steps_print_one_timestamp_per_tick(tmp_path):
+    """At dt = 1e-9 the trace prints k * dt for tick k, ten distinct times;
+    a finer step, whose ticks 9 decimals would print alike, is rejected."""
+    sc = replace(scenarios.get_scenario("fig12-ipr", seed=1), dt=1e-9, duration_s=1e-8)
+    tr = run(sc)
+    write_trace(tr, str(tmp_path / "trace.csv"))
+    assert _columns(tmp_path / "trace.csv") == [f"0.{k:09d}" for k in range(10) for _ in tr.ids]
+    assert validate_scenario(replace(sc, dt=1e-10, duration_s=1e-9)) == [
+        "dt must be at least 1e-9 s, the finest step 9 decimals print"
+    ]
 
 
 def _columns(path, col=0):

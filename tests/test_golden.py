@@ -1,7 +1,7 @@
 """Pinned artifacts: every builtin at seed 1, and ``uamsim delay-bounds`` with
-its defaults, write the same bytes as before.  Four builtins also pin the
-raw state arrays of their trace, every bit of which the files' 6 decimals
-would not show.
+its defaults, write the same bytes as before.  Four builtins and one variant
+also pin the raw state arrays of their trace, every bit of which the files'
+6 decimals would not show.
 
 A change that alters a digest must explain the new numbers in CHANGES.md and
 update the table below.
@@ -100,6 +100,16 @@ RAW = {
         "capacity_bps": "5514f844e5dcc325f28d326b23f0eb774e9a87224cc578748ecc3083749a5482",
         "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
     },
+    "fig12-ipr-xl": {
+        "x": "8bdbfcb22c1e6e0b6d3251e264b425263654767e629642ccdce79a0d6025ab47",
+        "h": "c4806820f24f31fb793f5f1d49559f96cc7071773d40bd6f4e0812fe1cbc0e01",
+        "vx": "a6cae7463501c8b83901ad9a91bb25c58cd4e3f76dc6327825ef1f0499bf2443",
+        "vy": "442f5bc233d4ceae8cb55d048660aaa5673d82c7402cda280a145e5fd30318f4",
+        "layer": "8dceeebcb900c0e94e87ee115a985140fcbffb9b924d7cc0ddc7c7592b761116",
+        "mode": "a8a23fd6228fee4dea6efb89b0511c8cc119c5120f0e65c0ccac8b6dfdcbb097",
+        "capacity_bps": "5527cd8ee761c8aa4ae00c76c98bd659ac21cec70de95bbe9d4fc360397f50ce",
+        "ris_partner": "b0a4f98ae0d7e7571b651806328d00379ac751b4e9a2a4e57800a3e71f8eba2e",
+    },
     "fig9-phase": {
         "x": "2a4ea80c98e4d76c3ed1410e2447da34d707cd7cc0d71e29936b6e58f46526ea",
         "h": "25c1167242e7b3981f53d40db76696561638e8f0b1fe8ac0cdc3ae061200af3c",
@@ -113,15 +123,31 @@ RAW = {
 }
 RAW_ARRAYS = ("x", "h", "vx", "vy", "layer", "mode", "capacity_bps", "ris_partner")
 
+# variant -> (builtin, --set assignments).  The default coefficient puts
+# every layer pair out of reach; at 10, fig12-ipr flies with cross-layer
+# pairs on each of its 100 ticks.
+VARIANTS = {
+    "fig12-ipr-xl": (
+        "fig12-ipr",
+        (("airspace.vertical_separation_coeff", "10"), ("duration_s", "10")),
+    ),
+}
+
 # uamsim delay-bounds with default arguments: fig5-delay's protocol, loads
 # 5,15,25,35 Mb, budgets to 2 s on a 5 ms grid
 DELAY_BOUNDS = ("0c4b1ab9232dfdab90904d914462e4f36c41744da8341b85a9645c29e8a42c24", 4801)
 
 
+def seeded(name):
+    """Builtin or variant ``name`` at seed 1."""
+    base, settings = VARIANTS.get(name, (name, ()))
+    return scenarios.apply_settings(scenarios.get_scenario(base, seed=1), settings)
+
+
 @lru_cache(maxsize=None)
 def run_builtin(name):
-    """The trace of builtin ``name`` at seed 1, flown once per test run."""
-    return engine.run(scenarios.get_scenario(name, seed=1))
+    """The trace of ``seeded(name)``, flown once per test run."""
+    return engine.run(seeded(name))
 
 
 def write_artifacts(name, out):
@@ -158,6 +184,20 @@ def test_raw_trace_arrays_match_their_digests(name):
     }
     differ = [key for key in RAW_ARRAYS if got[key] != RAW[name][key]]
     assert differ == [], f"{name}: {', '.join(differ)} differ from their pinned digests"
+
+
+def test_cross_layer_variant_flies_cross_layer_pairs(monkeypatch):
+    """The variant's digests cover the cross-layer rule: it finds pairs."""
+    counts, rule = [], engine.cross_layer_conflicts
+
+    def counted(fleet, cfg):
+        codes = rule(fleet, cfg)
+        counts.append(len(codes))
+        return codes
+
+    monkeypatch.setattr(engine, "cross_layer_conflicts", counted)
+    engine.run(seeded("fig12-ipr-xl"))
+    assert len(counts) == 100 and min(counts) > 0 and sum(counts) == 1025
 
 
 def test_delay_bounds_match_their_digest(tmp_path, capsys):
