@@ -56,6 +56,7 @@ from .switching import (
     target_layers,
     triggered,
 )
+from .textfmt import float_cells, int_cells, rows_text, text_words, word
 
 
 class RisMode(Enum):
@@ -646,34 +647,57 @@ def summarize(trace: SimTrace) -> dict[str, float | int | str]:
     return out
 
 
+# Rows of trace.csv formatted as one block: whole ticks, at least one, of
+# about this many rows.  A block's matrix and temporaries take about 300
+# bytes a row at their peak, so this keeps them near 0.4 MB.
+TRACE_BLOCK_ROWS = 1280
+
+
+def _trace_block(trace: SimTrace, ticks: range, dec: int, ids: np.ndarray, modes: np.ndarray) -> bytearray:
+    """The trace.csv rows of the given ticks, as one matrix of cells."""
+    span = slice(ticks.start, ticks.stop)
+    rows = len(ticks) * len(ids)
+    stamps = text_words([f"{k * trace.scenario.dt:.{dec}f}," for k in ticks])
+    floats = float_cells(
+        np.stack([trace.x[span], trace.h[span], trace.vx[span], trace.vy[span], trace.capacity_bps[span]], axis=-1),
+        ",",
+    )
+    floats = floats.reshape(rows, 5, floats.shape[-1])
+    ints = int_cells(np.stack([trace.layer[span], trace.ris_partner[span]], axis=-1))
+    ints = ints.reshape(rows, 2, ints.shape[-1])
+    comma = np.broadcast_to(word(","), (rows, 1))
+    columns = [
+        np.repeat(stamps, len(ids), axis=0),
+        np.tile(ids, (len(ticks), 1)),
+        comma,
+        *(floats[:, j] for j in range(4)),
+        ints[:, 0],
+        comma,
+        modes[trace.mode[span].ravel()],
+        floats[:, 4],
+        ints[:, 1],
+        np.broadcast_to(word("\n"), (rows, 1)),
+    ]
+    del floats, ints
+    return rows_text(columns)
+
+
 def write_trace(trace: SimTrace, path: str) -> None:
     """State rows as delimited text, one row per aircraft per tick.
 
-    The time column comes from the tick index, at the decimals dt needs.
+    The time column comes from the tick index, at the decimals dt needs;
+    the other cells read as '%d' and '%.6f' print them.  Whole ticks at a
+    time, about ``TRACE_BLOCK_ROWS`` rows, are formatted as one block.
     """
-    dt = trace.scenario.dt
-    dec = time_decimals(dt)
-    ids = trace.ids.tolist()
-    n = len(ids)
-    names = np.array(MODE_NAMES, dtype=object)
-    # One % format per tick over its cells, interleaved row by row; a tick at
-    # a time bounds their memory.
-    fmt = "%s,%d,%.6f,%.6f,%.6f,%.6f,%d,%s,%.6f,%d\n" * n
-    cells = [None] * (10 * n)
-    cells[1::10] = ids
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
-        for k in range(len(trace.x)):
-            cells[0::10] = [f"{k * dt:.{dec}f}"] * n
-            cells[2::10] = trace.x[k].tolist()
-            cells[3::10] = trace.h[k].tolist()
-            cells[4::10] = trace.vx[k].tolist()
-            cells[5::10] = trace.vy[k].tolist()
-            cells[6::10] = trace.layer[k].tolist()
-            cells[7::10] = names[trace.mode[k]].tolist()
-            cells[8::10] = trace.capacity_bps[k].tolist()
-            cells[9::10] = trace.ris_partner[k].tolist()
-            fh.write(fmt % tuple(cells))
+    dec = time_decimals(trace.scenario.dt)
+    n_ticks, n = trace.x.shape
+    ids = int_cells(trace.ids)
+    modes = text_words([f"{name}," for name in MODE_NAMES])
+    step = max(1, TRACE_BLOCK_ROWS // max(n, 1))
+    with open(path, "wb") as fh:
+        fh.write(b"t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
+        for k0 in range(0, n_ticks, step):
+            fh.write(_trace_block(trace, range(k0, min(k0 + step, n_ticks)), dec, ids, modes))
 
 
 def write_events(trace: SimTrace, path: str) -> None:

@@ -1,5 +1,6 @@
 """Whole-simulator behaviour: determinism, invariants, episode accounting."""
 
+import itertools
 import math
 import re
 import tempfile
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uamsim import engine, scenarios
+from uamsim import engine, scenarios, textfmt
 from uamsim.airspace import cross_layer_conflicts, ring_neighbours
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
@@ -419,10 +420,29 @@ def _write_trace_per_row(trace, path):
             )
 
 
-def _same_trace_bytes(tr, tmp_path):
+def _first_difference(written, reference, n):
+    """Where two trace.csv texts of n rows per tick first differ, and both lines."""
+    lines = list(itertools.zip_longest(written.split(b"\n"), reference.split(b"\n")))
+    line = next(i for i, (a, b) in enumerate(lines) if a != b)
+    where = "the header" if line == 0 else "(tick, row) = (%d, %d)" % divmod(line - 1, n)
+    return f"first difference at line {line + 1}, {where}:\n  written   {lines[line][0]!r}\n  reference {lines[line][1]!r}"
+
+
+def _assert_same_trace_bytes(tr, tmp_path):
     write_trace(tr, str(tmp_path / "trace.csv"))
     _write_trace_per_row(tr, str(tmp_path / "reference.csv"))
-    return (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    written = (tmp_path / "trace.csv").read_bytes()
+    reference = (tmp_path / "reference.csv").read_bytes()
+    assert written == reference, _first_difference(written, reference, len(tr.ids))
+
+
+def test_first_difference_names_the_tick_and_row():
+    reference = b"t,id\n0.0,1\n0.0,2\n0.1,1\n0.1,2\n"
+    assert _first_difference(reference.replace(b"0.1,2", b"0.1,3"), reference, 2) == (
+        "first difference at line 5, (tick, row) = (1, 1):\n  written   b'0.1,3'\n  reference b'0.1,2'"
+    )
+    assert "line 1, the header" in _first_difference(b"t\n", reference, 2)
+    assert "line 4, (tick, row) = (1, 0):\n  written   b''" in _first_difference(reference[:-12], reference, 2)
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.025], ids=["2-decimal", "3-decimal"])
@@ -430,7 +450,7 @@ def _same_trace_bytes(tr, tmp_path):
 def test_write_trace_matches_the_per_row_formatter(name, dt, tmp_path):
     """The golden digests pin dt 0.1 only; finer steps stamp more decimals."""
     tr = run(replace(scenarios.get_scenario(name, seed=1), dt=dt, duration_s=2.0))
-    assert _same_trace_bytes(tr, tmp_path)
+    _assert_same_trace_bytes(tr, tmp_path)
 
 
 def test_write_trace_matches_the_per_row_formatter_on_edge_values(tmp_path):
@@ -439,8 +459,77 @@ def test_write_trace_matches_the_per_row_formatter_on_edge_values(tmp_path):
     tr.vx[1, 0], tr.vy[1, 1], tr.vx[2, 2] = 1e15, -1e15, -1e-7
     tr.capacity_bps[2] = 0.0
     tr.capacity_bps[3, 0] = 1e15
-    assert _same_trace_bytes(tr, tmp_path)
+    _assert_same_trace_bytes(tr, tmp_path)
     assert "-0.000000" in (tmp_path / "trace.csv").read_text()
+
+
+def test_write_trace_matches_the_per_row_formatter_over_several_blocks(tmp_path):
+    """congestion_scenario(100, 1) flown 3 s: 300 aircraft over 30 ticks,
+    9000 rows, written in blocks of whole ticks, the last one short."""
+    ticks_per_block = engine.TRACE_BLOCK_ROWS // 300
+    assert 1 <= ticks_per_block < 30 and 30 % ticks_per_block
+    tr = run(_short(scenarios.congestion_scenario(100, 1), 3.0))
+    _assert_same_trace_bytes(tr, tmp_path)
+
+
+def test_write_trace_matches_the_per_row_formatter_on_the_dense_fleet(tmp_path):
+    """The 300-per-layer fleet at seed 1 flown 9 s (90 ticks of 900 rows).
+    At tick 88, row 527, x = 1830.1837584999998: its millionths lie 1.6e-7
+    below a rounding tie, a near tie the exact split must round down."""
+    tr = run(_short(scenarios.congestion_scenario(300, 1), 9.0))
+    assert tr.x[88, 527] == 1830.1837584999998
+    _assert_same_trace_bytes(tr, tmp_path)
+
+
+def _cell_texts(cells):
+    return [c.tobytes().translate(None, b"\0").decode() for c in cells.reshape(-1, cells.shape[-1])]
+
+
+def _nudged(x, steps):
+    """x moved |steps| floats up (steps > 0) or down."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_HARD_FLOATS = (
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 5e-7, 0.0078125, 0.9999995, 9.9999995,
+    999.9999995, 9999.9999995, 1830.1837584999998, 1e15, 2.0**53, 2.0**63, 1e300, math.inf, math.nan,
+)
+_FLOATS = st.one_of(
+    st.floats(),
+    st.floats(-1e7, 1e7),
+    st.builds(
+        _nudged,
+        st.builds(
+            lambda base, sign: sign * base,
+            st.sampled_from(_HARD_FLOATS) | st.builds(lambda k: k * 1e-6 + 5e-7, st.integers(0, 10**13)),
+            st.sampled_from([1.0, -1.0]),
+        ),
+        st.integers(-3, 3),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=30))
+def test_float_cells_print_as_percent_f(values):
+    """Byte for byte '%.6f': signed zeros and tiny negatives, subnormals,
+    half-millionth ties and their neighbours, carries, huge and non-finite."""
+    v = np.array(values)
+    want = ["%.6f;" % x for x in values]
+    assert _cell_texts(textfmt.float_cells(v, ";")) == want
+    assert _cell_texts(textfmt.float_cells(v.reshape(1, -1, 1), ";")) == want
+
+
+_INT64 = np.iinfo(np.int64)
+_HARD_INTS = sorted({_INT64.min, _INT64.max, *(s * (10**k + d) for s in (1, -1) for k in range(19) for d in (-1, 0))})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(_INT64.min, _INT64.max) | st.sampled_from(_HARD_INTS), min_size=1, max_size=30))
+def test_int_cells_print_as_percent_d(values):
+    assert _cell_texts(textfmt.int_cells(np.array(values, dtype=np.int64))) == ["%d" % x for x in values]
 
 
 def _parked_on_the_served_aircraft(phase_mode):
