@@ -1,7 +1,7 @@
 """Pinned artifacts: every builtin at seed 1, and ``uamsim delay-bounds`` with
-its defaults, write the same bytes as before.  Four builtins and one variant
-also pin the raw state arrays of their trace, every bit of which the files'
-6 decimals would not show.
+its defaults, write the same bytes as before.  Four builtins and five
+variants also pin the raw state arrays of their trace, every bit of which the
+files' 6 decimals would not show.
 
 A change that alters a digest must explain the new numbers in CHANGES.md and
 update the table below.
@@ -68,7 +68,7 @@ GOLDEN = {
 FILES = ("trace.csv", "events.csv", "metrics.txt")
 
 # scenario -> SimTrace state array -> sha256 of its bytes (float64 and int64,
-# little-endian), for seed 1
+# little-endian), for seed 1 unless the variant sets another
 RAW = {
     "fig12-ipr": {
         "x": "c4ba8bf049403b86b1f91446e729590a93bf4d35e0c3c542592cdcda6cac76b9",
@@ -120,17 +120,68 @@ RAW = {
         "capacity_bps": "75b9c6f6da3c23aa9984dc11cba035789d60a37238298c032bcf6295c3496b3f",
         "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
     },
+    "fig12-ipr-dense-seed-2e70": {
+        "x": "bdbc177545263fc60fefcd505d0a488a51da68e6a10e04b464f1e83eecfabea8",
+        "h": "0d62130a772518b67a8ace25c4c3cf4e0ccab6a66e9b3296f1d146d3f6411804",
+        "vx": "bfbf866ce890417d45e66c03f9552e246382f9011b2105fd6e388b5bc0b62bcf",
+        "vy": "c27e39ab6eabccacbe1dd6b427ae347e61a1cfa6160fd21cadadb069963585fb",
+        "layer": "b0c8f6751838ce94f8391df7e568b7fd9501cad031db4744ab859e173e2314e7",
+        "mode": "1f0d438b466acf0132753b3d9aaeda3cfa96275ceacac2532550eedd647b2794",
+        "capacity_bps": "c507d996743caac71e2efe852e485e4200ab94729d3d09ea57e003b3ccd17adf",
+        "ris_partner": "d8979bc2c43997d95a8a92049d1f17808c0e94f3be1e126222db75cb6961468b",
+    },
+    "fig12-ipr-dense-seed-2e200": {
+        "x": "be400d2856a4cb832c1f7d019100d8973678323e2e76d0b3b58b88c0257f2f93",
+        "h": "e73bc44b706ebd0388489158cdf71d84b0819a2014a3740b4f612ea5d7ee02ec",
+        "vx": "6502efc11d2acb843b40285e7d4f308b5b35fefe920c62bd7d8d4d41d9a2313d",
+        "vy": "b89112d5dc820d38f6167dac6822d5febe72382fcc81e55a98cfb2477a64277e",
+        "layer": "2adc41f0019c34f5fe7bb55a16f68ab199c7dc2576ed294d72ce9bdd5656b842",
+        "mode": "1001e7b880c828f93e18a75b0b794aefa7fe5034a0cf7631b488d1e8110b369e",
+        "capacity_bps": "c862b57e5931f810d62b6050bb02effe2b67ac6cdb1370c393aba47e3124d392",
+        "ris_partner": "5f56606b42bf0febf810c14fd59a5e7d2696a75c876801ef9183db4a9a6cf1c6",
+    },
+    "fig12-ipr-dense-backoff-1": {
+        "x": "53a45dbb0821afa96ba13924a0a35a1d0b77a28c82040a85ffc34432541624b8",
+        "h": "bf1572552dc03f06a6f906285aa0fec9a0fc1371381e6fa920927367cbd276cb",
+        "vx": "2a59c6f36f9f49eb80063180b2de7aa968a77277dc6206fe6c5b2a0e40e5f5e3",
+        "vy": "d49c425d639d0b1c0ed81fed7ace074e33615a78f999df64fa0688000923b225",
+        "layer": "17f5c24fd8bab12172c5bc05e06eda282539642d6da1ef05c0c438768f030a50",
+        "mode": "f1a74bf58ee44df3cfb738917aa135f1046e7c0f8cc39e54d10ce40746a19947",
+        "capacity_bps": "36ed936c7bd3c0a4bfdcfd1dfe2f78845f285b84948e14ba13b90e5887e06657",
+        "ris_partner": "977375d88aa5133f33ec02105dcbe46f08606f1c5e8f9d20850b1b6f70265fac",
+    },
+    "fig12-ipr-dense-backoff-32": {
+        "x": "de7aa7040d532451709b483d5a40ed5030285abcca75240b9f403d05497d03c5",
+        "h": "8c43c4bf91a1912caf48cd0c139381542bb3625078f201d0ec017b0de3bb1f19",
+        "vx": "f61730c510944f983bd7768d32b863a4efd25c8ce3af03d4079730bea9305247",
+        "vy": "1c9603f37d9394a8b61d3da317c691ff7350fb0a8a5f6dbe6d1065fb15f943bc",
+        "layer": "bf3b042a8012a4183760acd255be84c8244d0529ceec529f36b97611cdaa162c",
+        "mode": "1cf08dedbec14a1c939a93dd78eced411fee5cbedede5cc0cf58870cacc2aaf5",
+        "capacity_bps": "21442b511c8f8f204a8fb1ea1f1492cf288510407e328e1e12f8be6516eceaeb",
+        "ris_partner": "990fabd775a365a709e3edd64aa26936e04b75e8a6134b18c59ac3e615ddff23",
+    },
 }
 RAW_ARRAYS = ("x", "h", "vx", "vy", "layer", "mode", "capacity_bps", "ris_partner")
 
 # variant -> (builtin, --set assignments).  The default coefficient puts
 # every layer pair out of reach; at 10, fig12-ipr flies with cross-layer
-# pairs on each of its 100 ticks.
+# pairs on each of its 100 ticks.  The dense variants keep seed 1's
+# placement and vary the switch draws: a three-word seed, a seed of seven
+# words (more than the seed sequence's pool of four), a ceiling of 1 that
+# draws no counter, and the widest ceiling.
+DENSE_10S = ("duration_s", "10")
 VARIANTS = {
     "fig12-ipr-xl": (
         "fig12-ipr",
         (("airspace.vertical_separation_coeff", "10"), ("duration_s", "10")),
     ),
+    "fig12-ipr-dense-seed-2e70": ("fig12-ipr-dense", (("seed", str(2**70)), DENSE_10S)),
+    "fig12-ipr-dense-seed-2e200": (
+        "fig12-ipr-dense",
+        (("seed", str(2**200 + 12345)), DENSE_10S),
+    ),
+    "fig12-ipr-dense-backoff-1": ("fig12-ipr-dense", (("initial_backoff", "1"), DENSE_10S)),
+    "fig12-ipr-dense-backoff-32": ("fig12-ipr-dense", (("initial_backoff", "32"), DENSE_10S)),
 }
 
 # uamsim delay-bounds with default arguments: fig5-delay's protocol, loads
