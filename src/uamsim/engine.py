@@ -48,6 +48,7 @@ from .switching import (
     MODE_CRUISE,
     MODE_NAMES,
     MODE_SWITCHING,
+    Streams,
     SwitchState,
     backoff_step,
     optimal_switch_acceleration,
@@ -319,10 +320,7 @@ class _Engine:
         )
         self.vy = np.zeros(self.n)
         self.switch = SwitchState(self.n, sc.initial_backoff)
-        seed_root = np.random.SeedSequence(sc.seed)
-        self.rngs = [
-            np.random.Generator(np.random.PCG64(c)) for c in seed_root.spawn(self.n)
-        ]
+        self.streams = Streams(sc.seed, self.n)
         self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
         self.pair_low: int = -1
@@ -519,10 +517,12 @@ class _Engine:
     def _switch_logic(
         self, t: float, fleet: Fleet, ring: Ring, conflicts: np.ndarray
     ) -> np.ndarray:
-        """Back-off arbitration in row order, then the released rows' climb
-        plans and the violated cruisers' triggers as array steps; returns a
-        mask of the requesting rows.  The order changes no outcome: each row
-        draws from its own stream, and only a backing-off row can be released."""
+        """Back-off one row at a time, hearing releases by flag; then the
+        released rows' climb plans and the violated cruisers' triggers as
+        array steps, and the counters drawn after the pass; returns a mask of
+        the requesting rows.  The order changes no outcome: each row draws
+        from its own stream, backing-off rows and cruisers are disjoint, and
+        only a backing-off row can be released."""
         sc, sw, n = self.sc, self.switch, self.n
         violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
         backing = np.flatnonzero(sw.mode == MODE_BACKING_OFF)
@@ -539,12 +539,14 @@ class _Engine:
         by_row = np.argsort(rows)
         partners = np.concatenate((hi, lo))[by_row]
         starts = np.searchsorted(rows[by_row], np.arange(n + 1))
-        # The control plane is instantaneous within a tick: a row hears the
-        # requests released before it in this pass, so two contenders never
-        # commit on the same tick.
+        # The control plane is instantaneous within a tick: a release marks
+        # its partners as having heard it, and a row reads its mark at its
+        # turn, so two contenders never commit on the same tick.
+        heard = np.zeros(n, dtype=bool)
         for i in backing.tolist():
-            foreign = bool(fired[partners[starts[i] : starts[i + 1]]].any())
-            fired[i] = backoff_step(sw, i, not bool(violated[i]), foreign, self.rngs[i])
+            if backoff_step(sw, i, not violated[i], heard[i]):
+                fired[i] = True
+                heard[partners[starts[i] : starts[i + 1]]] = True
         released = np.flatnonzero(fired)
         if len(released):
             layer, target = self.layer[released], sw.target[released]
@@ -554,13 +556,14 @@ class _Engine:
             )
             sw.ax[released], sw.ay[released] = plan.ax, plan.ay
             self._layer_events(t, "LS_REQ", released, target)
+        armed = cruisers
         if len(cruisers):
             prob = switch_probability(
                 ring.front[cruisers], ring.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
             )
-            armed = triggered(cruisers, prob, self.rngs)
-            targets = target_layers(armed, fleet, fired, sc.target_window_m, self.course)
-            sw.arm(armed, targets, self.rngs)
+            armed = triggered(cruisers, prob, self.streams)
+        targets = target_layers(armed, fleet, fired, sc.target_window_m, self.course)
+        sw.arm(armed, targets, self.streams)  # with the escalated rows' counters
         return fired
 
     def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:

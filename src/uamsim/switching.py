@@ -20,6 +20,130 @@ MODE_CRUISE, MODE_SWITCHING, MODE_BACKING_OFF = 0, 1, 2
 MODE_NAMES = ("Cruise", "Switching", "BackingOff")
 BACKOFF_CAP = 32
 
+# NumPy's SeedSequence hash constants (O'Neill's seed_seq design) and PCG64's
+# 128-bit multiplier as high and low words
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _hashmix(value, const):
+    """SeedSequence's hashmix of a 32-bit word (an int or a uint32 array);
+    returns the mixed word and the next hash constant."""
+    const, value = const * _MULT_A & _MASK32, value ^ const
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word ``x`` with hashed word ``y``."""
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _step(hi, lo, inc_hi, inc_lo):
+    """PCG64's LCG step on 128-bit states held as high and low uint64 words;
+    the high word of lo * multiplier comes from 32-bit limbs."""
+    a0, a1 = lo & _LOW32, lo >> _SHIFT32
+    b0, b1 = _PCG_LO & _LOW32, _PCG_LO >> _SHIFT32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    lo_out = lo * _PCG_LO + inc_lo
+    hi_out = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (lo_out < inc_lo)
+    return hi_out, lo_out
+
+
+class Streams:
+    """One PCG64 stream per row, held as arrays: bit for bit the draws of
+    ``Generator(PCG64(c))`` for child ``c = SeedSequence(seed).spawn(n)[i]``
+    on row ``i``, so a stream belongs to the row, never to an id value.
+
+    Seeding replicates the seed sequence's hashing once for the run entropy
+    and once, as array steps, for the spawn keys 0..n-1.  ``word`` and
+    ``has_word`` are NumPy's one-word buffer of the upper 32 bits of a
+    64-bit output, which ``integers`` reads first and ``random`` leaves.
+    The arithmetic depends only on the SeedSequence and PCG64 algorithms,
+    which NEP 19 keeps stable (O'Neill, HMC-CS-2014-0905).
+    """
+
+    def __init__(self, seed: int, n: int) -> None:
+        if seed < 0:
+            raise ValueError("a stream seed must be non-negative")
+        run = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        run += [0] * (4 - len(run))  # padded to the pool ahead of a spawn key
+        pool, const = [], _INIT_A
+        for word in run[:4]:
+            word, const = _hashmix(word, const)
+            pool.append(word)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    word, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], word)
+        for word in [*run[4:], np.arange(n, dtype=np.uint32)]:  # the spawn key last
+            for dst in range(4):
+                hashed, const = _hashmix(word, const)
+                pool[dst] = _mix(pool[dst], hashed)
+        # generate_state(4, uint64): eight words cycling the pool, little end first
+        words, const = [], _INIT_B
+        for k in range(8):
+            word = pool[k % 4] ^ const
+            const = const * _MULT_B & _MASK32
+            word = word * const & _MASK32
+            words.append(np.asarray(word ^ word >> 16, dtype=np.uint64))
+        s_hi, s_lo, q_hi, q_lo = (words[k] | words[k + 1] << _SHIFT32 for k in range(0, 8, 2))
+        # PCG64's seeding: an odd increment from the sequence word, state =
+        # step(step(0) + seed)
+        self.inc_hi = q_hi << np.uint64(1) | q_lo >> np.uint64(63)
+        self.inc_lo = q_lo << np.uint64(1) | np.uint64(1)
+        lo = self.inc_lo + s_lo
+        self.hi, self.lo = _step(self.inc_hi + s_hi + (lo < s_lo), lo, self.inc_hi, self.inc_lo)
+        self.word = np.zeros(n, dtype=np.uint64)
+        self.has_word = np.zeros(n, dtype=bool)
+
+    def _next64(self, rows: np.ndarray) -> np.ndarray:
+        """Advance ``rows`` one step; their XSL-RR outputs."""
+        hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
+        self.hi[rows], self.lo[rows] = hi, lo
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+
+    def _next32(self, rows: np.ndarray) -> np.ndarray:
+        """One 32-bit word per row: the buffered word, or the low half of a
+        fresh output whose high half is buffered."""
+        out = self.word[rows]
+        fresh = ~self.has_word[rows]
+        self.has_word[rows] = fresh
+        if fresh.any():
+            full = self._next64(rows[fresh])
+            out[fresh] = full & _LOW32
+            self.word[rows[fresh]] = full >> _SHIFT32
+        return out
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        """One double in [0, 1) per row, ``Generator.random()``'s 53 bits."""
+        return (self._next64(rows) >> np.uint64(11)) * 2.0**-53
+
+    def integers(self, rows, ceilings) -> np.ndarray:
+        """One draw from [1, ceiling] per row, ``Generator.integers(1,
+        ceiling + 1)`` for ceilings up to 2**32: Lemire's bounded method on
+        32-bit words (ACM TOMACS 2019).  A ceiling of 1 consumes no word, and
+        only the rejected rows redraw."""
+        rows = np.asarray(rows, dtype=np.intp)
+        ceilings = np.asarray(ceilings, dtype=np.uint64)
+        out = np.ones(len(rows), dtype=np.int64)
+        pending = np.flatnonzero(ceilings > 1)
+        while len(pending):
+            c = ceilings[pending]
+            m = self._next32(rows[pending]) * c
+            kept = m & _LOW32 >= (np.uint64(2**32) - c) % c
+            out[pending[kept]] += (m[kept] >> _SHIFT32).astype(np.int64)
+            pending = pending[~kept]
+        return out
+
 
 def switch_probability(d_front, d_rear, d_safe, base_prob: float):
     """Trigger probability from the two gap checks, elementwise: 0, p, or min(2p, 1).
@@ -33,9 +157,9 @@ def switch_probability(d_front, d_rear, d_safe, base_prob: float):
     return np.minimum(sides * base_prob, 1.0)
 
 
-def triggered(rows: np.ndarray, prob: np.ndarray, rngs) -> np.ndarray:
-    """The ``rows`` whose one uniform draw on their own stream ``rngs[i]`` is under ``prob``."""
-    return rows[np.array([rngs[i].random() for i in rows.tolist()]) < prob]
+def triggered(rows: np.ndarray, prob: np.ndarray, streams: Streams) -> np.ndarray:
+    """The ``rows`` whose one uniform draw on their own stream is under ``prob``."""
+    return rows[streams.random(rows) < prob]
 
 
 def target_layers(rows, fleet, released, window, course) -> np.ndarray:
@@ -118,10 +242,12 @@ class SwitchState:
     """The fleet's layer-switch state, one row per aircraft.
 
     ``mode`` holds the trace's mode codes.  A backing-off row counts
-    ``backoff`` ticks down inside a window of ``backoff_max``; a switching row
-    flies the plan ``ax``/``ay`` toward layer ``target``.  ``target``, ``ax``
-    and ``ay`` belong to the current attempt and go stale in Cruise.  Only
-    the transitions here and in ``backoff_step`` write ``mode``.
+    ``backoff`` ticks down inside a window of ``backoff_max``; its counter
+    is 0 from its arming or escalation until ``draw`` draws it, at the end
+    of the tick.  A switching row flies the plan ``ax``/``ay`` toward layer
+    ``target``.  ``target``, ``ax`` and ``ay`` belong to the current attempt
+    and go stale in Cruise.  Only the transitions here and in
+    ``backoff_step`` write ``mode``.
     """
 
     def __init__(self, n: int, initial_backoff: int) -> None:
@@ -138,17 +264,23 @@ class SwitchState:
         """Rows not in the middle of a manoeuvre."""
         return self.mode != MODE_SWITCHING
 
-    def arm(self, rows, targets, rngs) -> None:
-        """Back ``rows`` off toward their ``targets``, each with a counter drawn
-        from [1, ceiling] on its own stream ``rngs[i]``.
+    def arm(self, rows, targets, streams: Streams) -> None:
+        """Back ``rows`` off toward their ``targets``, then ``draw`` their
+        counters together with those of the rows escalated this tick.
 
         The draw keeps aircraft triggered by the same congestion event from
         counting down in lockstep.
         """
         self.mode[rows] = MODE_BACKING_OFF
         self.target[rows] = targets
-        ceilings = self.backoff_max[rows].tolist()
-        self.backoff[rows] = [rngs[i].integers(1, m + 1) for i, m in zip(rows, ceilings)]
+        self.backoff[rows] = 0
+        self.draw(streams)
+
+    def draw(self, streams: Streams) -> None:
+        """Draw every backing-off counter still at 0 from [1, ceiling], each
+        on its row's own stream, in one call."""
+        rows = np.flatnonzero((self.mode == MODE_BACKING_OFF) & (self.backoff == 0))
+        self.backoff[rows] = streams.integers(rows, self.backoff_max[rows])
 
     def cancel(self, i: int) -> None:
         """Abandon a back-off; an escalated ceiling is kept."""
@@ -175,17 +307,14 @@ class SwitchState:
 
 
 def backoff_step(
-    state: SwitchState,
-    i: int,
-    separation_restored: bool,
-    foreign_request: bool,
-    rng: np.random.Generator,
+    state: SwitchState, i: int, separation_restored: bool, foreign_request: bool
 ) -> bool:
     """Advance backing-off row ``i`` by one tick; True when it starts switching.
 
     A restored separation cancels the attempt outright.  A foreign switch
-    request doubles the back-off range (capped) and redraws the counter.
-    Otherwise the counter falls by one and releases the manoeuvre at zero.
+    request doubles the back-off range (capped) and zeroes the counter for
+    ``SwitchState.draw`` to redraw.  Otherwise the counter falls by one and
+    releases the manoeuvre at zero.
     """
     if state.mode[i] != MODE_BACKING_OFF:
         raise ValueError("back-off only runs while backing off")
@@ -195,7 +324,7 @@ def backoff_step(
     if foreign_request:
         ceiling = min(2 * int(state.backoff_max[i]), BACKOFF_CAP)
         state.backoff_max[i] = ceiling
-        state.backoff[i] = rng.integers(1, ceiling + 1)
+        state.backoff[i] = 0
         return False
     state.backoff[i] -= 1
     if state.backoff[i] <= 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from uamsim import engine, scenarios, textfmt
@@ -623,6 +623,15 @@ _fleet = st.lists(
 )
 
 
+def _fleet_scenario(rows, ticks, seed) -> Scenario:
+    """A ``_fleet`` draw as a scenario of ``ticks`` steps, ids 0..n-1."""
+    specs = tuple(
+        AircraftSpec(aid, lay, float(x), speed_offset=float(dv), altitude_offset=float(dh))
+        for aid, (lay, x, dh, dv) in enumerate(rows)
+    )
+    return Scenario(aircraft=specs, duration_s=ticks * 0.1, seed=seed)
+
+
 def _written(tr) -> tuple[bytes, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         write_trace(tr, f"{tmp}/trace.csv")
@@ -637,11 +646,7 @@ def test_engine_invariants_on_random_fleets(rows, ticks, seed):
     events pair up per aircraft and target layer, speed stays under the cap,
     residents stay inside their layer band, and a rerun is byte-identical.
     A run may instead end in a collision, which a rerun repeats."""
-    specs = tuple(
-        AircraftSpec(aid, lay, float(x), speed_offset=float(dv), altitude_offset=float(dh))
-        for aid, (lay, x, dh, dv) in enumerate(rows)
-    )
-    sc = Scenario(aircraft=specs, duration_s=ticks * 0.1, seed=seed)
+    sc = _fleet_scenario(rows, ticks, seed)
     assert validate_scenario(sc) == []
     try:
         tr = run(sc)
@@ -650,7 +655,7 @@ def test_engine_invariants_on_random_fleets(rows, ticks, seed):
         with pytest.raises(CollisionError, match=re.escape(str(err))):
             run(sc)
         return
-    air, n = sc.airspace, len(specs)
+    air, n = sc.airspace, len(sc.aircraft)
     switching = tr.mode == MODE_SWITCHING
     for aid in range(n):
         ls = [
@@ -676,3 +681,65 @@ def test_engine_invariants_on_random_fleets(rows, ticks, seed):
     band = np.abs(tr.h[resident] - air.layer_altitude(tr.layer[resident]))
     assert np.all(band <= air.layer_spacing_m / 2.0)
     assert _written(run(sc)) == _written(tr)
+
+
+STATE_ARRAYS = ("x", "h", "vx", "vy", "layer", "mode", "capacity_bps")
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _switches(tr) -> bool:
+    switched = any(e[2] == "LS_REQ" for e in tr.events)
+    event("switches" if switched else "no switch")
+    return switched
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=_fleet, half=st.integers(50, 80), seed=st.integers(0, 2**16))
+def test_a_run_of_half_the_time_is_the_first_half_of_the_run(rows, half, seed):
+    """Prefix relation: no step looks at the run's length.  The first half
+    of a run's eight raw arrays, and its events other than CFL and
+    INTRUSION (merged at the end of a run), equal those of a run of half
+    the time, bit for bit.  About half of the drawn fleets switch layers."""
+    sc = _fleet_scenario(rows, 2 * half, seed)
+    try:
+        whole = run(sc)
+    except CollisionError:
+        return  # the half run may end before the collision; nothing to compare
+    first = run(replace(sc, duration_s=half * sc.dt))
+    _switches(whole)
+    for key in (*STATE_ARRAYS, "ris_partner"):
+        assert _same_bits(getattr(first, key), getattr(whole, key)[:half]), key
+
+    def kept(tr):
+        return [e for e in tr.events if e[2] not in ("CFL", "INTRUSION") and e[0] < half * sc.dt]
+
+    assert kept(first) == [e for e in first.events if e[2] not in ("CFL", "INTRUSION")]
+    assert kept(first) == kept(whole)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=_fleet, ticks=st.integers(100, 160), seed=st.integers(0, 2**16))
+def test_relabelled_ids_fly_the_same_fleet(rows, ticks, seed):
+    """Relabelling relation: a stream belongs to the row, so adding 1000 to
+    every id (which keeps the rows' order) changes no state array, and the
+    served pair's partner id shifts by 1000 where it is set.  About half of
+    the drawn fleets switch layers."""
+    sc = _fleet_scenario(rows, ticks, seed)
+    shifted = replace(
+        sc, aircraft=tuple(replace(a, aircraft_id=a.aircraft_id + 1000) for a in sc.aircraft)
+    )
+    try:
+        base = run(sc)
+    except CollisionError:
+        with pytest.raises(CollisionError):
+            run(shifted)
+        return
+    moved = run(shifted)
+    _switches(base)
+    for key in STATE_ARRAYS:
+        assert _same_bits(getattr(moved, key), getattr(base, key)), key
+    partner = np.where(base.ris_partner >= 0, base.ris_partner + 1000, -1)
+    assert _same_bits(moved.ris_partner, partner)

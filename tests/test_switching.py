@@ -16,6 +16,7 @@ from uamsim.switching import (
     MODE_BACKING_OFF,
     MODE_CRUISE,
     MODE_SWITCHING,
+    Streams,
     SwitchState,
     backoff_step,
     optimal_switch_acceleration,
@@ -113,22 +114,61 @@ def test_manoeuvre_rejects_degenerate_input():
             optimal_switch_acceleration(45.0, np.full(3, 60.0), np.array([100.0, bad, 100.0]), 5.0)
 
 
+# seeds of one word, of the largest one and two words, of three words, and
+# of seven words (more than the seed sequence's pool of four)
+_seeds = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 12345]) | st.integers(
+    0, 2**256
+)
+# the back-off ceilings, and ceilings near 2**32 whose draws are often rejected
+_ceilings = st.integers(1, BACKOFF_CAP) | st.integers(2**31, 2**32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=_seeds, n=st.integers(1, 12), data=st.data())
+def test_streams_draw_what_numpy_draws(seed, n, data):
+    """Row i of ``Streams(seed, n)`` draws what ``Generator(PCG64(c))`` draws
+    for the i-th child of ``SeedSequence(seed).spawn(n)``, bit for bit, over
+    mixed ``random``/``integers`` calls on random row subsets in random
+    order, so the one-word buffer carries across calls."""
+    streams = Streams(seed, n)
+    rngs = [np.random.Generator(np.random.PCG64(c)) for c in np.random.SeedSequence(seed).spawn(n)]
+    for _ in range(data.draw(st.integers(1, 25))):
+        rows = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        if data.draw(st.booleans()):
+            got = streams.random(np.array(rows, dtype=int))
+            assert got.tolist() == [rngs[i].random() for i in rows]
+        else:
+            ceilings = data.draw(st.lists(_ceilings, min_size=len(rows), max_size=len(rows)))
+            got = streams.integers(rows, ceilings)
+            assert got.dtype == np.int64
+            assert got.tolist() == [rngs[i].integers(1, m + 1) for i, m in zip(rows, ceilings)]
+
+
+def test_streams_reject_a_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        Streams(-1, 3)
+
+
 def test_automaton_arm_and_cancel_bookkeeping():
-    rng = np.random.default_rng(1)
+    streams = Streams(1, 1)
     state = SwitchState(1, initial_backoff=2)
-    state.arm([0], [2], [rng])
+    state.arm([0], [2], streams)
     assert state.mode[0] == MODE_BACKING_OFF
     assert state.target[0] == 2
     assert 1 <= state.backoff[0] <= 2
-    # escalate the ceiling, then cancel: escalation survives, mode resets
-    backoff_step(state, 0, separation_restored=False, foreign_request=True, rng=rng)
+    # escalate the ceiling: the counter waits at 0 for the draw after the pass
+    backoff_step(state, 0, separation_restored=False, foreign_request=True)
     assert state.backoff_max[0] == 4
+    assert state.backoff[0] == 0
+    state.draw(streams)
+    assert 1 <= state.backoff[0] <= 4
+    # then cancel: escalation survives, mode resets
     state.cancel(0)
     assert state.mode[0] == MODE_CRUISE
     assert state.backoff_max[0] == 4
     assert state.backoff[0] == 4
     # landing restores the initial ceiling
-    state.arm([0], [2], [rng])
+    state.arm([0], [2], streams)
     state.mode[0] = MODE_SWITCHING
     landed = state.capture(np.array([199.0]), np.array([0.5]), np.array([200.0]), 2.0, 1.0)
     assert landed.tolist() == [0]
@@ -148,34 +188,34 @@ def test_capture_needs_the_band_and_a_slow_climb():
 
 
 def test_backoff_counts_down_to_release():
-    rng = np.random.default_rng(2)
+    streams = Streams(2, 1)
     state = SwitchState(1, initial_backoff=3)
-    state.arm([0], [1], [rng])
+    state.arm([0], [1], streams)
     drawn = int(state.backoff[0])
     assert 1 <= drawn <= 3
-    fired = [backoff_step(state, 0, False, False, rng) for _ in range(drawn)]
+    fired = [backoff_step(state, 0, False, False) for _ in range(drawn)]
     assert fired == [False] * (drawn - 1) + [True]
     assert all(type(f) is bool for f in fired)
     assert state.mode[0] == MODE_SWITCHING
 
 
 def test_restored_separation_cancels():
-    rng = np.random.default_rng(3)
     state = SwitchState(1, initial_backoff=2)
-    state.arm([0], [0], [rng])
-    released = backoff_step(state, 0, separation_restored=True, foreign_request=False, rng=rng)
+    state.arm([0], [0], Streams(3, 1))
+    released = backoff_step(state, 0, separation_restored=True, foreign_request=False)
     assert not released
     assert state.mode[0] == MODE_CRUISE
 
 
 def test_foreign_request_doubles_and_redraws():
-    rng = np.random.default_rng(4)
+    streams = Streams(4, 1)
     seen_max = []
     draws = []
     state = SwitchState(1, initial_backoff=2)
-    state.arm([0], [1], [rng])
+    state.arm([0], [1], streams)
     for _ in range(8):
-        backoff_step(state, 0, False, True, rng)
+        backoff_step(state, 0, False, True)
+        state.draw(streams)  # the redraw after the pass
         seen_max.append(int(state.backoff_max[0]))
         draws.append(int(state.backoff[0]))
         assert 1 <= state.backoff[0] <= state.backoff_max[0]
@@ -185,12 +225,13 @@ def test_foreign_request_doubles_and_redraws():
 
 def test_redraw_spans_the_whole_window():
     """10^4 redraws at a fixed ceiling hit every value in [1, ceiling]."""
-    rng = np.random.default_rng(5)
+    streams = Streams(5, 1)
     counts = np.zeros(33, dtype=int)
     for _ in range(10000):
         state = SwitchState(1, initial_backoff=16)
-        state.arm([0], [1], [rng])
-        backoff_step(state, 0, False, True, rng)  # doubles to 32, redraws
+        state.arm([0], [1], streams)
+        backoff_step(state, 0, False, True)  # doubles to 32
+        state.draw(streams)  # redraws
         counts[state.backoff[0]] += 1
     assert counts[0] == 0
     assert np.all(counts[1:33] > 0)
@@ -207,20 +248,20 @@ def test_contenders_never_commit_together():
     10^4 seeded trials the same-tick commit frequency stays under 2% (it is
     zero by construction here; the bound is what the design promises).
     """
-    rng_a = np.random.default_rng(600)
-    rng_b = np.random.default_rng(601)
+    streams = Streams(600, 2)  # row 0 is a, row 1 is b
     simultaneous = 0
     for _ in range(10000):
         state = SwitchState(2, initial_backoff=2)
-        state.arm([0, 1], [1, 1], [rng_a, rng_b])
+        state.arm([0, 1], [1, 1], streams)
         released_prev_a = released_prev_b = False
         for _tick in range(200):
             rel_a = rel_b = False
             if state.mode[0] == MODE_BACKING_OFF:
-                rel_a = backoff_step(state, 0, False, released_prev_b, rng_a)
+                rel_a = backoff_step(state, 0, False, released_prev_b)
             if state.mode[1] == MODE_BACKING_OFF:
                 # same-tick hearing: a's release this tick already counts
-                rel_b = backoff_step(state, 1, False, rel_a or released_prev_a, rng_b)
+                rel_b = backoff_step(state, 1, False, rel_a or released_prev_a)
+            state.draw(streams)  # the escalated counters, after the pass
             if rel_a and rel_b:
                 simultaneous += 1
                 break
@@ -233,10 +274,9 @@ def test_contenders_never_commit_together():
 
 
 def test_backoff_requires_pending():
-    rng = np.random.default_rng(9)
     state = SwitchState(1, initial_backoff=2)
     with pytest.raises(ValueError):
-        backoff_step(state, 0, False, False, rng)
+        backoff_step(state, 0, False, False)
 
 
 def test_bad_initial_backoff():
