@@ -65,8 +65,9 @@ class Streams:
     and once, as array steps, for the spawn keys 0..n-1.  ``word`` and
     ``has_word`` are NumPy's one-word buffer of the upper 32 bits of a
     64-bit output, which ``integers`` reads first and ``random`` leaves.
-    The arithmetic depends only on the SeedSequence and PCG64 algorithms,
-    which NEP 19 keeps stable (O'Neill, HMC-CS-2014-0905).
+    The draws depend only on the SeedSequence hashing and on PCG64's step
+    and XSL-RR output (O'Neill, HMC-CS-2014-0905), which NumPy's NEP 19
+    keeps stable; ``Generator``'s methods it does not.
     """
 
     def __init__(self, seed: int, n: int) -> None:
