@@ -20,13 +20,23 @@ MODE_CRUISE, MODE_SWITCHING, MODE_BACKING_OFF = 0, 1, 2
 MODE_NAMES = ("Cruise", "Switching", "BackingOff")
 BACKOFF_CAP = 32
 
-# NumPy's SeedSequence hash constants (O'Neill's seed_seq design) and PCG64's
-# 128-bit multiplier as high and low words
+# NumPy's SeedSequence hash constants (O'Neill's seed_seq design)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_HI, _PCG_LO = np.uint64(2549297995355413924), np.uint64(4865540595714422341)
-_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _u64(value: int) -> np.ndarray:
+    # a 0-d array: cheaper per operation on small arrays than a NumPy scalar
+    return np.array(value, dtype=np.uint64)
+
+
+# PCG64's 128-bit multiplier as high and low words, its low word's 32-bit
+# limbs, and the shift counts of the stream arithmetic
+_PCG_HI, _PCG_LO = _u64(2549297995355413924), _u64(4865540595714422341)
+_LOW32, _SHIFT32 = _u64(_MASK32), _u64(32)
+_PCG_LO0, _PCG_LO1 = _PCG_LO & _LOW32, _PCG_LO >> _SHIFT32
+_1, _11, _58, _63, _64, _TWO32 = (_u64(v) for v in (1, 11, 58, 63, 64, 2**32))
 
 
 def _hashmix(value, const):
@@ -45,12 +55,12 @@ def _mix(x, y):
 
 def _step(hi, lo, inc_hi, inc_lo):
     """PCG64's LCG step on 128-bit states held as high and low uint64 words;
-    the high word of lo * multiplier comes from 32-bit limbs."""
+    the high word of lo * multiplier comes from 32-bit limbs, no partial sum
+    of which can pass 2**64."""
     a0, a1 = lo & _LOW32, lo >> _SHIFT32
-    b0, b1 = _PCG_LO & _LOW32, _PCG_LO >> _SHIFT32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> _SHIFT32) + (p01 & _LOW32) + (p10 & _LOW32)
-    carry = a1 * b1 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
+    mid = a1 * _PCG_LO0 + (a0 * _PCG_LO0 >> _SHIFT32)
+    low_mid = a0 * _PCG_LO1 + (mid & _LOW32)
+    carry = a1 * _PCG_LO1 + (mid >> _SHIFT32) + (low_mid >> _SHIFT32)
     lo_out = lo * _PCG_LO + inc_lo
     hi_out = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (lo_out < inc_lo)
     return hi_out, lo_out
@@ -98,8 +108,8 @@ class Streams:
         s_hi, s_lo, q_hi, q_lo = (words[k] | words[k + 1] << _SHIFT32 for k in range(0, 8, 2))
         # PCG64's seeding: an odd increment from the sequence word, state =
         # step(step(0) + seed)
-        self.inc_hi = q_hi << np.uint64(1) | q_lo >> np.uint64(63)
-        self.inc_lo = q_lo << np.uint64(1) | np.uint64(1)
+        self.inc_hi = q_hi << _1 | q_lo >> _63
+        self.inc_lo = q_lo << _1 | _1
         lo = self.inc_lo + s_lo
         self.hi, self.lo = _step(self.inc_hi + s_hi + (lo < s_lo), lo, self.inc_hi, self.inc_lo)
         self.word = np.zeros(n, dtype=np.uint64)
@@ -109,8 +119,8 @@ class Streams:
         """Advance ``rows`` one step; their XSL-RR outputs."""
         hi, lo = _step(self.hi[rows], self.lo[rows], self.inc_hi[rows], self.inc_lo[rows])
         self.hi[rows], self.lo[rows] = hi, lo
-        x, rot = hi ^ lo, hi >> np.uint64(58)
-        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        x, rot = hi ^ lo, hi >> _58
+        return x >> rot | x << (_64 - rot & _63)
 
     def _next32(self, rows: np.ndarray) -> np.ndarray:
         """One 32-bit word per row: the buffered word, or the low half of a
@@ -126,7 +136,7 @@ class Streams:
 
     def random(self, rows: np.ndarray) -> np.ndarray:
         """One double in [0, 1) per row, ``Generator.random()``'s 53 bits."""
-        return (self._next64(rows) >> np.uint64(11)) * 2.0**-53
+        return (self._next64(rows) >> _11) * 2.0**-53
 
     def integers(self, rows, ceilings) -> np.ndarray:
         """One draw from [1, ceiling] per row, ``Generator.integers(1,
@@ -140,7 +150,7 @@ class Streams:
         while len(pending):
             c = ceilings[pending]
             m = self._next32(rows[pending]) * c
-            kept = m & _LOW32 >= (np.uint64(2**32) - c) % c
+            kept = m & _LOW32 >= (_TWO32 - c) % c
             out[pending[kept]] += (m[kept] >> _SHIFT32).astype(np.int64)
             pending = pending[~kept]
         return out
@@ -281,7 +291,8 @@ class SwitchState:
         """Draw every backing-off counter still at 0 from [1, ceiling], each
         on its row's own stream, in one call."""
         rows = np.flatnonzero((self.mode == MODE_BACKING_OFF) & (self.backoff == 0))
-        self.backoff[rows] = streams.integers(rows, self.backoff_max[rows])
+        if len(rows):
+            self.backoff[rows] = streams.integers(rows, self.backoff_max[rows])
 
     def cancel(self, i: int) -> None:
         """Abandon a back-off; an escalated ceiling is kept."""
