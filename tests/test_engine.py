@@ -247,8 +247,8 @@ def test_served_pair_tie_goes_to_the_lowest_row():
 def test_backoff_contention_is_local():
     """Rows 0-1 and rows 2-3 are two separate conflicts, all four backing
     off but row 3.  Row 0 releases its switch; its partner, row 1, hears the
-    request in the same pass and redraws under a doubled ceiling, while
-    row 2, whose only partner is row 3, counts down."""
+    request in the same pass and redraws under a doubled ceiling after the
+    pass, while row 2, whose only partner is row 3, counts down."""
     xs = (0.0, 50.0, 1000.0, 1050.0)
     sc = Scenario(aircraft=tuple(AircraftSpec(i, 0, x=x) for i, x in enumerate(xs)))
     eng = engine._Engine(sc)
@@ -262,6 +262,7 @@ def test_backoff_contention_is_local():
     fired = eng._switch_logic(0.0, fleet, ring, conflicts)
     assert fired.tolist() == [True, False, False, False]
     assert sw.backoff_max[1] == 4
+    assert 1 <= sw.backoff[1] <= 4  # redrawn after the pass
     assert (sw.backoff_max[2], sw.backoff[2]) == (2, 1)
 
 
