@@ -27,7 +27,11 @@ Arrivals are Poisson in unit-size packets.  A tail is a plain array on the
 one time grid ``failure_curve`` builds.  The probability that the delay of a
 transfer exceeds a budget t is the left fold of ``min_plus_convolve`` over
 the handshake steps' retransmission tails and then the queueing tail: one
-split of the budget per handshake step, none for Control.
+split of the budget per handshake step, none for Control.  Every tail is
+non-increasing, and the fold's running tail, each convolution's first table,
+holds long runs of equal values, since a retransmission tail steps once per
+ttl; so each convolution reads only the splits at the first index of a run,
+with the same bits as reading every split.
 """
 
 from __future__ import annotations
@@ -39,12 +43,11 @@ from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .airspace import OutOfRange, nonfinite
 
 
-# float64 elements in one block of the convolution's window: 1 MB
+# float64 elements in one block of the convolution's sums: 1 MB
 BLOCK = 1 << 17
 
 
@@ -128,24 +131,40 @@ def min_plus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     out[i] = min over j <= i of a[j] + b[i - j]: the infimum over every
     split of the budget between the two stages, clamped back into [0, 1].
-    Row i of the window over b holds b[i - j] at column j, and +inf past
-    j = i, so each row's minimum sees the same sums as that definition.
-    Rows go in blocks of at most ``BLOCK`` elements, so the temporary stays
+    Row j of the sums holds a[j] + b[i - j] at column i, and +inf before
+    column j, so each column's minimum sees the same sums as that
+    definition.  Row j's b part is the slice of ``concatenate((full(n, inf),
+    b))`` that starts at n - j.
+
+    When b is non-increasing, only the rows j that start a run of equal a
+    values are read.  Over a run a[s] = ... = a[e], the split j <= i with
+    the least b[i - j] is j = s, and rounding is monotone, so a[s] + b[i - s]
+    is the run's least sum, to the bit.  Any other b reads every row.
+    Columns go in blocks of at most ``BLOCK`` sums, so the temporaries stay
     bounded whatever the grid length.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size == 0:
         raise ValueError("tails must be non-empty 1-D tables on one grid")
+    # a NaN is no probability: reject it here, not in whatever reads the result
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("tails cannot hold NaN")
     n = len(a)
-    padded = np.concatenate((b[::-1], np.full(n - 1, np.inf)))
-    window = sliding_window_view(padded, n)[::-1]
-    rows = max(1, BLOCK // n)
+    if (b[1:] <= b[:-1]).all():
+        js = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))
+    else:
+        js = np.arange(n)
+    padded = np.concatenate((np.full(n, np.inf), b))
+    cols = max(1, BLOCK // len(js))
     out = np.empty(n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        # columns past the block's last row hold only +inf
-        out[start:stop] = np.min(a[:stop] + window[start:stop, :stop], axis=1)
-    return np.clip(out, 0.0, 1.0)
+    for start in range(0, n, cols):
+        stop = min(start + cols, n)
+        # rows past the block's last column hold only +inf there
+        rows = js[: js.searchsorted(stop)]
+        sums = padded[(n + start - rows)[:, None] + np.arange(stop - start)]
+        sums += a[rows, None]
+        np.minimum.reduce(sums, axis=0, out=out[start:stop])
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def poisson_delay_tail(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from uamsim import engine, scenarios, textfmt
@@ -624,6 +624,10 @@ _fleet = st.lists(
 )
 
 
+# A failing fleet is reported as drawn: shrinking one took minutes.
+_NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
+
+
 def _fleet_scenario(rows, ticks, seed) -> Scenario:
     """A ``_fleet`` draw as a scenario of ``ticks`` steps, ids 0..n-1."""
     specs = tuple(
@@ -640,7 +644,7 @@ def _written(tr) -> tuple[bytes, bytes]:
         return Path(tmp, "trace.csv").read_bytes(), Path(tmp, "events.csv").read_bytes()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(rows=_fleet, ticks=st.integers(100, 160), seed=st.integers(0, 2**16))
 def test_engine_invariants_on_random_fleets(rows, ticks, seed):
     """Switching rows run from an LS_REQ to its LS_DONE (or the end), LS
@@ -697,7 +701,7 @@ def _switches(tr) -> bool:
     return switched
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(rows=_fleet, half=st.integers(50, 80), seed=st.integers(0, 2**16))
 def test_a_run_of_half_the_time_is_the_first_half_of_the_run(rows, half, seed):
     """Prefix relation: no step looks at the run's length.  The first half
@@ -721,7 +725,7 @@ def test_a_run_of_half_the_time_is_the_first_half_of_the_run(rows, half, seed):
     assert kept(first) == kept(whole)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(rows=_fleet, ticks=st.integers(100, 160), seed=st.integers(0, 2**16))
 def test_relabelled_ids_fly_the_same_fleet(rows, ticks, seed):
     """Relabelling relation: a stream belongs to the row, so adding 1000 to

@@ -223,6 +223,44 @@ def test_min_plus_matches_the_per_point_loop_across_row_blocks():
     assert np.array_equal(min_plus_convolve(a, b), _min_plus_reference(a, b))
 
 
+@st.composite
+def _step_tails(draw):
+    """Two step tables of 1 to 400 points: a few values in runs of random length.
+
+    b's values go down, so the convolution reads only a's run starts.  a's
+    go down or come in the order drawn, so a value may repeat in runs that
+    are apart.
+    """
+    n = draw(st.integers(1, 400))
+    values = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+
+    def steps(levels):
+        cuts = sorted(draw(st.lists(st.integers(1, n), max_size=len(levels) - 1)))
+        runs = np.diff([0, *cuts, n])
+        return np.repeat(levels[: len(runs)], runs)
+
+    b = steps(np.sort(draw(values))[::-1])
+    levels = np.array(draw(values))
+    a = steps(levels if draw(st.booleans()) else np.sort(levels)[::-1])
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_tails())
+def test_min_plus_of_step_tails_matches_the_per_point_loop(tables):
+    """Reading a's run starts alone gives the loop's bits."""
+    a, b = tables
+    assert min_plus_convolve(a, b).tobytes() == _min_plus_reference(a, b).tobytes()
+
+
+@pytest.mark.parametrize("nan_in", ["a", "b"])
+def test_min_plus_rejects_nan(nan_in):
+    tails = {"a": np.linspace(1.0, 0.0, 5), "b": np.linspace(1.0, 0.0, 5)}
+    tails[nan_in][2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        min_plus_convolve(tails["a"], tails["b"])
+
+
 def test_a_long_grid_keeps_the_convolution_in_bounded_memory():
     """12 001 points: an unblocked (n, n) window would peak above 1 GB."""
     tracemalloc.start()
