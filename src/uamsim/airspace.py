@@ -242,26 +242,31 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     whose altitude bands are at least coeff times their fastest speed apart
     are skipped, and the others test the rule on their ``ring_pairs`` within
     that reach; rounding is monotone, so neither drops a pair the rule finds.
+    The bands come from one reduction each over the resident order, whose
+    non-empty layer segments start at their bounds and tile it.
     """
     rows_a, rows_b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
     coeff, course = cfg.vertical_separation_coeff, cfg.course_length_m
-    groups = [fleet.segment(lay) for lay in range(3)]
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     # lowest and highest altitude and fastest speed of each layer's residents;
     # an empty layer is infinitely far from every other
-    bands = [
-        (h[g].min(), h[g].max(), speed[g].max()) if len(g) else (np.inf, -np.inf, 0.0)
-        for g in groups
-    ]
+    lo, hi, fast = np.full(3, np.inf), np.full(3, -np.inf), np.zeros(3)
+    full = np.flatnonzero(fleet.bounds[1:] > fleet.bounds[:3])
+    if len(full):
+        starts, hs = fleet.bounds[full], h[fleet.order]
+        lo[full] = np.minimum.reduceat(hs, starts)
+        hi[full] = np.maximum.reduceat(hs, starts)
+        fast[full] = np.maximum.reduceat(speed[fleet.order], starts)
+    lo, hi, fast = lo.tolist(), hi.tolist(), fast.tolist()
     laps = None
     for la, lb in ((0, 1), (1, 2), (0, 2)):
-        (lo_a, hi_a, fast_a), (lo_b, hi_b, fast_b) = bands[la], bands[lb]
-        reach = coeff * max(fast_a, fast_b)
-        if max(lo_b - hi_a, lo_a - hi_b) >= reach:
+        reach = coeff * max(fast[la], fast[lb])
+        if max(lo[lb] - hi[la], lo[la] - hi[lb]) >= reach:
             continue
         laps = laps or ring_laps(fleet, course)  # only a pair in reach needs them
-        k, b = ring_pairs(fleet, laps, lb, groups[la], reach)
-        a = groups[la][k]
+        group = fleet.segment(la)
+        k, b = ring_pairs(fleet, laps, lb, group, reach)
+        a = group[k]
         sx = ring_offset(x[a] - x[b], course)
         sh = h[a] - h[b]
         dist = np.hypot(sx, sh)

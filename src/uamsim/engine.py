@@ -458,7 +458,10 @@ class _Engine:
             if k % sc.comm_interval == 0:
                 self._plan_comm(t, fleet)
             ring = ring_neighbours(fleet, sc.airspace)
-            conflicts = np.union1d(ring.conflicts, cross_layer_conflicts(fleet, sc.airspace))
+            conflicts = ring.conflicts  # sorted and distinct, as pair_codes makes them
+            cross = cross_layer_conflicts(fleet, sc.airspace)
+            if len(cross):
+                conflicts = np.union1d(conflicts, cross)
             fired = self._switch_logic(t, fleet, ring, conflicts)
             if len(conflicts):
                 # A craft that commits to a manoeuvre this tick is recorded
@@ -467,7 +470,11 @@ class _Engine:
                 lo, hi = np.divmod(conflicts, self.n)
                 conflicts = conflicts[~(fired[lo] | fired[hi])]
                 self.violations.append((k, conflicts))
-            acc = self._accelerations(self._fleet(), ring)  # without this tick's switchers
+            if fired.any():
+                # a release is the only change to the residents since the
+                # fleet was built: steer without this tick's switchers
+                fleet = self._fleet()
+            acc = self._accelerations(fleet, ring)
             cap_now = self._tick_capacity(t)
 
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy
@@ -502,8 +509,11 @@ class _Engine:
     # --- per-tick stages ---------------------------------------------------
 
     def _capture_step(self, t: float) -> None:
-        """Finish manoeuvres whose aircraft reached their target layer."""
+        """Finish manoeuvres whose aircraft reached their target layer; a
+        tick with no row switching has none to finish."""
         sc, sw = self.sc, self.switch
+        if not (sw.mode == MODE_SWITCHING).any():
+            return
         target_h = sc.airspace.layer_altitude(sw.target)
         landed = sw.capture(self.h, self.vy, target_h, sc.capture_band_m, sc.capture_speed_mps)
         self.layer[landed] = sw.target[landed]

@@ -76,19 +76,21 @@ def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
     a, b = ring_pairs(fleet, ring_laps(fleet, course), fleet.layer[rows], rows, radius)
     b = np.sort(a * n + b, kind="stable") - a * n
     a = rows[a]
-    other = a != b  # a window holds its own row once
-    a, b = a[other], b[other]
     sx = ring_offset(fleet.x[b] - fleet.x[a], course)
     sh = fleet.h[b] - fleet.h[a]
     dist = np.hypot(sx, sh)
-    if np.any(dist == 0.0):
-        # the dense pair matrices' first: lowest layer, then lowest rows
-        k = np.flatnonzero(dist == 0.0)
-        i = k[np.lexsort((b[k], a[k], fleet.layer[a[k]]))[0]]
-        ia, ib, la = fleet.ids[a[i]], fleet.ids[b[i]], fleet.layer[a[i]]
-        raise CollisionError(f"aircraft {ia} and {ib} collided in layer {la}")
-    near = dist <= radius
-    return Band(a[near], b[near], sx[near], sh[near], dist[near])
+    near = np.flatnonzero((a != b) & (dist <= radius))  # a window holds its own row once
+    band = Band(a[near], b[near], sx[near], sh[near], dist[near])
+    if not band.dist.all():
+        # a coincident pair is within every radius; report the dense pair
+        # matrices' first: lowest layer, then lowest rows
+        k = np.flatnonzero(band.dist == 0.0)
+        a, b = band.a[k], band.b[k]
+        i = np.lexsort((b, a, fleet.layer[a]))[0]
+        raise CollisionError(
+            f"aircraft {fleet.ids[a[i]]} and {fleet.ids[b[i]]} collided in layer {fleet.layer[a[i]]}"
+        )
+    return band
 
 
 def _row_sums(fleet: Fleet, a: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -145,6 +147,8 @@ def repulse_value(fleet: Fleet, band: Band) -> np.ndarray:
 
 def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
     k, inv = _inside(fleet, band)
+    if len(k) == 0:  # no intruder: the sums of no terms
+        return np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     scale = -2.0 * inv / band.dist[k] ** 3
     a = band.a[k]
     return (weight * _row_sums(fleet, a, scale * -band.sx[k]),
@@ -173,6 +177,8 @@ def goal_value(fleet: Fleet, goals: Goals, cfg: AirspaceConfig) -> np.ndarray:
 def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float = 1.0):
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     g = goals.active
+    if not g.any():
+        return gx, gh
     gdx = ring_offset(goals.x[g] - fleet.x[g], cfg.course_length_m)
     gx[g] = weight * (-2.0 * gdx)
     gh[g] = weight * 2.0 * (fleet.h[g] - goals.h[g])
@@ -198,7 +204,11 @@ def force(
     """Unclipped commanded acceleration: weighted field descent plus consensus.
 
     ``ring`` gives the attraction's preceding aircraft; repulsion and
-    consensus act among the fleet's residents within ``radius``.
+    consensus act among the fleet's residents within ``radius``.  The terms
+    are subtracted from zeros in a fixed order.  A field with nothing to act
+    on, no pair inside a separation or no active goal, hands back zeros
+    without further work: they are +0, whose subtraction changes no bit,
+    the sign of a zero included.
     """
     band = neighbour_band(fleet, cfg, radius)
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
