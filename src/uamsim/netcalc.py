@@ -146,9 +146,10 @@ def min_plus_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim != 1 or a.shape != b.shape or a.size == 0:
         raise ValueError("tails must be non-empty 1-D tables on one grid")
-    # a NaN is no probability: reject it here, not in whatever reads the result
-    if np.isnan(a).any() or np.isnan(b).any():
-        raise ValueError("tails cannot hold NaN")
+    # a NaN or an infinity is no probability: reject it here, not in whatever
+    # reads the result (a -inf would meet the +inf before its row's column)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("tails cannot hold NaN or an infinity")
     n = len(a)
     if (b[1:] <= b[:-1]).all():
         js = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1])))

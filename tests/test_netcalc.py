@@ -261,6 +261,17 @@ def test_min_plus_rejects_nan(nan_in):
         min_plus_convolve(tails["a"], tails["b"])
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("bad_in", ["a", "b"])
+def test_min_plus_rejects_an_infinity(bad_in, value):
+    """A -inf in a after index 0 once met the +inf padding before its row's
+    column and gave NaN there."""
+    tails = {"a": np.array([0.5, 0.25]), "b": np.array([0.5, 0.25])}
+    tails[bad_in][1] = value
+    with pytest.raises(ValueError, match="infinity"):
+        min_plus_convolve(tails["a"], tails["b"])
+
+
 def test_a_long_grid_keeps_the_convolution_in_bounded_memory():
     """12 001 points: an unblocked (n, n) window would peak above 1 GB."""
     tracemalloc.start()
