@@ -266,6 +266,31 @@ def test_backoff_contention_is_local():
     assert (sw.backoff_max[2], sw.backoff[2]) == (2, 1)
 
 
+def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
+    """The fleet that ``_accelerations`` receives holds the residents left
+    after the back-off pass: a row released on that tick is in neither its
+    ``resident`` mask nor its resident order."""
+    released, seen = [], []
+    switch_logic, accelerations = engine._Engine._switch_logic, engine._Engine._accelerations
+
+    def logged_switch_logic(self, *args):
+        fired = switch_logic(self, *args)
+        released.append(np.flatnonzero(fired))
+        return fired
+
+    def checked_accelerations(self, fleet, ring):
+        rows = released[-1]
+        seen.append(len(rows))
+        assert np.array_equal(fleet.resident, self.switch.resident)
+        assert not np.isin(rows, fleet.order).any()
+        return accelerations(self, fleet, ring)
+
+    monkeypatch.setattr(engine._Engine, "_switch_logic", logged_switch_logic)
+    monkeypatch.setattr(engine._Engine, "_accelerations", checked_accelerations)
+    run(_short(scenarios.get_scenario("fig12-ipr-dense", seed=1), 3.0))
+    assert len(seen) == 30 and sum(seen) > 0
+
+
 def test_composite_field_total_decays():
     sc = scenarios.get_scenario("fig11-cpf", seed=2)
     tr = run(sc)
