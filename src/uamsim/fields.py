@@ -149,7 +149,10 @@ def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
     k, inv = _inside(fleet, band)
     if len(k) == 0:  # no intruder: the sums of no terms
         return np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    scale = -2.0 * inv / band.dist[k] ** 3
+    d = band.dist[k]
+    # the cube by multiplication: an array pow's bits depend on the SIMD
+    # level NumPy dispatches to
+    scale = -2.0 * inv / (d * d * d)
     a = band.a[k]
     return (weight * _row_sums(fleet, a, scale * -band.sx[k]),
             weight * _row_sums(fleet, a, scale * -band.sh[k]))

@@ -91,7 +91,7 @@ def _dense_repulsion(fleet, pairs):
         d_safe = fleet.d_safe[members][:, None]
         inside = near & (dist < d_safe)
         inv = np.where(inside, 1.0 / dist - 1.0 / d_safe, 0.0)
-        scale = np.where(inside, -2.0 * inv / dist**3, 0.0)
+        scale = np.where(inside, -2.0 * inv / (dist * dist * dist), 0.0)
         value[members] = _in_order(inv * inv)
         gx[members] = _in_order(scale * -sx)
         gh[members] = _in_order(scale * -sh)

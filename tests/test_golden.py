@@ -82,9 +82,9 @@ RAW = {
     },
     "fig12-ipr-dense": {
         "x": "c34a2a8938e3af571b1ee865a0ae79b87e77223d874bf02bb4e7752fa8c0ceea",
-        "h": "f7d50430f8ecad3f15946d5823062b00b7f80badb57dbc6081d2227f8e6c0ab4",
+        "h": "c0c441dc6ce85146d8b0fb3b0a44f1f858ebbaebe8af0d05b9b3d91d23b05bfa",
         "vx": "2a8e90931aaf315d9d7c7c7e4b65670421e492851032b9850bbdd06704ba689c",
-        "vy": "89822cb17ad0704f3fd20e90c4f53c60d32ee2e677553f79feceb01c6df4c698",
+        "vy": "baf94cec2c80b7989141583f5c664d1adece486322c61baf86ac9dfef3f61826",
         "layer": "8f259ce6062b31d986b3395e373df6fda155201a96c2910c2fc713b465194d71",
         "mode": "58fca0557542a1f12eccb1405e18ccf052842145f60d350894ca0aab9906deab",
         "capacity_bps": "21ef918a96ab8e98a9d31232bbad29c6270ca88ade562a4058731b697493fee9",
@@ -124,7 +124,7 @@ RAW = {
         "x": "bdbc177545263fc60fefcd505d0a488a51da68e6a10e04b464f1e83eecfabea8",
         "h": "0d62130a772518b67a8ace25c4c3cf4e0ccab6a66e9b3296f1d146d3f6411804",
         "vx": "bfbf866ce890417d45e66c03f9552e246382f9011b2105fd6e388b5bc0b62bcf",
-        "vy": "c27e39ab6eabccacbe1dd6b427ae347e61a1cfa6160fd21cadadb069963585fb",
+        "vy": "84b30dec129482e3f99bbe40130f5f80762475b2bfdd620f861c41b0e4d9681b",
         "layer": "b0c8f6751838ce94f8391df7e568b7fd9501cad031db4744ab859e173e2314e7",
         "mode": "1f0d438b466acf0132753b3d9aaeda3cfa96275ceacac2532550eedd647b2794",
         "capacity_bps": "c507d996743caac71e2efe852e485e4200ab94729d3d09ea57e003b3ccd17adf",
@@ -134,7 +134,7 @@ RAW = {
         "x": "be400d2856a4cb832c1f7d019100d8973678323e2e76d0b3b58b88c0257f2f93",
         "h": "e73bc44b706ebd0388489158cdf71d84b0819a2014a3740b4f612ea5d7ee02ec",
         "vx": "6502efc11d2acb843b40285e7d4f308b5b35fefe920c62bd7d8d4d41d9a2313d",
-        "vy": "b89112d5dc820d38f6167dac6822d5febe72382fcc81e55a98cfb2477a64277e",
+        "vy": "36cb9efebb4b25f146ba6bd35e10a8b19b08dc8fb14f58ae588f13dda9924a37",
         "layer": "2adc41f0019c34f5fe7bb55a16f68ab199c7dc2576ed294d72ce9bdd5656b842",
         "mode": "1001e7b880c828f93e18a75b0b794aefa7fe5034a0cf7631b488d1e8110b369e",
         "capacity_bps": "c862b57e5931f810d62b6050bb02effe2b67ac6cdb1370c393aba47e3124d392",
@@ -144,16 +144,16 @@ RAW = {
         "x": "53a45dbb0821afa96ba13924a0a35a1d0b77a28c82040a85ffc34432541624b8",
         "h": "bf1572552dc03f06a6f906285aa0fec9a0fc1371381e6fa920927367cbd276cb",
         "vx": "2a59c6f36f9f49eb80063180b2de7aa968a77277dc6206fe6c5b2a0e40e5f5e3",
-        "vy": "d49c425d639d0b1c0ed81fed7ace074e33615a78f999df64fa0688000923b225",
+        "vy": "ed04eff3cd6f3b82ec758e090a967b7bea17f78eb3657832385eabe797ebe2a6",
         "layer": "17f5c24fd8bab12172c5bc05e06eda282539642d6da1ef05c0c438768f030a50",
         "mode": "f1a74bf58ee44df3cfb738917aa135f1046e7c0f8cc39e54d10ce40746a19947",
         "capacity_bps": "36ed936c7bd3c0a4bfdcfd1dfe2f78845f285b84948e14ba13b90e5887e06657",
         "ris_partner": "977375d88aa5133f33ec02105dcbe46f08606f1c5e8f9d20850b1b6f70265fac",
     },
     "fig12-ipr-dense-backoff-32": {
-        "x": "de7aa7040d532451709b483d5a40ed5030285abcca75240b9f403d05497d03c5",
+        "x": "e40ffb9da5533e35cd6ca313f90659ecda83969613ce4206b5305a5578b58e58",
         "h": "8c43c4bf91a1912caf48cd0c139381542bb3625078f201d0ec017b0de3bb1f19",
-        "vx": "f61730c510944f983bd7768d32b863a4efd25c8ce3af03d4079730bea9305247",
+        "vx": "01c6087ac352a88e22e4b8aa6b56131e56873932300903bcb28d3e96858515bc",
         "vy": "1c9603f37d9394a8b61d3da317c691ff7350fb0a8a5f6dbe6d1065fb15f943bc",
         "layer": "bf3b042a8012a4183760acd255be84c8244d0529ceec529f36b97611cdaa162c",
         "mode": "1cf08dedbec14a1c939a93dd78eced411fee5cbedede5cc0cf58870cacc2aaf5",
