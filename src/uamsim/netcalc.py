@@ -32,14 +32,21 @@ non-increasing, and the fold's running tail, each convolution's first table,
 holds long runs of equal values, since a retransmission tail steps once per
 ttl; so each convolution reads only the splits at the first index of a run,
 with the same bits as reading every split.
+
+Only the queueing tail depends on the load.  The fold of the step tails,
+the handshake head, reads nothing but each step's ttls, the loss
+probability and the grid, so it is computed once per such key and kept
+(``_handshake_head``); a scan over loads at one fashion, protocol and grid
+convolves each curve's queueing tail with the kept head.  That is the left
+fold's last step on the same tables, so the curve's bits are the fold's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -238,10 +245,20 @@ def service_curve_stack(kind: ChannelKind, params: ProtocolParams) -> LatencyRat
     rate of the slowest data hop and the summed latency of every step and
     hop.
     """
+    return _stack(*_fashion(kind, params), params, params.data_volume)
+
+
+def _stack(
+    steps: tuple[tuple[Message, ...], ...],
+    rates: tuple[float, ...],
+    params: ProtocolParams,
+    data_volume: float,
+) -> LatencyRateCurve:
+    """``service_curve_stack`` for the fashion ``_fashion`` gave as steps and
+    rates, carrying ``data_volume`` in place of the params' own."""
     z = params.access_weight
-    steps, rates = _fashion(kind, params)
     latencies = [z * max(m.volume for m in step) / params.omni_rate for step in steps]
-    latencies += [z * params.data_volume / r for r in rates]
+    latencies += [z * data_volume / r for r in rates]
     return LatencyRateCurve(min(rates), sum(latencies))
 
 
@@ -273,6 +290,31 @@ def check_scan(load: float, t_max: float, grid_dt: float) -> None:
         raise OutOfRange("grid_dt", "grid step must be positive and at most a tenth of the budget")
 
 
+# a scan over loads reads two heads, Direct's and Ris's; four leave room for
+# a second protocol or grid, and bound what the cache holds on a long grid
+@lru_cache(maxsize=4)
+def _handshake_head(
+    ttls: tuple[tuple[float, ...], ...], loss_prob: float, n: int, grid_dt: float
+) -> np.ndarray | None:
+    """Left fold of the handshake steps' tails on the n-point grid of step
+    grid_dt, or None when there is no step.
+
+    ``ttls`` holds each step's message ttls, in order; a step's tail is the
+    union bound over its messages, clamped to 1.  The result is read-only,
+    as every caller with the same key shares it.
+    """
+    t = np.arange(n) * grid_dt
+    step_tails = [
+        np.minimum(sum(retransmission_ccdf(loss_prob, ttl, t) for ttl in step), 1.0)
+        for step in ttls
+    ]
+    if not step_tails:
+        return None
+    head = reduce(min_plus_convolve, step_tails)
+    head.flags.writeable = False
+    return head
+
+
 def failure_curve(
     kind: ChannelKind,
     load: float,
@@ -287,17 +329,21 @@ def failure_curve(
     handshake step's tail is the union bound over its messages, clamped to
     1; the steps and the queueing stage split the budget by one left fold
     of min-plus convolutions, so Control's curve is its queueing tail.
+
+    The steps' part of the fold does not depend on the load: it is kept
+    per (each step's ttls, loss_prob, point count, grid_dt), the whole of
+    what it reads, and this call convolves the kept head with the queueing
+    tail, the fold's last step.
     """
     check_scan(load, t_max, grid_dt)
-    p = replace(params, data_volume=load)
-    lam = p.arrival_rate if p.arrival_rate is not None else load
-    t = np.arange(int(round(t_max / grid_dt)) + 1) * grid_dt
-    queue_tail = queueing_tail_ccdf(service_curve_stack(kind, p), lam, t)
-    step_tails = [
-        np.minimum(sum(retransmission_ccdf(p.loss_prob, m.ttl, t) for m in step), 1.0)
-        for step in _fashion(kind, p)[0]
-    ]
-    return Ccdf(grid_dt, reduce(min_plus_convolve, [*step_tails, queue_tail]))
+    steps, rates = _fashion(kind, params)
+    lam = params.arrival_rate if params.arrival_rate is not None else load
+    n = int(round(t_max / grid_dt)) + 1
+    t = np.arange(n) * grid_dt
+    queue_tail = queueing_tail_ccdf(_stack(steps, rates, params, load), lam, t)
+    ttls = tuple(tuple(m.ttl for m in step) for step in steps)
+    head = _handshake_head(ttls, params.loss_prob, n, grid_dt)
+    return Ccdf(grid_dt, queue_tail if head is None else min_plus_convolve(head, queue_tail))
 
 
 def failure_probability(

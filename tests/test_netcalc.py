@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from uamsim.netcalc import (
     BLOCK,
+    _handshake_head,
     Ccdf,
     ChannelKind,
     LatencyRateCurve,
@@ -322,6 +324,70 @@ def test_pinned_arrival_rate_decouples_queueing():
     free = failure_probability(ChannelKind.CONTROL, 12.0, 1.5, PAR)
     fixed = failure_probability(ChannelKind.CONTROL, 12.0, 1.5, pinned)
     assert fixed <= free + 1e-12
+
+
+# (params, t_max, grid_dt) pairs that differ in one thing the handshake
+# head reads, or in the pinned arrival rate, which it does not
+_ONE_APART = {
+    "rts-ttl": ((PAR, 1.5, 0.005), (replace(PAR, rts_ttl=0.05), 1.5, 0.005)),
+    "cts-ttl": ((PAR, 1.5, 0.005), (replace(PAR, cts_ttl=0.05), 1.5, 0.005)),
+    "rtr-ttl": ((PAR, 1.5, 0.005), (replace(PAR, rtr_ttl=0.13), 1.5, 0.005)),
+    "loss": ((PAR, 1.5, 0.005), (replace(PAR, loss_prob=0.3), 1.5, 0.005)),
+    "loss-signed-zero": (
+        (replace(PAR, loss_prob=0.0), 1.5, 0.005), (replace(PAR, loss_prob=-0.0), 1.5, 0.005)
+    ),
+    "grid-length": ((PAR, 1.5, 0.005), (PAR, 2.0, 0.005)),
+    "grid-step": ((PAR, 1.5, 0.005), (PAR, 3.0, 0.01)),  # 301 points each
+    "arrival-rate": ((PAR, 1.5, 0.005), (replace(PAR, arrival_rate=5.0), 1.5, 0.005)),
+}
+
+
+@pytest.mark.parametrize("first, second", _ONE_APART.values(), ids=_ONE_APART.keys())
+def test_a_kept_head_leaves_the_curve_unchanged(first, second):
+    """Every curve, computed with no head kept and then in a warm sequence
+    where the second case follows the first at each load, has the same
+    bytes: a key that missed what told the two apart would hand the second
+    the first's head."""
+    runs = [
+        (kind, load, *case)
+        for kind in ChannelKind
+        for load in (12.0, 40.0)
+        for case in (first, second)
+    ]
+
+    def curve(kind, load, par, t_max, grid_dt):
+        return failure_curve(kind, load, t_max, par, grid_dt).values.tobytes()
+
+    cold = []
+    for run in runs:
+        _handshake_head.cache_clear()
+        cold.append(curve(*run))
+    _handshake_head.cache_clear()
+    assert [curve(*run) for run in runs] == cold
+
+
+def test_the_kept_head_is_the_read_only_fold_of_the_step_tails():
+    """The curve is the left fold over the step tails and the queueing tail,
+    bit for bit, and the head every caller shares cannot be written."""
+    par = ProtocolParams(loss_prob=0.3, rts_ttl=0.05, cts_ttl=0.08, rtr_ttl=0.13)
+    t = np.arange(121) * 0.01
+    ttls = {
+        ChannelKind.DIRECT: ((par.rts_ttl,), (par.cts_ttl,)),
+        ChannelKind.RIS: ((par.rts_ttl,), (par.cts_ttl, par.rtr_ttl)),
+    }
+    for kind, steps in ttls.items():
+        step_tails = [
+            np.minimum(sum(retransmission_ccdf(par.loss_prob, ttl, t) for ttl in step), 1.0)
+            for step in steps
+        ]
+        queue = queueing_tail_ccdf(service_curve_stack(kind, replace(par, data_volume=9.0)), 9.0, t)
+        fold = reduce(min_plus_convolve, [*step_tails, queue])
+        assert failure_curve(kind, 9.0, 1.2, par, 0.01).values.tobytes() == fold.tobytes()
+        head = _handshake_head(steps, par.loss_prob, len(t), 0.01)
+        assert not head.flags.writeable
+        with pytest.raises(ValueError):
+            head[0] = 0.0
+    assert _handshake_head((), par.loss_prob, len(t), 0.01) is None
 
 
 def test_ccdf_at_rounds_to_grid_and_guards_range():
