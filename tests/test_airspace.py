@@ -327,6 +327,15 @@ def test_ring_matches_the_per_layer_loop(data):
 _fraction = st.sampled_from([0.0, 0.25, 0.5, 0.999]) | st.floats(0.0, 1.0, exclude_max=True)
 
 
+def _window_bound(reach, course):
+    """How far round the ring a candidate of ``ring_pairs`` can measure with
+    ``ring_offset``: reach plus the window's slack, 1e-9 (course + reach),
+    plus rounding.  The window's keys and bounds reach ten courses, each
+    rounded within 8 ulps of the course, and ``ring_offset`` rounds the
+    difference and its half-course shift within an ulp each."""
+    return reach + 1e-9 * (course + reach) + 32 * np.spacing(course)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     craft=st.lists(
@@ -341,7 +350,8 @@ _fraction = st.sampled_from([0.0, 0.25, 0.5, 0.999]) | st.floats(0.0, 1.0, exclu
 def test_ring_pairs_hold_every_resident_in_reach_once(craft, course, reach, edge, data):
     """Every resident of the queried layer with |ring_offset| <= reach is a
     candidate of the query exactly once, and no candidate lies beyond reach
-    plus the rounding slack, 1e-9 (course + reach).  The fleets wrap the
+    plus the rounding slack, 1e-9 (course + reach), as far as floats can
+    measure it (``_window_bound``).  The fleets wrap the
     ring and have empty layers and lone residents; reaches run from 0 to
     3 courses.  With ``edge``, the reach is the ring offset from the first
     query to a resident of its layer, so the window's edge is hit exactly
@@ -368,9 +378,25 @@ def test_ring_pairs_hold_every_resident_in_reach_once(craft, course, reach, edge
         members = np.flatnonzero(resident & (lay == layers[q]))
         assert len(set(got.tolist())) == len(got) and np.all(np.isin(got, members))
         off = np.abs(ring_offset(x[got] - x[row], course))
-        assert np.all(off <= reach + 1e-9 * (course + reach))
+        assert np.all(off <= _window_bound(reach, course))
         near = members[np.abs(ring_offset(x[members] - x[row], course)) <= reach]
         assert np.all(np.isin(near, got))
+
+
+def test_a_candidate_at_the_slack_measures_within_the_bound():
+    """A drawn case: residents at x = 0 and 2e-7 on a 200 m course, reach 0.
+    The window holds the second, whose key lies at the slack 1e-9 * 200;
+    ``ring_offset``'s half-course shift rounds its offset to 2.00000002e-7,
+    past the slack itself but within the bound."""
+    course, x = 200.0, np.array([0.0, 2e-7])
+    zero, lay = np.zeros(2), np.zeros(2, dtype=int)
+    cfg = AirspaceConfig(course_length_m=course)
+    fleet = fleet_state(x, zero, zero, zero, lay, np.ones(2, dtype=bool), np.arange(2), cfg)
+    _, j = ring_pairs(fleet, ring_laps(fleet, course), 0, np.array([0]), 0.0)
+    assert sorted(j.tolist()) == [0, 1]
+    off = np.abs(ring_offset(x[j] - x[0], course))
+    assert off.max() > 1e-9 * course
+    assert np.all(off <= _window_bound(0.0, course))
 
 
 def test_ring_pairs_reach_round_the_ring_once():
