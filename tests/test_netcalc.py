@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from uamsim.netcalc import (
     BLOCK,
-    _handshake_head,
     Ccdf,
     ChannelKind,
     LatencyRateCurve,
     ProtocolParams,
+    _handshake_head,
     check_scan,
     failure_curve,
     failure_probability,
