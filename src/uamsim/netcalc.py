@@ -11,8 +11,9 @@ the rates take their minimum and the latencies add.
   messages never carry data; each is a pure delay, so only its latency
   enters the stack and it cannot be the bottleneck.
 * **Latency.**  Each handshake step adds zeta * volume / omni_rate of its
-  largest message; the data adds zeta * volume / rate once per data hop
-  (twice for Ris, into and out of the surface).
+  largest message; the data adds zeta * load / rate once per data hop
+  (twice for Ris, into and out of the surface), the load being the
+  transfer's data volume in Mb.
 * **Message sequence.**  Control sends the data alone.  Direct: RTS, then
   CTS, then data.  Ris: RTS, then CTS and RTR together, then data.  The
   base station answers the RTS on the broadcast control plane, and one
@@ -75,7 +76,6 @@ class ProtocolParams:
     rts_volume: float = 3.0
     cts_volume: float = 3.0
     rtr_volume: float = 3.0
-    data_volume: float = 10.0
     access_weight: float = 1.2
     loss_prob: float = 0.15
     rts_ttl: float = 0.08
@@ -88,8 +88,10 @@ class ProtocolParams:
             raise ValueError(f"{', '.join(bad)} must be finite")
         if min(self.omni_rate, self.direct_rate, self.ris_rate_in, self.ris_rate_out) <= 0.0:
             raise ValueError("rates must be positive")
-        if min(self.rts_volume, self.cts_volume, self.rtr_volume, self.data_volume) < 0.0:
+        if min(self.rts_volume, self.cts_volume, self.rtr_volume) < 0.0:
             raise ValueError("message volumes cannot be negative")
+        if self.arrival_rate is not None and self.arrival_rate < 0.0:
+            raise ValueError("arrival rate cannot be negative")
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError("loss probability must lie in [0, 1)")
         if min(self.rts_ttl, self.cts_ttl, self.rtr_ttl) <= 0.0:
@@ -236,8 +238,10 @@ def _fashion(
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def service_curve_stack(kind: ChannelKind, params: ProtocolParams) -> LatencyRateCurve:
-    """Cascaded service curve of one transmission fashion.
+def service_curve_stack(
+    kind: ChannelKind, params: ProtocolParams, data_volume: float
+) -> LatencyRateCurve:
+    """Cascaded service curve of one fashion carrying ``data_volume`` Mb.
 
     Each handshake step is a pure delay of zeta * (largest message volume) /
     omni_rate; each data hop is a server of its own rate with latency
@@ -245,17 +249,7 @@ def service_curve_stack(kind: ChannelKind, params: ProtocolParams) -> LatencyRat
     rate of the slowest data hop and the summed latency of every step and
     hop.
     """
-    return _stack(*_fashion(kind, params), params, params.data_volume)
-
-
-def _stack(
-    steps: tuple[tuple[Message, ...], ...],
-    rates: tuple[float, ...],
-    params: ProtocolParams,
-    data_volume: float,
-) -> LatencyRateCurve:
-    """``service_curve_stack`` for the fashion ``_fashion`` gave as steps and
-    rates, carrying ``data_volume`` in place of the params' own."""
+    steps, rates = _fashion(kind, params)
     z = params.access_weight
     latencies = [z * max(m.volume for m in step) / params.omni_rate for step in steps]
     latencies += [z * data_volume / r for r in rates]
@@ -336,12 +330,11 @@ def failure_curve(
     tail, the fold's last step.
     """
     check_scan(load, t_max, grid_dt)
-    steps, rates = _fashion(kind, params)
     lam = params.arrival_rate if params.arrival_rate is not None else load
     n = int(round(t_max / grid_dt)) + 1
     t = np.arange(n) * grid_dt
-    queue_tail = queueing_tail_ccdf(_stack(steps, rates, params, load), lam, t)
-    ttls = tuple(tuple(m.ttl for m in step) for step in steps)
+    queue_tail = queueing_tail_ccdf(service_curve_stack(kind, params, load), lam, t)
+    ttls = tuple(tuple(m.ttl for m in step) for step in _fashion(kind, params)[0])
     head = _handshake_head(ttls, params.loss_prob, n, grid_dt)
     return Ccdf(grid_dt, queue_tail if head is None else min_plus_convolve(head, queue_tail))
 

@@ -193,6 +193,8 @@ _BAD_INPUTS = {
     "negative reaction delay": ["--set", "airspace.reaction_delay_s=-1"],
     # its ticks all printed as t = 0.0
     "step under a nanosecond": ["--set", "dt=1e-10", "--set", "duration_s=1e-9"],
+    # it used to pass every check, then end in a traceback mid-way through delay_bounds.csv
+    "negative arrival rate": ["--set", "protocol.arrival_rate=-1"],
     "out names a file": ["--out", "F"],
 }
 _BAD_ARGUMENTS = {

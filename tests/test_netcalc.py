@@ -52,11 +52,11 @@ def test_latency_rate_curve_rejects_a_non_finite_or_empty_server(rate, latency):
 
 def test_stack_latencies():
     # data volume 10 Mb, access weight 1.2; CTS and RTR form one step
-    ctrl = service_curve_stack(ChannelKind.CONTROL, PAR)
+    ctrl = service_curve_stack(ChannelKind.CONTROL, PAR, 10.0)
     assert ctrl.latency == pytest.approx(1.2 * 10.0 / 20.0, rel=1e-12)  # 0.6
-    direct = service_curve_stack(ChannelKind.DIRECT, PAR)
+    direct = service_curve_stack(ChannelKind.DIRECT, PAR, 10.0)
     assert direct.latency == pytest.approx(1.2 * (3 / 20 + 3 / 20 + 10 / 40), rel=1e-12)
-    ris = service_curve_stack(ChannelKind.RIS, PAR)
+    ris = service_curve_stack(ChannelKind.RIS, PAR, 10.0)
     assert ris.latency == pytest.approx(
         1.2 * (3 / 20 + max(3, 3) / 20 + 10 / 100 + 10 / 100), rel=1e-12
     )
@@ -75,9 +75,9 @@ def test_stack_latencies():
         omni_rate=20.0, direct_rate=50.0, ris_rate_in=80.0, ris_rate_out=10.0,
         cts_volume=2.0, rtr_volume=4.0,
     )
-    ctrl = service_curve_stack(ChannelKind.CONTROL, par)
-    direct = service_curve_stack(ChannelKind.DIRECT, par)
-    ris = service_curve_stack(ChannelKind.RIS, par)
+    ctrl = service_curve_stack(ChannelKind.CONTROL, par, 10.0)
+    direct = service_curve_stack(ChannelKind.DIRECT, par, 10.0)
+    ris = service_curve_stack(ChannelKind.RIS, par, 10.0)
     assert (ctrl.rate, direct.rate, ris.rate) == (20.0, 50.0, 10.0)
     assert direct.latency == pytest.approx(1.2 * (3 / 20 + 2 / 20 + 10 / 50), rel=1e-12)
     assert ris.latency == pytest.approx(
@@ -103,8 +103,7 @@ def _brute_failure(kind, load, t_max, dt, par):
         step2 = retry_tail(par.cts_ttl)
     else:
         step2 = np.minimum(retry_tail(par.cts_ttl) + retry_tail(par.rtr_ttl), 1.0)
-    p = replace(par, data_volume=load)
-    queue = queueing_tail_ccdf(service_curve_stack(kind, p), load, t)
+    queue = queueing_tail_ccdf(service_curve_stack(kind, par, load), load, t)
     failure = np.array(
         [
             min(
@@ -129,8 +128,7 @@ def test_handshake_tails_match_message_sequence():
         np.testing.assert_allclose(fail.values, fail_brute, rtol=0.0, atol=1e-12)
     # Control has no handshake: its failure curve is its queueing tail
     t = np.arange(int(round(t_max / dt)) + 1) * dt
-    p = replace(par, data_volume=12.0)
-    queue = queueing_tail_ccdf(service_curve_stack(ChannelKind.CONTROL, p), 12.0, t)
+    queue = queueing_tail_ccdf(service_curve_stack(ChannelKind.CONTROL, par, 12.0), 12.0, t)
     control = failure_curve(ChannelKind.CONTROL, 12.0, t_max, par, grid_dt=dt)
     np.testing.assert_array_equal(control.values, queue)
 
@@ -380,7 +378,7 @@ def test_the_kept_head_is_the_read_only_fold_of_the_step_tails():
             np.minimum(sum(retransmission_ccdf(par.loss_prob, ttl, t) for ttl in step), 1.0)
             for step in steps
         ]
-        queue = queueing_tail_ccdf(service_curve_stack(kind, replace(par, data_volume=9.0)), 9.0, t)
+        queue = queueing_tail_ccdf(service_curve_stack(kind, par, 9.0), 9.0, t)
         fold = reduce(min_plus_convolve, [*step_tails, queue])
         assert failure_curve(kind, 9.0, 1.2, par, 0.01).values.tobytes() == fold.tobytes()
         head = _handshake_head(steps, par.loss_prob, len(t), 0.01)
@@ -408,10 +406,22 @@ def test_params_validation():
         ProtocolParams(loss_prob=1.0)
     with pytest.raises(ValueError):
         ProtocolParams(omni_rate=0.0)
+    with pytest.raises(ValueError, match="arrival rate cannot be negative"):
+        ProtocolParams(arrival_rate=-1.0)
     with pytest.raises(ValueError):
         failure_curve(ChannelKind.RIS, -1.0, 2.0, PAR)
     with pytest.raises(ValueError):
         failure_curve(ChannelKind.RIS, 5.0, 2.0, PAR, grid_dt=0.5)
+
+
+def test_no_arrivals_fail_only_before_the_stack_latency():
+    """A zero arrival rate is valid: with nothing queued, Control's curve is
+    1 up to the stack latency and 0 after it."""
+    par = replace(PAR, arrival_rate=0.0)
+    curve = failure_curve(ChannelKind.CONTROL, 10.0, 2.0, par)
+    t = np.arange(len(curve.values)) * curve.dt
+    latency = service_curve_stack(ChannelKind.CONTROL, par, 10.0).latency
+    np.testing.assert_array_equal(curve.values, np.where(t > latency + 1e-15, 0.0, 1.0))
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,9 @@ def test_settings_reject_unknown_keys():
     # the swarm settings went with the swarm planner
     with pytest.raises(ValueError):
         apply_settings(sc, [("pso.swarm_size", "30")])
+    # no curve read the protocol's data volume: the load is the volume
+    with pytest.raises(ValueError, match="unknown setting 'protocol.data_volume'"):
+        apply_settings(sc, [("protocol.data_volume", "10")])
 
 
 def test_aircraft_override():
