@@ -160,6 +160,15 @@ def ring_laps(fleet: Fleet, course: float) -> Laps:
     return Laps(rows, keys, sizes, course)
 
 
+def search_reach(reach: float, course: float) -> float:
+    """``reach`` widened by a rounding slack far above the few ulps by which
+    a searched bound, a ring gap and ``ring_offset`` can disagree: a window
+    of this reach holds every resident with |ring_offset| <= reach, and when
+    every ring gap of a layer exceeds it, no two of its residents are within
+    ``reach`` of each other."""
+    return reach + 1e-9 * (course + reach)
+
+
 def ring_pairs(
     fleet: Fleet, laps: Laps, layer: int | np.ndarray, rows: np.ndarray, reach: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +176,13 @@ def ring_pairs(
     for all queries, or one per query) whose x lies within ``reach`` of
     x[rows[k]] round the ring, appearing at most once per query.
 
-    The window is widened by a rounding slack far above the few ulps by
-    which a searched bound and ``ring_offset`` can disagree, so it holds
-    every resident with |ring_offset| <= reach; each caller applies its
-    exact rule to the candidates.
+    The window is widened to ``search_reach``, so it holds every resident
+    with |ring_offset| <= reach; each caller applies its exact rule to the
+    candidates.
     """
     course = laps.course
     # the middle lap and one more either side
-    reach = min(reach + 1e-9 * (course + reach), course)
+    reach = min(search_reach(reach, course), course)
     at = fleet.x[rows] + 4.0 * course * np.asarray(layer)
     first = np.searchsorted(laps.keys, at - reach, "left")
     # a slice of sizes[layer] or more covers the whole ring: its first that
@@ -197,8 +205,10 @@ class Ring(NamedTuple):
 
     ``ahead_x``/``ahead_h`` is the forward offset to the preceding aircraft
     ``prec`` and ``front`` its norm; the alone and non-residents get -1 and
-    infinite gaps.  ``conflicts``: row-pair codes (see ``pair_codes``) of
-    neighbours closer than the faster one's separation.
+    infinite gaps.  Their ``ahead_x`` is 0, which is not a gap: a lone
+    resident's offset to itself, and it has no pair.  ``conflicts``:
+    row-pair codes (see ``pair_codes``) of neighbours closer than the faster
+    one's separation.
     """
 
     front: np.ndarray

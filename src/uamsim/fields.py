@@ -18,7 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .airspace import AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset, ring_pairs
+from .airspace import (
+    AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset, ring_pairs, search_reach,
+)
 
 
 class CollisionError(RuntimeError):
@@ -65,10 +67,21 @@ class Band(NamedTuple):
     dist: np.ndarray
 
 
-def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
+def neighbour_band(fleet: Fleet, ring: Ring, cfg: AirspaceConfig, radius: float) -> Band:
     """The band of the fleet's residents: dist <= radius tested exactly on
-    each one's ``ring_pairs`` within ``radius`` in its own layer."""
+    each one's ``ring_pairs`` within ``radius`` in its own layer.
+
+    No two residents of a layer are nearer in x than its smallest ring gap,
+    so when every gap exceeds ``search_reach`` the band is empty, and no
+    window is searched.  ``ring`` may be built before a back-off release
+    that left ``fleet`` fewer residents: a release only removes residents,
+    which merges gaps, so the earlier gaps still bound the later ones.
+    """
     course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
+    paired = rows[ring.prec[rows] >= 0]  # a lone resident's ahead_x is no gap
+    if len(paired) == 0 or ring.ahead_x[paired].min() > search_reach(radius, course):
+        none = np.empty(0, dtype=int)
+        return Band(none, none, np.empty(0), np.empty(0), np.empty(0))
     # a starts as the query index k, b as the resident j.  Sorting the codes
     # k * n + j puts each window in row order and leaves k in place, as k
     # ascends; windows mostly ascend already, and the stable sort merges
@@ -206,21 +219,26 @@ def force(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped commanded acceleration: weighted field descent plus consensus.
 
-    ``ring`` gives the attraction's preceding aircraft; repulsion and
-    consensus act among the fleet's residents within ``radius``.  The terms
-    are subtracted from zeros in a fixed order.  A field with nothing to act
-    on, no pair inside a separation or no active goal, hands back zeros
-    without further work: they are +0, whose subtraction changes no bit,
-    the sign of a zero included.
+    ``ring`` gives the attraction's preceding aircraft and bounds the band;
+    repulsion and consensus act among the fleet's residents within
+    ``radius``.  The terms are subtracted from +0 in a fixed order, so the
+    sums never hold -0 (x - y is -0 only for x = -0), and subtracting a zero
+    of either sign changes no bit.  So a field with nothing to act on, no
+    pair inside a separation or no active goal, hands back zeros without
+    further work, and an empty band's repulsion and consensus are not
+    subtracted at all.
     """
-    band = neighbour_band(fleet, cfg, radius)
+    band = neighbour_band(fleet, ring, cfg, radius)
+    pairs = (
+        repulse_gradient(fleet, band, weights.repulse),
+        consensus(fleet, band, weights.consensus_gain),
+    ) if len(band.a) else ()
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for gx, gh in (
         stabilize_gradient(fleet, cfg, weights.stabilize),
         layer_gradient(fleet, cfg, weights.layer),
         attract_gradient(fleet, ring, weights.attract),
-        repulse_gradient(fleet, band, weights.repulse),
-        consensus(fleet, band, weights.consensus_gain),
+        *pairs,
         goal_gradient(fleet, goals, cfg, weights.goal),
     ):
         fx -= gx
@@ -234,7 +252,7 @@ def potential(
 ) -> float:
     """Weighted sum of the five field values over the residents, the rows
     whose motion ``force`` steers (a switching row flies its profile)."""
-    band = neighbour_band(fleet, cfg, radius)
+    band = neighbour_band(fleet, ring, cfg, radius)
     terms = (
         (weights.stabilize, stabilize_value(fleet, cfg)),
         (weights.layer, layer_value(fleet, cfg)),

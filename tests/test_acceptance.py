@@ -265,7 +265,7 @@ def test_criterion_04_field_gradients_match_finite_differences():
 
         def values(f):
             ring = ring_neighbours(f, air)
-            band = fields.neighbour_band(f, air, radius)
+            band = fields.neighbour_band(f, ring, air, radius)
             return (
                 fields.attract_value(f, ring)[0],
                 fields.stabilize_value(f, air)[0],
@@ -276,7 +276,7 @@ def test_criterion_04_field_gradients_match_finite_differences():
 
         base = fleet()
         ring = ring_neighbours(base, air)
-        band = fields.neighbour_band(base, air, radius)
+        band = fields.neighbour_band(base, ring, air, radius)
         grads = (
             fields.attract_gradient(base, ring),
             fields.stabilize_gradient(base, air),

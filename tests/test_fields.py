@@ -1,16 +1,20 @@
 """Field values and gradients of the fleet kernel, on small fleets."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from uamsim import fields
-from uamsim.airspace import AirspaceConfig, fleet_state, ring_neighbours, ring_offset
+from uamsim import engine, fields, scenarios
+from uamsim.airspace import (
+    AirspaceConfig, fleet_state, ring_neighbours, ring_offset, search_reach,
+)
 from uamsim.engine import AircraftSpec, Scenario, run
 from uamsim.fields import CollisionError, FieldWeights, Goals
+from uamsim.switching import MODE_BACKING_OFF
 
 CFG = AirspaceConfig()
 RADIUS = 300.0
@@ -26,13 +30,17 @@ def _fleet(rows, layer=1):
     )
 
 
+def _band(fleet, radius=RADIUS, cfg=CFG):
+    return fields.neighbour_band(fleet, ring_neighbours(fleet, cfg), cfg, radius)
+
+
 def _no_goals(n):
     return Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
 
 
 def _values(fleet, goals):
     ring = ring_neighbours(fleet, CFG)
-    band = fields.neighbour_band(fleet, CFG, RADIUS)
+    band = fields.neighbour_band(fleet, ring, CFG, RADIUS)
     return {
         "attract": fields.attract_value(fleet, ring),
         "stabilize": fields.stabilize_value(fleet, CFG),
@@ -44,7 +52,7 @@ def _values(fleet, goals):
 
 def _gradients(fleet, goals):
     ring = ring_neighbours(fleet, CFG)
-    band = fields.neighbour_band(fleet, CFG, RADIUS)
+    band = fields.neighbour_band(fleet, ring, CFG, RADIUS)
     return {
         "attract": fields.attract_gradient(fleet, ring),
         "stabilize": fields.stabilize_gradient(fleet, CFG),
@@ -152,14 +160,17 @@ _craft = st.tuples(
     reach=st.sampled_from([0.1, 0.15, 0.5, 0.6, 2.0]) | st.floats(0.001, 2.0),
     goal=st.integers(0, 15),
     edge=st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15)),
+    nudge=st.none() | st.integers(-4, 4),
 )
-def test_band_matches_the_dense_reference(craft, course, reach, goal, edge):
+def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudge):
     """The band's force and field total equal, bit for bit, those of dense
     per-layer pair matrices summed in order.  The fleets wrap the ring, have
     radii beyond half the course, lone residents, empty layers, non-residents
     and coincident x; a coincident point raises the same collision.  With
     ``edge``, two aircraft fly level in one layer, and the radius is the x
-    offset between them: their distance meets it exactly."""
+    offset between them: their distance meets it exactly.  With ``nudge``,
+    the radius is the smallest ring gap moved by that many ulps, where the
+    rounding slack decides whether the ring gaps alone show the band empty."""
     cfg = AirspaceConfig(course_length_m=course)
     lay, frac, dh, vx, vy, resident = (np.array(c) for c in zip(*craft))
     n = len(craft)
@@ -175,6 +186,12 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge):
     active = np.arange(n) == goal
     goals = Goals(np.full(n, 0.3 * course), np.full(n, 150.0), active)
     ring = ring_neighbours(fleet, cfg)
+    paired = fleet.order[ring.prec[fleet.order] >= 0]
+    gap = ring.ahead_x[paired].min() if len(paired) else np.inf
+    if nudge is not None and 0.0 < gap < np.inf:
+        radius = gap + nudge * np.spacing(gap)
+    if abs(gap - radius) <= 4 * np.spacing(course):
+        event("smallest ring gap within 4 ulps of the radius")
     w = FieldWeights()
     try:
         want = _dense_force_and_total(fleet, ring, goals, w, cfg, radius)
@@ -184,7 +201,9 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge):
                 call(fleet, ring, goals, w, cfg, radius)
             assert str(got.value) == str(exc)
         return
-    fx, fh = fields.force(fleet, ring, goals, w, cfg, radius)
+    with mock.patch.object(fields, "ring_pairs", wraps=fields.ring_pairs) as search:
+        fx, fh = fields.force(fleet, ring, goals, w, cfg, radius)
+    event("band searched" if search.called else "band empty by the ring gaps")
     # by bytes, so the sign of a zero force, which trace.csv prints, is pinned too
     assert fx.tobytes() == want[0].tobytes() and fh.tobytes() == want[1].tobytes()
     assert fields.potential(fleet, ring, goals, w, cfg, radius) == want[2]
@@ -201,8 +220,115 @@ def test_band_keeps_a_neighbour_exactly_on_the_radius():
     )
     r = float(abs(ring_offset(x[1] - x[0], CFG.course_length_m)))
     assert x[0] + r < x[1]
-    band = fields.neighbour_band(f, CFG, r)
+    band = _band(f, r)
     assert list(zip(band.a.tolist(), band.b.tolist())) == [(0, 1), (1, 0)]
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The calls ``neighbour_band`` makes to ``ring_pairs``: none when the
+    ring gaps alone show the band empty."""
+    calls, search = [], fields.ring_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(fields, "ring_pairs", counted)
+    return calls
+
+
+def _matches_the_dense_reference(fleet, ring, radius, goals=None, w=FieldWeights()):
+    goals = goals or _no_goals(len(fleet.x))
+    fx, fh, total = _dense_force_and_total(fleet, ring, goals, w, CFG, radius)
+    got = fields.force(fleet, ring, goals, w, CFG, radius)
+    return (got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
+            and fields.potential(fleet, ring, goals, w, CFG, radius) == total)
+
+
+def _even_roster():
+    """The relay builtins' start: five aircraft a layer, 400 m apart, level
+    at their layer's altitude and speed, rows 5 l to 5 l + 4 in layer l."""
+    fleet = engine._Engine(scenarios.get_scenario("fig6-airborne"))._fleet()
+    ring = ring_neighbours(fleet, CFG)
+    assert set(ring.ahead_x[fleet.order].tolist()) == {400.0}
+    return fleet, ring
+
+
+def test_an_even_roster_at_its_spacing_keeps_both_ring_neighbours(searches):
+    """At a 400 m radius no ring gap exceeds the searched reach: the band
+    holds each resident's two ring neighbours, exactly on the radius."""
+    fleet, ring = _even_roster()
+    band = fields.neighbour_band(fleet, ring, CFG, 400.0)
+    assert searches
+    pairs = [(i, j) for i in range(15) for j in range(15)
+             if i // 5 == j // 5 and (j - i) % 5 in (1, 4)]
+    assert sorted(zip(band.a.tolist(), band.b.tolist())) == pairs and len(pairs) == 30
+    assert set(band.dist.tolist()) == {400.0}
+    assert _matches_the_dense_reference(fleet, ring, 400.0)
+
+
+def test_an_even_roster_inside_its_spacing_has_an_empty_band(searches):
+    """At 399 m every ring gap exceeds the searched reach: the band is
+    empty, and no window is searched."""
+    fleet, ring = _even_roster()
+    band = fields.neighbour_band(fleet, ring, CFG, 399.0)
+    assert searches == [] and len(band.a) == len(band.dist) == 0
+    assert _matches_the_dense_reference(fleet, ring, 399.0)
+
+
+def test_a_gap_equal_to_the_searched_reach_is_searched(searches):
+    """The gaps show the band empty only beyond the searched reach, where
+    ``ring_pairs``' window ends: at a reach of exactly 400 m the windows
+    are searched, and find no pair within the radius."""
+    fleet, ring = _even_roster()
+    radius = 399.99999760000003
+    assert search_reach(radius, CFG.course_length_m) == 400.0
+    band = fields.neighbour_band(fleet, ring, CFG, radius)
+    assert searches and len(band.a) == 0
+    assert _matches_the_dense_reference(fleet, ring, radius)
+
+
+def test_a_lone_resident_has_no_gap(searches):
+    """A lone resident's ahead_x is 0, its offset to itself, and it has no
+    pair: with layer 1 spread 500 m apart, the band is empty without a
+    search."""
+    x = np.array([700.0, 0.0, 500.0, 1000.0, 1500.0])
+    lay = np.array([0, 1, 1, 1, 1])
+    fleet = fleet_state(
+        x, lay * 100.0, np.array([30.0, 44.0, 46.0, 45.0, 47.0]), np.zeros(5), lay,
+        np.ones(5, dtype=bool), np.arange(5), CFG,
+    )
+    ring = ring_neighbours(fleet, CFG)
+    assert (ring.prec[0], ring.ahead_x[0]) == (-1, 0.0)
+    assert len(fields.neighbour_band(fleet, ring, CFG, RADIUS).a) == 0 and searches == []
+    assert _matches_the_dense_reference(fleet, ring, RADIUS)
+
+
+@pytest.mark.parametrize("radius", [RADIUS, 40.0])
+def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
+    """Row 0 backs off 50 m behind row 1, inside layer 0's 71.25 m
+    separation, and is released.  The engine steers the residents left
+    after the back-off pass with the ring built before it; a release only
+    merges gaps, so that ring still bounds the band.  Row 1, now alone,
+    keeps its 1950 m gap back to row 0, and layer 1 flies 500 m apart: the
+    band is empty by the gaps, at the default radius and at one under the
+    separation alike."""
+    specs = (AircraftSpec(0, 0, x=0.0), AircraftSpec(1, 0, x=50.0)) + tuple(
+        AircraftSpec(2 + k, 1, x=500.0 * k) for k in range(4)
+    )
+    sc = Scenario(aircraft=specs, neighbor_radius_m=radius)
+    eng = engine._Engine(sc)
+    fleet = eng._fleet()
+    ring = ring_neighbours(fleet, CFG)
+    assert len(fields.neighbour_band(fleet, ring, CFG, radius).a) == (2 if radius > 50.0 else 0)
+    eng.switch.mode[0], eng.switch.target[0], eng.switch.backoff[0] = MODE_BACKING_OFF, 1, 1
+    assert eng._switch_logic(0.0, fleet, ring, ring.conflicts).tolist() == [True] + [False] * 5
+    after = eng._fleet()
+    assert after.order.tolist() == [1, 2, 3, 4, 5] and ring.ahead_x[1] == 1950.0
+    searches.clear()
+    assert _matches_the_dense_reference(after, ring, radius, eng.goals, sc.weights)
+    assert searches == []
 
 
 def test_layer_pairs_keep_row_order():
@@ -210,7 +336,7 @@ def test_layer_pairs_keep_row_order():
     the order of the terms: each row's neighbours stay in row order, not in
     ring order, and the rows follow the ring."""
     f = _fleet([(300.0, 100.0, 45.0, 0.0), (100.0, 100.0, 45.0, 0.0), (200.0, 100.0, 45.0, 0.0)])
-    band = fields.neighbour_band(f, CFG, RADIUS)
+    band = _band(f)
     assert band.a.tolist() == [1, 1, 2, 2, 0, 0]
     assert band.b.tolist() == [0, 2, 0, 1, 1, 2]
 
@@ -266,12 +392,12 @@ def test_attraction_pulls_forward_round_the_ring():
 def test_repulse_blows_up_approaching_contact():
     near = _fleet([(0.0, 0.0, 45.0, 0.0), (10.0, 0.0, 45.0, 0.0)])
     nearer = _fleet([(0.0, 0.0, 45.0, 0.0), (5.0, 0.0, 45.0, 0.0)])
-    assert fields.repulse_value(nearer, fields.neighbour_band(nearer, CFG, RADIUS))[0] > (
-        fields.repulse_value(near, fields.neighbour_band(near, CFG, RADIUS))[0]
+    assert fields.repulse_value(nearer, _band(nearer))[0] > (
+        fields.repulse_value(near, _band(near))[0]
     )
     touching = _fleet([(0.0, 0.0, 45.0, 0.0), (0.0, 0.0, 45.0, 0.0)])
     with pytest.raises(CollisionError):
-        fields.neighbour_band(touching, CFG, RADIUS)
+        _band(touching)
     with pytest.raises(CollisionError):
         fields.force(
             touching, ring_neighbours(touching, CFG), _no_goals(2), FieldWeights(), CFG, RADIUS
@@ -335,7 +461,7 @@ def test_composite_force_sums_weighted_gradients():
     w = FieldWeights()
     fx, fh = fields.force(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
     grads = _gradients(f, goals)
-    cx, ch = fields.consensus(f, fields.neighbour_band(f, CFG, RADIUS), w.consensus_gain)
+    cx, ch = fields.consensus(f, _band(f), w.consensus_gain)
     manual_x, manual_h = -cx, -ch
     for kind in KINDS:
         manual_x = manual_x - getattr(w, kind) * grads[kind][0]
