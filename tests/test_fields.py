@@ -30,8 +30,8 @@ def _fleet(rows, layer=1):
     )
 
 
-def _band(fleet, radius=RADIUS, cfg=CFG):
-    return fields.neighbour_band(fleet, ring_neighbours(fleet, cfg), cfg, radius)
+def _band(fleet, radius=RADIUS):
+    return fields.neighbour_band(fleet, ring_neighbours(fleet, CFG), CFG, radius)
 
 
 def _no_goals(n):
@@ -210,9 +210,9 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudg
 
 
 def test_band_keeps_a_neighbour_exactly_on_the_radius():
-    """x_0 + r rounds below x_1, though the ring offset from 0 to 1 is r: a
-    window searched without the rounding slack would drop the pair, which
-    dist <= r admits."""
+    """x_0 + r rounds below x_1, and the ring gap from 0 to 1 is an ulp above
+    r, though the ring offset is r: a window searched, or a gap compared,
+    without the rounding slack would drop the pair, which dist <= r admits."""
     x = np.array([469.0204033396479, 869.8951044502841])
     f = fleet_state(
         x, np.zeros(2), np.full(2, 45.0), np.zeros(2), np.zeros(2, dtype=int),
@@ -239,7 +239,8 @@ def searches(monkeypatch):
 
 
 def _matches_the_dense_reference(fleet, ring, radius, goals=None, w=FieldWeights()):
-    goals = goals or _no_goals(len(fleet.x))
+    if goals is None:
+        goals = _no_goals(len(fleet.x))
     fx, fh, total = _dense_force_and_total(fleet, ring, goals, w, CFG, radius)
     got = fields.force(fleet, ring, goals, w, CFG, radius)
     return (got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
