@@ -105,9 +105,9 @@ def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Flee
     """Bundle the fleet arrays and derive speeds, safe separations and the resident order."""
     speed = np.hypot(vx, vy)
     d_safe = horizontal_safe_separation(speed, cfg)
-    rows = np.flatnonzero(resident)
+    rows = resident.nonzero()[0]
     order = rows[np.lexsort((ids[rows], x[rows], layer[rows]))]
-    bounds = np.searchsorted(layer[order], np.arange(4))
+    bounds = layer[order].searchsorted(np.arange(4))
     return Fleet(x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds)
 
 
@@ -118,7 +118,7 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
     and a comfortable stop (rate b) with the distance covered during the
     reaction delay:  (B - b) / (2 B b) * v^2 + v * t_delay.
     """
-    if not np.all(np.isfinite(speed) & (speed >= 0.0)):
+    if not (np.isfinite(speed) & (speed >= 0.0)).all():
         raise ValueError("speed must be finite and non-negative")
     big = cfg.max_brake_mps2
     small = cfg.comfort_brake_mps2
@@ -154,9 +154,9 @@ class Laps(NamedTuple):
 
 def ring_laps(fleet: Fleet, course: float) -> Laps:
     """Unroll the fleet's rings for ``ring_pairs``."""
-    sizes = np.diff(fleet.bounds)
+    sizes = fleet.bounds[1:] - fleet.bounds[:-1]
     rows = np.concatenate([fleet.segment(lay) for lay in range(3) for _ in range(3)])
-    keys = fleet.x[rows] + np.repeat(_LAP_SHIFT * course, np.repeat(sizes, 3))
+    keys = fleet.x[rows] + (_LAP_SHIFT * course).repeat(sizes.repeat(3))
     return Laps(rows, keys, sizes, course)
 
 
@@ -184,12 +184,12 @@ def ring_pairs(
     # the middle lap and one more either side
     reach = min(search_reach(reach, course), course)
     at = fleet.x[rows] + 4.0 * course * np.asarray(layer)
-    first = np.searchsorted(laps.keys, at - reach, "left")
+    first = laps.keys.searchsorted(at - reach, "left")
     # a slice of sizes[layer] or more covers the whole ring: its first that
     # many entries hold each resident once
-    count = np.minimum(np.searchsorted(laps.keys, at + reach, "right") - first, laps.sizes[layer])
-    k = np.repeat(np.arange(len(rows)), count)
-    return k, laps.rows[np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(k))]
+    count = np.minimum(laps.keys.searchsorted(at + reach, "right") - first, laps.sizes[layer])
+    k = np.arange(len(rows)).repeat(count)
+    return k, laps.rows[(first - count.cumsum() + count).repeat(count) + np.arange(len(k))]
 
 
 def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -226,9 +226,9 @@ def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
     lay = fleet.layer[order]
     step = np.arange(1, len(order) + 1)
     nxt = order[np.where(step == fleet.bounds[lay + 1], fleet.bounds[lay], step)]
-    prec = np.full(n, -1, dtype=int)
+    prec = np.zeros(n, dtype=int) - 1
     prec[order] = np.where(nxt == order, -1, nxt)  # a layer's only resident has none
-    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.full(n, np.inf)
+    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.zeros(n) + np.inf
     ahead_x[order] = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
     ahead_h[order] = fleet.h[nxt] - fleet.h[order]
     front = np.where(prec >= 0, np.hypot(ahead_x, ahead_h), np.inf)
@@ -248,32 +248,26 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     the same-layer ring: conflict accounting covers layer residents, and a
     switcher re-enters it at capture.  Returns row-pair codes.
 
-    A hit needs |dx|, |dh| <= dist < coeff * (faster speed), so two layers
-    whose altitude bands are at least coeff times their fastest speed apart
-    are skipped, and the others test the rule on their ``ring_pairs`` within
-    that reach; rounding is monotone, so neither drops a pair the rule finds.
-    The bands come from one reduction each over the resident order, whose
-    non-empty layer segments start at their bounds and tile it.
+    A hit needs |dh| <= dist < coeff * (faster speed).  Residents of two
+    layers are at least spacing - 2 * offset apart in altitude, offset being
+    the largest resident distance from its layer altitude, so when that is
+    at least coeff times the fastest resident speed (``reach``) the rule is
+    skipped; otherwise each layer pair tests it on its ``ring_pairs`` within
+    ``reach``.  The skip needs no rounding slack.  With reach > 0 it needs
+    offset < spacing / 2, where every h - layer altitude is exact
+    (Sterbenz); rounding is monotone, so a pair's rounded |dh| is at least
+    the rounded spacing - 2 * offset, and its rounded separation at most
+    the rounded ``reach``.  With reach 0 no pair can hit.
     """
-    rows_a, rows_b = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
-    coeff, course = cfg.vertical_separation_coeff, cfg.course_length_m
+    coeff, course, spacing = cfg.vertical_separation_coeff, cfg.course_length_m, cfg.layer_spacing_m
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
-    # lowest and highest altitude and fastest speed of each layer's residents;
-    # an empty layer is infinitely far from every other
-    lo, hi, fast = np.full(3, np.inf), np.full(3, -np.inf), np.zeros(3)
-    full = np.flatnonzero(fleet.bounds[1:] > fleet.bounds[:3])
-    if len(full):
-        starts, hs = fleet.bounds[full], h[fleet.order]
-        lo[full] = np.minimum.reduceat(hs, starts)
-        hi[full] = np.maximum.reduceat(hs, starts)
-        fast[full] = np.maximum.reduceat(speed[fleet.order], starts)
-    lo, hi, fast = lo.tolist(), hi.tolist(), fast.tolist()
-    laps = None
+    offset = np.abs(h[fleet.order] - spacing * fleet.layer[fleet.order]).max(initial=0.0)
+    reach = coeff * speed[fleet.order].max(initial=0.0)
+    if spacing - 2.0 * offset >= reach:
+        return np.empty(0, dtype=int)
+    rows_a, rows_b = [], []
+    laps = ring_laps(fleet, course)
     for la, lb in ((0, 1), (1, 2), (0, 2)):
-        reach = coeff * max(fast[la], fast[lb])
-        if max(lo[lb] - hi[la], lo[la] - hi[lb]) >= reach:
-            continue
-        laps = laps or ring_laps(fleet, course)  # only a pair in reach needs them
         group = fleet.segment(la)
         k, b = ring_pairs(fleet, laps, lb, group, reach)
         a = group[k]
@@ -285,7 +279,7 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             cosg = -(sx * rvx + sh * rvy) / (dist * rnorm)
         cosg = np.where((rnorm == 0.0) | (dist == 0.0), 0.0, cosg)
-        cosg = np.clip(cosg, 0.0, 1.0)
+        cosg = cosg.clip(0.0, 1.0)
         vsep = coeff * np.maximum(speed[a], speed[b]) * cosg
         hit = (dist < vsep) & (dist > 0.0) & (np.abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9)
         rows_a.append(a[hit])

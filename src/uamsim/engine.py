@@ -359,20 +359,22 @@ class _Engine:
         self.goals.active[:] = False
         self.pair_low = self.pair_high = -1
         self.phases = None
-        cruise_high = np.sort(fleet.segment(2))  # row order: argmin ties go to the lowest row
+        cruise_high = fleet.segment(2).copy()
+        cruise_high.sort()  # row order: argmin ties go to the lowest row
         if len(cruise_high) == 0:
             return
         bs = sc.bs_pos
         d_high = np.hypot(self.x[cruise_high] - bs[0], self.h[cruise_high] - bs[1])
-        hi = int(cruise_high[np.argmin(d_high)])
+        hi = int(cruise_high[d_high.argmin()])
         stationary = sc.ris_mode is RisMode.STATIONARY
         if not stationary:
-            cruise_low = np.sort(fleet.segment(1))
+            cruise_low = fleet.segment(1).copy()
+            cruise_low.sort()
             if len(cruise_low) == 0:
                 return
             x, h = self.x[cruise_low], self.h[cruise_low]
             relay_cost = np.hypot(x - bs[0], h - bs[1]) + np.hypot(x - self.x[hi], h - self.h[hi])
-            self.pair_low = int(cruise_low[np.argmin(relay_cost)])
+            self.pair_low = int(cruise_low[relay_cost.argmin()])
         ris_pos = self._ris_pos()
         self.pair_high = hi
         high_pos = (float(self.x[hi]), float(self.h[hi]))
@@ -474,7 +476,7 @@ class _Engine:
                 # a release is the only change to the residents since the
                 # fleet was built: steer without this tick's switchers
                 fleet = self._fleet()
-            acc = self._accelerations(fleet, ring)
+            ax, ay = self._accelerations(fleet, ring)
             cap_now = self._tick_capacity(t)
 
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy
@@ -485,13 +487,13 @@ class _Engine:
                     self.ids[self.pair_low] if self.pair_low >= 0 else -1
                 )
 
-            if not np.all(np.isfinite(acc)):
+            if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
                 raise RuntimeError(f"non-finite force at t={t:.{dec}f}")
-            self.vx += acc[:, 0] * sc.dt
-            self.vy += acc[:, 1] * sc.dt
+            self.vx += ax * sc.dt
+            self.vy += ay * sc.dt
             over = np.hypot(self.vx, self.vy)
             mask = over > sc.airspace.max_speed_mps
-            if np.any(mask):
+            if mask.any():
                 scale = sc.airspace.max_speed_mps / over[mask]
                 self.vx[mask] *= scale
                 self.vy[mask] *= scale
@@ -532,23 +534,32 @@ class _Engine:
         array steps, and the counters drawn after the pass; returns a mask of
         the requesting rows.  The order changes no outcome: each row draws
         from its own stream, backing-off rows and cruisers are disjoint, and
-        only a backing-off row can be released."""
+        only a backing-off row can be released.
+
+        A tick with no same-layer conflict and no backing-off row has nothing
+        to do, and returns before any other array work: a row whose front or
+        rear gap is under its separation belongs to a ``ring.conflicts``
+        pair, which tests the gap against the larger separation of its two
+        rows, so no cruiser is violated.  Conversely a ring conflict holds a
+        violated row, a cruiser or a backing-off one, so every tick past the
+        exit has a row to step or to trigger."""
         sc, sw, n = self.sc, self.switch, self.n
-        violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
-        backing = np.flatnonzero(sw.mode == MODE_BACKING_OFF)
-        cruisers = np.flatnonzero((sw.mode == MODE_CRUISE) & violated)
         fired = np.zeros(n, dtype=bool)
-        if not sc.switching_enabled or len(backing) + len(cruisers) == 0:
+        backing_off = sw.mode == MODE_BACKING_OFF
+        if not (sc.switching_enabled and (len(ring.conflicts) or backing_off.any())):
             return fired
+        violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
+        backing = backing_off.nonzero()[0]
+        cruisers = ((sw.mode == MODE_CRUISE) & violated).nonzero()[0]
         # Back-off contention is local: only requests from aircraft currently
         # contending for the same separation gap reset a pending counter.  A
         # request on the far side of the ring says nothing about this gap.
         # Row i's conflict partners are partners[starts[i]:starts[i + 1]].
         lo, hi = np.divmod(conflicts, n)
         rows = np.concatenate((lo, hi))
-        by_row = np.argsort(rows)
+        by_row = rows.argsort()
         partners = np.concatenate((hi, lo))[by_row]
-        starts = np.searchsorted(rows[by_row], np.arange(n + 1))
+        starts = rows[by_row].searchsorted(np.arange(n + 1))
         # The control plane is instantaneous within a tick: a release marks
         # its partners as having heard it, and a row reads its mark at its
         # turn, so two contenders never commit on the same tick.
@@ -557,7 +568,7 @@ class _Engine:
             if backoff_step(sw, i, not violated[i], heard[i]):
                 fired[i] = True
                 heard[partners[starts[i] : starts[i + 1]]] = True
-        released = np.flatnonzero(fired)
+        released = fired.nonzero()[0]
         if len(released):
             layer, target = self.layer[released], sw.target[released]
             plan = optimal_switch_acceleration(
@@ -576,7 +587,7 @@ class _Engine:
         sw.arm(armed, targets, self.streams)  # with the escalated rows' counters
         return fired
 
-    def _accelerations(self, fleet: Fleet, ring: Ring) -> np.ndarray:
+    def _accelerations(self, fleet: Fleet, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
         """Composite-field forces, norm-clipped, switch profiles overriding."""
         sc = self.sc
         fx, fh = force(fleet, ring, self.goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
@@ -584,12 +595,12 @@ class _Engine:
         norm = np.hypot(fx, fh)
         amax = sc.airspace.max_accel_mps2
         over = norm > amax
-        if np.any(over):
+        if over.any():
             fx[over] *= amax / norm[over]
             fh[over] *= amax / norm[over]
         # switching aircraft follow their bang-bang plan instead
         sw = self.switch
-        rows = np.flatnonzero(sw.mode == MODE_SWITCHING)
+        rows = (sw.mode == MODE_SWITCHING).nonzero()[0]
         if len(rows):
             fx[rows], fh[rows] = switch_acceleration_profile(
                 self.h[rows],
@@ -598,7 +609,7 @@ class _Engine:
                 sw.ax[rows],
                 sw.ay[rows],
             )
-        return np.column_stack((fx, fh))
+        return fx, fh
 
 
 # --- summaries and persistence ---------------------------------------------

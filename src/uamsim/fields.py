@@ -87,17 +87,19 @@ def neighbour_band(fleet: Fleet, ring: Ring, cfg: AirspaceConfig, radius: float)
     # ascends; windows mostly ascend already, and the stable sort merges
     # their runs.  Rebinding a and b frees each pair-sized array after use.
     a, b = ring_pairs(fleet, ring_laps(fleet, course), fleet.layer[rows], rows, radius)
-    b = np.sort(a * n + b, kind="stable") - a * n
+    b = a * n + b
+    b.sort(kind="stable")
+    b -= a * n
     a = rows[a]
     sx = ring_offset(fleet.x[b] - fleet.x[a], course)
     sh = fleet.h[b] - fleet.h[a]
     dist = np.hypot(sx, sh)
-    near = np.flatnonzero((a != b) & (dist <= radius))  # a window holds its own row once
+    near = ((a != b) & (dist <= radius)).nonzero()[0]  # a window holds its own row once
     band = Band(a[near], b[near], sx[near], sh[near], dist[near])
     if not band.dist.all():
         # a coincident pair is within every radius; report the dense pair
         # matrices' first: lowest layer, then lowest rows
-        k = np.flatnonzero(band.dist == 0.0)
+        k = (band.dist == 0.0).nonzero()[0]
         a, b = band.a[k], band.b[k]
         i = np.lexsort((b, a, fleet.layer[a]))[0]
         raise CollisionError(
@@ -126,7 +128,7 @@ def attract_gradient(fleet: Fleet, ring: Ring, weight: float = 1.0):
     """The pull runs along the forward offset to the preceding aircraft,
     the same offset whose norm is the front gap of the value."""
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    i = np.where(ring.prec >= 0)[0]
+    i = (ring.prec >= 0).nonzero()[0]
     d = ring.front[i]
     gap = d - fleet.d_safe[i]
     pull = np.where((gap >= 0.0) & (d > 0.0), 2.0 * gap / np.maximum(d, 1e-12), 0.0)
@@ -149,7 +151,7 @@ def _inside(fleet: Fleet, band: Band):
     """The band pairs closer than ``a``'s separation, by index, and
     1/d - 1/d_safe on each."""
     d_safe = fleet.d_safe[band.a]
-    k = np.flatnonzero(band.dist < d_safe)
+    k = (band.dist < d_safe).nonzero()[0]
     return k, 1.0 / band.dist[k] - 1.0 / d_safe[k]
 
 

@@ -105,8 +105,8 @@ def grid_fitness(
     """
     u = np.arange(steering_rows(num_elements), dtype=float)
     terms = np.multiply.outer(np.asarray(mismatch, dtype=float), u)
-    residual = terms - np.round(terms / resolution) * resolution
-    return np.mean(residual**2, axis=-1)
+    residual = terms - (terms / resolution).round() * resolution
+    return (residual**2).mean(axis=-1)
 
 
 def best_mismatch(
@@ -137,11 +137,11 @@ def best_mismatch(
     edges = np.unique(np.concatenate([[m_lo, m_hi], *breaks]))
     edges = edges[(edges >= m_lo) & (edges <= m_hi)]
     lo, hi = edges[:-1], edges[1:]
-    k_u = np.round(np.multiply.outer(0.5 * (lo + hi), u) / resolution)
+    k_u = (np.multiply.outer(0.5 * (lo + hi), u) / resolution).round()
     # summed explicitly (not matmul) so the result is independent of BLAS
-    stationary = resolution * np.sum(k_u * u, axis=1) / np.sum(u * u)
-    cands = np.concatenate([np.clip(stationary, lo, hi), edges])
-    return float(cands[np.argmin(grid_fitness(cands, num_elements, resolution))])
+    stationary = resolution * (k_u * u).sum(axis=1) / (u * u).sum()
+    cands = np.concatenate([stationary.clip(lo, hi), edges])
+    return float(cands[grid_fitness(cands, num_elements, resolution).argmin()])
 
 
 def _bisect_low(m_target: float, x_high: float, a: float, b: float, query: PlanningQuery) -> float:

@@ -2,12 +2,14 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from uamsim import airspace
 from uamsim.airspace import (
     AirspaceConfig,
     cross_layer_conflicts,
@@ -263,6 +265,34 @@ def _layered_fleet(data, max_offset):
     return fleet_state(x, h, vx, vy, layer, resident, ids, CFG)
 
 
+def _boundary_fleet(data, cfg):
+    """Rows 0 and 1 close head on from layers L and L + 1 at the fleet's top
+    speed, and up to 4 more rows fly no faster.  Each row is offset toward
+    a neighbouring layer (layer 1 toward either) by (spacing - coeff *
+    fastest) / 2, moved by -4..4 ulps: where the cross-layer bound turns
+    from skipping to evaluating, and where rows 0 and 1 come within their
+    separation."""
+    top = data.draw(st.floats(0.0, 60.0))
+    low = data.draw(st.integers(0, 1))
+    others = st.tuples(
+        st.sampled_from([0.0, 0.5]),
+        st.floats(-top, top),
+        st.integers(0, 2),
+        st.booleans(),
+        st.sampled_from([-1.0, 1.0]),
+    )
+    rows = [(0.0, top, low, True, 1.0), (0.0, -top, low + 1, True, -1.0)]
+    rows += data.draw(st.lists(others, max_size=4))
+    x, vy, layer, resident, sign = (np.array(c) for c in zip(*rows))
+    vx = np.full(len(rows), data.draw(st.sampled_from([0.0, 30.0])))
+    fastest = np.hypot(vx, vy)[resident].max()
+    offset = (cfg.layer_spacing_m - cfg.vertical_separation_coeff * fastest) / 2.0
+    offset += data.draw(st.integers(-4, 4)) * np.spacing(offset)
+    toward = np.where(layer == 1, sign, 1 - layer)  # up from layer 0, down from 2
+    h = layer * cfg.layer_spacing_m + toward * offset
+    return fleet_state(x, h, vx, vy, layer, resident, np.arange(len(rows)), cfg)
+
+
 @pytest.mark.parametrize(
     "max_offset, coeffs",
     [
@@ -270,16 +300,43 @@ def _layered_fleet(data, max_offset):
         pytest.param(50.0, st.floats(0.0, 10.0), id="evaluated"),
         # residents as the engine keeps them: every layer pair is out of reach
         pytest.param(2.2, st.just(CFG.vertical_separation_coeff), id="culled"),
+        # the largest offset within 4 ulps of where the bound turns
+        pytest.param(None, st.floats(0.0, 1.0), id="boundary"),
     ],
 )
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_cross_layer_rule_matches_the_per_pair_loop(max_offset, coeffs, data):
-    """Skipping layer pairs whose altitude bands are out of reach drops no
-    pair that the full comparison would find."""
-    fleet = _layered_fleet(data, max_offset)
+    """Skipping the rule when no resident is near enough to another layer
+    drops no pair that the full comparison would find."""
     cfg = replace(CFG, vertical_separation_coeff=data.draw(coeffs))
-    assert cross_layer_conflicts(fleet, cfg).tolist() == _cross_layer_reference(fleet, cfg)
+    if max_offset is None:
+        fleet = _boundary_fleet(data, cfg)
+    else:
+        fleet = _layered_fleet(data, max_offset)
+    with mock.patch.object(airspace, "ring_laps", wraps=airspace.ring_laps) as laps:
+        got = cross_layer_conflicts(fleet, cfg)
+    event("rule evaluated" if laps.called else "rule skipped by the bound")
+    want = _cross_layer_reference(fleet, cfg)
+    if want:
+        event("a pair conflicts")
+    assert got.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_violated_resident_is_in_a_ring_conflict(data):
+    """A resident whose front or rear gap is under its own separation is a
+    row of a ``ring.conflicts`` pair, whose test takes the larger
+    separation of its two rows; ``_switch_logic`` returns early on a tick
+    with no ring conflict and no backing-off row on that ground."""
+    fleet = _layered_fleet(data, 50.0)
+    ring = ring_neighbours(fleet, CFG)
+    violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
+    event("a resident violated" if violated.any() else "no resident violated")
+    assert set(violated.nonzero()[0].tolist()) <= set(
+        np.concatenate(np.divmod(ring.conflicts, len(fleet.x))).tolist()
+    )
 
 
 def _ring_reference(fleet, cfg):

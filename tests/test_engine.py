@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -264,6 +265,68 @@ def test_backoff_contention_is_local():
     assert sw.backoff_max[1] == 4
     assert 1 <= sw.backoff[1] <= 4  # redrawn after the pass
     assert (sw.backoff_max[2], sw.backoff[2]) == (2, 1)
+
+
+def _switch_and_stream_bytes(eng):
+    sw, streams = eng.switch, eng.streams
+    return [
+        a.tobytes()
+        for a in (sw.mode, sw.backoff_max, sw.backoff, sw.target, sw.ax, sw.ay, streams.hi,
+                  streams.lo, streams.inc_hi, streams.inc_lo, streams.word, streams.has_word)
+    ]
+
+
+def test_a_tick_with_nothing_to_arbitrate_changes_no_state():
+    """No ring conflict and no backing-off row: ``_switch_logic`` returns all
+    False and leaves every switch and stream array as it was, with a
+    cross-layer conflict in the tick's list and a row mid-switch."""
+    xs = (0.0, 400.0, 800.0, 0.0, 1000.0)
+    layers = (0, 0, 0, 1, 2)
+    sc = Scenario(aircraft=tuple(AircraftSpec(i, lay, x=x) for i, (lay, x) in enumerate(zip(layers, xs))))
+    eng = engine._Engine(sc)
+    sw = eng.switch
+    sw.mode[4], sw.target[4], sw.ax[4], sw.ay[4] = MODE_SWITCHING, 1, -1.0, 3.0
+    fleet = eng._fleet()
+    ring = ring_neighbours(fleet, sc.airspace)
+    assert len(ring.conflicts) == 0
+    before = _switch_and_stream_bytes(eng)
+    fired = eng._switch_logic(0.0, fleet, ring, np.array([0 * 5 + 3]))
+    assert fired.dtype == bool and fired.tolist() == [False] * 5
+    assert _switch_and_stream_bytes(eng) == before
+
+
+# NumPy's Python-level wrappers: the dispatchers in these modules cost a few
+# microseconds a call, more than the C method they end in on a small array.
+# The multiarray dispatcher stubs and the ndarray methods' _methods are not
+# counted.
+_NUMPY_WRAPPERS = ("fromnumeric.py", "numeric.py", "shape_base.py")
+
+
+def _numpy_wrapper_calls(sc) -> int:
+    calls = 0
+
+    def profile(frame, kind, arg):
+        nonlocal calls
+        if kind == "call":
+            path = frame.f_code.co_filename.replace("\\", "/")
+            if "/numpy/" in path and (path.endswith(_NUMPY_WRAPPERS) or "/numpy/lib/" in path):
+                calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run(sc)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["fig6-airborne", "fig9-phase"])
+def test_the_relay_tick_calls_no_numpy_wrapper(name):
+    """Doubling a relay run's length adds no call into NumPy's Python-level
+    wrappers: every one it makes is set-up or summary work, none per tick."""
+    sc = scenarios.get_scenario(name)
+    assert _numpy_wrapper_calls(_short(sc, 4.0)) == _numpy_wrapper_calls(_short(sc, 8.0))
 
 
 def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
