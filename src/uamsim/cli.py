@@ -1,5 +1,10 @@
 """Command line front end: run scenarios, sweeps and the delay bounds.
 
+``simulate``, ``phase-sweep``, ``ipr-sweep`` and ``validate`` fly scenarios
+and take ``--seed`` and the scenario settings: top-level, ``airspace.``,
+``channel.`` and ``weights.`` keys and ``aircraft.<id>`` rows.
+``delay-bounds`` flies nothing and takes only ``protocol.<name>`` keys.
+
 Each command first builds and checks every scenario and argument it will
 use, and only then writes.  Bad input ends the command before any file is
 written: ``error:`` lines for input that cannot be read, ``problem:`` lines
@@ -38,6 +43,19 @@ def _scenario(args) -> engine.Scenario:
     return scenarios.apply_settings(scenarios.get_scenario(args.scenario, args.seed), args.set)
 
 
+def _protocol(items: list[tuple[str, str]]) -> netcalc.ProtocolParams:
+    """The delay model's parameters from ``protocol.<name>`` assignments."""
+    types = scenarios._declared_types(netcalc.ProtocolParams)
+    values = {}
+    for key, raw in items:
+        key = key.strip()
+        prefix, _, name = key.rpartition(".")
+        if prefix != "protocol" or name not in types:
+            raise ValueError(f"unknown setting {key!r}")
+        values[name] = scenarios._parse_value(key, types[name], raw.strip())
+    return netcalc.ProtocolParams(**values)
+
+
 def _numbers(option: str, raw: str, kind: type = float) -> list:
     """The comma list given to ``--option``: finite floats, or ints."""
     try:
@@ -69,7 +87,7 @@ def cmd_simulate(args):
 
 
 def cmd_delay_bounds(args):
-    sc = _scenario(args)
+    protocol = _protocol(args.set)
     loads = _numbers("loads", args.loads)
     for load in loads:
         netcalc.check_scan(load, args.t_max, args.grid_dt)
@@ -80,7 +98,7 @@ def cmd_delay_bounds(args):
             for kind in netcalc.ChannelKind:
                 for load in loads:
                     curve = netcalc.failure_curve(
-                        kind, load, args.t_max, sc.protocol, args.grid_dt
+                        kind, load, args.t_max, protocol, args.grid_dt
                     )
                     crossing = None
                     for i, p in enumerate(curve.values[1:], start=1):
@@ -95,7 +113,7 @@ def cmd_delay_bounds(args):
         print(f"wrote delay_bounds.csv to {args.out}")
         return 0
 
-    return [sc], write
+    return [], write
 
 
 def _resolution(token: str) -> tuple[PhaseMode, float | None]:
@@ -184,16 +202,6 @@ def cmd_validate(args):
 
 
 def main(argv: list[str] | None = None) -> int:
-    settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--seed", type=int, default=None, help="override the seed")
-    settings.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        type=_assignment,
-        metavar="KEY=VALUE",
-        help="override one scenario setting (repeatable)",
-    )
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default="out", help="output directory")
 
@@ -203,8 +211,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, prepare, help, scenario=None, writes=True):
-        sub = subs.add_parser(name, help=help, parents=[settings, output] if writes else [settings])
+    def command(name, prepare, help, scenario=None, writes=True, flies=True):
+        sub = subs.add_parser(name, help=help, parents=[output] if writes else [])
+        flight = "top-level, airspace., channel. or weights. key, or aircraft.<id>"
+        keys = flight if flies else "protocol.<name> key"
+        sub.add_argument(
+            "--set", action="append", default=[], type=_assignment, metavar="KEY=VALUE",
+            help=f"override one setting, a {keys} (repeatable)",
+        )
+        if flies:
+            sub.add_argument("--seed", type=int, default=None, help="override the seed")
         if scenario is not None:
             sub.add_argument("--scenario", default=scenario, help="builtin name or scenario file path")
         sub.set_defaults(prepare=prepare)
@@ -213,7 +229,7 @@ def main(argv: list[str] | None = None) -> int:
     command("simulate", cmd_simulate, "run one scenario and dump its trace", "table1-5perlayer")
     delay = command(
         "delay-bounds", cmd_delay_bounds,
-        "tabulate delay-failure curves per transmission fashion", "fig5-delay",
+        "tabulate delay-failure curves per transmission fashion", flies=False,
     )
     delay.add_argument("--loads", default="5,15,25,35", help="loads in Mb")
     delay.add_argument("--t-max", type=float, default=2.0, help="largest budget (s)")

@@ -26,7 +26,6 @@ from .airspace import (
     ring_neighbours,
 )
 from .fields import FieldWeights, Goals, force, potential
-from .netcalc import ProtocolParams
 # pso_minimize is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this namespace.
 from .planner import PlanningQuery, pso_minimize, pso_optimize  # noqa: F401
@@ -89,7 +88,6 @@ class Scenario:
     name: str = "custom"
     airspace: AirspaceConfig = field(default_factory=AirspaceConfig)
     channel: ChannelParams = field(default_factory=ChannelParams)
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
     weights: FieldWeights = field(default_factory=FieldWeights)
     aircraft: tuple[AircraftSpec, ...] = ()
     dt: float = 0.1

@@ -18,13 +18,11 @@ import numpy as np
 from .airspace import AirspaceConfig, OutOfRange
 from .engine import AircraftSpec, PhaseMode, RisMode, Scenario
 from .fields import FieldWeights
-from .netcalc import ProtocolParams
 from .ris import ChannelParams
 
 _SECTIONS = {
     "airspace": AirspaceConfig,
     "channel": ChannelParams,
-    "protocol": ProtocolParams,
     "weights": FieldWeights,
 }
 
@@ -121,7 +119,7 @@ def apply_settings(sc: Scenario, items: list[tuple[str, str]]) -> Scenario:
                 raise ValueError(f"bad aircraft id in key {key!r}") from None
             craft[aid] = _parse_aircraft(aid, raw)
         elif prefix not in _TYPES or key.startswith("."):
-            raise ValueError(f"unknown settings section {prefix!r}")
+            raise ValueError(f"unknown settings section {prefix!r} in {key!r}")
         elif name not in _TYPES[prefix]:
             raise ValueError(f"unknown setting {key!r}")
         else:
@@ -165,14 +163,16 @@ def save_scenario(sc: Scenario, path: str) -> None:
 # --- built-in scenarios ----------------------------------------------------
 
 
-def _roster(counts: tuple[int, ...], rng: np.random.Generator | None = None) -> tuple[AircraftSpec, ...]:
+def _roster(counts: tuple[int, ...], seed: int | None = None) -> tuple[AircraftSpec, ...]:
     """``counts[layer]`` aircraft in each layer, ids running on in layer order:
-    evenly spaced along the course, or, given ``rng``, drawn uniformly and sorted."""
+    evenly spaced along the course, or, given ``seed``, drawn uniformly and
+    sorted within each layer."""
     course = AirspaceConfig().course_length_m
-    xs = [
-        np.arange(n) * course / n if rng is None else np.sort(rng.uniform(0.0, course, n))
-        for n in counts
-    ]
+    if seed is None:
+        xs = [np.arange(n) * course / n for n in counts]
+    else:
+        draws = course * _seeded_draws(seed, sum(counts))
+        xs = [np.sort(d) for d in np.split(draws, np.cumsum(counts)[:-1])]
     return tuple(
         AircraftSpec(aid, int(lay), x=float(x))
         for aid, (lay, x) in enumerate(zip(np.repeat((0, 1, 2), counts), np.concatenate(xs)))
@@ -184,11 +184,14 @@ def _even(name: str, **settings) -> typing.Callable[[int], Scenario]:
     return lambda seed: Scenario(name=name, aircraft=_roster((5, 5, 5)), seed=seed, **settings)
 
 
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """The placement generator of a randomly drawn builtin."""
+def _seeded_draws(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` placement draws in [0, 1): 53 bits of each raw PCG64
+    output, as ``Generator.random`` takes them.  NEP 19 keeps the raw stream
+    stable across NumPy versions, not ``Generator``'s methods."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    raw = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(n)
+    return (raw >> np.uint64(11)) * 2.0**-53
 
 
 def _flow_convergence(seed: int) -> Scenario:
@@ -200,12 +203,12 @@ def _flow_convergence(seed: int) -> Scenario:
     speed plus per-aircraft jitter, so the field energy is dominated by the
     decaying velocity terms.
     """
-    rng = _seeded_rng(seed)
+    roster = _roster((27, 13, 8))
+    jitter = -2.0 + 4.0 * _seeded_draws(seed, len(roster))
     return Scenario(
         name="fig11-cpf",
         aircraft=tuple(
-            dataclasses.replace(a, speed_offset=-5.0 + float(rng.uniform(-2.0, 2.0)))
-            for a in _roster((27, 13, 8))
+            dataclasses.replace(a, speed_offset=-5.0 + float(j)) for a, j in zip(roster, jitter)
         ),
         weights=dataclasses.replace(FieldWeights(), goal=0.0),
         switching_enabled=False,
@@ -226,7 +229,7 @@ def congestion_scenario(per_layer: int, seed: int, name: str | None = None) -> S
         raise OutOfRange("per_layer", "per_layer must be at least 1")
     return Scenario(
         name=name if name is not None else f"congestion-{per_layer}perlayer",
-        aircraft=_roster((per_layer,) * 3, _seeded_rng(seed)),
+        aircraft=_roster((per_layer,) * 3, seed),
         seed=seed,
     )
 
@@ -252,7 +255,6 @@ BUILTIN = {
     "fig12-ipr": lambda seed: congestion_scenario(5, seed, name="fig12-ipr"),
     # random placement far beyond the layer capacities: permanent crowding
     "fig12-ipr-dense": lambda seed: congestion_scenario(30, seed, name="fig12-ipr-dense"),
-    "fig5-delay": _even("fig5-delay"),
 }
 
 

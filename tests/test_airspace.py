@@ -228,11 +228,26 @@ def _cross_layer_reference(fleet, cfg):
             rnorm = np.hypot(rvx, rvy)
             cosg = 0.0
             if rnorm != 0.0 and dist != 0.0:
-                cosg = min(max(-(sx * rvx + sh * rvy) / (dist * rnorm), 0.0), 1.0)
+                # dist * rnorm can underflow to 0: NaN is no hit, inf clips to 1
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cosg = min(max(-(sx * rvx + sh * rvy) / (dist * rnorm), 0.0), 1.0)
             vsep = cfg.vertical_separation_coeff * max(fleet.speed[i], fleet.speed[j]) * cosg
             if 0.0 < dist < vsep and abs(sh) <= 2.0 * cfg.layer_spacing_m + 1e-9:
                 codes.append(min(i, j) * n + max(i, j))
     return sorted(codes)
+
+
+def test_cross_layer_reference_takes_an_underflowing_product():
+    """Residents of layers 0 and 1 one ulp apart in altitude, closing at a
+    subnormal climb rate: dist * rnorm underflows to 0 and cos(gamma) is
+    0 / 0, which the rule and the reference both read as no hit.  A subnormal
+    x difference cannot do this: ``ring_offset`` rounds it away."""
+    fleet = fleet_state(
+        np.array([0.0, 0.0]), np.array([50.0, np.nextafter(50.0, 100.0)]),
+        np.array([30.0, 30.0]), np.array([0.0, -1e-320]),
+        np.array([0, 1]), np.array([True, True]), np.arange(2), CFG,
+    )
+    assert cross_layer_conflicts(fleet, CFG).tolist() == _cross_layer_reference(fleet, CFG) == []
 
 
 def _layered_fleet(data, max_offset):

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from uamsim import cli, engine
+from uamsim import cli, engine, netcalc
 from uamsim.cli import main
 
 
@@ -209,6 +209,8 @@ _REJECTIONS = [
     for command in ("simulate", "delay-bounds", "phase-sweep", "ipr-sweep", "validate")
     for label, bad in _BAD_INPUTS.items()
     if not (command == "ipr-sweep" and label == "unknown scenario")  # it builds its own rosters
+    # it flies no scenario, so it takes neither option
+    and not (command == "delay-bounds" and label in ("unknown scenario", "negative seed"))
     and not (command == "validate" and label == "out names a file")  # it writes nothing
     # its resolution tokens replace the setting
     and not (command == "phase-sweep" and label == "grid that does not divide the turn")
@@ -238,6 +240,42 @@ def test_bad_input_is_rejected_before_anything_is_written(command, bad, tmp_path
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert [p.name for p in tmp_path.iterdir()] == ["F"]
     assert (tmp_path / "F").read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("setting", ["dt=0", "aircraft.9=1,5"])
+def test_delay_bounds_takes_no_scenario_setting(setting, tmp_path, capsys):
+    """It flies no scenario: a flight setting used to be checked against a
+    15-aircraft builtin that the command never ran, and then ignored."""
+    assert main(["delay-bounds", "--set", setting, "--out", str(tmp_path / "out")]) == 1
+    key = setting.partition("=")[0]
+    assert capsys.readouterr().out.splitlines() == [f"error: unknown setting {key!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "phase-sweep", "ipr-sweep", "validate"])
+def test_a_flight_takes_no_protocol_setting(command, tmp_path, capsys):
+    """No flight reads the delay model; a protocol key used to be accepted
+    and ignored."""
+    out = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+    assert main([command, *out, "--set", "protocol.loss_prob=0.2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "error: unknown settings section 'protocol' in 'protocol.loss_prob'"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_protocol_field_parses_from_its_setting():
+    """Each field of the delay model is one ``protocol.<name>`` key, and the
+    optional arrival rate takes ``none``."""
+    defaults = netcalc.ProtocolParams()
+    assert cli._protocol([]) == defaults
+    for f in dataclasses.fields(defaults):
+        value = 0.5 * (getattr(defaults, f.name) or 2.0)  # valid, and off the default
+        got = cli._protocol([(f"protocol.{f.name}", repr(value))])
+        assert got == dataclasses.replace(defaults, **{f.name: value}), f.name
+    pinned = [("protocol.arrival_rate", "7")]
+    assert cli._protocol(pinned).arrival_rate == 7.0
+    assert cli._protocol(pinned + [("protocol.arrival_rate", "none")]) == defaults
 
 
 def test_the_module_entry_point_exits_1_without_a_traceback(tmp_path):

@@ -33,11 +33,6 @@ GOLDEN = {
         "events.csv": ("56d30e2e8422f68d34bdd3d0b5d996b5f05f90f9c599d8a9027c49dc3abc19e3", 820),
         "metrics.txt": ("3d4fb6a3cf315aa1764f2f3c024124e6d1a8241c98830cc40fe98dec88a52b94", 18),
     },
-    "fig5-delay": {
-        "trace.csv": ("b25802cae30623ad0bc706d2992d8a0fdea54dac339448912ba3aadc62e6e0e1", 6001),
-        "events.csv": ("3a9d252021e8d6735ae32ef0c959b39ec969d1321ba3b3e814e73235eee6fe61", 1),
-        "metrics.txt": ("c1eb42ebd32f8a09b4c668ddd02c56c4d6be3b1aab5084a5722fb2525546240c", 18),
-    },
     "fig6-airborne": {
         "trace.csv": ("20f83fb504a6d256620ffe4a613b441655e5477e9dc3dfcda410ddb69a84df1f", 6001),
         "events.csv": ("3a9d252021e8d6735ae32ef0c959b39ec969d1321ba3b3e814e73235eee6fe61", 1),
@@ -184,7 +179,7 @@ VARIANTS = {
     "fig12-ipr-dense-backoff-32": ("fig12-ipr-dense", (("initial_backoff", "32"), DENSE_10S)),
 }
 
-# uamsim delay-bounds with default arguments: fig5-delay's protocol, loads
+# uamsim delay-bounds with default arguments: the default protocol, loads
 # 5,15,25,35 Mb, budgets to 2 s on a 5 ms grid
 DELAY_BOUNDS = ("0c4b1ab9232dfdab90904d914462e4f36c41744da8341b85a9645c29e8a42c24", 4801)
 

@@ -13,7 +13,6 @@ from uamsim import scenarios
 from uamsim.airspace import AirspaceConfig
 from uamsim.engine import AircraftSpec, PhaseMode, RisMode, Scenario, validate_scenario
 from uamsim.fields import FieldWeights
-from uamsim.netcalc import ProtocolParams
 from uamsim.ris import ChannelParams
 from uamsim.scenarios import (
     BUILTIN,
@@ -82,10 +81,6 @@ def _valid_scenarios(draw):
             interference_pos=source,
             interference_power_w=0.0 if source is None else draw(_floats(0.0, 1.0)),
         ),
-        protocol=ProtocolParams(
-            loss_prob=draw(_floats(0.0, 0.99)),
-            arrival_rate=draw(st.none() | _floats(0.1, 1e3)),
-        ),
         weights=FieldWeights(goal=draw(_floats(0.0, 1.0)), repulse=draw(_floats(0.0, 1e5))),
         aircraft=craft,
         dt=dt,
@@ -120,8 +115,8 @@ def test_save_then_load_is_exact_for_valid_scenarios(sc):
 
 def _float_settings(sc):
     """(key, current value) of every float setting of ``sc`` and its
-    sections, tuples of floats and the two that may be None included."""
-    out = {"channel.interference_pos": (0.0, 0.0), "protocol.arrival_rate": 1.0}
+    sections, tuples of floats and the one that may be None included."""
+    out = {"channel.interference_pos": (0.0, 0.0)}
     for prefix, obj in [("", sc)] + [(f"{s}.", getattr(sc, s)) for s in scenarios._SECTIONS]:
         for f in dataclasses.fields(obj):
             value = getattr(obj, f.name)
@@ -194,13 +189,11 @@ def test_settings_override_sections_and_top_level():
         [
             ("duration_s", "12.5"),
             ("airspace.layer_spacing_m", "120"),
-            ("protocol.loss_prob", "0.2"),
             ("switch_prob", "0.25"),
         ],
     )
     assert out.duration_s == 12.5
     assert out.airspace.layer_spacing_m == 120.0
-    assert out.protocol.loss_prob == 0.2
     assert out.switch_prob == 0.25
     # the original is untouched
     assert sc.duration_s == 40.0
@@ -219,9 +212,19 @@ def test_settings_reject_unknown_keys():
     # the swarm settings went with the swarm planner
     with pytest.raises(ValueError):
         apply_settings(sc, [("pso.swarm_size", "30")])
-    # no curve read the protocol's data volume: the load is the volume
-    with pytest.raises(ValueError, match="unknown setting 'protocol.data_volume'"):
-        apply_settings(sc, [("protocol.data_volume", "10")])
+    # the delay model's settings belong to delay-bounds alone
+    with pytest.raises(ValueError, match="unknown settings section 'protocol'"):
+        apply_settings(sc, [("protocol.loss_prob", "0.2")])
+
+
+def test_a_file_with_a_protocol_line_is_rejected(tmp_path):
+    """The ``scenario.txt`` of earlier versions held the delay model's
+    settings, which no flight reads; loading one names the first such key."""
+    p = tmp_path / "old.txt"
+    save_scenario(get_scenario("fig9-phase"), str(p))
+    p.write_text(p.read_text() + "protocol.omni_rate = 20.0\nprotocol.loss_prob = 0.15\n")
+    with pytest.raises(ValueError, match=r"^unknown settings section 'protocol' in 'protocol.omni_rate'$"):
+        load_scenario(str(p))
 
 
 def test_aircraft_override():
@@ -255,6 +258,27 @@ def test_congestion_positions_spread_out():
         rng_hits.append(float(xs.std()))
     print(f"x std over seeds: {[round(v, 1) for v in rng_hits]}")
     assert min(rng_hits) > 300.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**224 - 1), n=st.integers(1, 300))
+def test_placement_draws_are_what_the_generator_draws(seed, n):
+    """Placement reads PCG64's raw stream itself, with the bits that
+    ``Generator.random`` gives, for seeds of one to seven 32-bit words."""
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).random(n)
+    assert scenarios._seeded_draws(seed, n).tobytes() == want.tobytes()
+
+
+def test_random_builtins_are_built_without_a_generator(monkeypatch):
+    """No placement goes through ``Generator``'s methods, which NEP 19 does
+    not keep stable."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random.Generator called")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    for name in ("fig11-cpf", "fig12-ipr", "fig12-ipr-dense"):
+        assert validate_scenario(get_scenario(name, seed=2)) == []
 
 
 def test_get_scenario_seed_override_and_path(tmp_path):
