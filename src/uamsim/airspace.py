@@ -78,11 +78,20 @@ class AirspaceConfig:
 
 class Fleet(NamedTuple):
     """One instant of the fleet in the vertical (x, h) plane; ``resident``
-    marks aircraft not in the middle of a layer switch.  ``order``, built by
-    ``fleet_state`` only, is the one resident order: resident rows by (layer,
-    x, id), layer l's ring being ``order[bounds[l]:bounds[l + 1]]``.
-    ``ring_pairs`` finds neighbours by x in the segments; sorted back to row
-    order, a segment gives the served pair its ties to the lowest row."""
+    marks aircraft not in the middle of a layer switch.  The fields after
+    ``ids`` are derived by ``fleet_state`` only.  ``order`` is the one
+    resident order: resident rows by (layer, x, id), layer l's ring being
+    ``order[bounds[l]:bounds[l + 1]]``.  ``ring_pairs`` finds neighbours by
+    x in the segments; sorted back to row order, a segment gives the served
+    pair its ties to the lowest row.
+
+    Each resident's preceding aircraft ``prec`` is the next of its segment,
+    cyclically; ``ahead_x``/``ahead_h`` is the forward offset to it and
+    ``front`` its norm, ``rear`` the gap to the aircraft behind.  The alone
+    and non-residents get -1 and infinite gaps.  Their ``ahead_x`` is 0,
+    which is not a gap: a lone resident's offset to itself, and it has no
+    pair.  ``conflicts``: row-pair codes (see ``pair_codes``) of neighbours
+    closer than the faster one's separation."""
 
     x: np.ndarray
     h: np.ndarray
@@ -95,6 +104,12 @@ class Fleet(NamedTuple):
     d_safe: np.ndarray
     order: np.ndarray
     bounds: np.ndarray
+    front: np.ndarray
+    rear: np.ndarray
+    prec: np.ndarray
+    ahead_x: np.ndarray
+    ahead_h: np.ndarray
+    conflicts: np.ndarray
 
     def segment(self, layer: int) -> np.ndarray:
         """Rows resident in ``layer``, in ring order (by x, then id)."""
@@ -102,13 +117,30 @@ class Fleet(NamedTuple):
 
 
 def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Fleet:
-    """Bundle the fleet arrays and derive speeds, safe separations and the resident order."""
+    """Bundle the fleet arrays and derive speeds, safe separations, the
+    resident order and each ring's gaps, preceding aircraft and conflicts."""
+    n = len(x)
     speed = np.hypot(vx, vy)
     d_safe = horizontal_safe_separation(speed, cfg)
     rows = resident.nonzero()[0]
     order = rows[np.lexsort((ids[rows], x[rows], layer[rows]))]
-    bounds = layer[order].searchsorted(np.arange(4))
-    return Fleet(x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds)
+    lay = layer[order]
+    bounds = lay.searchsorted(np.arange(4))
+    step = np.arange(1, len(order) + 1)
+    nxt = order[np.where(step == bounds[lay + 1], bounds[lay], step)]
+    prec = np.zeros(n, dtype=int) - 1
+    prec[order] = np.where(nxt == order, -1, nxt)  # a layer's only resident has none
+    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.zeros(n) + np.inf
+    ahead_x[order] = (x[nxt] - x[order]) % cfg.course_length_m
+    ahead_h[order] = h[nxt] - h[order]
+    front = np.where(prec >= 0, np.hypot(ahead_x, ahead_h), np.inf)
+    rear[nxt] = front[order]
+    # the faster aircraft has the larger separation
+    close = front[order] < np.maximum(d_safe[order], d_safe[nxt])
+    return Fleet(
+        x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds,
+        front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n),
+    )
 
 
 def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.ndarray:
@@ -198,44 +230,6 @@ def pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     if len(a) == 0:  # most ticks have no conflict; skip the sort's overhead
         return a
     return np.unique(np.minimum(a, b) * n + np.maximum(a, b))
-
-
-class Ring(NamedTuple):
-    """Each resident's cyclic neighbours inside its layer.
-
-    ``ahead_x``/``ahead_h`` is the forward offset to the preceding aircraft
-    ``prec`` and ``front`` its norm; the alone and non-residents get -1 and
-    infinite gaps.  Their ``ahead_x`` is 0, which is not a gap: a lone
-    resident's offset to itself, and it has no pair.  ``conflicts``:
-    row-pair codes (see ``pair_codes``) of neighbours closer than the faster
-    one's separation.
-    """
-
-    front: np.ndarray
-    rear: np.ndarray
-    prec: np.ndarray
-    ahead_x: np.ndarray
-    ahead_h: np.ndarray
-    conflicts: np.ndarray
-
-
-def ring_neighbours(fleet: Fleet, cfg: AirspaceConfig) -> Ring:
-    """Ring gaps, preceding aircraft and same-layer conflicts of the residents;
-    each row's preceding aircraft is the next of its segment, cyclically."""
-    n, order = len(fleet.x), fleet.order
-    lay = fleet.layer[order]
-    step = np.arange(1, len(order) + 1)
-    nxt = order[np.where(step == fleet.bounds[lay + 1], fleet.bounds[lay], step)]
-    prec = np.zeros(n, dtype=int) - 1
-    prec[order] = np.where(nxt == order, -1, nxt)  # a layer's only resident has none
-    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.zeros(n) + np.inf
-    ahead_x[order] = (fleet.x[nxt] - fleet.x[order]) % cfg.course_length_m
-    ahead_h[order] = fleet.h[nxt] - fleet.h[order]
-    front = np.where(prec >= 0, np.hypot(ahead_x, ahead_h), np.inf)
-    rear[nxt] = front[order]
-    # the faster aircraft has the larger separation
-    close = front[order] < np.maximum(fleet.d_safe[order], fleet.d_safe[nxt])
-    return Ring(front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n))
 
 
 def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:

@@ -19,11 +19,9 @@ import numpy as np
 from .airspace import (
     AirspaceConfig,
     Fleet,
-    Ring,
     cross_layer_conflicts,
     fleet_state,
     nonfinite,
-    ring_neighbours,
 )
 from .fields import FieldWeights, Goals, force, potential
 # pso_minimize is not called here; it stays bound because the benchmark's
@@ -457,12 +455,11 @@ class _Engine:
             fleet = self._fleet()
             if k % sc.comm_interval == 0:
                 self._plan_comm(t, fleet)
-            ring = ring_neighbours(fleet, sc.airspace)
-            conflicts = ring.conflicts  # sorted and distinct, as pair_codes makes them
+            conflicts = fleet.conflicts  # sorted and distinct, as pair_codes makes them
             cross = cross_layer_conflicts(fleet, sc.airspace)
             if len(cross):
                 conflicts = np.union1d(conflicts, cross)
-            fired = self._switch_logic(t, fleet, ring, conflicts)
+            fired = self._switch_logic(t, fleet, conflicts)
             if len(conflicts):
                 # A craft that commits to a manoeuvre this tick is recorded
                 # as Switching for this tick; keep episode accounting in step
@@ -474,7 +471,7 @@ class _Engine:
                 # a release is the only change to the residents since the
                 # fleet was built: steer without this tick's switchers
                 fleet = self._fleet()
-            ax, ay = self._accelerations(fleet, ring)
+            ax, ay = self._accelerations(fleet)
             cap_now = self._tick_capacity(t)
 
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy
@@ -524,9 +521,7 @@ class _Engine:
         ids = self.ids[rows].tolist()
         self.events += [(t, aid, kind, f"layer={lay}") for aid, lay in zip(ids, layers.tolist())]
 
-    def _switch_logic(
-        self, t: float, fleet: Fleet, ring: Ring, conflicts: np.ndarray
-    ) -> np.ndarray:
+    def _switch_logic(self, t: float, fleet: Fleet, conflicts: np.ndarray) -> np.ndarray:
         """Back-off one row at a time, hearing releases by flag; then the
         released rows' climb plans and the violated cruisers' triggers as
         array steps, and the counters drawn after the pass; returns a mask of
@@ -536,7 +531,7 @@ class _Engine:
 
         A tick with no same-layer conflict and no backing-off row has nothing
         to do, and returns before any other array work: a row whose front or
-        rear gap is under its separation belongs to a ``ring.conflicts``
+        rear gap is under its separation belongs to a ``fleet.conflicts``
         pair, which tests the gap against the larger separation of its two
         rows, so no cruiser is violated.  Conversely a ring conflict holds a
         violated row, a cruiser or a backing-off one, so every tick past the
@@ -544,9 +539,9 @@ class _Engine:
         sc, sw, n = self.sc, self.switch, self.n
         fired = np.zeros(n, dtype=bool)
         backing_off = sw.mode == MODE_BACKING_OFF
-        if not (sc.switching_enabled and (len(ring.conflicts) or backing_off.any())):
+        if not (sc.switching_enabled and (len(fleet.conflicts) or backing_off.any())):
             return fired
-        violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
+        violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
         backing = backing_off.nonzero()[0]
         cruisers = ((sw.mode == MODE_CRUISE) & violated).nonzero()[0]
         # Back-off contention is local: only requests from aircraft currently
@@ -578,17 +573,17 @@ class _Engine:
         armed = cruisers
         if len(cruisers):
             prob = switch_probability(
-                ring.front[cruisers], ring.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
+                fleet.front[cruisers], fleet.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
             )
             armed = triggered(cruisers, prob, self.streams)
         targets = target_layers(armed, fleet, fired, sc.target_window_m, self.course)
         sw.arm(armed, targets, self.streams)  # with the escalated rows' counters
         return fired
 
-    def _accelerations(self, fleet: Fleet, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
+    def _accelerations(self, fleet: Fleet) -> tuple[np.ndarray, np.ndarray]:
         """Composite-field forces, norm-clipped, switch profiles overriding."""
         sc = self.sc
-        fx, fh = force(fleet, ring, self.goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
+        fx, fh = force(fleet, self.goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
         # clip to the airframe budget
         norm = np.hypot(fx, fh)
         amax = sc.airspace.max_accel_mps2
@@ -635,8 +630,7 @@ def composite_field_total(trace: SimTrace) -> np.ndarray:
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k], trace.layer[k],
             trace.mode[k] != MODE_SWITCHING, ids, sc.airspace,
         )
-        ring = ring_neighbours(fleet, sc.airspace)
-        out[k] = potential(fleet, ring, no_goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
+        out[k] = potential(fleet, no_goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
     return out
 
 

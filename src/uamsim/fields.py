@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .airspace import (
-    AirspaceConfig, Fleet, Ring, nonfinite, ring_laps, ring_offset, ring_pairs, search_reach,
+    AirspaceConfig, Fleet, nonfinite, ring_laps, ring_offset, ring_pairs, search_reach,
 )
 
 
@@ -67,19 +67,17 @@ class Band(NamedTuple):
     dist: np.ndarray
 
 
-def neighbour_band(fleet: Fleet, ring: Ring, cfg: AirspaceConfig, radius: float) -> Band:
+def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
     """The band of the fleet's residents: dist <= radius tested exactly on
     each one's ``ring_pairs`` within ``radius`` in its own layer.
 
     No two residents of a layer are nearer in x than its smallest ring gap,
     so when every gap exceeds ``search_reach`` the band is empty, and no
-    window is searched.  ``ring`` may be built before a back-off release
-    that left ``fleet`` fewer residents: a release only removes residents,
-    which merges gaps, so the earlier gaps still bound the later ones.
+    window is searched.
     """
     course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
-    paired = rows[ring.prec[rows] >= 0]  # a lone resident's ahead_x is no gap
-    if len(paired) == 0 or ring.ahead_x[paired].min() > search_reach(radius, course):
+    paired = rows[fleet.prec[rows] >= 0]  # a lone resident's ahead_x is no gap
+    if len(paired) == 0 or fleet.ahead_x[paired].min() > search_reach(radius, course):
         none = np.empty(0, dtype=int)
         return Band(none, none, np.empty(0), np.empty(0), np.empty(0))
     # a starts as the query index k, b as the resident j.  Sorting the codes
@@ -119,21 +117,21 @@ def _row_sums(fleet: Fleet, a: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.bincount(a, terms, len(fleet.x))
 
 
-def attract_value(fleet: Fleet, ring: Ring) -> np.ndarray:
-    gap = ring.front - fleet.d_safe
-    return np.where((ring.prec >= 0) & (gap >= 0.0), gap * gap, 0.0)
+def attract_value(fleet: Fleet) -> np.ndarray:
+    gap = fleet.front - fleet.d_safe
+    return np.where((fleet.prec >= 0) & (gap >= 0.0), gap * gap, 0.0)
 
 
-def attract_gradient(fleet: Fleet, ring: Ring, weight: float = 1.0):
+def attract_gradient(fleet: Fleet, weight: float = 1.0):
     """The pull runs along the forward offset to the preceding aircraft,
     the same offset whose norm is the front gap of the value."""
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    i = (ring.prec >= 0).nonzero()[0]
-    d = ring.front[i]
+    i = (fleet.prec >= 0).nonzero()[0]
+    d = fleet.front[i]
     gap = d - fleet.d_safe[i]
     pull = np.where((gap >= 0.0) & (d > 0.0), 2.0 * gap / np.maximum(d, 1e-12), 0.0)
-    gx[i] = weight * pull * -ring.ahead_x[i]
-    gh[i] = weight * pull * -ring.ahead_h[i]
+    gx[i] = weight * pull * -fleet.ahead_x[i]
+    gh[i] = weight * pull * -fleet.ahead_h[i]
     return gx, gh
 
 
@@ -216,13 +214,12 @@ def consensus(fleet: Fleet, band: Band, gain: float):
 
 
 def force(
-    fleet: Fleet, ring: Ring, goals: Goals, weights: FieldWeights,
-    cfg: AirspaceConfig, radius: float,
+    fleet: Fleet, goals: Goals, weights: FieldWeights, cfg: AirspaceConfig, radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unclipped commanded acceleration: weighted field descent plus consensus.
 
-    ``ring`` gives the attraction's preceding aircraft and bounds the band;
-    repulsion and consensus act among the fleet's residents within
+    The fleet's ring gives the attraction's preceding aircraft and bounds
+    the band; repulsion and consensus act among its residents within
     ``radius``.  The terms are subtracted from +0 in a fixed order, so the
     sums never hold -0 (x - y is -0 only for x = -0), and subtracting a zero
     of either sign changes no bit.  So a field with nothing to act on, no
@@ -230,7 +227,7 @@ def force(
     further work, and an empty band's repulsion and consensus are not
     subtracted at all.
     """
-    band = neighbour_band(fleet, ring, cfg, radius)
+    band = neighbour_band(fleet, cfg, radius)
     pairs = (
         repulse_gradient(fleet, band, weights.repulse),
         consensus(fleet, band, weights.consensus_gain),
@@ -239,7 +236,7 @@ def force(
     for gx, gh in (
         stabilize_gradient(fleet, cfg, weights.stabilize),
         layer_gradient(fleet, cfg, weights.layer),
-        attract_gradient(fleet, ring, weights.attract),
+        attract_gradient(fleet, weights.attract),
         *pairs,
         goal_gradient(fleet, goals, cfg, weights.goal),
     ):
@@ -249,16 +246,15 @@ def force(
 
 
 def potential(
-    fleet: Fleet, ring: Ring, goals: Goals, weights: FieldWeights,
-    cfg: AirspaceConfig, radius: float,
+    fleet: Fleet, goals: Goals, weights: FieldWeights, cfg: AirspaceConfig, radius: float,
 ) -> float:
     """Weighted sum of the five field values over the residents, the rows
     whose motion ``force`` steers (a switching row flies its profile)."""
-    band = neighbour_band(fleet, ring, cfg, radius)
+    band = neighbour_band(fleet, cfg, radius)
     terms = (
         (weights.stabilize, stabilize_value(fleet, cfg)),
         (weights.layer, layer_value(fleet, cfg)),
-        (weights.attract, attract_value(fleet, ring)),
+        (weights.attract, attract_value(fleet)),
         (weights.repulse, repulse_value(fleet, band)),
         (weights.goal, goal_value(fleet, goals, cfg)),
     )

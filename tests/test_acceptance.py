@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from uamsim import fields, scenarios
-from uamsim.airspace import AirspaceConfig, fleet_state, horizontal_safe_separation, ring_neighbours
+from uamsim.airspace import AirspaceConfig, fleet_state, horizontal_safe_separation
 from uamsim.engine import (
     MODE_SWITCHING,
     PhaseMode,
@@ -264,10 +264,9 @@ def test_criterion_04_field_gradients_match_finite_differences():
             )
 
         def values(f):
-            ring = ring_neighbours(f, air)
-            band = fields.neighbour_band(f, ring, air, radius)
+            band = fields.neighbour_band(f, air, radius)
             return (
-                fields.attract_value(f, ring)[0],
+                fields.attract_value(f)[0],
                 fields.stabilize_value(f, air)[0],
                 fields.repulse_value(f, band)[0],
                 fields.layer_value(f, air)[0],
@@ -275,10 +274,9 @@ def test_criterion_04_field_gradients_match_finite_differences():
             )
 
         base = fleet()
-        ring = ring_neighbours(base, air)
-        band = fields.neighbour_band(base, ring, air, radius)
+        band = fields.neighbour_band(base, air, radius)
         grads = (
-            fields.attract_gradient(base, ring),
+            fields.attract_gradient(base),
             fields.stabilize_gradient(base, air),
             fields.repulse_gradient(base, band),
             fields.layer_gradient(base, air),

@@ -17,7 +17,6 @@ from uamsim.airspace import (
     horizontal_safe_separation,
     pair_codes,
     ring_laps,
-    ring_neighbours,
     ring_offset,
     ring_pairs,
 )
@@ -45,7 +44,7 @@ def _ids(fleet, codes):
 
 
 def _conflicts(fleet, cfg=CFG):
-    return _ids(fleet, ring_neighbours(fleet, cfg).conflicts) | _ids(
+    return _ids(fleet, fleet.conflicts) | _ids(
         fleet, cross_layer_conflicts(fleet, cfg)
     )
 
@@ -344,15 +343,14 @@ def test_cross_layer_rule_matches_the_per_pair_loop(max_offset, coeffs, data):
 @given(data=st.data())
 def test_a_violated_resident_is_in_a_ring_conflict(data):
     """A resident whose front or rear gap is under its own separation is a
-    row of a ``ring.conflicts`` pair, whose test takes the larger
+    row of a ``fleet.conflicts`` pair, whose test takes the larger
     separation of its two rows; ``_switch_logic`` returns early on a tick
     with no ring conflict and no backing-off row on that ground."""
     fleet = _layered_fleet(data, 50.0)
-    ring = ring_neighbours(fleet, CFG)
-    violated = (ring.front < fleet.d_safe) | (ring.rear < fleet.d_safe)
+    violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
     event("a resident violated" if violated.any() else "no resident violated")
     assert set(violated.nonzero()[0].tolist()) <= set(
-        np.concatenate(np.divmod(ring.conflicts, len(fleet.x))).tolist()
+        np.concatenate(np.divmod(fleet.conflicts, len(fleet.x))).tolist()
     )
 
 
@@ -386,14 +384,15 @@ def _ring_reference(fleet, cfg):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ring_matches_the_per_layer_loop(data):
-    """The ring read off the fleet's one resident order matches the
-    per-layer sort bit for bit, and each layer's segment holds exactly that
-    layer's residents."""
+    """The ring ``fleet_state`` reads off the fleet's one resident order
+    matches the per-layer sort bit for bit, and each layer's segment holds
+    exactly that layer's residents."""
     fleet = _layered_fleet(data, 50.0)
     for lay in (0, 1, 2):
         members = np.flatnonzero(fleet.resident & (fleet.layer == lay))
         assert np.sort(fleet.segment(lay)).tolist() == members.tolist()
-    for got, want in zip(ring_neighbours(fleet, CFG), _ring_reference(fleet, CFG)):
+    ring = fleet.front, fleet.rear, fleet.prec, fleet.ahead_x, fleet.ahead_h, fleet.conflicts
+    for got, want in zip(ring, _ring_reference(fleet, CFG)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -496,22 +495,21 @@ def test_same_layer_conflict_uses_faster_speed():
 
 
 def test_pair_distance():
-    ring = ring_neighbours(_fleet([(0, 0.0, 0.0, 10.0, 0.0, 0), (1, 3.0, 4.0, 10.0, 0.0, 0)]), CFG)
-    assert ring.front[0] == pytest.approx(5.0, abs=1e-12)
-    assert ring.rear[1] == pytest.approx(5.0, abs=1e-12)
+    fleet = _fleet([(0, 0.0, 0.0, 10.0, 0.0, 0), (1, 3.0, 4.0, 10.0, 0.0, 0)])
+    assert fleet.front[0] == pytest.approx(5.0, abs=1e-12)
+    assert fleet.rear[1] == pytest.approx(5.0, abs=1e-12)
     # the other way round the ring
-    assert ring.front[1] == pytest.approx(math.hypot(1997.0, 4.0), abs=1e-9)
-    assert list(ring.prec) == [1, 0]
-    assert (ring.ahead_x[1], ring.ahead_h[1]) == (1997.0, -4.0)
+    assert fleet.front[1] == pytest.approx(math.hypot(1997.0, 4.0), abs=1e-9)
+    assert list(fleet.prec) == [1, 0]
+    assert (fleet.ahead_x[1], fleet.ahead_h[1]) == (1997.0, -4.0)
 
 
 def test_ring_skips_the_alone_and_the_switching():
     rows = [(0, 0.0, 0.0, 30.0, 0.0, 0), (1, 10.0, 95.0, 30.0, 5.0, 0), (2, 10.0, 100.0, 45.0, 0.0, 1)]
     fleet = _fleet(rows, resident=[True, False, True])
-    ring = ring_neighbours(fleet, CFG)
-    assert np.all(np.isinf(ring.front)) and np.all(np.isinf(ring.rear))
-    assert list(ring.prec) == [-1, -1, -1]
-    assert _ids(fleet, ring.conflicts) == set()
+    assert np.all(np.isinf(fleet.front)) and np.all(np.isinf(fleet.rear))
+    assert list(fleet.prec) == [-1, -1, -1]
+    assert _ids(fleet, fleet.conflicts) == set()
     # the switching aircraft takes no part in the cross-layer rule either
     assert _ids(fleet, cross_layer_conflicts(fleet, CFG)) == set()
     assert _conflicts(_fleet(rows)) == {(1, 2)}

@@ -212,6 +212,8 @@ _REJECTIONS = [
     # it flies no scenario, so it takes neither option
     and not (command == "delay-bounds" and label in ("unknown scenario", "negative seed"))
     and not (command == "validate" and label == "out names a file")  # it writes nothing
+    # no flight reads the delay model (test_a_flight_takes_no_protocol_setting)
+    and not (command != "delay-bounds" and label == "negative arrival rate")
     # its resolution tokens replace the setting
     and not (command == "phase-sweep" and label == "grid that does not divide the turn")
 ] + [

@@ -14,7 +14,7 @@ from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from uamsim import engine, scenarios, textfmt
-from uamsim.airspace import cross_layer_conflicts, ring_neighbours
+from uamsim.airspace import cross_layer_conflicts
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
 from uamsim.engine import (
@@ -254,13 +254,12 @@ def test_backoff_contention_is_local():
     sc = Scenario(aircraft=tuple(AircraftSpec(i, 0, x=x) for i, x in enumerate(xs)))
     eng = engine._Engine(sc)
     fleet = eng._fleet()
-    ring = ring_neighbours(fleet, sc.airspace)
-    conflicts = np.union1d(ring.conflicts, cross_layer_conflicts(fleet, sc.airspace))
+    conflicts = np.union1d(fleet.conflicts, cross_layer_conflicts(fleet, sc.airspace))
     assert conflicts.tolist() == [0 * 4 + 1, 2 * 4 + 3]
     sw = eng.switch
     for i, counter in ((0, 1), (1, 2), (2, 2)):
         sw.mode[i], sw.target[i], sw.backoff[i] = MODE_BACKING_OFF, 1, counter
-    fired = eng._switch_logic(0.0, fleet, ring, conflicts)
+    fired = eng._switch_logic(0.0, fleet, conflicts)
     assert fired.tolist() == [True, False, False, False]
     assert sw.backoff_max[1] == 4
     assert 1 <= sw.backoff[1] <= 4  # redrawn after the pass
@@ -287,10 +286,9 @@ def test_a_tick_with_nothing_to_arbitrate_changes_no_state():
     sw = eng.switch
     sw.mode[4], sw.target[4], sw.ax[4], sw.ay[4] = MODE_SWITCHING, 1, -1.0, 3.0
     fleet = eng._fleet()
-    ring = ring_neighbours(fleet, sc.airspace)
-    assert len(ring.conflicts) == 0
+    assert len(fleet.conflicts) == 0
     before = _switch_and_stream_bytes(eng)
-    fired = eng._switch_logic(0.0, fleet, ring, np.array([0 * 5 + 3]))
+    fired = eng._switch_logic(0.0, fleet, np.array([0 * 5 + 3]))
     assert fired.dtype == bool and fired.tolist() == [False] * 5
     assert _switch_and_stream_bytes(eng) == before
 
@@ -332,7 +330,8 @@ def test_the_relay_tick_calls_no_numpy_wrapper(name):
 def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
     """The fleet that ``_accelerations`` receives holds the residents left
     after the back-off pass: a row released on that tick is in neither its
-    ``resident`` mask nor its resident order."""
+    ``resident`` mask nor its resident order, and no resident's preceding
+    aircraft."""
     released, seen = [], []
     switch_logic, accelerations = engine._Engine._switch_logic, engine._Engine._accelerations
 
@@ -341,12 +340,13 @@ def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
         released.append(np.flatnonzero(fired))
         return fired
 
-    def checked_accelerations(self, fleet, ring):
+    def checked_accelerations(self, fleet):
         rows = released[-1]
         seen.append(len(rows))
         assert np.array_equal(fleet.resident, self.switch.resident)
         assert not np.isin(rows, fleet.order).any()
-        return accelerations(self, fleet, ring)
+        assert not np.isin(rows, fleet.prec[fleet.order]).any()
+        return accelerations(self, fleet)
 
     monkeypatch.setattr(engine._Engine, "_switch_logic", logged_switch_logic)
     monkeypatch.setattr(engine._Engine, "_accelerations", checked_accelerations)

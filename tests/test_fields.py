@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from uamsim import engine, fields, scenarios
 from uamsim.airspace import (
-    AirspaceConfig, fleet_state, ring_neighbours, ring_offset, search_reach,
+    AirspaceConfig, fleet_state, ring_offset, search_reach,
 )
 from uamsim.engine import AircraftSpec, Scenario, run
 from uamsim.fields import CollisionError, FieldWeights, Goals
@@ -31,7 +31,7 @@ def _fleet(rows, layer=1):
 
 
 def _band(fleet, radius=RADIUS):
-    return fields.neighbour_band(fleet, ring_neighbours(fleet, CFG), CFG, radius)
+    return fields.neighbour_band(fleet, CFG, radius)
 
 
 def _no_goals(n):
@@ -39,10 +39,9 @@ def _no_goals(n):
 
 
 def _values(fleet, goals):
-    ring = ring_neighbours(fleet, CFG)
-    band = fields.neighbour_band(fleet, ring, CFG, RADIUS)
+    band = _band(fleet)
     return {
-        "attract": fields.attract_value(fleet, ring),
+        "attract": fields.attract_value(fleet),
         "stabilize": fields.stabilize_value(fleet, CFG),
         "repulse": fields.repulse_value(fleet, band),
         "layer": fields.layer_value(fleet, CFG),
@@ -51,10 +50,9 @@ def _values(fleet, goals):
 
 
 def _gradients(fleet, goals):
-    ring = ring_neighbours(fleet, CFG)
-    band = fields.neighbour_band(fleet, ring, CFG, RADIUS)
+    band = _band(fleet)
     return {
-        "attract": fields.attract_gradient(fleet, ring),
+        "attract": fields.attract_gradient(fleet),
         "stabilize": fields.stabilize_gradient(fleet, CFG),
         "repulse": fields.repulse_gradient(fleet, band),
         "layer": fields.layer_gradient(fleet, CFG),
@@ -115,14 +113,14 @@ def _dense_consensus(fleet, pairs, gain):
     return cx, ch
 
 
-def _dense_force_and_total(fleet, ring, goals, w, cfg, radius):
+def _dense_force_and_total(fleet, goals, w, cfg, radius):
     pairs = _dense_pairs(fleet, cfg, radius)
     value, gx, gh = _dense_repulsion(fleet, pairs)
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for ax, ah in (
         fields.stabilize_gradient(fleet, cfg, w.stabilize),
         fields.layer_gradient(fleet, cfg, w.layer),
-        fields.attract_gradient(fleet, ring, w.attract),
+        fields.attract_gradient(fleet, w.attract),
         (w.repulse * gx, w.repulse * gh),
         _dense_consensus(fleet, pairs, w.consensus_gain),
         fields.goal_gradient(fleet, goals, cfg, w.goal),
@@ -132,7 +130,7 @@ def _dense_force_and_total(fleet, ring, goals, w, cfg, radius):
     terms = (
         (w.stabilize, fields.stabilize_value(fleet, cfg)),
         (w.layer, fields.layer_value(fleet, cfg)),
-        (w.attract, fields.attract_value(fleet, ring)),
+        (w.attract, fields.attract_value(fleet)),
         (w.repulse, value),
         (w.goal, fields.goal_value(fleet, goals, cfg)),
     )
@@ -185,28 +183,27 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudg
     )
     active = np.arange(n) == goal
     goals = Goals(np.full(n, 0.3 * course), np.full(n, 150.0), active)
-    ring = ring_neighbours(fleet, cfg)
-    paired = fleet.order[ring.prec[fleet.order] >= 0]
-    gap = ring.ahead_x[paired].min() if len(paired) else np.inf
+    paired = fleet.order[fleet.prec[fleet.order] >= 0]
+    gap = fleet.ahead_x[paired].min() if len(paired) else np.inf
     if nudge is not None and 0.0 < gap < np.inf:
         radius = gap + nudge * np.spacing(gap)
     if abs(gap - radius) <= 4 * np.spacing(course):
         event("smallest ring gap within 4 ulps of the radius")
     w = FieldWeights()
     try:
-        want = _dense_force_and_total(fleet, ring, goals, w, cfg, radius)
+        want = _dense_force_and_total(fleet, goals, w, cfg, radius)
     except CollisionError as exc:
         for call in (fields.force, fields.potential):
             with pytest.raises(CollisionError) as got:
-                call(fleet, ring, goals, w, cfg, radius)
+                call(fleet, goals, w, cfg, radius)
             assert str(got.value) == str(exc)
         return
     with mock.patch.object(fields, "ring_pairs", wraps=fields.ring_pairs) as search:
-        fx, fh = fields.force(fleet, ring, goals, w, cfg, radius)
+        fx, fh = fields.force(fleet, goals, w, cfg, radius)
     event("band searched" if search.called else "band empty by the ring gaps")
     # by bytes, so the sign of a zero force, which trace.csv prints, is pinned too
     assert fx.tobytes() == want[0].tobytes() and fh.tobytes() == want[1].tobytes()
-    assert fields.potential(fleet, ring, goals, w, cfg, radius) == want[2]
+    assert fields.potential(fleet, goals, w, cfg, radius) == want[2]
 
 
 def test_band_keeps_a_neighbour_exactly_on_the_radius():
@@ -238,56 +235,55 @@ def searches(monkeypatch):
     return calls
 
 
-def _matches_the_dense_reference(fleet, ring, radius, goals=None, w=FieldWeights()):
+def _matches_the_dense_reference(fleet, radius, goals=None, w=FieldWeights()):
     if goals is None:
         goals = _no_goals(len(fleet.x))
-    fx, fh, total = _dense_force_and_total(fleet, ring, goals, w, CFG, radius)
-    got = fields.force(fleet, ring, goals, w, CFG, radius)
+    fx, fh, total = _dense_force_and_total(fleet, goals, w, CFG, radius)
+    got = fields.force(fleet, goals, w, CFG, radius)
     return (got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
-            and fields.potential(fleet, ring, goals, w, CFG, radius) == total)
+            and fields.potential(fleet, goals, w, CFG, radius) == total)
 
 
 def _even_roster():
     """The relay builtins' start: five aircraft a layer, 400 m apart, level
     at their layer's altitude and speed, rows 5 l to 5 l + 4 in layer l."""
     fleet = engine._Engine(scenarios.get_scenario("fig6-airborne"))._fleet()
-    ring = ring_neighbours(fleet, CFG)
-    assert set(ring.ahead_x[fleet.order].tolist()) == {400.0}
-    return fleet, ring
+    assert set(fleet.ahead_x[fleet.order].tolist()) == {400.0}
+    return fleet
 
 
 def test_an_even_roster_at_its_spacing_keeps_both_ring_neighbours(searches):
     """At a 400 m radius no ring gap exceeds the searched reach: the band
     holds each resident's two ring neighbours, exactly on the radius."""
-    fleet, ring = _even_roster()
-    band = fields.neighbour_band(fleet, ring, CFG, 400.0)
+    fleet = _even_roster()
+    band = fields.neighbour_band(fleet, CFG, 400.0)
     assert searches
     pairs = [(i, j) for i in range(15) for j in range(15)
              if i // 5 == j // 5 and (j - i) % 5 in (1, 4)]
     assert sorted(zip(band.a.tolist(), band.b.tolist())) == pairs and len(pairs) == 30
     assert set(band.dist.tolist()) == {400.0}
-    assert _matches_the_dense_reference(fleet, ring, 400.0)
+    assert _matches_the_dense_reference(fleet, 400.0)
 
 
 def test_an_even_roster_inside_its_spacing_has_an_empty_band(searches):
     """At 399 m every ring gap exceeds the searched reach: the band is
     empty, and no window is searched."""
-    fleet, ring = _even_roster()
-    band = fields.neighbour_band(fleet, ring, CFG, 399.0)
+    fleet = _even_roster()
+    band = fields.neighbour_band(fleet, CFG, 399.0)
     assert searches == [] and len(band.a) == len(band.dist) == 0
-    assert _matches_the_dense_reference(fleet, ring, 399.0)
+    assert _matches_the_dense_reference(fleet, 399.0)
 
 
 def test_a_gap_equal_to_the_searched_reach_is_searched(searches):
     """The gaps show the band empty only beyond the searched reach, where
     ``ring_pairs``' window ends: at a reach of exactly 400 m the windows
     are searched, and find no pair within the radius."""
-    fleet, ring = _even_roster()
+    fleet = _even_roster()
     radius = 399.99999760000003
     assert search_reach(radius, CFG.course_length_m) == 400.0
-    band = fields.neighbour_band(fleet, ring, CFG, radius)
+    band = fields.neighbour_band(fleet, CFG, radius)
     assert searches and len(band.a) == 0
-    assert _matches_the_dense_reference(fleet, ring, radius)
+    assert _matches_the_dense_reference(fleet, radius)
 
 
 def test_a_lone_resident_has_no_gap(searches):
@@ -300,35 +296,40 @@ def test_a_lone_resident_has_no_gap(searches):
         x, lay * 100.0, np.array([30.0, 44.0, 46.0, 45.0, 47.0]), np.zeros(5), lay,
         np.ones(5, dtype=bool), np.arange(5), CFG,
     )
-    ring = ring_neighbours(fleet, CFG)
-    assert (ring.prec[0], ring.ahead_x[0]) == (-1, 0.0)
-    assert len(fields.neighbour_band(fleet, ring, CFG, RADIUS).a) == 0 and searches == []
-    assert _matches_the_dense_reference(fleet, ring, RADIUS)
+    assert (fleet.prec[0], fleet.ahead_x[0]) == (-1, 0.0)
+    assert len(_band(fleet).a) == 0 and searches == []
+    assert _matches_the_dense_reference(fleet, RADIUS)
 
 
 @pytest.mark.parametrize("radius", [RADIUS, 40.0])
 def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
     """Row 0 backs off 50 m behind row 1, inside layer 0's 71.25 m
-    separation, and is released.  The engine steers the residents left
-    after the back-off pass with the ring built before it; a release only
-    merges gaps, so that ring still bounds the band.  Row 1, now alone,
-    keeps its 1950 m gap back to row 0, and layer 1 flies 500 m apart: the
-    band is empty by the gaps, at the default radius and at one under the
-    separation alike."""
+    separation, and is released.  Before the back-off pass row 0 precedes
+    row 1, 1950 m ahead round the ring, and pulls it forward at
+    0.376 m/s².  The fleet built after the pass has its own ring: row 1,
+    now alone in layer 0, has no preceding aircraft and no pull.  Layer 1
+    flies 500 m apart, so the band is empty by the gaps, at the default
+    radius and at one under the separation alike."""
     specs = (AircraftSpec(0, 0, x=0.0), AircraftSpec(1, 0, x=50.0)) + tuple(
         AircraftSpec(2 + k, 1, x=500.0 * k) for k in range(4)
     )
     sc = Scenario(aircraft=specs, neighbor_radius_m=radius)
     eng = engine._Engine(sc)
     fleet = eng._fleet()
-    ring = ring_neighbours(fleet, CFG)
-    assert len(fields.neighbour_band(fleet, ring, CFG, radius).a) == (2 if radius > 50.0 else 0)
+    assert len(_band(fleet, radius).a) == (2 if radius > 50.0 else 0)
+    assert (fleet.prec[1], fleet.ahead_x[1]) == (0, 1950.0)
+    pull = -fields.attract_gradient(fleet, sc.weights.attract)[0][1]
+    assert pull == pytest.approx(0.376, abs=5e-4)
     eng.switch.mode[0], eng.switch.target[0], eng.switch.backoff[0] = MODE_BACKING_OFF, 1, 1
-    assert eng._switch_logic(0.0, fleet, ring, ring.conflicts).tolist() == [True] + [False] * 5
+    assert eng._switch_logic(0.0, fleet, fleet.conflicts).tolist() == [True] + [False] * 5
     after = eng._fleet()
-    assert after.order.tolist() == [1, 2, 3, 4, 5] and ring.ahead_x[1] == 1950.0
+    assert after.order.tolist() == [1, 2, 3, 4, 5]
+    assert (after.prec[1], after.front[1]) == (-1, np.inf)
+    assert fields.attract_value(after)[1] == 0.0
+    gx, gh = fields.attract_gradient(after, sc.weights.attract)
+    assert (gx[1], gh[1]) == (0.0, 0.0)
     searches.clear()
-    assert _matches_the_dense_reference(after, ring, radius, eng.goals, sc.weights)
+    assert _matches_the_dense_reference(after, radius, eng.goals, sc.weights)
     assert searches == []
 
 
@@ -368,12 +369,11 @@ def test_layer_well_three_branches():
 def test_attract_flat_inside_safe_gap():
     # 45 m/s needs 149.06 m: a 120 m gap is inside it, so no pull at all
     near = _fleet([(0.0, 0.0, 45.0, 0.0), (120.0, 0.0, 45.0, 0.0)])
-    ring = ring_neighbours(near, CFG)
-    assert fields.attract_value(near, ring)[0] == 0.0
-    gx, gh = fields.attract_gradient(near, ring)
+    assert fields.attract_value(near)[0] == 0.0
+    gx, gh = fields.attract_gradient(near)
     assert (gx[0], gh[0]) == (0.0, 0.0)
     far = _fleet([(0.0, 0.0, 45.0, 0.0), (300.0, 0.0, 45.0, 0.0)])
-    assert fields.attract_value(far, ring_neighbours(far, CFG))[0] == pytest.approx(
+    assert fields.attract_value(far)[0] == pytest.approx(
         (300.0 - 149.0625) ** 2
     )
 
@@ -382,9 +382,8 @@ def test_attraction_pulls_forward_round_the_ring():
     """Past half the course the preceding aircraft is still ahead: the pull
     keeps pointing forward and matches the forward gap of the value."""
     f = _fleet([(100.0, 0.0, 45.0, 0.0), (1500.0, 0.0, 45.0, 0.0)])
-    ring = ring_neighbours(f, CFG)
-    assert ring.prec[0] == 1 and ring.front[0] == pytest.approx(1400.0)
-    gx, _ = fields.attract_gradient(f, ring)
+    assert f.prec[0] == 1 and f.front[0] == pytest.approx(1400.0)
+    gx, _ = fields.attract_gradient(f)
     assert gx[0] == pytest.approx(-2.0 * (1400.0 - 149.0625))
     # and the other one, 600 m ahead across the seam, is pulled forward too
     assert gx[1] == pytest.approx(-2.0 * (600.0 - 149.0625))
@@ -400,9 +399,7 @@ def test_repulse_blows_up_approaching_contact():
     with pytest.raises(CollisionError):
         _band(touching)
     with pytest.raises(CollisionError):
-        fields.force(
-            touching, ring_neighbours(touching, CFG), _no_goals(2), FieldWeights(), CFG, RADIUS
-        )
+        fields.force(touching, _no_goals(2), FieldWeights(), CFG, RADIUS)
 
 
 def test_gradients_match_central_differences():
@@ -460,7 +457,7 @@ def test_composite_force_sums_weighted_gradients():
     goals = Goals(np.array([0.0, 0.0, 900.0]), np.array([0.0, 0.0, 200.0]),
                   np.array([False, False, True]))
     w = FieldWeights()
-    fx, fh = fields.force(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
+    fx, fh = fields.force(f, goals, w, CFG, RADIUS)
     grads = _gradients(f, goals)
     cx, ch = fields.consensus(f, _band(f), w.consensus_gain)
     manual_x, manual_h = -cx, -ch
@@ -470,7 +467,7 @@ def test_composite_force_sums_weighted_gradients():
     assert fx == pytest.approx(manual_x, rel=1e-12)
     assert fh == pytest.approx(manual_h, rel=1e-12)
     # the total is the same fields' values, weighted
-    total = fields.potential(f, ring_neighbours(f, CFG), goals, w, CFG, RADIUS)
+    total = fields.potential(f, goals, w, CFG, RADIUS)
     values = _values(f, goals)
     assert total == pytest.approx(sum(getattr(w, k) * values[k].sum() for k in KINDS), rel=1e-12)
 
@@ -484,12 +481,10 @@ def test_mid_climb_aircraft_adds_nothing_to_the_total():
 
     def total(resident):
         f = fleet_state(x, h, vx, vy, np.ones(2, dtype=int), np.array(resident), np.arange(2), CFG)
-        return fields.potential(f, ring_neighbours(f, CFG), _no_goals(2), w, CFG, RADIUS)
+        return fields.potential(f, _no_goals(2), w, CFG, RADIUS)
 
     alone = _fleet(rows[:1])
-    assert total([True, False]) == fields.potential(
-        alone, ring_neighbours(alone, CFG), _no_goals(1), w, CFG, RADIUS
-    )
+    assert total([True, False]) == fields.potential(alone, _no_goals(1), w, CFG, RADIUS)
     assert total([True, True]) > total([True, False]) + 100.0
 
 
@@ -498,11 +493,11 @@ def test_consensus_pulls_toward_neighbor_velocity():
     # 300 m interaction radius
     f = _fleet([(0.0, 100.0, 45.0, 0.0), (250.0, 100.0, 50.0, 0.0)])
     w = FieldWeights(stabilize=0.0, attract=0.0, consensus_gain=0.5)
-    fx, _ = fields.force(f, ring_neighbours(f, CFG), _no_goals(2), w, CFG, RADIUS)
+    fx, _ = fields.force(f, _no_goals(2), w, CFG, RADIUS)
     assert fx == pytest.approx([0.5 * 5.0, -0.5 * 5.0], rel=1e-12)
     # beyond the radius there is no consensus
     apart = _fleet([(0.0, 100.0, 45.0, 0.0), (700.0, 100.0, 50.0, 0.0)])
-    fx, _ = fields.force(apart, ring_neighbours(apart, CFG), _no_goals(2), w, CFG, RADIUS)
+    fx, _ = fields.force(apart, _no_goals(2), w, CFG, RADIUS)
     assert fx == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -520,7 +515,7 @@ def test_acceleration_is_norm_clipped():
     assert np.all(np.hypot(ax, ah) <= 5.0 + 1e-9)
     assert np.hypot(ax, ah) == pytest.approx([5.0, 5.0], rel=1e-9)
     f = _fleet([(0.0, 100.0, 45.0, 0.0), (1.0, 100.0, 45.0, 0.0)])
-    fx, _ = fields.force(f, ring_neighbours(f, CFG), _no_goals(2), sc.weights, CFG, RADIUS)
+    fx, _ = fields.force(f, _no_goals(2), sc.weights, CFG, RADIUS)
     assert np.all(np.sign(ax) == np.sign(fx))
     assert ax[0] < 0.0 < ax[1]
 

@@ -24,14 +24,14 @@ GOLDEN = {
         "metrics.txt": ("62b5d3b3467eb0d4a40062d097d09bbf9385c156194deb16d3258898206151cc", 18),
     },
     "fig12-ipr": {
-        "trace.csv": ("7c73d2463935b887a5c6afe6fac66ca39a972db7485b0f4c8227e6b321fcf9d0", 6001),
+        "trace.csv": ("4ff7c200bc7989f100168c049735d5e5519de255e6b5384cbbe42034166680ed", 6001),
         "events.csv": ("e1a15d34dbacff9e198681bbec7fa7e9f64b977b38669b75f06e028bd95d8b70", 32),
-        "metrics.txt": ("87416c4855e412934ee4009101bb513bc122e23f4d60173da43734dc9962691f", 18),
+        "metrics.txt": ("ce8f1f8a998d95458e2091cbcf8abf28652d98a11278f8bafa7853b2cfa19116", 18),
     },
     "fig12-ipr-dense": {
-        "trace.csv": ("35aa37a54e67c7a1ac76bfd7d9dbc0abf561e407a651d970ba2ff98f13ea26b2", 36001),
+        "trace.csv": ("824b275a4b07838e41c66527bc5d356ace27f04ec3fed3de1050f0e728c45b4b", 36001),
         "events.csv": ("56d30e2e8422f68d34bdd3d0b5d996b5f05f90f9c599d8a9027c49dc3abc19e3", 820),
-        "metrics.txt": ("3d4fb6a3cf315aa1764f2f3c024124e6d1a8241c98830cc40fe98dec88a52b94", 18),
+        "metrics.txt": ("bb4131e7eafe94db85ee5ad9119de2bd8b65df74389723d05c51d57f2fbb76a2", 18),
     },
     "fig6-airborne": {
         "trace.csv": ("20f83fb504a6d256620ffe4a613b441655e5477e9dc3dfcda410ddb69a84df1f", 6001),
@@ -66,23 +66,23 @@ FILES = ("trace.csv", "events.csv", "metrics.txt")
 # little-endian), for seed 1 unless the variant sets another
 RAW = {
     "fig12-ipr": {
-        "x": "c4ba8bf049403b86b1f91446e729590a93bf4d35e0c3c542592cdcda6cac76b9",
-        "h": "c6e50c9377ddc308f1f008a544d6290be280096a541a80418e351360e3ebb989",
-        "vx": "90d698af666db714af278c8276c2ebfe70b507d2f00d7d46db3fa6152fecac37",
-        "vy": "b8fa09e40e3922993cd2e3c3e1aa4762f961d66a394ec324993217670f48c197",
+        "x": "fffaccd9c9a76a8da6bdaf6d0d55db8098c7f92deaaf79e7cc4436126ffc280b",
+        "h": "f9d266a754027641d827d77da27fef12fd471885db5b2997e62031093de5d7d5",
+        "vx": "72e15d6c1134f922a3d498806ecd7d466faae28a1c7b3b86eac70fc5c7d9755e",
+        "vy": "6e65594f04b7c1b936026cc9ee4ccb83f0f33fb33db92df4446393ce1a47c1c9",
         "layer": "d5ec8f2261399f79cc2e5e544b5c144d0caace8b0dc25a76cd83e53b9046637c",
         "mode": "8e1c35c180ac0fb730f8bb42394ce74617aae1b6ce8d02f6155615a9cc4bbb16",
-        "capacity_bps": "1005cf1a83f78c5ddbbddf6b71e5dc83b33e4d5682f207760f8f7762bb9f5fb6",
+        "capacity_bps": "f18be90ff82ce6944111f98aa37e83da40d2dd5835a2a96d56c437b41d7d055f",
         "ris_partner": "411a42ca7f91053ba24324f61ce1f657d2e685074193ec9c230fa763a57388a1",
     },
     "fig12-ipr-dense": {
-        "x": "c34a2a8938e3af571b1ee865a0ae79b87e77223d874bf02bb4e7752fa8c0ceea",
-        "h": "c0c441dc6ce85146d8b0fb3b0a44f1f858ebbaebe8af0d05b9b3d91d23b05bfa",
-        "vx": "2a8e90931aaf315d9d7c7c7e4b65670421e492851032b9850bbdd06704ba689c",
-        "vy": "baf94cec2c80b7989141583f5c664d1adece486322c61baf86ac9dfef3f61826",
+        "x": "f2b6af00bc4e92ba39c05808c052f6f5d40b13de5acc3b2322e2eadaf16eb48d",
+        "h": "1294de3b4caebc93338169558f2bceeacbbd92cb6763580338b4da19ddf6033e",
+        "vx": "e594a9fc2238a8c1ba3df2331a8eb5cf6fd64d9556a447c6b691be2d06b562b7",
+        "vy": "1bdbf0a0cdaf0579b3c9a915ba3e555f678522e782ebc73cc369dea6b62623e3",
         "layer": "8f259ce6062b31d986b3395e373df6fda155201a96c2910c2fc713b465194d71",
         "mode": "58fca0557542a1f12eccb1405e18ccf052842145f60d350894ca0aab9906deab",
-        "capacity_bps": "21ef918a96ab8e98a9d31232bbad29c6270ca88ade562a4058731b697493fee9",
+        "capacity_bps": "faa7303e290acd5ae75fc14168629f0c163cd09328eeb0425c71b689e25b1b87",
         "ris_partner": "9ab4db43617e15b3b120b25ba1307d5c752c0fc76092a2c73dc6d53ec6ac0ac7",
     },
     "fig6-airborne": {
@@ -96,13 +96,13 @@ RAW = {
         "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
     },
     "fig12-ipr-xl": {
-        "x": "8bdbfcb22c1e6e0b6d3251e264b425263654767e629642ccdce79a0d6025ab47",
-        "h": "c4806820f24f31fb793f5f1d49559f96cc7071773d40bd6f4e0812fe1cbc0e01",
-        "vx": "a6cae7463501c8b83901ad9a91bb25c58cd4e3f76dc6327825ef1f0499bf2443",
-        "vy": "442f5bc233d4ceae8cb55d048660aaa5673d82c7402cda280a145e5fd30318f4",
+        "x": "3862a249b715a6795c6eb4fba7113f713fe97eaec22b27fc8f6909930b2b516b",
+        "h": "fbfdb4d321564f2c9656b78a90801831564986275a778b22f954df78c19b22d5",
+        "vx": "50719ae0d767e4327d80f7f3dec273bb4f6989fca33067cc3fe228a085eae5e8",
+        "vy": "6106d4c859934a200407f047d06245e156139e3cd7e51761f41e9617e6d35c5f",
         "layer": "8dceeebcb900c0e94e87ee115a985140fcbffb9b924d7cc0ddc7c7592b761116",
         "mode": "a8a23fd6228fee4dea6efb89b0511c8cc119c5120f0e65c0ccac8b6dfdcbb097",
-        "capacity_bps": "5527cd8ee761c8aa4ae00c76c98bd659ac21cec70de95bbe9d4fc360397f50ce",
+        "capacity_bps": "341bfa5c509ddbb07690bd9467e2cac278683150a17fc763a5c87388af4d64da",
         "ris_partner": "b0a4f98ae0d7e7571b651806328d00379ac751b4e9a2a4e57800a3e71f8eba2e",
     },
     "fig9-phase": {
@@ -116,43 +116,43 @@ RAW = {
         "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
     },
     "fig12-ipr-dense-seed-2e70": {
-        "x": "bdbc177545263fc60fefcd505d0a488a51da68e6a10e04b464f1e83eecfabea8",
-        "h": "0d62130a772518b67a8ace25c4c3cf4e0ccab6a66e9b3296f1d146d3f6411804",
-        "vx": "bfbf866ce890417d45e66c03f9552e246382f9011b2105fd6e388b5bc0b62bcf",
-        "vy": "84b30dec129482e3f99bbe40130f5f80762475b2bfdd620f861c41b0e4d9681b",
+        "x": "0b4d40bfcf633443889e7bff9b5944b82ed276306eab8963e34be585c5a856c7",
+        "h": "c944399c81594866ff8445158cc6735dda3d4333b065ea690c10f0ecf7cba403",
+        "vx": "9fa3bad9663900c8be55e4343ff3c454897461bbad9e32d8379b2821b205ffca",
+        "vy": "77d58be68b53dca9f8560da61afe5c930378fe41e70407f38b53e4bd10835277",
         "layer": "b0c8f6751838ce94f8391df7e568b7fd9501cad031db4744ab859e173e2314e7",
         "mode": "1f0d438b466acf0132753b3d9aaeda3cfa96275ceacac2532550eedd647b2794",
-        "capacity_bps": "c507d996743caac71e2efe852e485e4200ab94729d3d09ea57e003b3ccd17adf",
+        "capacity_bps": "df5949afa9762a302892b6601517a4db3328e790a9a54c39c7496a43c55f8a12",
         "ris_partner": "d8979bc2c43997d95a8a92049d1f17808c0e94f3be1e126222db75cb6961468b",
     },
     "fig12-ipr-dense-seed-2e200": {
-        "x": "be400d2856a4cb832c1f7d019100d8973678323e2e76d0b3b58b88c0257f2f93",
-        "h": "e73bc44b706ebd0388489158cdf71d84b0819a2014a3740b4f612ea5d7ee02ec",
-        "vx": "6502efc11d2acb843b40285e7d4f308b5b35fefe920c62bd7d8d4d41d9a2313d",
-        "vy": "36cb9efebb4b25f146ba6bd35e10a8b19b08dc8fb14f58ae588f13dda9924a37",
+        "x": "5efa29c2bd890bd3642fe44a39b5dba3b99e04ac536a8a5288c2b210c7cb1ff3",
+        "h": "14e3fbaf42638be3ff774e0e729d0a273215238e4f90fdd62dc82871c7271a9c",
+        "vx": "be63ba8e429e7e1f29530233584cc72b05ec6700fc6a36389fe673fc6d4b2202",
+        "vy": "3dfbb25e94cc043c45de12d86c39868109b6c4fc660722195a15ef9e223b8c6a",
         "layer": "2adc41f0019c34f5fe7bb55a16f68ab199c7dc2576ed294d72ce9bdd5656b842",
         "mode": "1001e7b880c828f93e18a75b0b794aefa7fe5034a0cf7631b488d1e8110b369e",
-        "capacity_bps": "c862b57e5931f810d62b6050bb02effe2b67ac6cdb1370c393aba47e3124d392",
+        "capacity_bps": "a9bae8eabc06f6660b078d28fe49b1a79f5d9aaa0e2d6cb46b0d74de1c5528fa",
         "ris_partner": "5f56606b42bf0febf810c14fd59a5e7d2696a75c876801ef9183db4a9a6cf1c6",
     },
     "fig12-ipr-dense-backoff-1": {
-        "x": "53a45dbb0821afa96ba13924a0a35a1d0b77a28c82040a85ffc34432541624b8",
-        "h": "bf1572552dc03f06a6f906285aa0fec9a0fc1371381e6fa920927367cbd276cb",
-        "vx": "2a59c6f36f9f49eb80063180b2de7aa968a77277dc6206fe6c5b2a0e40e5f5e3",
-        "vy": "ed04eff3cd6f3b82ec758e090a967b7bea17f78eb3657832385eabe797ebe2a6",
+        "x": "ac50450404d2ce981d3953b6a36ae4bd70f1a6821bed1cb97918690783478212",
+        "h": "5da2809351c5e10fd362ec22c7973e3c4b8aaa3029307afc37204f967cb5a3c8",
+        "vx": "723075a2d86e31316b7e7b00aed0e2756c128f885d03957cfa393744503377a4",
+        "vy": "4bacaf2168284162c08c5c6b49c66ec3947395c8a5f9c45a7aac5f3652314cd2",
         "layer": "17f5c24fd8bab12172c5bc05e06eda282539642d6da1ef05c0c438768f030a50",
         "mode": "f1a74bf58ee44df3cfb738917aa135f1046e7c0f8cc39e54d10ce40746a19947",
-        "capacity_bps": "36ed936c7bd3c0a4bfdcfd1dfe2f78845f285b84948e14ba13b90e5887e06657",
+        "capacity_bps": "7ecb4b19379b42507ce7da24673388845b93aa6edfaa27140d182ec246231232",
         "ris_partner": "977375d88aa5133f33ec02105dcbe46f08606f1c5e8f9d20850b1b6f70265fac",
     },
     "fig12-ipr-dense-backoff-32": {
-        "x": "e40ffb9da5533e35cd6ca313f90659ecda83969613ce4206b5305a5578b58e58",
-        "h": "8c43c4bf91a1912caf48cd0c139381542bb3625078f201d0ec017b0de3bb1f19",
-        "vx": "01c6087ac352a88e22e4b8aa6b56131e56873932300903bcb28d3e96858515bc",
-        "vy": "1c9603f37d9394a8b61d3da317c691ff7350fb0a8a5f6dbe6d1065fb15f943bc",
+        "x": "a8875618a8c02b08d2578559d236dfb6998fd518eb2ff37ced988069ceb94bb3",
+        "h": "fe4ebc84b7c5fa53f4235cb9763dee1e30153f5b66c1c8fefb7e790cc0baf0ba",
+        "vx": "b10bf66819bde6d1e7b4e9824332ed436f1ca1a664c90b64eead781a0df60614",
+        "vy": "92d694f62ac3bbae513f1d2188e0eb40fde2cf3f928fd5a75c329035643373ac",
         "layer": "bf3b042a8012a4183760acd255be84c8244d0529ceec529f36b97611cdaa162c",
         "mode": "1cf08dedbec14a1c939a93dd78eced411fee5cbedede5cc0cf58870cacc2aaf5",
-        "capacity_bps": "21442b511c8f8f204a8fb1ea1f1492cf288510407e328e1e12f8be6516eceaeb",
+        "capacity_bps": "66ce045d44495ab72c4cf42d660c7e2bffd575cc9949d0c6f72fdf052f636e82",
         "ris_partner": "990fabd775a365a709e3edd64aa26936e04b75e8a6134b18c59ac3e615ddff23",
     },
 }
