@@ -90,8 +90,8 @@ class Fleet(NamedTuple):
     ``front`` its norm, ``rear`` the gap to the aircraft behind.  The alone
     and non-residents get -1 and infinite gaps.  Their ``ahead_x`` is 0,
     which is not a gap: a lone resident's offset to itself, and it has no
-    pair.  ``conflicts``: row-pair codes (see ``pair_codes``) of neighbours
-    closer than the faster one's separation."""
+    pair.  ``conflicts``: row-pair codes (see ``pair_codes``) of every conflict:
+    neighbours closer than the faster one's separation, and cross-layer pairs."""
 
     x: np.ndarray
     h: np.ndarray
@@ -118,7 +118,7 @@ class Fleet(NamedTuple):
 
 def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Fleet:
     """Bundle the fleet arrays and derive speeds, safe separations, the
-    resident order and each ring's gaps, preceding aircraft and conflicts."""
+    resident order, each ring's gaps and preceding aircraft, and all conflicts."""
     n = len(x)
     speed = np.hypot(vx, vy)
     d_safe = horizontal_safe_separation(speed, cfg)
@@ -137,10 +137,14 @@ def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Flee
     rear[nxt] = front[order]
     # the faster aircraft has the larger separation
     close = front[order] < np.maximum(d_safe[order], d_safe[nxt])
-    return Fleet(
+    fleet = Fleet(
         x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds,
         front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n),
     )
+    cross = cross_layer_conflicts(fleet, cfg)
+    if len(cross):
+        fleet = fleet._replace(conflicts=np.union1d(fleet.conflicts, cross))
+    return fleet
 
 
 def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.ndarray:
@@ -251,13 +255,14 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     offset < spacing / 2, where every h - layer altitude is exact
     (Sterbenz); rounding is monotone, so a pair's rounded |dh| is at least
     the rounded spacing - 2 * offset, and its rounded separation at most
-    the rounded ``reach``.  With reach 0 no pair can hit.
+    the rounded ``reach``.  With reach 0 no pair can hit, nor with the
+    residents in one layer.
     """
     coeff, course, spacing = cfg.vertical_separation_coeff, cfg.course_length_m, cfg.layer_spacing_m
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     offset = np.abs(h[fleet.order] - spacing * fleet.layer[fleet.order]).max(initial=0.0)
     reach = coeff * speed[fleet.order].max(initial=0.0)
-    if spacing - 2.0 * offset >= reach:
+    if spacing - 2.0 * offset >= reach or (fleet.bounds[1:] > fleet.bounds[:-1]).sum() < 2:
         return np.empty(0, dtype=int)
     rows_a, rows_b = [], []
     laps = ring_laps(fleet, course)

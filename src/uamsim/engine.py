@@ -19,7 +19,6 @@ import numpy as np
 from .airspace import (
     AirspaceConfig,
     Fleet,
-    cross_layer_conflicts,
     fleet_state,
     nonfinite,
 )
@@ -455,22 +454,12 @@ class _Engine:
             fleet = self._fleet()
             if k % sc.comm_interval == 0:
                 self._plan_comm(t, fleet)
-            conflicts = fleet.conflicts  # sorted and distinct, as pair_codes makes them
-            cross = cross_layer_conflicts(fleet, sc.airspace)
-            if len(cross):
-                conflicts = np.union1d(conflicts, cross)
-            fired = self._switch_logic(t, fleet, conflicts)
-            if len(conflicts):
-                # A craft that commits to a manoeuvre this tick is recorded
-                # as Switching for this tick; keep episode accounting in step
-                # with the recorded modes.
-                lo, hi = np.divmod(conflicts, self.n)
-                conflicts = conflicts[~(fired[lo] | fired[hi])]
-                self.violations.append((k, conflicts))
-            if fired.any():
+            if self._switch_logic(t, fleet).any():
                 # a release is the only change to the residents since the
-                # fleet was built: steer without this tick's switchers
+                # fleet was built: steer and log the state the trace records
                 fleet = self._fleet()
+            if len(fleet.conflicts):
+                self.violations.append((k, fleet.conflicts))
             ax, ay = self._accelerations(fleet)
             cap_now = self._tick_capacity(t)
 
@@ -521,7 +510,7 @@ class _Engine:
         ids = self.ids[rows].tolist()
         self.events += [(t, aid, kind, f"layer={lay}") for aid, lay in zip(ids, layers.tolist())]
 
-    def _switch_logic(self, t: float, fleet: Fleet, conflicts: np.ndarray) -> np.ndarray:
+    def _switch_logic(self, t: float, fleet: Fleet) -> np.ndarray:
         """Back-off one row at a time, hearing releases by flag; then the
         released rows' climb plans and the violated cruisers' triggers as
         array steps, and the counters drawn after the pass; returns a mask of
@@ -529,13 +518,13 @@ class _Engine:
         from its own stream, backing-off rows and cruisers are disjoint, and
         only a backing-off row can be released.
 
-        A tick with no same-layer conflict and no backing-off row has nothing
-        to do, and returns before any other array work: a row whose front or
-        rear gap is under its separation belongs to a ``fleet.conflicts``
-        pair, which tests the gap against the larger separation of its two
-        rows, so no cruiser is violated.  Conversely a ring conflict holds a
-        violated row, a cruiser or a backing-off one, so every tick past the
-        exit has a row to step or to trigger."""
+        A tick with no conflict and no backing-off row has nothing to do, and
+        returns before any other array work: a row whose front or rear gap is
+        under its separation belongs to a ring pair of ``fleet.conflicts``,
+        which tests the gap against the larger separation of its two rows, so
+        no cruiser is violated.  Conversely a ring conflict holds a violated
+        row, a cruiser or a backing-off one; a tick past the exit on
+        cross-layer pairs alone steps and triggers no row."""
         sc, sw, n = self.sc, self.switch, self.n
         fired = np.zeros(n, dtype=bool)
         backing_off = sw.mode == MODE_BACKING_OFF
@@ -548,7 +537,7 @@ class _Engine:
         # contending for the same separation gap reset a pending counter.  A
         # request on the far side of the ring says nothing about this gap.
         # Row i's conflict partners are partners[starts[i]:starts[i + 1]].
-        lo, hi = np.divmod(conflicts, n)
+        lo, hi = np.divmod(fleet.conflicts, n)
         rows = np.concatenate((lo, hi))
         by_row = rows.argsort()
         partners = np.concatenate((hi, lo))[by_row]

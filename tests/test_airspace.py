@@ -43,10 +43,8 @@ def _ids(fleet, codes):
     return {tuple(sorted(fleet.ids[[c // n, c % n]].tolist())) for c in codes}
 
 
-def _conflicts(fleet, cfg=CFG):
-    return _ids(fleet, fleet.conflicts) | _ids(
-        fleet, cross_layer_conflicts(fleet, cfg)
-    )
+def _conflicts(fleet):
+    return _ids(fleet, fleet.conflicts)
 
 
 def test_horizontal_separation_worked_values():
@@ -345,7 +343,7 @@ def test_a_violated_resident_is_in_a_ring_conflict(data):
     """A resident whose front or rear gap is under its own separation is a
     row of a ``fleet.conflicts`` pair, whose test takes the larger
     separation of its two rows; ``_switch_logic`` returns early on a tick
-    with no ring conflict and no backing-off row on that ground."""
+    with no conflict and no backing-off row on that ground."""
     fleet = _layered_fleet(data, 50.0)
     violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
     event("a resident violated" if violated.any() else "no resident violated")
@@ -386,13 +384,19 @@ def _ring_reference(fleet, cfg):
 def test_ring_matches_the_per_layer_loop(data):
     """The ring ``fleet_state`` reads off the fleet's one resident order
     matches the per-layer sort bit for bit, and each layer's segment holds
-    exactly that layer's residents."""
+    exactly that layer's residents.  The fleet's conflicts are the ring's
+    joined with the per-pair cross-layer rule's, which the 50 m offsets
+    let hit."""
     fleet = _layered_fleet(data, 50.0)
     for lay in (0, 1, 2):
         members = np.flatnonzero(fleet.resident & (fleet.layer == lay))
         assert np.sort(fleet.segment(lay)).tolist() == members.tolist()
     ring = fleet.front, fleet.rear, fleet.prec, fleet.ahead_x, fleet.ahead_h, fleet.conflicts
-    for got, want in zip(ring, _ring_reference(fleet, CFG)):
+    *want, codes = _ring_reference(fleet, CFG)
+    cross = np.array(_cross_layer_reference(fleet, CFG), dtype=int)
+    if len(cross):
+        event("a cross-layer pair conflicts")
+    for got, want in zip(ring, (*want, np.union1d(codes, cross))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -14,7 +14,7 @@ from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from uamsim import engine, scenarios, textfmt
-from uamsim.airspace import cross_layer_conflicts
+from uamsim.airspace import fleet_state
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
 from uamsim.engine import (
@@ -176,6 +176,51 @@ def test_episodes_match_the_per_tick_merge(ids, dt, data):
     assert merge_episodes(_log(log), ids, dt) == _tracker_episodes(id_log, dt)
 
 
+def _recorded_log(trace):
+    """Each tick's conflict pairs, rebuilt from the states the trace records:
+    a row recorded Switching is no resident."""
+    sc, ids = trace.scenario, trace.ids
+    log = []
+    for k in range(len(trace.x)):
+        fleet = fleet_state(
+            trace.x[k], trace.h[k], trace.vx[k], trace.vy[k], trace.layer[k],
+            trace.mode[k] != MODE_SWITCHING, ids, sc.airspace,
+        )
+        log.append((k, fleet.conflicts))
+    return log
+
+
+def test_the_dense_fleet_logs_the_conflicts_of_its_recorded_states():
+    """On ``fig12-ipr-dense`` a release opens gaps: when a row leaves from
+    between two ring neighbours, they are neighbours in the state the trace
+    records, and their conflict is in the episodes."""
+    trace = run(scenarios.get_scenario("fig12-ipr-dense", seed=1))
+    assert trace.episodes == merge_episodes(_recorded_log(trace), trace.ids, trace.scenario.dt)
+    assert len(trace.episodes) == 398
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    per_layer=st.integers(1, 40),
+    seed=st.integers(1, 10**6),
+    ticks=st.integers(1, 30),
+    # the default, and a coefficient that puts adjacent-layer residents in reach
+    coeff=st.sampled_from([0.5, 10.0]),
+)
+def test_the_episodes_are_those_of_the_recorded_states(per_layer, seed, ticks, coeff):
+    """The episode log is a function of the trace: merging the conflicts
+    rebuilt from each recorded tick gives the run's episodes."""
+    sc = scenarios.congestion_scenario(per_layer, seed)
+    sc = replace(
+        sc, duration_s=ticks * sc.dt,
+        airspace=replace(sc.airspace, vertical_separation_coeff=coeff),
+    )
+    trace = run(sc)
+    if any(kind == "LS_REQ" for _, _, kind, _ in trace.events):
+        event("a row released")
+    assert trace.episodes == merge_episodes(_recorded_log(trace), trace.ids, sc.dt)
+
+
 def test_single_aircraft_cruises_forever():
     sc = Scenario(
         name="solo",
@@ -254,12 +299,11 @@ def test_backoff_contention_is_local():
     sc = Scenario(aircraft=tuple(AircraftSpec(i, 0, x=x) for i, x in enumerate(xs)))
     eng = engine._Engine(sc)
     fleet = eng._fleet()
-    conflicts = np.union1d(fleet.conflicts, cross_layer_conflicts(fleet, sc.airspace))
-    assert conflicts.tolist() == [0 * 4 + 1, 2 * 4 + 3]
+    assert fleet.conflicts.tolist() == [0 * 4 + 1, 2 * 4 + 3]
     sw = eng.switch
     for i, counter in ((0, 1), (1, 2), (2, 2)):
         sw.mode[i], sw.target[i], sw.backoff[i] = MODE_BACKING_OFF, 1, counter
-    fired = eng._switch_logic(0.0, fleet, conflicts)
+    fired = eng._switch_logic(0.0, fleet)
     assert fired.tolist() == [True, False, False, False]
     assert sw.backoff_max[1] == 4
     assert 1 <= sw.backoff[1] <= 4  # redrawn after the pass
@@ -278,17 +322,23 @@ def _switch_and_stream_bytes(eng):
 def test_a_tick_with_nothing_to_arbitrate_changes_no_state():
     """No ring conflict and no backing-off row: ``_switch_logic`` returns all
     False and leaves every switch and stream array as it was, with a
-    cross-layer conflict in the tick's list and a row mid-switch."""
-    xs = (0.0, 400.0, 800.0, 0.0, 1000.0)
-    layers = (0, 0, 0, 1, 2)
-    sc = Scenario(aircraft=tuple(AircraftSpec(i, lay, x=x) for i, (lay, x) in enumerate(zip(layers, xs))))
-    eng = engine._Engine(sc)
+    cross-layer conflict in the fleet's list and a row mid-switch.  Row 3,
+    5 m behind row 0 round the ring and 5 m above it, closes on it from
+    layer 1 at 15 m/s."""
+    specs = (
+        AircraftSpec(0, 0, x=0.0),
+        AircraftSpec(1, 0, x=400.0),
+        AircraftSpec(2, 0, x=800.0),
+        AircraftSpec(3, 1, x=1995.0, altitude_offset=-95.0),
+        AircraftSpec(4, 2, x=1000.0),
+    )
+    eng = engine._Engine(Scenario(aircraft=specs))
     sw = eng.switch
     sw.mode[4], sw.target[4], sw.ax[4], sw.ay[4] = MODE_SWITCHING, 1, -1.0, 3.0
     fleet = eng._fleet()
-    assert len(fleet.conflicts) == 0
+    assert fleet.conflicts.tolist() == [0 * 5 + 3]
     before = _switch_and_stream_bytes(eng)
-    fired = eng._switch_logic(0.0, fleet, np.array([0 * 5 + 3]))
+    fired = eng._switch_logic(0.0, fleet)
     assert fired.dtype == bool and fired.tolist() == [False] * 5
     assert _switch_and_stream_bytes(eng) == before
 

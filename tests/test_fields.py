@@ -321,7 +321,7 @@ def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
     pull = -fields.attract_gradient(fleet, sc.weights.attract)[0][1]
     assert pull == pytest.approx(0.376, abs=5e-4)
     eng.switch.mode[0], eng.switch.target[0], eng.switch.backoff[0] = MODE_BACKING_OFF, 1, 1
-    assert eng._switch_logic(0.0, fleet, fleet.conflicts).tolist() == [True] + [False] * 5
+    assert eng._switch_logic(0.0, fleet).tolist() == [True] + [False] * 5
     after = eng._fleet()
     assert after.order.tolist() == [1, 2, 3, 4, 5]
     assert (after.prec[1], after.front[1]) == (-1, np.inf)

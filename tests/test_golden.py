@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from uamsim import engine, scenarios
+from uamsim import airspace, engine, scenarios
 from uamsim.cli import main
 
 # scenario -> file -> (sha256, line count), for seed 1
@@ -30,8 +30,8 @@ GOLDEN = {
     },
     "fig12-ipr-dense": {
         "trace.csv": ("824b275a4b07838e41c66527bc5d356ace27f04ec3fed3de1050f0e728c45b4b", 36001),
-        "events.csv": ("56d30e2e8422f68d34bdd3d0b5d996b5f05f90f9c599d8a9027c49dc3abc19e3", 820),
-        "metrics.txt": ("bb4131e7eafe94db85ee5ad9119de2bd8b65df74389723d05c51d57f2fbb76a2", 18),
+        "events.csv": ("6818c7a6ef3f386b22d68e463fa53c19325e0d40ac2eaf1b4044465d31c8e521", 877),
+        "metrics.txt": ("560add75de57a9acc49c0b72a27831754d74326200d7c13653d7bd06d254a008", 18),
     },
     "fig6-airborne": {
         "trace.csv": ("20f83fb504a6d256620ffe4a613b441655e5477e9dc3dfcda410ddb69a84df1f", 6001),
@@ -233,17 +233,20 @@ def test_raw_trace_arrays_match_their_digests(name):
 
 
 def test_cross_layer_variant_flies_cross_layer_pairs(monkeypatch):
-    """The variant's digests cover the cross-layer rule: it finds pairs."""
-    counts, rule = [], engine.cross_layer_conflicts
+    """The variant's digests cover the cross-layer rule: it finds pairs in
+    every fleet the run builds, one a tick and a second on a tick with a
+    release."""
+    counts, rule = [], airspace.cross_layer_conflicts
 
     def counted(fleet, cfg):
         codes = rule(fleet, cfg)
         counts.append(len(codes))
         return codes
 
-    monkeypatch.setattr(engine, "cross_layer_conflicts", counted)
-    engine.run(seeded("fig12-ipr-xl"))
-    assert len(counts) == 100 and min(counts) > 0 and sum(counts) == 1025
+    monkeypatch.setattr(airspace, "cross_layer_conflicts", counted)
+    trace = engine.run(seeded("fig12-ipr-xl"))
+    releases = {t for t, _, kind, _ in trace.events if kind == "LS_REQ"}
+    assert len(counts) == 100 + len(releases) and min(counts) > 0 and sum(counts) == 1089
 
 
 def test_delay_bounds_match_their_digest(tmp_path, capsys):
