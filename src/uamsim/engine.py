@@ -471,13 +471,16 @@ class _Engine:
                     self.ids[self.pair_low] if self.pair_low >= 0 else -1
                 )
 
-            if not (np.isfinite(ax).all() and np.isfinite(ay).all()):
-                raise RuntimeError(f"non-finite force at t={t:.{dec}f}")
             self.vx += ax * sc.dt
             self.vy += ay * sc.dt
             over = np.hypot(self.vx, self.vy)
-            mask = over > sc.airspace.max_speed_mps
-            if mask.any():
+            # the speeds were finite, so the fastest is NaN or infinite just
+            # when a force is: one reduction checks every row
+            top = over.max()
+            if not top < math.inf:
+                raise RuntimeError(f"non-finite force at t={t:.{dec}f}")
+            if top > sc.airspace.max_speed_mps:
+                mask = over > sc.airspace.max_speed_mps
                 scale = sc.airspace.max_speed_mps / over[mask]
                 self.vx[mask] *= scale
                 self.vy[mask] *= scale
@@ -522,9 +525,9 @@ class _Engine:
         returns before any other array work: a row whose front or rear gap is
         under its separation belongs to a ring pair of ``fleet.conflicts``,
         which tests the gap against the larger separation of its two rows, so
-        no cruiser is violated.  Conversely a ring conflict holds a violated
-        row, a cruiser or a backing-off one; a tick past the exit on
-        cross-layer pairs alone steps and triggers no row."""
+        no cruiser is violated.  A tick whose conflicts are cross-layer pairs
+        alone passes that test, and returns once it finds no backing-off row
+        and no violated cruiser: no row can then step, trigger, arm or draw."""
         sc, sw, n = self.sc, self.switch, self.n
         fired = np.zeros(n, dtype=bool)
         backing_off = sw.mode == MODE_BACKING_OFF
@@ -533,6 +536,8 @@ class _Engine:
         violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
         backing = backing_off.nonzero()[0]
         cruisers = ((sw.mode == MODE_CRUISE) & violated).nonzero()[0]
+        if len(backing) == 0 and len(cruisers) == 0:
+            return fired
         # Back-off contention is local: only requests from aircraft currently
         # contending for the same separation gap reset a pending counter.  A
         # request on the far side of the ring says nothing about this gap.

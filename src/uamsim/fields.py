@@ -185,15 +185,18 @@ def layer_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
 
 
 def goal_value(fleet: Fleet, goals: Goals, cfg: AirspaceConfig) -> np.ndarray:
-    dx = ring_offset(goals.x - fleet.x, cfg.course_length_m)
-    dh = fleet.h - goals.h
-    return np.where(goals.active, dx * dx + dh * dh, 0.0)
+    value = np.zeros(len(fleet.x))
+    g = goals.active.nonzero()[0]  # in a flight, the served pair: two rows at most
+    dx = ring_offset(goals.x[g] - fleet.x[g], cfg.course_length_m)
+    dh = fleet.h[g] - goals.h[g]
+    value[g] = dx * dx + dh * dh
+    return value
 
 
 def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float = 1.0):
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    g = goals.active
-    if not g.any():
+    g = goals.active.nonzero()[0]
+    if len(g) == 0:
         return gx, gh
     gdx = ring_offset(goals.x[g] - fleet.x[g], cfg.course_length_m)
     gx[g] = weight * (-2.0 * gdx)

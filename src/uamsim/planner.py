@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ris import grid_steps, steering_rows
+from .ris import grid_steps, steering_index, steering_rows
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,23 @@ def cosine_mismatch(
     x_high: np.ndarray | float,
     query: PlanningQuery,
 ) -> np.ndarray | float:
-    """cos(BS->low) - cos(low->high) at the candidate x positions."""
+    """cos(BS->low) - cos(low->high) at the candidate x positions.
+
+    Scalar positions, Python or NumPy floats, take ``math.sqrt``; arrays
+    take ``np.sqrt`` and square by ``np.float_power``, which calls the C
+    library's pow element by element as a scalar's ``** 2`` does.  An
+    array's ``** 2`` is a product, which can differ from pow in the last
+    bit.  So a position gives the same bits in every form.
+    """
     bx, bh = query.bs_pos
     h_low = query.low_pos[1]
     h_high = query.high_pos[1]
-    d1 = np.sqrt((x_low - bx) ** 2 + (h_low - bh) ** 2)
-    d2 = np.sqrt((x_high - x_low) ** 2 + (h_high - h_low) ** 2)
+    if isinstance(x_low, np.ndarray) or isinstance(x_high, np.ndarray):
+        power, sqrt = np.float_power, np.sqrt
+    else:
+        power, sqrt = pow, math.sqrt
+    d1 = sqrt(power(x_low - bx, 2) + power(h_low - bh, 2))
+    d2 = sqrt(power(x_high - x_low, 2) + power(h_high - h_low, 2))
     return (x_low - bx) / d1 - (x_high - x_low) / d2
 
 
@@ -103,7 +114,7 @@ def grid_fitness(
     multiplicity, so the mean over the rows equals the mean over all L
     elements.  Vectorized over any array of mismatches.
     """
-    u = np.arange(steering_rows(num_elements), dtype=float)
+    u = steering_index(num_elements)
     terms = np.multiply.outer(np.asarray(mismatch, dtype=float), u)
     residual = terms - (terms / resolution).round() * resolution
     return (residual**2).mean(axis=-1)
@@ -122,7 +133,7 @@ def best_mismatch(
     m* = resolution * sum(u k_u) / sum(u^2), clipped to the piece.  The best
     of those candidates is the global minimum.
     """
-    u = np.arange(1, steering_rows(num_elements), dtype=float)
+    u = steering_index(num_elements)[1:]
     if u.size == 0:  # a single element has nothing to align
         return min(max(near, m_lo), m_hi)
     k = round(near / resolution)
@@ -166,17 +177,17 @@ def _place(m_target: float, query: PlanningQuery) -> tuple[float, float]:
     leaves the box is x_high pinned to the box edge and x_low bisected.
     ``m_target`` must lie in the range the box reaches.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = query.search_box()
+    (lo_a, hi_a), (lo_b, hi_b) = (corner.tolist() for corner in query.search_box())
     x0 = 0.5 * (lo_a + lo_b)
     if m_target <= cosine_mismatch(x0, hi_b, query):
-        return _bisect_low(m_target, hi_b, lo_a, x0, query), float(hi_b)
+        return _bisect_low(m_target, hi_b, lo_a, x0, query), hi_b
     if m_target >= cosine_mismatch(x0, hi_a, query):
-        return _bisect_low(m_target, hi_a, x0, lo_b, query), float(hi_a)
+        return _bisect_low(m_target, hi_a, x0, lo_b, query), hi_a
     bx, bh = query.bs_pos
     c = (x0 - bx) / math.hypot(x0 - bx, query.low_pos[1] - bh) - m_target
     dh = abs(query.high_pos[1] - query.low_pos[1])
     x_high = x0 + c * dh / math.sqrt(1.0 - c * c)
-    return float(x0), float(min(max(x_high, hi_a), hi_b))
+    return x0, min(max(x_high, hi_a), hi_b)
 
 
 def pso_minimize(
@@ -242,15 +253,15 @@ def pso_optimize(query: PlanningQuery) -> tuple[tuple[float, float], float]:
     search it replaced, kept because the benchmark's tracer looks the
     planner up under it.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = query.search_box()
-    m_lo = float(cosine_mismatch(lo_a, hi_b, query))
-    m_hi = float(cosine_mismatch(lo_b, hi_a, query))
+    (lo_a, hi_a), (lo_b, hi_b) = (corner.tolist() for corner in query.search_box())
+    m_lo = cosine_mismatch(lo_a, hi_b, query)
+    m_hi = cosine_mismatch(lo_b, hi_a, query)
     near = float(cosine_mismatch(query.low_pos[0], query.high_pos[0], query))
     m = best_mismatch(m_lo, m_hi, query.num_elements, query.resolution, near)
     if m == m_lo:
-        best = (float(lo_a), float(hi_b))
+        best = (lo_a, hi_b)
     elif m == m_hi:
-        best = (float(lo_b), float(hi_a))
+        best = (lo_b, hi_a)
     else:
         best = _place(m, query)
     mism = cosine_mismatch(best[0], best[1], query)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -127,7 +128,8 @@ def cascaded_gain(
     """
     d1, d2, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
     theta = phases.phases
-    summed = np.exp(1j * (math.pi * np.arange(theta.size) * mismatch + theta)).sum()
+    u = steering_index(theta.size * theta.size)
+    summed = np.exp(1j * (math.pi * u * mismatch + theta)).sum()
     summed *= theta.size
     amp = params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
     return complex(amp * summed)
@@ -152,6 +154,15 @@ def steering_rows(num_elements: int) -> int:
     return math.isqrt(num_elements)
 
 
+@cache
+def steering_index(num_elements: int) -> np.ndarray:
+    """The steering rows 0..sqrt(L)-1 of a surface of L elements, as floats:
+    one read-only array per surface size, shared by every caller."""
+    u = np.arange(steering_rows(num_elements), dtype=float)
+    u.flags.writeable = False
+    return u
+
+
 def optimal_phase_shift(
     bs_pos: tuple[float, float],
     ris_pos: tuple[float, float],
@@ -163,9 +174,9 @@ def optimal_phase_shift(
     theta_u = -pi * u * (cos_in - cos_out) per steering row u, wrapped into
     [0, 2*pi).  With these the cascade sum hits its magnitude bound exactly.
     """
-    rows = steering_rows(num_elements)
+    u = steering_index(num_elements)
     _, _, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
-    theta = np.mod(-math.pi * np.arange(rows) * mismatch, TWO_PI)
+    theta = np.mod(-math.pi * u * mismatch, TWO_PI)
     # mod can return the period itself when the operand is a tiny negative
     theta[theta >= TWO_PI] = 0.0
     return RowPhases(theta)

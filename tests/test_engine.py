@@ -319,12 +319,15 @@ def _switch_and_stream_bytes(eng):
     ]
 
 
-def test_a_tick_with_nothing_to_arbitrate_changes_no_state():
+def test_a_tick_with_nothing_to_arbitrate_changes_no_state(monkeypatch):
     """No ring conflict and no backing-off row: ``_switch_logic`` returns all
     False and leaves every switch and stream array as it was, with a
     cross-layer conflict in the fleet's list and a row mid-switch.  Row 3,
     5 m behind row 0 round the ring and 5 m above it, closes on it from
-    layer 1 at 15 m/s."""
+    layer 1 at 15 m/s.  With no row to step or trigger, the pass returns
+    before it picks a target layer."""
+    targeted = []
+    monkeypatch.setattr(engine, "target_layers", lambda *args: targeted.append(args))
     specs = (
         AircraftSpec(0, 0, x=0.0),
         AircraftSpec(1, 0, x=400.0),
@@ -341,6 +344,7 @@ def test_a_tick_with_nothing_to_arbitrate_changes_no_state():
     fired = eng._switch_logic(0.0, fleet)
     assert fired.dtype == bool and fired.tolist() == [False] * 5
     assert _switch_and_stream_bytes(eng) == before
+    assert targeted == []
 
 
 # NumPy's Python-level wrappers: the dispatchers in these modules cost a few
@@ -740,6 +744,24 @@ def test_coincidence_mid_run_is_a_collision():
     assert validate_scenario(sc) == []
     with pytest.raises(CollisionError, match="aircraft 0 and 1 collided in layer 1"):
         run(sc)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_force_stops_the_run_at_its_tick(monkeypatch, bad):
+    """A NaN or infinite acceleration on tick 3 raises, naming t = 0.3 s."""
+    accelerations = engine._Engine._accelerations
+    ticks = []
+
+    def poisoned(self, fleet):
+        ax, ay = accelerations(self, fleet)
+        ticks.append(None)
+        if len(ticks) == 4:
+            ax[1] = bad
+        return ax, ay
+
+    monkeypatch.setattr(engine._Engine, "_accelerations", poisoned)
+    with pytest.raises(RuntimeError, match=r"^non-finite force at t=0\.3$"):
+        run(_short(scenarios.get_scenario("fig9-phase"), 1.0))
 
 
 def test_other_capacity_errors_propagate(monkeypatch):

@@ -1,5 +1,5 @@
 """Pinned artifacts: every builtin at seed 1, and ``uamsim delay-bounds`` with
-its defaults, write the same bytes as before.  Four builtins and five
+its defaults, write the same bytes as before.  Four builtins and six
 variants also pin the raw state arrays of their trace, every bit of which the
 files' 6 decimals would not show.
 
@@ -115,6 +115,16 @@ RAW = {
         "capacity_bps": "75b9c6f6da3c23aa9984dc11cba035789d60a37238298c032bcf6295c3496b3f",
         "ris_partner": "abc127d44cea14cb76e589bc2e611d7e260ff832ac1cf23e14447f628c70a0c7",
     },
+    "fig9-phase-stationary": {
+        "x": "baa5a14d970df5f42a1caf5416d220dccba8fc3bd0850c5cd70e010a80da4df0",
+        "h": "e42c938e5bfb322aae41a546ee3c9ff88555c7f008b99d9594c93ef7665431b4",
+        "vx": "6449188e924c384f658e7b542805738263e60fca98a074617504e696ece5300d",
+        "vy": "ff6698a6e831ffcf47af2fed388ffc262f319e72b26cd140929d1e19b1246ad4",
+        "layer": "a387ebff53675618e4d8ed001f81f815948afccb262f7fdb62cdc748a8a08b48",
+        "mode": "ff6698a6e831ffcf47af2fed388ffc262f319e72b26cd140929d1e19b1246ad4",
+        "capacity_bps": "60314eca2c4e231f0034f433fb93d2d6d2ba453f8d3e94b29b29c1fb6cc24477",
+        "ris_partner": "2aadcd563462f800783d4757407ad8f6e63707d3c521e6e35ef2a84a3ba76c01",
+    },
     "fig12-ipr-dense-seed-2e70": {
         "x": "0b4d40bfcf633443889e7bff9b5944b82ed276306eab8963e34be585c5a856c7",
         "h": "c944399c81594866ff8445158cc6735dda3d4333b065ea690c10f0ecf7cba403",
@@ -160,7 +170,9 @@ RAW_ARRAYS = ("x", "h", "vx", "vy", "layer", "mode", "capacity_bps", "ris_partne
 
 # variant -> (builtin, --set assignments).  The default coefficient puts
 # every layer pair out of reach; at 10, fig12-ipr flies with cross-layer
-# pairs on each of its 100 ticks.  The dense variants keep seed 1's
+# pairs on each of its 100 ticks.  fig9-phase with a stationary surface is
+# the one flight that plans quantized phases with ``low_fixed`` and its
+# degenerate box: 20 plans, a link served on all 100 ticks.  The dense variants keep seed 1's
 # placement and vary the switch draws: a three-word seed, a seed of seven
 # words (more than the seed sequence's pool of four), a ceiling of 1 that
 # draws no counter, and the widest ceiling.
@@ -170,6 +182,7 @@ VARIANTS = {
         "fig12-ipr",
         (("airspace.vertical_separation_coeff", "10"), ("duration_s", "10")),
     ),
+    "fig9-phase-stationary": ("fig9-phase", (("ris_mode", "stationary"), ("duration_s", "10"))),
     "fig12-ipr-dense-seed-2e70": ("fig12-ipr-dense", (("seed", str(2**70)), DENSE_10S)),
     "fig12-ipr-dense-seed-2e200": (
         "fig12-ipr-dense",

@@ -274,6 +274,25 @@ def test_exact_planner_never_loses(g, seed):
     assert fit <= _random_best(q, np.random.default_rng(seed)) * (1.0 + 1e-9) + 1e-24
 
 
+@settings(max_examples=200, deadline=None)
+@given(_geometry, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_mismatch_bits_do_not_depend_on_the_number_type(g, f_low, f_high):
+    """At in-box positions the mismatch of Python floats, NumPy float64
+    scalars and one-element arrays is one and the same float."""
+    q = _from(g)
+    lower, upper = (corner.tolist() for corner in q.search_box())
+    x_low = lower[0] + f_low * (upper[0] - lower[0])
+    x_high = lower[1] + f_high * (upper[1] - lower[1])
+    m = cosine_mismatch(x_low, x_high, q)
+    assert type(m) is float
+    forms = (
+        cosine_mismatch(np.float64(x_low), np.float64(x_high), q),
+        cosine_mismatch(np.array([x_low]), np.array([x_high]), q)[0],
+        cosine_mismatch(x_low, np.array([x_high]), q)[0],
+    )
+    assert [np.float64(v).tobytes() for v in forms] == [np.float64(m).tobytes()] * 3
+
+
 def test_quantized_stationary_run_plans_with_the_surface_fixed():
     sc = replace(
         scenarios.get_scenario("fig6-stationary", seed=2),
