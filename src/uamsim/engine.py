@@ -346,9 +346,9 @@ class _Engine:
     def _plan_comm(self, t: float, fleet: Fleet) -> None:
         """Refresh the served pair, the surface phases and the pair goals.
 
-        A quantized plan whose surface sits on the served aircraft has no
-        phases to quantize: it records ZERO_PATH and serves nothing until a
-        later plan succeeds.
+        A quantized plan whose surface sits on the served aircraft, or whose
+        search reaches the surface, has no phases to quantize: it records
+        ZERO_PATH and serves nothing until a later plan succeeds.
         """
         sc = self.sc
         self.goals.active[:] = False
@@ -379,13 +379,6 @@ class _Engine:
         if sc.phase_mode is PhaseMode.CONTINUOUS:
             # phases track the geometry every tick; aligned_snr has them exactly
             return
-        try:
-            best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
-        except ZeroLengthPath:
-            self._zero_path(t)
-            self.pair_low = self.pair_high = -1
-            return
-        self.phases = quantize_config(best, sc.phase_resolution)
         horizon = sc.airspace.max_speed_mps * sc.comm_interval * sc.dt
         query = PlanningQuery(
             bs_pos=sc.bs_pos,
@@ -396,7 +389,14 @@ class _Engine:
             resolution=sc.phase_resolution,
             low_fixed=stationary,
         )
-        (gx_low, gx_high), _ = pso_optimize(query)
+        try:
+            best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
+            (gx_low, gx_high), _ = pso_optimize(query)
+        except ZeroLengthPath:
+            self._zero_path(t)
+            self.pair_low = self.pair_high = -1
+            return
+        self.phases = quantize_config(best, sc.phase_resolution)
         if not stationary:
             lo = self.pair_low
             self.goals.x[lo] = gx_low

@@ -6,8 +6,12 @@ The alignment fitness (problem P4) depends on a candidate (x_low, x_high)
 only through the scalar mismatch m = cos_in - cos_out, and m rises with x_low
 and falls with x_high.  So the planner minimizes the fitness exactly over
 the range of m the search box can reach, then maps the best m back to a
-point in the box.  The particle swarm the paper solves P4 with
-(``pso_minimize``) is kept as a reference the exact solver is tested against.
+point in the box.  Every mismatch is the surface's own, read from
+``ris.cascade_geometry`` on Python floats, so the plan starts from the
+mismatch the phases are steered by, and a candidate on the surface raises
+``ZeroLengthPath`` as a coincident link does.  The particle swarm the paper
+solves P4 with (``pso_minimize``) is kept as a reference the exact solver is
+tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ris import grid_steps, steering_index, steering_rows
+from .ris import cascade_geometry, grid_steps, steering_index, steering_rows
 
 
 @dataclass(frozen=True)
@@ -65,44 +69,26 @@ class PlanningQuery:
         steering_rows(self.num_elements)
         grid_steps(self.resolution)
 
-    def search_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Closed (lower, upper) corners of the box the solvers search.
+    def search_box(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """Closed (near, far) x range of the low aircraft, then of the high.
 
-        The box is half-open at the current positions; it is shrunk there by
-        a hair so every candidate stays strictly ahead.  A fixed surface
-        gets the degenerate interval [x, x].
+        Each range is half-open at the current x; it is shrunk there by a
+        hair so every candidate stays strictly ahead.  A fixed surface gets
+        the degenerate range (x, x).
         """
-        starts = np.array([self.low_pos[0], self.high_pos[0]])
-        lower = starts + 1e-9 * np.maximum(1.0, np.abs(starts))
-        upper = starts + np.array(self.horizon_m)
+        x_low, x_high = self.low_pos[0], self.high_pos[0]
         if self.low_fixed:
-            lower[0] = upper[0] = starts[0]
-        return lower, upper
+            low = (x_low, x_low)
+        else:
+            low = (x_low + 1e-9 * max(1.0, abs(x_low)), x_low + self.horizon_m[0])
+        return low, (x_high + 1e-9 * max(1.0, abs(x_high)), x_high + self.horizon_m[1])
 
 
-def cosine_mismatch(
-    x_low: np.ndarray | float,
-    x_high: np.ndarray | float,
-    query: PlanningQuery,
-) -> np.ndarray | float:
-    """cos(BS->low) - cos(low->high) at the candidate x positions.
-
-    Scalar positions, Python or NumPy floats, take ``math.sqrt``; arrays
-    take ``np.sqrt`` and square by ``np.float_power``, which calls the C
-    library's pow element by element as a scalar's ``** 2`` does.  An
-    array's ``** 2`` is a product, which can differ from pow in the last
-    bit.  So a position gives the same bits in every form.
-    """
-    bx, bh = query.bs_pos
-    h_low = query.low_pos[1]
-    h_high = query.high_pos[1]
-    if isinstance(x_low, np.ndarray) or isinstance(x_high, np.ndarray):
-        power, sqrt = np.float_power, np.sqrt
-    else:
-        power, sqrt = pow, math.sqrt
-    d1 = sqrt(power(x_low - bx, 2) + power(h_low - bh, 2))
-    d2 = sqrt(power(x_high - x_low, 2) + power(h_high - h_low, 2))
-    return (x_low - bx) / d1 - (x_high - x_low) / d2
+def cosine_mismatch(x_low: float, x_high: float, query: PlanningQuery) -> float:
+    """cos(BS->low) - cos(low->high) at the candidate x positions: the
+    surface's own mismatch, from ``ris.cascade_geometry``."""
+    low, high = (x_low, query.low_pos[1]), (x_high, query.high_pos[1])
+    return cascade_geometry(query.bs_pos, low, high)[2]
 
 
 def grid_fitness(
@@ -177,17 +163,18 @@ def _place(m_target: float, query: PlanningQuery) -> tuple[float, float]:
     leaves the box is x_high pinned to the box edge and x_low bisected.
     ``m_target`` must lie in the range the box reaches.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = (corner.tolist() for corner in query.search_box())
-    x0 = 0.5 * (lo_a + lo_b)
-    if m_target <= cosine_mismatch(x0, hi_b, query):
-        return _bisect_low(m_target, hi_b, lo_a, x0, query), hi_b
-    if m_target >= cosine_mismatch(x0, hi_a, query):
-        return _bisect_low(m_target, hi_a, x0, lo_b, query), hi_a
-    bx, bh = query.bs_pos
-    c = (x0 - bx) / math.hypot(x0 - bx, query.low_pos[1] - bh) - m_target
+    (low_near, low_far), (high_near, high_far) = query.search_box()
+    x0 = 0.5 * (low_near + low_far)
+    if m_target <= cosine_mismatch(x0, high_far, query):
+        return _bisect_low(m_target, high_far, low_near, x0, query), high_far
+    low, high = (x0, query.low_pos[1]), (high_near, query.high_pos[1])
+    d1, _, m_near = cascade_geometry(query.bs_pos, low, high)
+    if m_target >= m_near:
+        return _bisect_low(m_target, high_near, x0, low_far, query), high_near
+    c = (x0 - query.bs_pos[0]) / d1 - m_target
     dh = abs(query.high_pos[1] - query.low_pos[1])
     x_high = x0 + c * dh / math.sqrt(1.0 - c * c)
-    return x0, min(max(x_high, hi_a), hi_b)
+    return x0, min(max(x_high, high_near), high_far)
 
 
 def pso_minimize(
@@ -246,22 +233,24 @@ def pso_optimize(query: PlanningQuery) -> tuple[tuple[float, float], float]:
     """Best next-window (x_low, x_high) for the pair, with its fitness.
 
     An exact, deterministic solve: the box reaches the mismatches between
-    its corners m(lower_low, upper_high) and m(upper_low, lower_high);
+    its corners m(low near, high far) and m(low far, high near);
     ``best_mismatch`` minimizes the fitness over that range, preferring the
-    zero nearest the pair's current mismatch so the pair re-steers least,
-    and ``_place`` maps the minimizer back into the box.  The name is that of the swarm
-    search it replaced, kept because the benchmark's tracer looks the
-    planner up under it.
+    zero nearest the pair's current mismatch, the one the surface's phases
+    are steered by, so the pair re-steers least, and ``_place`` maps the
+    minimizer back into the box.  Every mismatch is ``ris.cascade_geometry``'s,
+    so a candidate on the surface raises ``ZeroLengthPath``.  The name is that
+    of the swarm search it replaced, kept because the benchmark's tracer looks
+    the planner up under it.
     """
-    (lo_a, hi_a), (lo_b, hi_b) = (corner.tolist() for corner in query.search_box())
-    m_lo = cosine_mismatch(lo_a, hi_b, query)
-    m_hi = cosine_mismatch(lo_b, hi_a, query)
-    near = float(cosine_mismatch(query.low_pos[0], query.high_pos[0], query))
+    (low_near, low_far), (high_near, high_far) = query.search_box()
+    m_lo = cosine_mismatch(low_near, high_far, query)
+    m_hi = cosine_mismatch(low_far, high_near, query)
+    near = cosine_mismatch(query.low_pos[0], query.high_pos[0], query)
     m = best_mismatch(m_lo, m_hi, query.num_elements, query.resolution, near)
     if m == m_lo:
-        best = (lo_a, hi_b)
+        best = (low_near, high_far)
     elif m == m_hi:
-        best = (lo_b, hi_a)
+        best = (low_far, high_near)
     else:
         best = _place(m, query)
     mism = cosine_mismatch(best[0], best[1], query)

@@ -102,11 +102,14 @@ def direct_gain(
     return complex(math.sqrt(params.ref_gain / d ** params.alpha_bs_k))
 
 
-def _cascade_geometry(
+def cascade_geometry(
     bs_pos: tuple[float, float], ris_pos: tuple[float, float], k_pos: tuple[float, float]
 ) -> tuple[float, float, float]:
     """Path lengths d1 (BS->surface) and d2 (surface->aircraft), and the
-    mismatch cos_in - cos_out of the two azimuth cosines against +x."""
+    mismatch cos_in - cos_out of the two azimuth cosines against +x.
+
+    The one cascade geometry: the phases, the cascade sum, its bound and the
+    planner all read it.  Coincident ends raise ZeroLengthPath."""
     d1 = _distance(bs_pos, ris_pos)
     d2 = _distance(ris_pos, k_pos)
     return d1, d2, (ris_pos[0] - bs_pos[0]) / d1 - (k_pos[0] - ris_pos[0]) / d2
@@ -126,7 +129,7 @@ def cascaded_gain(
     beta / sqrt(d1^a1 * d2^a2).  The sum runs over the sqrt(L) rows, each
     standing for sqrt(L) equal elements.
     """
-    d1, d2, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    d1, d2, mismatch = cascade_geometry(bs_pos, ris_pos, k_pos)
     theta = phases.phases
     u = steering_index(theta.size * theta.size)
     summed = np.exp(1j * (math.pi * u * mismatch + theta)).sum()
@@ -143,7 +146,7 @@ def cascaded_gain_bound(
     params: ChannelParams,
 ) -> float:
     """Upper bound L * beta / sqrt(d1^a1 * d2^a2) on the cascade magnitude."""
-    d1, d2, _ = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    d1, d2, _ = cascade_geometry(bs_pos, ris_pos, k_pos)
     return num_elements * params.ref_gain / math.sqrt(d1**params.alpha_bs_i * d2**params.alpha_i_k)
 
 
@@ -175,7 +178,7 @@ def optimal_phase_shift(
     [0, 2*pi).  With these the cascade sum hits its magnitude bound exactly.
     """
     u = steering_index(num_elements)
-    _, _, mismatch = _cascade_geometry(bs_pos, ris_pos, k_pos)
+    _, _, mismatch = cascade_geometry(bs_pos, ris_pos, k_pos)
     theta = np.mod(-math.pi * u * mismatch, TWO_PI)
     # mod can return the period itself when the operand is a tiny negative
     theta[theta >= TWO_PI] = 0.0

@@ -686,18 +686,37 @@ def _parked_on_the_served_aircraft(phase_mode):
     )
 
 
-@pytest.mark.parametrize("phase_mode", list(PhaseMode), ids=lambda m: m.value)
-def test_coincident_surface_serves_nothing_and_says_so(phase_mode):
+# fig9-phase's fixed surface put on layer 2 at x = 32.5: aircraft 10 starts
+# there at x = 0 with a 32.5 m planning horizon, so its search reaches the
+# surface in the windows at t = 0 and t = 0.5
+_ON_THE_SEARCH_PATH = replace(
+    scenarios.get_scenario("fig9-phase"),
+    ris_mode=RisMode.STATIONARY,
+    stationary_ris_pos=(32.5, 200.0),
+    duration_s=2.0,
+)
+
+
+@pytest.mark.parametrize(
+    "sc, zero_at, dark",
+    [
+        pytest.param(_parked_on_the_served_aircraft(PhaseMode.ZERO), [(0.0, 7)], 1, id="zero"),
+        pytest.param(_parked_on_the_served_aircraft(PhaseMode.QUANTIZED), [(0.0, 7)], 5, id="quantized"),
+        pytest.param(_parked_on_the_served_aircraft(PhaseMode.CONTINUOUS), [(0.0, 7)], 1, id="continuous"),
+        pytest.param(_ON_THE_SEARCH_PATH, [(0.0, 10), (0.5, 10)], 10, id="quantized-plan-reaches-it"),
+    ],
+)
+def test_coincident_surface_serves_nothing_and_says_so(sc, zero_at, dark):
     """A stationary surface on the served aircraft has a zero-length path:
     that tick serves nothing and records a ZERO_PATH event.  A quantized
-    plan has no phases then, so nothing is served until the next plan."""
-    sc = _parked_on_the_served_aircraft(phase_mode)
+    plan has no phases then, so nothing is served until the next plan; so
+    too when the plan's search reaches the surface."""
     tr = run(sc)
     zero = [e for e in tr.events if e[2] == "ZERO_PATH"]
-    assert zero == [(0.0, 7, "ZERO_PATH", "ris=-1")]
-    dark = sc.comm_interval if phase_mode is PhaseMode.QUANTIZED else 1
-    assert np.all(tr.capacity_bps[:dark] == 0.0)
-    assert np.all(tr.capacity_bps[dark:] > 0.0)
+    assert zero == [(t, k, "ZERO_PATH", "ris=-1") for t, k in zero_at]
+    served = tr.capacity_bps.sum(axis=1)
+    assert np.all(served[:dark] == 0.0)
+    assert np.all(served[dark:] > 0.0)
 
 
 def test_coincident_start_is_rejected():

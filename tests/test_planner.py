@@ -2,13 +2,14 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uamsim import scenarios
+from uamsim import planner, ris, scenarios
 from uamsim.engine import PhaseMode, run
 from uamsim.planner import (
     PlanningQuery,
@@ -33,9 +34,16 @@ def _query(resolution=1.0 / 12.0, num_elements=1024):
 
 
 def candidate_fitness(xs, query):
-    """Grid fitness over an (n, 2) array of in-box candidates."""
-    mism = cosine_mismatch(xs[:, 0], xs[:, 1], query)
+    """Grid fitness over an (n, 2) array of in-box candidates, each
+    candidate's mismatch taken by the planner's own scalar function."""
+    mism = [cosine_mismatch(xl, xh, query) for xl, xh in xs.tolist()]
     return grid_fitness(mism, query.num_elements, query.resolution)
+
+
+def _corners(query):
+    """The search box as (lower, upper) arrays over (x_low, x_high)."""
+    (low_near, low_far), (high_near, high_far) = query.search_box()
+    return np.array([low_near, high_near]), np.array([low_far, high_far])
 
 
 def _element_fitness(mism, query):
@@ -48,12 +56,11 @@ def _element_fitness(mism, query):
 
 def _oracle(query, seed):
     """Swarm search over the same box, as the simulator used to plan."""
-    lower, upper = query.search_box()
+    lower, upper = _corners(query)
     rng = np.random.default_rng(seed)
     if query.low_fixed:
         def fit(xs):
-            mism = cosine_mismatch(lower[0], xs[:, 0], query)
-            return grid_fitness(mism, query.num_elements, query.resolution)
+            return candidate_fitness(np.column_stack([np.full(len(xs), lower[0]), xs[:, 0]]), query)
 
         _, f = pso_minimize(fit, lower[1:], upper[1:], PsoParams(), rng)
         return f
@@ -112,7 +119,7 @@ def test_out_of_box_is_infeasible():
     a fixed surface's x_low is pinned where it is."""
 
     def inside(point, query):
-        lower, upper = query.search_box()
+        lower, upper = _corners(query)
         return bool(np.all((lower <= point) & (point <= upper)))
 
     q = _query()
@@ -274,23 +281,33 @@ def test_exact_planner_never_loses(g, seed):
     assert fit <= _random_best(q, np.random.default_rng(seed)) * (1.0 + 1e-9) + 1e-24
 
 
+def _recording(module, name, calls):
+    """Patch module.name with a spy that records (args, result) per call."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    return mock.patch.object(module, name, spy)
+
+
 @settings(max_examples=200, deadline=None)
-@given(_geometry, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_mismatch_bits_do_not_depend_on_the_number_type(g, f_low, f_high):
-    """At in-box positions the mismatch of Python floats, NumPy float64
-    scalars and one-element arrays is one and the same float."""
+@given(_geometry)
+def test_the_plan_starts_from_the_mismatch_the_surface_steers_by(g):
+    """The mismatch pso_optimize prefers zeros near is, bit for bit, the one
+    optimal_phase_shift steers the surface by at the pair's current
+    positions: both are ris.cascade_geometry's."""
     q = _from(g)
-    lower, upper = (corner.tolist() for corner in q.search_box())
-    x_low = lower[0] + f_low * (upper[0] - lower[0])
-    x_high = lower[1] + f_high * (upper[1] - lower[1])
-    m = cosine_mismatch(x_low, x_high, q)
-    assert type(m) is float
-    forms = (
-        cosine_mismatch(np.float64(x_low), np.float64(x_high), q),
-        cosine_mismatch(np.array([x_low]), np.array([x_high]), q)[0],
-        cosine_mismatch(x_low, np.array([x_high]), q)[0],
-    )
-    assert [np.float64(v).tobytes() for v in forms] == [np.float64(m).tobytes()] * 3
+    plans, steers = [], []
+    with _recording(planner, "best_mismatch", plans):
+        pso_optimize(q)
+    with _recording(ris, "cascade_geometry", steers):
+        ris.optimal_phase_shift(q.bs_pos, q.low_pos, q.high_pos, q.num_elements)
+    near = plans[0][0][-1]  # best_mismatch's last argument
+    steered = steers[0][1][2]  # the mismatch of cascade_geometry's one call
+    assert len(steers) == 1
+    assert type(near) is float and near.hex() == steered.hex()
 
 
 def test_quantized_stationary_run_plans_with_the_surface_fixed():
