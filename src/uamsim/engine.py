@@ -22,7 +22,7 @@ from .airspace import (
     fleet_state,
     nonfinite,
 )
-from .fields import FieldWeights, Goals, force, potential
+from .fields import NO_GOALS, FieldWeights, Goals, force, potential
 # pso_minimize is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this namespace.
 from .planner import PlanningQuery, pso_minimize, pso_optimize  # noqa: F401
@@ -290,6 +290,11 @@ def time_decimals(dt: float) -> int:
     return 9
 
 
+# A comm window is (served row, relay row, surface phases, goals): relay -1
+# for a fixed surface, phases None when continuous.  A dark one serves no row.
+DARK = (-1, -1, None, NO_GOALS)
+
+
 def run(scenario: Scenario) -> SimTrace:
     """Simulate the scenario and return its full trace."""
     if scenario.problems:
@@ -303,7 +308,6 @@ class _Engine:
         air = sc.airspace
         self.n = len(sc.aircraft)
         self.course = air.course_length_m
-        self.spacing = air.layer_spacing_m
         self.ids = np.array([a.aircraft_id for a in sc.aircraft], dtype=int)
         self.layer = np.array([a.layer for a in sc.aircraft], dtype=int)
         self.x = np.array([a.x for a in sc.aircraft], dtype=float)
@@ -318,11 +322,8 @@ class _Engine:
         self.streams = Streams(sc.seed, self.n)
         self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
-        self.pair_low: int = -1
-        self.pair_high: int = -1
-        self.phases: RowPhases | None = None
         self.expected = np.array(air.expected_speeds_mps)
-        self.goals = Goals(np.zeros(self.n), np.zeros(self.n), np.zeros(self.n, dtype=bool))
+        self.window = DARK
 
     # --- helpers -----------------------------------------------------------
 
@@ -332,99 +333,91 @@ class _Engine:
             self.sc.airspace,
         )
 
-    def _ris_pos(self) -> tuple[float, float]:
-        """Surface position; an airborne surface rides on the low aircraft."""
-        if self.sc.ris_mode is RisMode.STATIONARY:
+    def _ris_pos(self, relay: int) -> tuple[float, float]:
+        """Surface position: on the relay row, or the fixed one for none (-1)."""
+        if relay < 0:
             return self.sc.stationary_ris_pos
-        return (float(self.x[self.pair_low]), float(self.h[self.pair_low]))
+        return (float(self.x[relay]), float(self.h[relay]))
 
-    def _zero_path(self, t: float) -> None:
+    def _zero_path(self, t: float, served: int, relay: int) -> None:
         """Record that the served link's ends coincide: it has no channel."""
-        partner = int(self.ids[self.pair_low]) if self.pair_low >= 0 else -1
-        self.events.append((t, int(self.ids[self.pair_high]), "ZERO_PATH", f"ris={partner}"))
+        partner = int(self.ids[relay]) if relay >= 0 else -1
+        self.events.append((t, int(self.ids[served]), "ZERO_PATH", f"ris={partner}"))
 
-    def _plan_comm(self, t: float, fleet: Fleet) -> None:
-        """Refresh the served pair, the surface phases and the pair goals.
-
-        A quantized plan whose surface sits on the served aircraft, or whose
-        search reaches the surface, has no phases to quantize: it records
-        ZERO_PATH and serves nothing until a later plan succeeds.
+    def _plan_comm(self, t: float, fleet: Fleet) -> tuple[int, int, RowPhases | None, Goals]:
+        """The comm window until the next plan: the high cruiser nearest the
+        base station, the low cruiser an airborne surface rides on, the
+        phases and the pair's goals.  Continuous phases track the geometry
+        every tick; quantized ones are snapped from the current geometry, and
+        the plan sets goals where they align.  A quantized window whose
+        surface sits on the served aircraft records ZERO_PATH and is dark; one
+        whose plan's search reaches the surface serves its phases, without
+        goals.
         """
         sc = self.sc
-        self.goals.active[:] = False
-        self.pair_low = self.pair_high = -1
-        self.phases = None
         cruise_high = fleet.segment(2).copy()
         cruise_high.sort()  # row order: argmin ties go to the lowest row
         if len(cruise_high) == 0:
-            return
+            return DARK
         bs = sc.bs_pos
         d_high = np.hypot(self.x[cruise_high] - bs[0], self.h[cruise_high] - bs[1])
-        hi = int(cruise_high[d_high.argmin()])
-        stationary = sc.ris_mode is RisMode.STATIONARY
-        if not stationary:
+        hi, lo = int(cruise_high[d_high.argmin()]), -1
+        if sc.ris_mode is RisMode.AIRBORNE:
             cruise_low = fleet.segment(1).copy()
             cruise_low.sort()
             if len(cruise_low) == 0:
-                return
+                return DARK
             x, h = self.x[cruise_low], self.h[cruise_low]
             relay_cost = np.hypot(x - bs[0], h - bs[1]) + np.hypot(x - self.x[hi], h - self.h[hi])
-            self.pair_low = int(cruise_low[relay_cost.argmin()])
-        ris_pos = self._ris_pos()
-        self.pair_high = hi
-        high_pos = (float(self.x[hi]), float(self.h[hi]))
+            lo = int(cruise_low[relay_cost.argmin()])
         if sc.phase_mode is PhaseMode.ZERO:
-            self.phases = RowPhases(np.zeros(steering_rows(sc.ris_elements)))
-            return
+            return hi, lo, RowPhases(np.zeros(steering_rows(sc.ris_elements))), NO_GOALS
         if sc.phase_mode is PhaseMode.CONTINUOUS:
-            # phases track the geometry every tick; aligned_snr has them exactly
-            return
-        horizon = sc.airspace.max_speed_mps * sc.comm_interval * sc.dt
+            return hi, lo, None, NO_GOALS
+        ris_pos = self._ris_pos(lo)
+        high_pos = (float(self.x[hi]), float(self.h[hi]))
+        try:
+            best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
+        except ZeroLengthPath:
+            self._zero_path(t, hi, lo)
+            return DARK
+        phases = quantize_config(best, sc.phase_resolution)
         query = PlanningQuery(
             bs_pos=sc.bs_pos,
             low_pos=ris_pos,
             high_pos=high_pos,
-            horizon_m=(horizon, horizon),
+            horizon_m=sc.airspace.max_speed_mps * sc.comm_interval * sc.dt,
             num_elements=sc.ris_elements,
             resolution=sc.phase_resolution,
-            low_fixed=stationary,
+            low_fixed=lo < 0,
         )
         try:
-            best = optimal_phase_shift(sc.bs_pos, ris_pos, high_pos, sc.ris_elements)
             (gx_low, gx_high), _ = pso_optimize(query)
         except ZeroLengthPath:
-            self._zero_path(t)
-            self.pair_low = self.pair_high = -1
-            return
-        self.phases = quantize_config(best, sc.phase_resolution)
-        if not stationary:
-            lo = self.pair_low
-            self.goals.x[lo] = gx_low
-            self.goals.h[lo] = self.spacing
-            self.goals.active[lo] = True
-        self.goals.x[hi] = gx_high
-        self.goals.h[hi] = 2.0 * self.spacing
-        self.goals.active[hi] = True
+            return hi, lo, phases, NO_GOALS
+        if lo < 0:
+            return hi, lo, phases, Goals(np.array([hi]), np.array([gx_high]))
+        return hi, lo, phases, Goals(np.array([lo, hi]), np.array([gx_low, gx_high]))
 
     def _tick_capacity(self, t: float) -> float:
-        """Capacity of the served link at the current state.
+        """Capacity of the window's link at the current state.
 
         A link whose ends coincide has no channel: it serves nothing that
         tick and leaves a ZERO_PATH event.
         """
         sc = self.sc
-        hi = self.pair_high
+        hi, lo, phases, _ = self.window
         if hi < 0:
             return 0.0
         high_pos = (float(self.x[hi]), float(self.h[hi]))
-        ris_pos = self._ris_pos()
+        ris_pos = self._ris_pos(lo)
         try:
-            if sc.phase_mode is PhaseMode.CONTINUOUS:
+            if phases is None:
                 s = aligned_snr(sc.bs_pos, ris_pos, high_pos, sc.ris_elements, sc.channel)
             else:
-                s = snr(sc.bs_pos, ris_pos, high_pos, self.phases, sc.channel)
+                s = snr(sc.bs_pos, ris_pos, high_pos, phases, sc.channel)
         except ZeroLengthPath:
-            self._zero_path(t)
+            self._zero_path(t, hi, lo)
             return 0.0
         return capacity(s, sc.channel)
 
@@ -453,7 +446,7 @@ class _Engine:
             self._capture_step(t)
             fleet = self._fleet()
             if k % sc.comm_interval == 0:
-                self._plan_comm(t, fleet)
+                self.window = self._plan_comm(t, fleet)
             if self._switch_logic(t, fleet).any():
                 # a release is the only change to the residents since the
                 # fleet was built: steer and log the state the trace records
@@ -465,11 +458,10 @@ class _Engine:
 
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k] = self.x, self.h, self.vx, self.vy
             trace.layer[k], trace.mode[k] = self.layer, self.switch.mode
-            if self.pair_high >= 0 and cap_now > 0.0:
-                trace.capacity_bps[k, self.pair_high] = cap_now
-                trace.ris_partner[k, self.pair_high] = (
-                    self.ids[self.pair_low] if self.pair_low >= 0 else -1
-                )
+            if cap_now > 0.0:
+                hi, lo = self.window[:2]
+                trace.capacity_bps[k, hi] = cap_now
+                trace.ris_partner[k, hi] = self.ids[lo] if lo >= 0 else -1
 
             self.vx += ax * sc.dt
             self.vy += ay * sc.dt
@@ -558,9 +550,9 @@ class _Engine:
         released = fired.nonzero()[0]
         if len(released):
             layer, target = self.layer[released], sw.target[released]
+            climb = sc.airspace.layer_altitude(target) - sc.airspace.layer_altitude(layer)
             plan = optimal_switch_acceleration(
-                self.expected[layer], self.expected[target],
-                self.spacing * np.abs(target - layer), sc.airspace.max_accel_mps2,
+                self.expected[layer], self.expected[target], abs(climb), sc.airspace.max_accel_mps2,
             )
             sw.ax[released], sw.ay[released] = plan.ax, plan.ay
             self._layer_events(t, "LS_REQ", released, target)
@@ -577,7 +569,7 @@ class _Engine:
     def _accelerations(self, fleet: Fleet) -> tuple[np.ndarray, np.ndarray]:
         """Composite-field forces, norm-clipped, switch profiles overriding."""
         sc = self.sc
-        fx, fh = force(fleet, self.goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
+        fx, fh = force(fleet, self.window[3], sc.weights, sc.airspace, sc.neighbor_radius_m)
         # clip to the airframe budget
         norm = np.hypot(fx, fh)
         amax = sc.airspace.max_accel_mps2
@@ -616,15 +608,14 @@ def composite_field_total(trace: SimTrace) -> np.ndarray:
     scenarios run, nothing is lost.
     """
     sc = trace.scenario
-    n, ids = len(sc.aircraft), trace.ids
-    no_goals = Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
+    ids = trace.ids
     out = np.zeros(len(trace.x))
     for k in range(len(trace.x)):
         fleet = fleet_state(
             trace.x[k], trace.h[k], trace.vx[k], trace.vy[k], trace.layer[k],
             trace.mode[k] != MODE_SWITCHING, ids, sc.airspace,
         )
-        out[k] = potential(fleet, no_goals, sc.weights, sc.airspace, sc.neighbor_radius_m)
+        out[k] = potential(fleet, NO_GOALS, sc.weights, sc.airspace, sc.neighbor_radius_m)
     return out
 
 

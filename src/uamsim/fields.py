@@ -46,11 +46,15 @@ class FieldWeights:
 
 
 class Goals(NamedTuple):
-    """Planner goal points; only the ``active`` rows feel the goal pull."""
+    """The planner's goal x of each of ``rows`` (in a flight, the served
+    pair); only those rows feel the goal pull.  A goal's altitude is its
+    row's layer's, read when the pull is."""
 
+    rows: np.ndarray
     x: np.ndarray
-    h: np.ndarray
-    active: np.ndarray
+
+
+NO_GOALS = Goals(np.empty(0, dtype=int), np.empty(0))
 
 
 class Band(NamedTuple):
@@ -186,21 +190,21 @@ def layer_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
 
 def goal_value(fleet: Fleet, goals: Goals, cfg: AirspaceConfig) -> np.ndarray:
     value = np.zeros(len(fleet.x))
-    g = goals.active.nonzero()[0]  # in a flight, the served pair: two rows at most
-    dx = ring_offset(goals.x[g] - fleet.x[g], cfg.course_length_m)
-    dh = fleet.h[g] - goals.h[g]
+    g = goals.rows
+    dx = ring_offset(goals.x - fleet.x[g], cfg.course_length_m)
+    dh = _layer_offset(fleet, cfg)[g]
     value[g] = dx * dx + dh * dh
     return value
 
 
 def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float = 1.0):
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    g = goals.active.nonzero()[0]
+    g = goals.rows
     if len(g) == 0:
         return gx, gh
-    gdx = ring_offset(goals.x[g] - fleet.x[g], cfg.course_length_m)
+    gdx = ring_offset(goals.x - fleet.x[g], cfg.course_length_m)
     gx[g] = weight * (-2.0 * gdx)
-    gh[g] = weight * 2.0 * (fleet.h[g] - goals.h[g])
+    gh[g] = weight * 2.0 * _layer_offset(fleet, cfg)[g]
     return gx, gh
 
 
@@ -226,7 +230,7 @@ def force(
     ``radius``.  The terms are subtracted from +0 in a fixed order, so the
     sums never hold -0 (x - y is -0 only for x = -0), and subtracting a zero
     of either sign changes no bit.  So a field with nothing to act on, no
-    pair inside a separation or no active goal, hands back zeros without
+    pair inside a separation or no goal row, hands back zeros without
     further work, and an empty band's repulsion and consensus are not
     subtracted at all.
     """

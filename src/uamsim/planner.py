@@ -49,23 +49,23 @@ class PlanningQuery:
     """One planning window for a (low, high) pair served through the surface.
 
     Positions are current; the search box runs from each aircraft's current x
-    forward by its reachable horizon, excluding the current x itself.
-    Altitudes stay at the layer levels.  ``low_fixed`` pins the surface where
-    it is, as for a stationary surface: then x_low is the current x and only
-    x_high is searched.
+    forward by ``horizon_m``, the one airframe's reach over the window,
+    excluding the current x itself.  Altitudes stay at the layer levels.
+    ``low_fixed`` pins the surface where it is, as for a stationary surface:
+    then x_low is the current x and only x_high is searched.
     """
 
     bs_pos: tuple[float, float]
     low_pos: tuple[float, float]
     high_pos: tuple[float, float]
-    horizon_m: tuple[float, float]
+    horizon_m: float
     num_elements: int
     resolution: float
     low_fixed: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon_m[0] <= 0.0 or self.horizon_m[1] <= 0.0:
-            raise ValueError("planning horizons must be positive")
+        if self.horizon_m <= 0.0:
+            raise ValueError("the planning horizon must be positive")
         steering_rows(self.num_elements)
         grid_steps(self.resolution)
 
@@ -80,8 +80,8 @@ class PlanningQuery:
         if self.low_fixed:
             low = (x_low, x_low)
         else:
-            low = (x_low + 1e-9 * max(1.0, abs(x_low)), x_low + self.horizon_m[0])
-        return low, (x_high + 1e-9 * max(1.0, abs(x_high)), x_high + self.horizon_m[1])
+            low = (x_low + 1e-9 * max(1.0, abs(x_low)), x_low + self.horizon_m)
+        return low, (x_high + 1e-9 * max(1.0, abs(x_high)), x_high + self.horizon_m)
 
 
 def cosine_mismatch(x_low: float, x_high: float, query: PlanningQuery) -> float:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
-from uamsim import engine, scenarios, textfmt
+from uamsim import engine, fields, scenarios, textfmt
 from uamsim.airspace import fleet_state
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
@@ -686,37 +686,77 @@ def _parked_on_the_served_aircraft(phase_mode):
     )
 
 
-# fig9-phase's fixed surface put on layer 2 at x = 32.5: aircraft 10 starts
-# there at x = 0 with a 32.5 m planning horizon, so its search reaches the
-# surface in the windows at t = 0 and t = 0.5
-_ON_THE_SEARCH_PATH = replace(
-    scenarios.get_scenario("fig9-phase"),
-    ris_mode=RisMode.STATIONARY,
-    stationary_ris_pos=(32.5, 200.0),
-    duration_s=2.0,
-)
-
-
 @pytest.mark.parametrize(
     "sc, zero_at, dark",
     [
         pytest.param(_parked_on_the_served_aircraft(PhaseMode.ZERO), [(0.0, 7)], 1, id="zero"),
         pytest.param(_parked_on_the_served_aircraft(PhaseMode.QUANTIZED), [(0.0, 7)], 5, id="quantized"),
         pytest.param(_parked_on_the_served_aircraft(PhaseMode.CONTINUOUS), [(0.0, 7)], 1, id="continuous"),
-        pytest.param(_ON_THE_SEARCH_PATH, [(0.0, 10), (0.5, 10)], 10, id="quantized-plan-reaches-it"),
     ],
 )
 def test_coincident_surface_serves_nothing_and_says_so(sc, zero_at, dark):
     """A stationary surface on the served aircraft has a zero-length path:
     that tick serves nothing and records a ZERO_PATH event.  A quantized
-    plan has no phases then, so nothing is served until the next plan; so
-    too when the plan's search reaches the surface."""
+    plan has no phases then, so nothing is served until the next plan."""
     tr = run(sc)
     zero = [e for e in tr.events if e[2] == "ZERO_PATH"]
     assert zero == [(t, k, "ZERO_PATH", "ris=-1") for t, k in zero_at]
     served = tr.capacity_bps.sum(axis=1)
     assert np.all(served[:dark] == 0.0)
     assert np.all(served[dark:] > 0.0)
+
+
+def test_a_plan_whose_search_reaches_the_surface_serves_its_phases(monkeypatch):
+    """fig9-phase's fixed surface put on layer 2 at x = 32.5: aircraft 10
+    starts there at x = 0 with a 32.5 m planning horizon, so the plans at
+    t = 0 and t = 0.5 search through the surface.  The window's phases come
+    from the current geometry, whose ends do not coincide: both windows
+    serve aircraft 10 with their phases and set no goals, and every tick
+    serves."""
+    sc = replace(
+        scenarios.get_scenario("fig9-phase"),
+        ris_mode=RisMode.STATIONARY,
+        stationary_ris_pos=(32.5, 200.0),
+        duration_s=2.0,
+    )
+    windows = []
+
+    def recorded(eng, t, fleet):
+        windows.append(plan(eng, t, fleet))
+        return windows[-1]
+
+    plan = engine._Engine._plan_comm
+    monkeypatch.setattr(engine._Engine, "_plan_comm", recorded)
+    tr = run(sc)
+    assert [e for e in tr.events if e[2] == "ZERO_PATH"] == []
+    assert np.all(tr.capacity_bps.sum(axis=1) > 0.0)
+    for served, relay, phases, goals in windows[:2]:
+        assert (tr.ids[served], relay, len(goals.rows)) == (10, -1, 0)
+        assert phases is not None
+    assert all(len(goals.rows) == 1 for *_, goals in windows[2:])
+
+
+def test_a_served_aircraft_that_lands_inside_its_window_is_pulled_to_its_new_layer(monkeypatch):
+    """fig12-ipr, seed 1, one window of 100 ticks: aircraft 10 (row 10) is
+    served from t = 0, requests layer 1 at t = 0.2 and lands at t = 9.2.
+    From the landing tick to the window's end the goal pull holds it at
+    layer 1's altitude, 100 m, not at layer 2's."""
+    pulls = []
+
+    def spy(fleet, goals, weights, cfg, radius):
+        gh = fields.goal_gradient(fleet, goals, cfg, weights.goal)[1][10]
+        pulls.append((fleet.layer[10], gh, weights.goal * 2.0 * (fleet.h[10] - 100.0)))
+        return force(fleet, goals, weights, cfg, radius)
+
+    force = engine.force
+    monkeypatch.setattr(engine, "force", spy)
+    sc = replace(scenarios.get_scenario("fig12-ipr"), comm_interval=100, duration_s=10.0, seed=1)
+    tr = run(sc)
+    assert np.all(tr.capacity_bps[:, 10] > 0.0)
+    assert (tr.layer[:92, 10] == 2).all() and (tr.layer[92:, 10] == 1).all()
+    assert len(pulls) == 100
+    for layer, gh, want in pulls[92:]:
+        assert (layer, gh) == (1, want)
 
 
 def test_coincident_start_is_rejected():

@@ -13,7 +13,7 @@ from uamsim.airspace import (
     AirspaceConfig, fleet_state, ring_offset, search_reach,
 )
 from uamsim.engine import AircraftSpec, Scenario, run
-from uamsim.fields import CollisionError, FieldWeights, Goals
+from uamsim.fields import NO_GOALS, CollisionError, FieldWeights, Goals
 from uamsim.switching import MODE_BACKING_OFF
 
 CFG = AirspaceConfig()
@@ -32,10 +32,6 @@ def _fleet(rows, layer=1):
 
 def _band(fleet, radius=RADIUS):
     return fields.neighbour_band(fleet, CFG, radius)
-
-
-def _no_goals(n):
-    return Goals(np.zeros(n), np.zeros(n), np.zeros(n, dtype=bool))
 
 
 def _values(fleet, goals):
@@ -181,8 +177,8 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudg
     fleet = fleet_state(
         x, lay * cfg.layer_spacing_m + dh, vx, vy, lay, resident, np.arange(n) * 7 + 3, cfg
     )
-    active = np.arange(n) == goal
-    goals = Goals(np.full(n, 0.3 * course), np.full(n, 150.0), active)
+    rows = (np.arange(n) == goal).nonzero()[0]
+    goals = Goals(rows, np.full(len(rows), 0.3 * course))
     paired = fleet.order[fleet.prec[fleet.order] >= 0]
     gap = fleet.ahead_x[paired].min() if len(paired) else np.inf
     if nudge is not None and 0.0 < gap < np.inf:
@@ -235,9 +231,7 @@ def searches(monkeypatch):
     return calls
 
 
-def _matches_the_dense_reference(fleet, radius, goals=None, w=FieldWeights()):
-    if goals is None:
-        goals = _no_goals(len(fleet.x))
+def _matches_the_dense_reference(fleet, radius, goals=NO_GOALS, w=FieldWeights()):
     fx, fh, total = _dense_force_and_total(fleet, goals, w, CFG, radius)
     got = fields.force(fleet, goals, w, CFG, radius)
     return (got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
@@ -329,7 +323,7 @@ def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
     gx, gh = fields.attract_gradient(after, sc.weights.attract)
     assert (gx[1], gh[1]) == (0.0, 0.0)
     searches.clear()
-    assert _matches_the_dense_reference(after, radius, eng.goals, sc.weights)
+    assert _matches_the_dense_reference(after, radius, eng.window[3], sc.weights)
     assert searches == []
 
 
@@ -399,7 +393,7 @@ def test_repulse_blows_up_approaching_contact():
     with pytest.raises(CollisionError):
         _band(touching)
     with pytest.raises(CollisionError):
-        fields.force(touching, _no_goals(2), FieldWeights(), CFG, RADIUS)
+        fields.force(touching, NO_GOALS, FieldWeights(), CFG, RADIUS)
 
 
 def test_gradients_match_central_differences():
@@ -421,11 +415,8 @@ def test_gradients_match_central_differences():
             ((x + lead) % 2000.0, h + rng.uniform(-20, 20), 45.0, 0.0),
             ((x - behind) % 2000.0, h + rng.uniform(-2, 2), 45.0, 0.0),
         ]
-        goals = Goals(
-            np.array([rng.uniform(0, 2000), 0.0, 0.0]),
-            np.array([rng.uniform(0, 200), 0.0, 0.0]),
-            np.array([True, False, False]),
-        )
+        goals = Goals(np.array([0]), np.array([rng.uniform(0, 2000)]))
+        rng.uniform(0, 200)  # the goal altitude, unused: drawn so the sampled states stay the same
         base = _gradients(_fleet(rows), goals)
 
         def val(kind, dx=0.0, dh=0.0, dvx=0.0, dvy=0.0):
@@ -454,8 +445,7 @@ def test_gradients_match_central_differences():
 
 def test_composite_force_sums_weighted_gradients():
     f = _fleet([(0.0, 100.0, 40.0, 1.0), (60.0, 102.0, 47.0, 0.0), (400.0, 97.0, 45.0, -1.0)])
-    goals = Goals(np.array([0.0, 0.0, 900.0]), np.array([0.0, 0.0, 200.0]),
-                  np.array([False, False, True]))
+    goals = Goals(np.array([2]), np.array([900.0]))
     w = FieldWeights()
     fx, fh = fields.force(f, goals, w, CFG, RADIUS)
     grads = _gradients(f, goals)
@@ -481,10 +471,10 @@ def test_mid_climb_aircraft_adds_nothing_to_the_total():
 
     def total(resident):
         f = fleet_state(x, h, vx, vy, np.ones(2, dtype=int), np.array(resident), np.arange(2), CFG)
-        return fields.potential(f, _no_goals(2), w, CFG, RADIUS)
+        return fields.potential(f, NO_GOALS, w, CFG, RADIUS)
 
     alone = _fleet(rows[:1])
-    assert total([True, False]) == fields.potential(alone, _no_goals(1), w, CFG, RADIUS)
+    assert total([True, False]) == fields.potential(alone, NO_GOALS, w, CFG, RADIUS)
     assert total([True, True]) > total([True, False]) + 100.0
 
 
@@ -493,11 +483,11 @@ def test_consensus_pulls_toward_neighbor_velocity():
     # 300 m interaction radius
     f = _fleet([(0.0, 100.0, 45.0, 0.0), (250.0, 100.0, 50.0, 0.0)])
     w = FieldWeights(stabilize=0.0, attract=0.0, consensus_gain=0.5)
-    fx, _ = fields.force(f, _no_goals(2), w, CFG, RADIUS)
+    fx, _ = fields.force(f, NO_GOALS, w, CFG, RADIUS)
     assert fx == pytest.approx([0.5 * 5.0, -0.5 * 5.0], rel=1e-12)
     # beyond the radius there is no consensus
     apart = _fleet([(0.0, 100.0, 45.0, 0.0), (700.0, 100.0, 50.0, 0.0)])
-    fx, _ = fields.force(apart, _no_goals(2), w, CFG, RADIUS)
+    fx, _ = fields.force(apart, NO_GOALS, w, CFG, RADIUS)
     assert fx == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
@@ -515,7 +505,7 @@ def test_acceleration_is_norm_clipped():
     assert np.all(np.hypot(ax, ah) <= 5.0 + 1e-9)
     assert np.hypot(ax, ah) == pytest.approx([5.0, 5.0], rel=1e-9)
     f = _fleet([(0.0, 100.0, 45.0, 0.0), (1.0, 100.0, 45.0, 0.0)])
-    fx, _ = fields.force(f, _no_goals(2), sc.weights, CFG, RADIUS)
+    fx, _ = fields.force(f, NO_GOALS, sc.weights, CFG, RADIUS)
     assert np.all(np.sign(ax) == np.sign(fx))
     assert ax[0] < 0.0 < ax[1]
 

@@ -27,7 +27,7 @@ def _query(resolution=1.0 / 12.0, num_elements=1024):
         bs_pos=(0.0, 0.0),
         low_pos=(300.0, 100.0),
         high_pos=(500.0, 200.0),
-        horizon_m=(200.0, 260.0),
+        horizon_m=260.0,
         num_elements=num_elements,
         resolution=resolution,
     )
@@ -71,11 +71,11 @@ def _oracle(query, seed):
 def _random_best(query, rng, n=200):
     """Best fitness of n uniform draws from the half-open box."""
     lx, hx = query.low_pos[0], query.high_pos[0]
-    xh = hx + query.horizon_m[1] * (1.0 - rng.random(n))
+    xh = hx + query.horizon_m * (1.0 - rng.random(n))
     if query.low_fixed:
         xl = np.full(n, lx)
     else:
-        xl = lx + query.horizon_m[0] * (1.0 - rng.random(n))
+        xl = lx + query.horizon_m * (1.0 - rng.random(n))
     return float(np.min(candidate_fitness(np.column_stack([xl, xh]), query)))
 
 
@@ -91,8 +91,8 @@ def _assert_in_box(point, query):
     if query.low_fixed:
         assert xl == lx
     else:
-        assert lx < xl <= lx + query.horizon_m[0]
-    assert hx < xh <= hx + query.horizon_m[1]
+        assert lx < xl <= lx + query.horizon_m
+    assert hx < xh <= hx + query.horizon_m
 
 
 def test_swarm_fitness_matches_scalar_everywhere():
@@ -139,7 +139,7 @@ def test_zero_mismatch_means_zero_fitness():
         bs_pos=(0.0, 0.0),
         low_pos=(80.0, 100.0),
         high_pos=(100.0, 200.0),
-        horizon_m=(400.0, 500.0),
+        horizon_m=500.0,
         num_elements=16,
         resolution=1.0 / 12.0,
     )
@@ -213,7 +213,7 @@ def test_query_validation():
             bs_pos=(0.0, 0.0),
             low_pos=(0.0, 100.0),
             high_pos=(0.0, 200.0),
-            horizon_m=(0.0, 100.0),
+            horizon_m=0.0,
             num_elements=4,
             resolution=0.5,
         )
@@ -246,7 +246,7 @@ _geometry = st.fixed_dictionaries(
         "bx": st.floats(-500.0, 500.0),
         "low": st.tuples(st.floats(0.0, 2000.0), st.floats(60.0, 140.0)),
         "high": st.tuples(st.floats(0.0, 2000.0), st.floats(160.0, 240.0)),
-        "horizon": st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0)),
+        "horizon": st.floats(1.0, 100.0),
         "resolution": st.sampled_from([1.0, 1.0 / 3.0, 1.0 / 6.0, 1.0 / 12.0]),
         "elements": st.sampled_from([4, 16, 1024]),
         "low_fixed": st.booleans(),
