@@ -125,18 +125,30 @@ def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Flee
     rows = resident.nonzero()[0]
     order = rows[np.lexsort((ids[rows], x[rows], layer[rows]))]
     lay = layer[order]
-    bounds = lay.searchsorted(np.arange(4))
-    step = np.arange(1, len(order) + 1)
-    nxt = order[np.where(step == bounds[lay + 1], bounds[lay], step)]
-    prec = np.zeros(n, dtype=int) - 1
-    prec[order] = np.where(nxt == order, -1, nxt)  # a layer's only resident has none
-    ahead_x, ahead_h, rear = np.zeros(n), np.zeros(n), np.zeros(n) + np.inf
-    ahead_x[order] = (x[nxt] - x[order]) % cfg.course_length_m
-    ahead_h[order] = h[nxt] - h[order]
-    front = np.where(prec >= 0, np.hypot(ahead_x, ahead_h), np.inf)
-    rear[nxt] = front[order]
+    bounds = lay.searchsorted(_LAYER_EDGES)
+    # built in ring order, then scattered to rows: ring position k is followed
+    # by k + 1, a segment's last by its first, so a layer's only resident by itself
+    succ = np.arange(1, len(order) + 1)
+    last = (succ == bounds[1:][lay]).nonzero()[0]
+    first = bounds[lay[last]]
+    succ[last] = first
+    lone = last[first == last]
+    nxt = order[succ]
+    xo, ho = x[order], h[order]
+    ring_x = (xo[succ] - xo) % cfg.course_length_m
+    ring_h = ho[succ] - ho
+    gap = np.hypot(ring_x, ring_h)
+    gap[lone] = np.inf
+    ahead_x, ahead_h = np.zeros(n), np.zeros(n)
+    prec, front, rear = np.empty(n, dtype=int), np.empty(n), np.empty(n)
+    prec.fill(-1)
+    front.fill(np.inf)
+    rear.fill(np.inf)
+    ahead_x[order], ahead_h[order], prec[order], front[order], rear[nxt] = ring_x, ring_h, nxt, gap, gap
+    prec[order[lone]] = -1
     # the faster aircraft has the larger separation
-    close = front[order] < np.maximum(d_safe[order], d_safe[nxt])
+    ring_d = d_safe[order]
+    close = (gap < np.maximum(ring_d, ring_d[succ])).nonzero()[0]
     fleet = Fleet(
         x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds,
         front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n),
@@ -154,7 +166,9 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
     and a comfortable stop (rate b) with the distance covered during the
     reaction delay:  (B - b) / (2 B b) * v^2 + v * t_delay.
     """
-    if not (np.isfinite(speed) & (speed >= 0.0)).all():
+    # a negative or NaN speed takes the least under 0, an infinite one the greatest to inf
+    least = np.minimum.reduce(speed, axis=None, initial=0.0)
+    if not (least == 0.0 and np.maximum.reduce(speed, axis=None, initial=0.0) < math.inf):
         raise ValueError("speed must be finite and non-negative")
     big = cfg.max_brake_mps2
     small = cfg.comfort_brake_mps2
@@ -165,15 +179,20 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
 def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
     """Map raw x differences onto the ring into [-course/2, course/2)."""
     v = np.asarray(dx + 0.5 * course, dtype=float)
+    flat = v.reshape(-1)  # a view: a scalar's 0-d array is shifted in place too
     # v % course is v itself on [0, course), where most offsets land; the
-    # float remainder is slow, so it runs on the others only
-    off = (v < 0.0) | (v >= course)
-    v[off] %= course
-    return v - 0.5 * course
+    # float remainder is slow, so it runs on the others only, if any
+    off = ((flat < 0.0) | (flat >= course)).nonzero()[0]
+    if len(off):
+        flat[off] %= course
+    flat -= 0.5 * course
+    return v[()]  # a scalar for a scalar
 
 
 # Key offset of lap k (-1, 0, 1) of layer l, in courses: 4 l + k.
 _LAP_SHIFT = np.array([-1.0, 0.0, 1.0, 3.0, 4.0, 5.0, 7.0, 8.0, 9.0])
+# Searched for in a resident order's layers: layer l's ring starts at bounds[l].
+_LAYER_EDGES = np.arange(4)
 
 
 class Laps(NamedTuple):
@@ -260,8 +279,9 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     """
     coeff, course, spacing = cfg.vertical_separation_coeff, cfg.course_length_m, cfg.layer_spacing_m
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
-    offset = np.abs(h[fleet.order] - spacing * fleet.layer[fleet.order]).max(initial=0.0)
-    reach = coeff * speed[fleet.order].max(initial=0.0)
+    rows = fleet.order
+    offset = np.maximum.reduce(np.abs(h[rows] - spacing * fleet.layer[rows]), initial=0.0)
+    reach = coeff * np.maximum.reduce(speed[rows], initial=0.0)
     if spacing - 2.0 * offset >= reach or (fleet.bounds[1:] > fleet.bounds[:-1]).sum() < 2:
         return np.empty(0, dtype=int)
     rows_a, rows_b = [], []

@@ -323,6 +323,7 @@ class _Engine:
         self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
         self.expected = np.array(air.expected_speeds_mps)
+        self.step = np.array(sc.dt)  # 0-d: cheaper on small arrays than a float
         self.window = DARK
 
     # --- helpers -----------------------------------------------------------
@@ -447,7 +448,7 @@ class _Engine:
             fleet = self._fleet()
             if k % sc.comm_interval == 0:
                 self.window = self._plan_comm(t, fleet)
-            if self._switch_logic(t, fleet).any():
+            if len(self._switch_logic(t, fleet).nonzero()[0]):
                 # a release is the only change to the residents since the
                 # fleet was built: steer and log the state the trace records
                 fleet = self._fleet()
@@ -463,21 +464,29 @@ class _Engine:
                 trace.capacity_bps[k, hi] = cap_now
                 trace.ris_partner[k, hi] = self.ids[lo] if lo >= 0 else -1
 
-            self.vx += ax * sc.dt
-            self.vy += ay * sc.dt
+            # in place, in the spent acceleration buffers: no stage keeps a
+            # view of the state from one tick to the next
+            ax *= self.step
+            ay *= self.step
+            self.vx += ax
+            self.vy += ay
             over = np.hypot(self.vx, self.vy)
             # the speeds were finite, so the fastest is NaN or infinite just
             # when a force is: one reduction checks every row
-            top = over.max()
+            top = np.maximum.reduce(over)
             if not top < math.inf:
                 raise RuntimeError(f"non-finite force at t={t:.{dec}f}")
             if top > sc.airspace.max_speed_mps:
-                mask = over > sc.airspace.max_speed_mps
+                mask = (over > sc.airspace.max_speed_mps).nonzero()[0]
                 scale = sc.airspace.max_speed_mps / over[mask]
                 self.vx[mask] *= scale
                 self.vy[mask] *= scale
-            self.x = (self.x + self.vx * sc.dt) % self.course
-            self.h += self.vy * sc.dt
+            # x + vx dt is vx dt + x: the sum commutes bit for bit
+            np.multiply(self.vx, self.step, out=ax)
+            np.multiply(self.vy, self.step, out=ay)
+            ax += self.x
+            np.remainder(ax, self.course, out=self.x)
+            self.h += ay
 
         trace.episodes = merge_episodes(self.violations, self.ids, sc.dt)
         for (a, b, start, _), dur in zip(trace.episodes, trace.episode_durations):
@@ -493,7 +502,7 @@ class _Engine:
         """Finish manoeuvres whose aircraft reached their target layer; a
         tick with no row switching has none to finish."""
         sc, sw = self.sc, self.switch
-        if not (sw.mode == MODE_SWITCHING).any():
+        if not len((sw.mode == MODE_SWITCHING).nonzero()[0]):
             return
         target_h = sc.airspace.layer_altitude(sw.target)
         landed = sw.capture(self.h, self.vy, target_h, sc.capture_band_m, sc.capture_speed_mps)
@@ -522,11 +531,10 @@ class _Engine:
         and no violated cruiser: no row can then step, trigger, arm or draw."""
         sc, sw, n = self.sc, self.switch, self.n
         fired = np.zeros(n, dtype=bool)
-        backing_off = sw.mode == MODE_BACKING_OFF
-        if not (sc.switching_enabled and (len(fleet.conflicts) or backing_off.any())):
+        backing = (sw.mode == MODE_BACKING_OFF).nonzero()[0]
+        if not (sc.switching_enabled and (len(fleet.conflicts) or len(backing))):
             return fired
         violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
-        backing = backing_off.nonzero()[0]
         cruisers = ((sw.mode == MODE_CRUISE) & violated).nonzero()[0]
         if len(backing) == 0 and len(cruisers) == 0:
             return fired
@@ -573,10 +581,11 @@ class _Engine:
         # clip to the airframe budget
         norm = np.hypot(fx, fh)
         amax = sc.airspace.max_accel_mps2
-        over = norm > amax
-        if over.any():
-            fx[over] *= amax / norm[over]
-            fh[over] *= amax / norm[over]
+        over = (norm > amax).nonzero()[0]
+        if len(over):
+            scale = amax / norm[over]
+            fx[over] *= scale
+            fh[over] *= scale
         # switching aircraft follow their bang-bang plan instead
         sw = self.switch
         rows = (sw.mode == MODE_SWITCHING).nonzero()[0]

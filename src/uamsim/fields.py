@@ -71,6 +71,10 @@ class Band(NamedTuple):
     dist: np.ndarray
 
 
+# The empty band, on the empty goals' arrays: they have no element to change.
+_NO_BAND = Band(NO_GOALS.rows, NO_GOALS.rows, NO_GOALS.x, NO_GOALS.x, NO_GOALS.x)
+
+
 def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
     """The band of the fleet's residents: dist <= radius tested exactly on
     each one's ``ring_pairs`` within ``radius`` in its own layer.
@@ -80,10 +84,11 @@ def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
     window is searched.
     """
     course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
-    paired = rows[fleet.prec[rows] >= 0]  # a lone resident's ahead_x is no gap
-    if len(paired) == 0 or fleet.ahead_x[paired].min() > search_reach(radius, course):
-        none = np.empty(0, dtype=int)
-        return Band(none, none, np.empty(0), np.empty(0), np.empty(0))
+    # the paired residents' gaps: a lone resident's ahead_x is none, and it
+    # and the non-residents have no preceding aircraft
+    gaps = fleet.ahead_x[fleet.prec >= 0]
+    if np.minimum.reduce(gaps, initial=np.inf) > search_reach(radius, course):
+        return _NO_BAND
     # a starts as the query index k, b as the resident j.  Sorting the codes
     # k * n + j puts each window in row order and leaves k in place, as k
     # ascends; windows mostly ascend already, and the stable sort merges
@@ -132,10 +137,14 @@ def attract_gradient(fleet: Fleet, weight: float = 1.0):
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     i = (fleet.prec >= 0).nonzero()[0]
     d = fleet.front[i]
-    gap = d - fleet.d_safe[i]
-    pull = np.where((gap >= 0.0) & (d > 0.0), 2.0 * gap / np.maximum(d, 1e-12), 0.0)
-    gx[i] = weight * pull * -fleet.ahead_x[i]
-    gh[i] = weight * pull * -fleet.ahead_h[i]
+    # 2 gap / d on an open gap, else +0: fmax takes a closed or NaN gap to +0,
+    # and a front gap d of 0 is open only at zero separation, giving 0 / 1e-12
+    pull = np.fmax(d - fleet.d_safe[i], 0.0)
+    pull *= 2.0
+    pull /= np.maximum(d, 1e-12)
+    pull *= -weight  # (pull * -weight) * a is (weight * pull) * -a: negation is exact
+    gx[i] = pull * fleet.ahead_x[i]
+    gh[i] = pull * fleet.ahead_h[i]
     return gx, gh
 
 
@@ -230,23 +239,21 @@ def force(
     ``radius``.  The terms are subtracted from +0 in a fixed order, so the
     sums never hold -0 (x - y is -0 only for x = -0), and subtracting a zero
     of either sign changes no bit.  So a field with nothing to act on, no
-    pair inside a separation or no goal row, hands back zeros without
-    further work, and an empty band's repulsion and consensus are not
-    subtracted at all.
+    pair inside a separation, hands back zeros without further work; the
+    layer field's x-part, an empty band's repulsion and consensus and the
+    goal pull without goal rows are not subtracted at all.
     """
     band = neighbour_band(fleet, cfg, radius)
-    pairs = (
-        repulse_gradient(fleet, band, weights.repulse),
-        consensus(fleet, band, weights.consensus_gain),
-    ) if len(band.a) else ()
-    fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    for gx, gh in (
-        stabilize_gradient(fleet, cfg, weights.stabilize),
-        layer_gradient(fleet, cfg, weights.layer),
-        attract_gradient(fleet, weights.attract),
-        *pairs,
-        goal_gradient(fleet, goals, cfg, weights.goal),
-    ):
+    gx, gh = stabilize_gradient(fleet, cfg, weights.stabilize)
+    fx, fh = np.subtract(0.0, gx), np.subtract(0.0, gh)
+    fh -= layer_gradient(fleet, cfg, weights.layer)[1]  # its x-part is +0
+    terms = [attract_gradient(fleet, weights.attract)]
+    if len(band.a):
+        terms += (repulse_gradient(fleet, band, weights.repulse),
+                  consensus(fleet, band, weights.consensus_gain))
+    if len(goals.rows):
+        terms.append(goal_gradient(fleet, goals, cfg, weights.goal))
+    for gx, gh in terms:
         fx -= gx
         fh -= gh
     return fx, fh

@@ -261,8 +261,11 @@ def queueing_tail_ccdf(
 ) -> np.ndarray:
     """Delay tail of the queueing stage alone, at the grid times t.
 
-    Below the stack latency no service has happened, so the tail is 1; past
-    it, the Poisson count over the budget must beat the accumulated service.
+    Up to the stack latency no service has happened, so the tail is 1.  Past
+    it, the point is P{N(t) >= ceil(beta(t) + lambda t)}, ``poisson_delay_tail``
+    of the Poisson count N(t) of mean lambda t = ``arrival_rate * t`` against
+    the accumulated service beta(t) = ``curve(t)``: the count must pass the
+    service by its own mean.
     """
     values = np.ones(len(t))
     served = t > curve.latency + 1e-15

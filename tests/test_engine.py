@@ -944,6 +944,25 @@ def test_a_run_of_half_the_time_is_the_first_half_of_the_run(rows, half, seed):
     assert kept(first) == kept(whole)
 
 
+@pytest.mark.parametrize("name", ["fig6-airborne", "fig9-phase", "fig12-ipr", "fig12-ipr-dense"])
+def test_a_builtin_cut_at_4_s_is_the_first_40_ticks_of_its_8_s_run(name):
+    """The engine advances its state arrays in place; no stage holds a view
+    of them from one tick to the next, so a run cut at 4 s records the
+    first 40 ticks of the 8 s run, bit for bit, in all eight state arrays
+    and in its events other than CFL and INTRUSION (merged at the end)."""
+    sc = scenarios.get_scenario(name)
+    cut, whole = run(_short(sc, 4.0)), run(_short(sc, 8.0))
+    assert len(cut.x) == 40
+    for key in (*STATE_ARRAYS, "ris_partner"):
+        assert _same_bits(getattr(cut, key), getattr(whole, key)[:40]), key
+
+    def kept(tr):
+        return [e for e in tr.events if e[2] not in ("CFL", "INTRUSION") and e[0] < 39.5 * sc.dt]
+
+    assert kept(cut) == [e for e in cut.events if e[2] not in ("CFL", "INTRUSION")]
+    assert kept(cut) == kept(whole)
+
+
 @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(rows=_fleet, ticks=st.integers(100, 160), seed=st.integers(0, 2**16))
 def test_relabelled_ids_fly_the_same_fleet(rows, ticks, seed):

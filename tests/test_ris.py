@@ -207,6 +207,33 @@ def test_row_quantization_matches_the_element_quantization():
             assert q == (0.0 if one >= 2.0 * math.pi else one)
 
 
+# Relative slack of the floor below, fixed before any run: the phases'
+# rounding moves a term by about 1e-13 of the bound at most.
+FLOOR_SLACK = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-500.0, 500.0), st.floats(0.0, 50.0),
+    st.floats(-500.0, 2500.0), st.floats(60.0, 150.0),
+    st.floats(-500.0, 2500.0), st.floats(160.0, 300.0),
+    st.integers(1, 32),
+    st.just(2) | st.integers(1, 48),
+)
+def test_quantized_phases_keep_the_cascade_above_the_floor(bx, bh, rx, rh, kx, kh, rows, steps):
+    """quantize_config moves each row phase by at most r * pi / 2, r = 2 /
+    steps, so at the geometry the phases were steered for every element's
+    term lies within r * pi / 2 of the real axis, and the cascade keeps
+    |cascaded_gain| >= cos(r * pi / 2) * cascaded_gain_bound.  About half
+    the examples draw r = 1 (two steps)."""
+    bs, ris, k = (bx, bh), (rx, rh), (kx, kh)
+    r, n = 2.0 / steps, rows * rows
+    snapped = quantize_config(optimal_phase_shift(bs, ris, k, n), r)
+    got = abs(cascaded_gain(bs, ris, k, snapped, PAR))
+    bound = cascaded_gain_bound(bs, ris, k, n, PAR)
+    assert got >= (math.cos(r * math.pi / 2.0) - FLOOR_SLACK) * bound
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 512), st.integers(0, 2**32 - 1))
 def test_quantized_rows_lie_on_a_grid_that_divides_the_turn(n, seed):
