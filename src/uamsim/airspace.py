@@ -166,7 +166,7 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
     and a comfortable stop (rate b) with the distance covered during the
     reaction delay:  (B - b) / (2 B b) * v^2 + v * t_delay.
     """
-    # a negative or NaN speed takes the least under 0, an infinite one the greatest to inf
+    # the least is 0 with no negative or NaN speed, the greatest finite with no infinite or NaN one
     least = np.minimum.reduce(speed, axis=None, initial=0.0)
     if not (least == 0.0 and np.maximum.reduce(speed, axis=None, initial=0.0) < math.inf):
         raise ValueError("speed must be finite and non-negative")

@@ -137,11 +137,11 @@ def attract_gradient(fleet: Fleet, weight: float = 1.0):
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     i = (fleet.prec >= 0).nonzero()[0]
     d = fleet.front[i]
-    # 2 gap / d on an open gap, else +0: fmax takes a closed or NaN gap to +0,
-    # and a front gap d of 0 is open only at zero separation, giving 0 / 1e-12
+    # 2 gap / d on an open gap, else +0: fmax takes a closed or NaN gap to +0
+    # and a NaN d to 1e-12, and a d of 0 is open only at zero separation
     pull = np.fmax(d - fleet.d_safe[i], 0.0)
     pull *= 2.0
-    pull /= np.maximum(d, 1e-12)
+    pull /= np.fmax(d, 1e-12)
     pull *= -weight  # (pull * -weight) * a is (weight * pull) * -a: negation is exact
     gx[i] = pull * fleet.ahead_x[i]
     gh[i] = pull * fleet.ahead_h[i]
