@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,14 @@ def nonfinite(settings) -> list[str]:
                for v in (value if isinstance(value, tuple) else (value,))):
             names.append(f.name)
     return names
+
+
+def _constant(value) -> np.ndarray:
+    """``value`` as a read-only float array; a float becomes a 0-d array,
+    which a ufunc takes faster than a Python float."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 class OutOfRange(ValueError):
@@ -75,6 +84,27 @@ class AirspaceConfig:
     def layer_altitude(self, layer: int) -> float:
         return layer * self.layer_spacing_m
 
+    # The tick's constants, built on first use: the config never changes.
+
+    @cached_property
+    def speeds(self) -> np.ndarray:
+        """The expected speeds, indexed by layer."""
+        return _constant(self.expected_speeds_mps)
+
+    @cached_property
+    def course(self) -> np.ndarray:
+        return _constant(self.course_length_m)
+
+    @cached_property
+    def spacing(self) -> np.ndarray:
+        return _constant(self.layer_spacing_m)
+
+    @cached_property
+    def separation(self) -> tuple[np.ndarray, np.ndarray]:
+        """``horizontal_safe_separation``'s coefficients of v^2 and of v."""
+        big, small = self.max_brake_mps2, self.comfort_brake_mps2
+        return _constant((big - small) / (2.0 * big * small)), _constant(self.reaction_delay_s)
+
 
 class Fleet(NamedTuple):
     """One instant of the fleet in the vertical (x, h) plane; ``resident``
@@ -90,7 +120,9 @@ class Fleet(NamedTuple):
     ``front`` its norm, ``rear`` the gap to the aircraft behind.  The alone
     and non-residents get -1 and infinite gaps.  Their ``ahead_x`` is 0,
     which is not a gap: a lone resident's offset to itself, and it has no
-    pair.  ``conflicts``: row-pair codes (see ``pair_codes``) of every conflict:
+    pair.  ``paired`` lists the residents that have a preceding aircraft, in
+    ring order.  ``offset`` is each row's altitude above its layer's.
+    ``conflicts``: row-pair codes (see ``pair_codes``) of every conflict:
     neighbours closer than the faster one's separation, and cross-layer pairs."""
 
     x: np.ndarray
@@ -102,11 +134,13 @@ class Fleet(NamedTuple):
     ids: np.ndarray
     speed: np.ndarray
     d_safe: np.ndarray
+    offset: np.ndarray
     order: np.ndarray
     bounds: np.ndarray
     front: np.ndarray
     rear: np.ndarray
     prec: np.ndarray
+    paired: np.ndarray
     ahead_x: np.ndarray
     ahead_h: np.ndarray
     conflicts: np.ndarray
@@ -117,8 +151,9 @@ class Fleet(NamedTuple):
 
 
 def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Fleet:
-    """Bundle the fleet arrays and derive speeds, safe separations, the
-    resident order, each ring's gaps and preceding aircraft, and all conflicts."""
+    """Bundle the fleet arrays and derive speeds, safe separations, layer
+    offsets, the resident order, each ring's gaps and preceding aircraft, and
+    all conflicts."""
     n = len(x)
     speed = np.hypot(vx, vy)
     d_safe = horizontal_safe_separation(speed, cfg)
@@ -135,23 +170,28 @@ def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Flee
     lone = last[first == last]
     nxt = order[succ]
     xo, ho = x[order], h[order]
-    ring_x = (xo[succ] - xo) % cfg.course_length_m
+    ring_x = (xo[succ] - xo) % cfg.course
     ring_h = ho[succ] - ho
     gap = np.hypot(ring_x, ring_h)
-    gap[lone] = np.inf
     ahead_x, ahead_h = np.zeros(n), np.zeros(n)
     prec, front, rear = np.empty(n, dtype=int), np.empty(n), np.empty(n)
     prec.fill(-1)
     front.fill(np.inf)
     rear.fill(np.inf)
+    if len(lone):  # a layer's only resident has no gap
+        gap[lone] = np.inf
     ahead_x[order], ahead_h[order], prec[order], front[order], rear[nxt] = ring_x, ring_h, nxt, gap, gap
-    prec[order[lone]] = -1
+    paired = order
+    if len(lone):  # nor a preceding aircraft
+        prec[order[lone]] = -1
+        paired = np.delete(order, lone)
     # the faster aircraft has the larger separation
     ring_d = d_safe[order]
     close = (gap < np.maximum(ring_d, ring_d[succ])).nonzero()[0]
     fleet = Fleet(
-        x, h, vx, vy, layer, resident, ids, speed, d_safe, order, bounds,
-        front, rear, prec, ahead_x, ahead_h, pair_codes(order[close], nxt[close], n),
+        x, h, vx, vy, layer, resident, ids, speed, d_safe, h - layer * cfg.spacing,
+        order, bounds, front, rear, prec, paired, ahead_x, ahead_h,
+        pair_codes(order[close], nxt[close], n),
     )
     cross = cross_layer_conflicts(fleet, cfg)
     if len(cross):
@@ -170,10 +210,8 @@ def horizontal_safe_separation(speed: np.ndarray, cfg: AirspaceConfig) -> np.nda
     least = np.minimum.reduce(speed, axis=None, initial=0.0)
     if not (least == 0.0 and np.maximum.reduce(speed, axis=None, initial=0.0) < math.inf):
         raise ValueError("speed must be finite and non-negative")
-    big = cfg.max_brake_mps2
-    small = cfg.comfort_brake_mps2
-    quad = (big - small) / (2.0 * big * small)
-    return quad * speed * speed + cfg.reaction_delay_s * speed
+    quad, delay = cfg.separation
+    return quad * speed * speed + delay * speed
 
 
 def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
@@ -184,7 +222,10 @@ def ring_offset(dx: np.ndarray, course: float) -> np.ndarray:
     # float remainder is slow, so it runs on the others only, if any
     off = ((flat < 0.0) | (flat >= course)).nonzero()[0]
     if len(off):
-        flat[off] %= course
+        wrapped = flat[off] % course
+        # the remainder of a tiny negative rounds up to the course itself
+        wrapped[wrapped == course] = 0.0
+        flat[off] = wrapped
     flat -= 0.5 * course
     return v[()]  # a scalar for a scalar
 
@@ -280,7 +321,7 @@ def cross_layer_conflicts(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
     coeff, course, spacing = cfg.vertical_separation_coeff, cfg.course_length_m, cfg.layer_spacing_m
     x, h, vx, vy, speed = fleet.x, fleet.h, fleet.vx, fleet.vy, fleet.speed
     rows = fleet.order
-    offset = np.maximum.reduce(np.abs(h[rows] - spacing * fleet.layer[rows]), initial=0.0)
+    offset = np.maximum.reduce(np.abs(fleet.offset[rows]), initial=0.0)
     reach = coeff * np.maximum.reduce(speed[rows], initial=0.0)
     if spacing - 2.0 * offset >= reach or (fleet.bounds[1:] > fleet.bounds[:-1]).sum() < 2:
         return np.empty(0, dtype=int)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -201,7 +202,10 @@ def cmd_validate(args):
     return [sc], report
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first ``main`` call and kept:
+    parsing leaves it unchanged, and building it costs more than a parse."""
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default="out", help="output directory")
 
@@ -252,7 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     command("validate", cmd_validate, "check a scenario without running it", "table1-5perlayer", writes=False)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         checked, write = args.prepare(args)
     except (ValueError, OSError) as exc:

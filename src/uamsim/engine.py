@@ -119,6 +119,10 @@ class Scenario:
         return tuple(validate_scenario(self))
 
 
+# The float fields of an aircraft, in field order.
+_ROSTER_FLOATS = ("x", "speed_offset", "altitude_offset")
+
+
 def validate_scenario(sc: Scenario) -> list[str]:
     """Collect every configuration problem instead of failing on the first."""
     ranged = ("dt", "duration_s", "bs_pos", "stationary_ris_pos")  # checked below with their ranges
@@ -169,8 +173,14 @@ def validate_scenario(sc: Scenario) -> list[str]:
     if any(aid < 0 for aid in ids):
         # -1 marks "no airborne relay" in the trace and in ZERO_PATH events
         problems.append("aircraft ids must be non-negative")
-    for a in sc.aircraft:
-        problems += [f"aircraft {a.aircraft_id}: {name} must be finite" for name in nonfinite(a)]
+    # the roster's floats in one pass, and messages for the flagged rows only
+    floats = np.array([(a.x, a.speed_offset, a.altitude_offset) for a in sc.aircraft], dtype=float)
+    bad = ~np.isfinite(floats.reshape(-1, 3))
+    flagged = bad.any(axis=1).tolist()
+    for i, a in enumerate(sc.aircraft):
+        if flagged[i]:
+            problems += [f"aircraft {a.aircraft_id}: {name} must be finite"
+                         for name, cell in zip(_ROSTER_FLOATS, bad[i]) if cell]
         if not 0.0 <= a.x < sc.airspace.course_length_m:
             problems.append(f"aircraft {a.aircraft_id}: x outside the course")
         if a.layer not in (0, 1, 2):
@@ -307,7 +317,6 @@ class _Engine:
         self.sc = sc
         air = sc.airspace
         self.n = len(sc.aircraft)
-        self.course = air.course_length_m
         self.ids = np.array([a.aircraft_id for a in sc.aircraft], dtype=int)
         self.layer = np.array([a.layer for a in sc.aircraft], dtype=int)
         self.x = np.array([a.x for a in sc.aircraft], dtype=float)
@@ -322,7 +331,6 @@ class _Engine:
         self.streams = Streams(sc.seed, self.n)
         self.violations: list[tuple[int, np.ndarray]] = []  # (tick, pair codes)
         self.events: list[tuple[float, int, str, str]] = []
-        self.expected = np.array(air.expected_speeds_mps)
         self.step = np.array(sc.dt)  # 0-d: cheaper on small arrays than a float
         self.window = DARK
 
@@ -485,7 +493,7 @@ class _Engine:
             np.multiply(self.vx, self.step, out=ax)
             np.multiply(self.vy, self.step, out=ay)
             ax += self.x
-            np.remainder(ax, self.course, out=self.x)
+            np.remainder(ax, sc.airspace.course, out=self.x)
             self.h += ay
 
         trace.episodes = merge_episodes(self.violations, self.ids, sc.dt)
@@ -557,10 +565,10 @@ class _Engine:
                 heard[partners[starts[i] : starts[i + 1]]] = True
         released = fired.nonzero()[0]
         if len(released):
-            layer, target = self.layer[released], sw.target[released]
-            climb = sc.airspace.layer_altitude(target) - sc.airspace.layer_altitude(layer)
+            air, layer, target = sc.airspace, self.layer[released], sw.target[released]
+            climb = air.layer_altitude(target) - air.layer_altitude(layer)
             plan = optimal_switch_acceleration(
-                self.expected[layer], self.expected[target], abs(climb), sc.airspace.max_accel_mps2,
+                air.speeds[layer], air.speeds[target], abs(climb), air.max_accel_mps2,
             )
             sw.ax[released], sw.ay[released] = plan.ax, plan.ay
             self._layer_events(t, "LS_REQ", released, target)
@@ -570,7 +578,7 @@ class _Engine:
                 fleet.front[cruisers], fleet.rear[cruisers], fleet.d_safe[cruisers], sc.switch_prob
             )
             armed = triggered(cruisers, prob, self.streams)
-        targets = target_layers(armed, fleet, fired, sc.target_window_m, self.course)
+        targets = target_layers(armed, fleet, fired, sc.target_window_m, sc.airspace.course_length_m)
         sw.arm(armed, targets, self.streams)  # with the escalated rows' counters
         return fired
 

@@ -23,6 +23,10 @@ from .airspace import (
 )
 
 
+# The tick's literals as 0-d arrays, which a ufunc takes faster than floats.
+_ZERO, _TWO, _TINY = np.array(0.0), np.array(2.0), np.array(1e-12)
+
+
 class CollisionError(RuntimeError):
     """Raised when two aircraft of one layer occupy the same point."""
 
@@ -84,9 +88,8 @@ def neighbour_band(fleet: Fleet, cfg: AirspaceConfig, radius: float) -> Band:
     window is searched.
     """
     course, rows, n = cfg.course_length_m, fleet.order, len(fleet.x)
-    # the paired residents' gaps: a lone resident's ahead_x is none, and it
-    # and the non-residents have no preceding aircraft
-    gaps = fleet.ahead_x[fleet.prec >= 0]
+    # the paired residents' gaps: a lone resident's ahead_x is none
+    gaps = fleet.ahead_x[fleet.paired]
     if np.minimum.reduce(gaps, initial=np.inf) > search_reach(radius, course):
         return _NO_BAND
     # a starts as the query index k, b as the resident j.  Sorting the codes
@@ -135,13 +138,13 @@ def attract_gradient(fleet: Fleet, weight: float = 1.0):
     """The pull runs along the forward offset to the preceding aircraft,
     the same offset whose norm is the front gap of the value."""
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    i = (fleet.prec >= 0).nonzero()[0]
+    i = fleet.paired
     d = fleet.front[i]
     # 2 gap / d on an open gap, else +0: fmax takes a closed or NaN gap to +0
     # and a NaN d to 1e-12, and a d of 0 is open only at zero separation
-    pull = np.fmax(d - fleet.d_safe[i], 0.0)
-    pull *= 2.0
-    pull /= np.fmax(d, 1e-12)
+    pull = np.fmax(d - fleet.d_safe[i], _ZERO)
+    pull *= _TWO
+    pull /= np.fmax(d, _TINY)
     pull *= -weight  # (pull * -weight) * a is (weight * pull) * -a: negation is exact
     gx[i] = pull * fleet.ahead_x[i]
     gh[i] = pull * fleet.ahead_h[i]
@@ -149,13 +152,12 @@ def attract_gradient(fleet: Fleet, weight: float = 1.0):
 
 
 def stabilize_value(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
-    dvx = fleet.vx - np.array(cfg.expected_speeds_mps)[fleet.layer]
+    dvx = fleet.vx - cfg.speeds[fleet.layer]
     return dvx * dvx + fleet.vy * fleet.vy
 
 
 def stabilize_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
-    ref = np.array(cfg.expected_speeds_mps)[fleet.layer]
-    return weight * 2.0 * (fleet.vx - ref), weight * 2.0 * fleet.vy
+    return weight * 2.0 * (fleet.vx - cfg.speeds[fleet.layer]), weight * 2.0 * fleet.vy
 
 
 def _inside(fleet: Fleet, band: Band):
@@ -184,24 +186,19 @@ def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
             weight * _row_sums(fleet, a, scale * -band.sh[k]))
 
 
-def _layer_offset(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
-    return fleet.h - cfg.layer_altitude(fleet.layer)
+def layer_value(fleet: Fleet) -> np.ndarray:
+    return fleet.offset * fleet.offset
 
 
-def layer_value(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
-    off = _layer_offset(fleet, cfg)
-    return off * off
-
-
-def layer_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
-    return np.zeros(len(fleet.x)), weight * 2.0 * _layer_offset(fleet, cfg)
+def layer_gradient(fleet: Fleet, weight: float = 1.0):
+    return np.zeros(len(fleet.x)), weight * 2.0 * fleet.offset
 
 
 def goal_value(fleet: Fleet, goals: Goals, cfg: AirspaceConfig) -> np.ndarray:
     value = np.zeros(len(fleet.x))
     g = goals.rows
     dx = ring_offset(goals.x - fleet.x[g], cfg.course_length_m)
-    dh = _layer_offset(fleet, cfg)[g]
+    dh = fleet.offset[g]
     value[g] = dx * dx + dh * dh
     return value
 
@@ -213,7 +210,7 @@ def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float
         return gx, gh
     gdx = ring_offset(goals.x - fleet.x[g], cfg.course_length_m)
     gx[g] = weight * (-2.0 * gdx)
-    gh[g] = weight * 2.0 * _layer_offset(fleet, cfg)[g]
+    gh[g] = weight * 2.0 * fleet.offset[g]
     return gx, gh
 
 
@@ -245,8 +242,8 @@ def force(
     """
     band = neighbour_band(fleet, cfg, radius)
     gx, gh = stabilize_gradient(fleet, cfg, weights.stabilize)
-    fx, fh = np.subtract(0.0, gx), np.subtract(0.0, gh)
-    fh -= layer_gradient(fleet, cfg, weights.layer)[1]  # its x-part is +0
+    fx, fh = np.subtract(_ZERO, gx), np.subtract(_ZERO, gh)
+    fh -= layer_gradient(fleet, weights.layer)[1]  # its x-part is +0
     terms = [attract_gradient(fleet, weights.attract)]
     if len(band.a):
         terms += (repulse_gradient(fleet, band, weights.repulse),
@@ -267,7 +264,7 @@ def potential(
     band = neighbour_band(fleet, cfg, radius)
     terms = (
         (weights.stabilize, stabilize_value(fleet, cfg)),
-        (weights.layer, layer_value(fleet, cfg)),
+        (weights.layer, layer_value(fleet)),
         (weights.attract, attract_value(fleet)),
         (weights.repulse, repulse_value(fleet, band)),
         (weights.goal, goal_value(fleet, goals, cfg)),

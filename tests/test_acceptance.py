@@ -266,7 +266,7 @@ def test_criterion_04_field_gradients_match_finite_differences():
                 fields.attract_value(f)[0],
                 fields.stabilize_value(f, air)[0],
                 fields.repulse_value(f, band)[0],
-                fields.layer_value(f, air)[0],
+                fields.layer_value(f)[0],
                 fields.goal_value(f, goals, air)[0],
             )
 
@@ -276,7 +276,7 @@ def test_criterion_04_field_gradients_match_finite_differences():
             fields.attract_gradient(base),
             fields.stabilize_gradient(base, air),
             fields.repulse_gradient(base, band),
-            fields.layer_gradient(base, air),
+            fields.layer_gradient(base),
             fields.goal_gradient(base, goals, air),
         )
         step = {

@@ -21,6 +21,7 @@ from uamsim.airspace import (
     ring_pairs,
 )
 from uamsim.engine import AircraftSpec, Scenario, validate_scenario
+from uamsim.fields import Goals, attract_gradient, goal_gradient, layer_gradient
 
 
 CFG = AirspaceConfig()
@@ -93,6 +94,17 @@ def test_ring_offset_takes_the_short_way():
     assert ring_offset(dx, 2000.0) == pytest.approx([0, 999, -1000, -999, 999, -1, 1])
 
 
+def test_ring_offset_stays_in_range_at_the_antipode():
+    """Half a course and one ulp ahead: the shifted offset is -1.1e-13,
+    whose remainder rounds up to the course itself.  It wraps to 0, so the
+    offset is -course/2, inside [-course/2, course/2), for arrays and
+    scalars alike."""
+    x_a, x_b = 1000.0000000000001, 0.0
+    assert x_b - x_a + 1000.0 == -1.1368683772161603e-13
+    assert ring_offset(x_b - x_a, 2000.0) == -1000.0
+    assert ring_offset(np.array([x_b - x_a, x_a - x_b]), 2000.0).tolist() == [-1000.0, -1000.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     dx=st.lists(
@@ -104,9 +116,11 @@ def test_ring_offset_takes_the_short_way():
 )
 def test_ring_offset_matches_the_plain_remainder(dx, course):
     """The remainder runs only off [0, course); every offset keeps the bits
-    of (dx + course/2) % course - course/2, and a scalar stays a scalar."""
+    of (dx + course/2) % course - course/2, a remainder equal to the course
+    taken as 0, and a scalar stays a scalar."""
     dx = np.array(dx)
-    want = (dx + 0.5 * course) % course - 0.5 * course
+    rem = (dx + 0.5 * course) % course
+    want = np.where(rem == course, 0.0, rem) - 0.5 * course
     assert ring_offset(dx, course).tobytes() == want.tobytes()
     scalar = ring_offset(float(dx[0]), course)
     assert isinstance(scalar, np.float64) and scalar.tobytes() == want[0].tobytes()
@@ -398,6 +412,82 @@ def test_ring_matches_the_per_layer_loop(data):
         event("a cross-layer pair conflicts")
     for got, want in zip(ring, (*want, np.union1d(codes, cross))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _layer_offset_reference(fleet, cfg):
+    """Each row's altitude above its layer's, as the fields derived it
+    before the fleet carried it."""
+    return fleet.h - cfg.layer_altitude(fleet.layer)
+
+
+def _attract_gradient_reference(fleet, weight):
+    """The attraction on the rows whose ``prec`` is not -1."""
+    gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
+    i = (fleet.prec >= 0).nonzero()[0]
+    d = fleet.front[i]
+    pull = np.fmax(d - fleet.d_safe[i], 0.0)
+    pull *= 2.0
+    pull /= np.fmax(d, 1e-12)
+    pull *= -weight
+    gx[i] = pull * fleet.ahead_x[i]
+    gh[i] = pull * fleet.ahead_h[i]
+    return gx, gh
+
+
+def _goal_gradient_reference(fleet, goals, cfg, weight):
+    gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
+    g = goals.rows
+    gx[g] = weight * (-2.0 * ring_offset(goals.x - fleet.x[g], cfg.course_length_m))
+    gh[g] = weight * 2.0 * _layer_offset_reference(fleet, cfg)[g]
+    return gx, gh
+
+
+def _cross_layer_skipped_reference(fleet, cfg):
+    """Whether the cross-layer rule's bound skips it, each resident's offset
+    derived from its layer altitude."""
+    rows = fleet.order
+    offset = np.maximum.reduce(
+        np.abs(fleet.h[rows] - cfg.layer_spacing_m * fleet.layer[rows]), initial=0.0
+    )
+    reach = cfg.vertical_separation_coeff * np.maximum.reduce(fleet.speed[rows], initial=0.0)
+    layers = (fleet.bounds[1:] > fleet.bounds[:-1]).sum()
+    return bool(cfg.layer_spacing_m - 2.0 * offset >= reach or layers < 2)
+
+
+@pytest.mark.parametrize("max_offset", [50.0, 2.2])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_fleet_derives_its_shared_quantities_once(max_offset, data):
+    """``fleet.offset`` and ``fleet.paired``, built once per fleet, equal
+    what each stage used to derive for itself, and the stages that read them
+    return the same bits as the formulas they replaced."""
+    fleet = _layered_fleet(data, max_offset)
+    n = len(fleet.x)
+    want = _layer_offset_reference(fleet, CFG)
+    assert fleet.offset.tobytes() == want.tobytes()
+    assert fleet.paired.tolist() == fleet.order[fleet.prec[fleet.order] >= 0].tolist()
+    assert sorted(fleet.paired.tolist()) == (fleet.prec >= 0).nonzero()[0].tolist()
+    if len(fleet.paired) < len(fleet.order):
+        event("a lone resident")
+    if not fleet.resident.all():
+        event("a non-resident")
+    weight = data.draw(st.sampled_from([1.0, 1e-4, 0.05]) | st.floats(0.0, 10.0))
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=int)
+    goals = Goals(rows, np.array([data.draw(st.floats(0.0, 1999.999)) for _ in rows]))
+    pairs = (
+        (attract_gradient(fleet, weight), _attract_gradient_reference(fleet, weight)),
+        (layer_gradient(fleet, weight), (np.zeros(n), weight * 2.0 * want)),
+        (goal_gradient(fleet, goals, CFG, weight),
+         _goal_gradient_reference(fleet, goals, CFG, weight)),
+    )
+    for got, ref in pairs:
+        for g, r in zip(got, ref):
+            assert g.tobytes() == r.tobytes()
+    with mock.patch.object(airspace, "ring_laps", wraps=airspace.ring_laps) as laps:
+        got = cross_layer_conflicts(fleet, CFG)
+    event("rule evaluated" if laps.called else "rule skipped by the bound")
+    assert laps.called != _cross_layer_skipped_reference(fleet, CFG)
+    assert got.tolist() == _cross_layer_reference(fleet, CFG)
 
 
 # x as a fraction of the course: on the seam, coincident, or anywhere

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from uamsim import cli, engine, netcalc
+from uamsim import cli, engine, netcalc, scenarios
 from uamsim.cli import main
 
 
@@ -444,3 +444,53 @@ def test_unknown_scenario_is_a_clean_error(capsys):
 def test_bad_setting_propagates_as_error():
     with pytest.raises(SystemExit):
         main(["simulate", "--set", "not-an-assignment"])
+
+
+def test_one_parser_serves_many_calls(tmp_path, capsys):
+    """``main`` parses every call with one parser, built on first use, and a
+    call leaves nothing in it for the next: A, then B with another seed and
+    goal weight, then A again.  A writes the same bytes both times, B's
+    scenario carries none of A's settings, and a bad option after the good
+    calls fails as it always did."""
+    a = ["simulate", "--scenario", "fig12-ipr", "--set", "duration_s=1"]
+    b = ["simulate", "--scenario", "fig12-ipr", "--seed", "2", "--set", "weights.goal=0"]
+    files = ("trace.csv", "events.csv", "metrics.txt", "scenario.txt")
+    blobs = []
+    for argv, tag in ((a, "a1"), (b, "b"), (a, "a2")):
+        assert main([*argv, "--out", str(tmp_path / tag)]) == 0
+        blobs.append({f: (tmp_path / tag / f).read_bytes() for f in files})
+    assert blobs[0] == blobs[2]
+    want = scenarios.apply_settings(scenarios.get_scenario("fig12-ipr", 2), [("weights.goal", "0")])
+    scenarios.save_scenario(want, str(tmp_path / "want.txt"))
+    assert blobs[1]["scenario.txt"] == (tmp_path / "want.txt").read_bytes()
+    assert want.duration_s == 40.0 and want.seed == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--set", "not-an-assignment"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "uamsim simulate: error: argument --set: expected key=value, got 'not-an-assignment'"
+    )
+
+
+def test_the_parser_is_built_on_the_first_call_only(tmp_path):
+    """Importing the module builds no parser; the first ``main`` call
+    builds one, and later calls build none."""
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "from uamsim import cli\n"
+        "print(len(built))\n"
+        "for _ in range(3):\n"
+        "    cli.main(['validate'])\n"
+        "    print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    counts = [int(line) for line in done.stdout.splitlines() if line.isdigit()]
+    assert counts[0] == 0 and counts[1] > 0 and counts[1:] == [counts[1]] * 3

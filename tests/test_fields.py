@@ -40,7 +40,7 @@ def _values(fleet, goals):
         "attract": fields.attract_value(fleet),
         "stabilize": fields.stabilize_value(fleet, CFG),
         "repulse": fields.repulse_value(fleet, band),
-        "layer": fields.layer_value(fleet, CFG),
+        "layer": fields.layer_value(fleet),
         "goal": fields.goal_value(fleet, goals, CFG),
     }
 
@@ -51,7 +51,7 @@ def _gradients(fleet, goals):
         "attract": fields.attract_gradient(fleet),
         "stabilize": fields.stabilize_gradient(fleet, CFG),
         "repulse": fields.repulse_gradient(fleet, band),
-        "layer": fields.layer_gradient(fleet, CFG),
+        "layer": fields.layer_gradient(fleet),
         "goal": fields.goal_gradient(fleet, goals, CFG),
     }
 
@@ -115,7 +115,7 @@ def _dense_force_and_total(fleet, goals, w, cfg, radius):
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for ax, ah in (
         fields.stabilize_gradient(fleet, cfg, w.stabilize),
-        fields.layer_gradient(fleet, cfg, w.layer),
+        fields.layer_gradient(fleet, w.layer),
         fields.attract_gradient(fleet, w.attract),
         (w.repulse * gx, w.repulse * gh),
         _dense_consensus(fleet, pairs, w.consensus_gain),
@@ -125,7 +125,7 @@ def _dense_force_and_total(fleet, goals, w, cfg, radius):
         fh -= ah
     terms = (
         (w.stabilize, fields.stabilize_value(fleet, cfg)),
-        (w.layer, fields.layer_value(fleet, cfg)),
+        (w.layer, fields.layer_value(fleet)),
         (w.attract, fields.attract_value(fleet)),
         (w.repulse, value),
         (w.goal, fields.goal_value(fleet, goals, cfg)),
@@ -350,14 +350,14 @@ def test_layer_well_three_branches():
         np.zeros(3), np.array([0, 1, 2]), np.ones(3, dtype=bool), np.arange(3), CFG,
     )
     # each aircraft measures the offset from its own layer's altitude
-    assert fields.layer_value(f, CFG) == pytest.approx([1600.0, 400.0, 3600.0])
+    assert fields.layer_value(f) == pytest.approx([1600.0, 400.0, 3600.0])
     # gradient is vertical only
-    gx, gh = fields.layer_gradient(f, CFG)
+    gx, gh = fields.layer_gradient(f)
     assert gx[1] == 0.0 and gh[1] == pytest.approx(40.0)
     # at the foot of its band a layer-1 aircraft is pulled up to its own
     # layer, not down to layer 0
     edge = _fleet([(0.0, 50.0, 45.0, 0.0)])
-    assert fields.layer_gradient(edge, CFG)[1][0] == pytest.approx(-100.0)
+    assert fields.layer_gradient(edge)[1][0] == pytest.approx(-100.0)
 
 
 def test_attract_flat_inside_safe_gap():

@@ -148,6 +148,42 @@ def test_a_non_finite_aircraft_value_is_rejected():
     assert validate_scenario(sc) == ["aircraft 3: altitude_offset must be finite"]
 
 
+def test_every_kind_of_bad_aircraft_is_named_in_roster_order():
+    """The roster's floats are checked in one pass; each aircraft's
+    problems still come in field order, then range order, aircraft by id."""
+    nan, inf = math.nan, math.inf
+    roster = (
+        AircraftSpec(0, 1, 100.0),
+        AircraftSpec(1, 1, nan),
+        AircraftSpec(2, 1, 300.0, speed_offset=inf),
+        AircraftSpec(3, 1, 400.0, altitude_offset=-inf),
+        AircraftSpec(4, 2, nan, speed_offset=nan, altitude_offset=nan),
+        AircraftSpec(5, 0, 2000.0),
+        AircraftSpec(6, 3, 600.0),
+        AircraftSpec(7, 2, 700.0, speed_offset=10.0),
+        AircraftSpec(8, 0, 800.0, altitude_offset=60.0),
+        AircraftSpec(9, 1, 100.0),
+    )
+    assert validate_scenario(Scenario(aircraft=roster[::-1])) == [
+        "aircraft 1: x must be finite",
+        "aircraft 1: x outside the course",
+        "aircraft 2: speed_offset must be finite",
+        "aircraft 2: initial speed out of range",
+        "aircraft 3: altitude_offset must be finite",
+        "aircraft 3: starts outside its band",
+        "aircraft 4: x must be finite",
+        "aircraft 4: speed_offset must be finite",
+        "aircraft 4: altitude_offset must be finite",
+        "aircraft 4: x outside the course",
+        "aircraft 4: initial speed out of range",
+        "aircraft 5: x outside the course",
+        "aircraft 6: layer 3 out of range",
+        "aircraft 7: initial speed out of range",
+        "aircraft 8: starts outside its band",
+        "aircraft 9: starts on aircraft 0",
+    ]
+
+
 def test_interference_power_needs_a_source():
     """A power with no source position used to be ignored by the run."""
     with pytest.raises(ValueError, match="interference position"):
