@@ -53,7 +53,7 @@ from .switching import (
     target_layers,
     triggered,
 )
-from .textfmt import float_cells, int_cells, rows_text, text_words, word
+from .textfmt import float_cells, float_words, text_words
 
 
 class RisMode(Enum):
@@ -237,6 +237,14 @@ class SimTrace:
         )
 
 
+def _episode_scores(durations: np.ndarray, thresholds: tuple[float, ...]) -> tuple[float, list[float]]:
+    """``ipr_threshold``, and ``ipr`` at each threshold, of these episode durations."""
+    n = len(durations)
+    if n == 0:
+        return 0.0, [1.0] * len(thresholds)
+    return float(np.max(durations)), [(n - int(np.sum(durations > t + 1e-12))) / n for t in thresholds]
+
+
 def ipr(trace: SimTrace, duration_threshold: float) -> float:
     """Intrusion-prevention ratio at the given episode-duration threshold.
 
@@ -244,20 +252,12 @@ def ipr(trace: SimTrace, duration_threshold: float) -> float:
     lasting longer than the threshold count as intrusions.  A run with no
     conflicts scores 1 by convention.
     """
-    durations = trace.episode_durations
-    n_cfl = len(durations)
-    if n_cfl == 0:
-        return 1.0
-    n_int = int(np.sum(durations > duration_threshold + 1e-12))
-    return (n_cfl - n_int) / n_cfl
+    return _episode_scores(trace.episode_durations, (duration_threshold,))[1][0]
 
 
 def ipr_threshold(trace: SimTrace) -> float:
     """Smallest duration threshold at which every conflict is prevented."""
-    durations = trace.episode_durations
-    if len(durations) == 0:
-        return 0.0
-    return float(np.max(durations))
+    return _episode_scores(trace.episode_durations, ())[0]
 
 
 # A pair back in violation within this many seconds continues its episode.
@@ -650,9 +650,11 @@ def summarize(trace: SimTrace) -> dict[str, float | int | str]:
     out["switch_requests"] = sum(1 for e in trace.events if e[2] == "LS_REQ")
     out["switch_completions"] = sum(1 for e in trace.events if e[2] == "LS_DONE")
     out["conflict_episodes"] = len(trace.episodes)
-    out["max_episode_s"] = round(ipr_threshold(trace), 6)
-    for thr in (0.1, 0.3, 0.5, 1.0):
-        out[f"ipr_at_{thr:.1f}s"] = round(ipr(trace, thr), 6)
+    thresholds = (0.1, 0.3, 0.5, 1.0)
+    longest, ratios = _episode_scores(trace.episode_durations, thresholds)
+    out["max_episode_s"] = round(longest, 6)
+    for thr, ratio in zip(thresholds, ratios):
+        out[f"ipr_at_{thr:.1f}s"] = round(ratio, 6)
     out["capacity_ticks"] = int(np.sum(served))
     out["capacity_mean"] = (
         round(float(np.mean(trace.capacity_bps[served])), 6) if np.any(served) else 0.0
@@ -671,51 +673,61 @@ def summarize(trace: SimTrace) -> dict[str, float | int | str]:
 TRACE_BLOCK_ROWS = 1280
 
 
-def _trace_block(trace: SimTrace, ticks: range, dec: int, ids: np.ndarray, modes: np.ndarray) -> bytearray:
-    """The trace.csv rows of the given ticks, as one matrix of cells."""
+def _trace_block(trace: SimTrace, ticks: range, dec: int, ids: np.ndarray, roster: tuple[np.ndarray, ...]) -> bytearray:
+    """The trace.csv rows of the given ticks: their cells written into one
+    zeroed matrix, whose NULs are dropped once."""
+    id_cells, states, partners = roster
     span = slice(ticks.start, ticks.stop)
-    rows = len(ticks) * len(ids)
     stamps = text_words([f"{k * trace.scenario.dt:.{dec}f}," for k in ticks])
-    floats = float_cells(
-        np.stack([trace.x[span], trace.h[span], trace.vx[span], trace.vy[span], trace.capacity_bps[span]], axis=-1),
-        ",",
-    )
-    floats = floats.reshape(rows, 5, floats.shape[-1])
-    ints = int_cells(np.stack([trace.layer[span], trace.ris_partner[span]], axis=-1))
-    ints = ints.reshape(rows, 2, ints.shape[-1])
-    comma = np.broadcast_to(word(","), (rows, 1))
-    columns = [
-        np.repeat(stamps, len(ids), axis=0),
-        np.tile(ids, (len(ticks), 1)),
-        comma,
-        *(floats[:, j] for j in range(4)),
-        ints[:, 0],
-        comma,
-        modes[trace.mode[span].ravel()],
-        floats[:, 4],
-        ints[:, 1],
-        np.broadcast_to(word("\n"), (rows, 1)),
-    ]
-    del floats, ints
-    return rows_text(columns)
+    motion = np.stack([trace.x[span], trace.h[span], trace.vx[span], trace.vy[span]])
+    capacity, partner = trace.capacity_bps[span], trace.ris_partner[span]
+    widths = (stamps.shape[1], id_cells.shape[1], 4 * float_words(motion), states.shape[1],
+              float_words(capacity), partners.shape[1])
+    ends = np.cumsum(widths).tolist()
+    text = bytearray(4 * partner.size * ends[-1])
+    cells = np.frombuffer(text, dtype=np.uint32).reshape(*partner.shape, ends[-1])
+    cells[..., : ends[0]] = stamps[:, None]
+    cells[..., ends[0] : ends[1]] = id_cells
+    float_cells(motion, ",", cells[..., ends[1] : ends[2]].reshape(*partner.shape, 4, -1).transpose(2, 0, 1, 3))
+    del motion
+    cells[..., ends[2] : ends[3]] = states[trace.layer[span] * 3 + trace.mode[span]]
+    float_cells(capacity, ",", cells[..., ends[3] : ends[4]])
+    cells[..., ends[4] :] = partners[0]
+    k, j = np.nonzero(partner != -1)
+    cells[k, j, ends[4] :] = partners[np.searchsorted(ids, partner[k, j]) + 1]
+    del cells
+    return text.translate(None, b"\0")
 
 
 def write_trace(trace: SimTrace, path: str) -> None:
     """State rows as delimited text, one row per aircraft per tick.
 
     The time column comes from the tick index, at the decimals dt needs;
-    the other cells read as '%d' and '%.6f' print them.  Whole ticks at a
-    time, about ``TRACE_BLOCK_ROWS`` rows, are formatted as one block.
+    the other cells read as '%d' and '%.6f' print them.  The cells that
+    depend only on the roster are rendered once: "<id>," of each row,
+    "<layer>,<mode>," at 3 * layer + mode, and the partner's "-1\n", then
+    "<id>\n" of each row.  A layer, mode or partner they hold none for
+    raises ``ValueError``.  Whole ticks at a time, about
+    ``TRACE_BLOCK_ROWS`` rows, are formatted as one block.
     """
+    ids = trace.ids  # sorted: the roster is in id order
+    for name, a, n in (("layer", trace.layer, 3), ("mode", trace.mode, len(MODE_NAMES))):
+        if a.size and not 0 <= a.min() <= a.max() < n:
+            raise ValueError(f"trace {name} outside 0..{n - 1}")
+    if not np.isin(trace.ris_partner[trace.ris_partner != -1], ids).all():
+        raise ValueError("trace partner that is not an aircraft id")
+    roster = (
+        text_words([f"{i}," for i in ids.tolist()]),
+        text_words([f"{lay},{name}," for lay in range(3) for name in MODE_NAMES]),
+        text_words(["-1\n", *(f"{i}\n" for i in ids.tolist())]),
+    )
     dec = time_decimals(trace.scenario.dt)
     n_ticks, n = trace.x.shape
-    ids = int_cells(trace.ids)
-    modes = text_words([f"{name}," for name in MODE_NAMES])
     step = max(1, TRACE_BLOCK_ROWS // max(n, 1))
     with open(path, "wb") as fh:
         fh.write(b"t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
         for k0 in range(0, n_ticks, step):
-            fh.write(_trace_block(trace, range(k0, min(k0 + step, n_ticks)), dec, ids, modes))
+            fh.write(_trace_block(trace, range(k0, min(k0 + step, n_ticks)), dec, ids, roster))
 
 
 def write_events(trace: SimTrace, path: str) -> None:

@@ -1,10 +1,10 @@
 """Delimited text from arrays, byte for byte what '%d' and '%.6f' print.
 
 A cell is a row of uint32 words; viewed as bytes, a word reads its
-characters in order and NUL is padding.  Cells of one width stack into
-arrays, arrays of cells join into a (rows, width) matrix, and the matrix
-becomes text by dropping its NULs.  Digits come from small tables, built on
-first use.
+characters in order and NUL is padding.  A block of rows is one zeroed
+(rows, words) matrix: each column's cells are written straight into their
+span of it, and the matrix becomes text by dropping its NULs once.  Digits
+come from small tables, built on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The first table holds 0000..9999, then 0..9999 with the leading zeros
     but the last as NUL, then a NUL word; the second '.000'..'.999'; the
-    third '000'..'999' with a NUL last byte."""
+    third 0..9999 as in the first, then -0..-999 likewise."""
     # uint16 keeps each temporary under 256 KiB: from that size on, NumPy
     # walks the C stack before it reuses a temporary in place, and the walk
     # pages in about 0.5 MB of unwind tables.
@@ -29,12 +29,22 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     quads = np.concatenate((digits, lead, np.zeros((1, 4), dtype=np.uint8)))
     point = digits[:1000].copy()
     point[:, 0] = 46  # '.'
-    tail = np.roll(digits[:1000], -1, axis=1)
-    tail[:, 3] = 0
-    tables = tuple(t.view(np.uint32).ravel() for t in (quads, point, tail))
+    signed = np.concatenate((lead, lead[:1000]))
+    signed[np.arange(10000, 11000), np.argmax(lead[:1000] > 0, axis=1) - 1] = 45  # '-'
+    tables = tuple(t.view(np.uint32).ravel() for t in (quads, point, signed))
     for t in tables:
         t.flags.writeable = False
     return tables
+
+
+@cache
+def _tail_table(sep: str) -> np.ndarray:
+    """'000'..'999' each then the one character ``sep``."""
+    table = np.roll(_digit_tables()[1].view(np.uint8).reshape(-1, 4), -1, axis=1)
+    table[:, 3] = ord(sep)
+    table = table.view(np.uint32).ravel()
+    table.flags.writeable = False
+    return table
 
 
 def text_words(texts: list[str]) -> np.ndarray:
@@ -53,7 +63,7 @@ def _digit_words(mag: np.ndarray) -> np.ndarray:
     """Decimal digits of non-negative ints, shape (*mag.shape, chunks): four
     to a word, as many words as the largest needs, the leading zeros but the
     last digit as NUL."""
-    quads, _, _ = _digit_tables()
+    quads = _digit_tables()[0]
     chunks = -(-len(str(int(mag.max(initial=0)))) // 4)
     # q: the value without its lower chunks.  A chunk with q < 10000 is the
     # first (from the table without leading zeros); one with q == 0 lies
@@ -67,21 +77,26 @@ def _digit_words(mag: np.ndarray) -> np.ndarray:
     return quads[idx]
 
 
-def int_cells(v: np.ndarray) -> np.ndarray:
-    """Each int64 of ``v`` as '%d', shape (*v.shape, words)."""
-    v = np.asarray(v, dtype=np.int64)
-    u = v.view(np.uint64)
-    neg = v < 0
-    digits = _digit_words(np.where(neg, -u, u))  # -u wraps: |INT64_MIN| is 2**63
-    out = np.empty((*v.shape, digits.shape[-1] + 1), dtype=np.uint32)
-    out[..., 0] = np.where(neg, word("-"), 0)
-    out[..., 1:] = digits
-    return out
+def float_words(v: np.ndarray) -> int:
+    """Words that a cell of any float of ``v`` fits in: the whole part with
+    room for a carry and the sign, the point and the tail.  From 2**63 on,
+    '%.6f' of the largest with its sign and separator, or the 8 words of a
+    whole part of 19 digits."""
+    hi, lo = np.fmax.reduce(v, axis=None, initial=0.0), -np.fmin.reduce(v, axis=None, initial=0.0)
+    top = max(hi, lo)
+    if top == np.inf:
+        return float_words(v[np.isfinite(v)])  # '-inf' and 'nan' fit in the least, 3
+    if hi < 9999.0 and lo < 999.0:
+        return 3  # the sign shares the whole part's word
+    if top < 2.0**63:
+        return 3 + -(-len(str(int(top) + 1)) // 4)
+    return max(8, -(-(len("%.6f" % top) + 2) // 4))
 
 
-def float_cells(v: np.ndarray, sep: str) -> np.ndarray:
-    """Each float of ``v`` as '%.6f' then the one character ``sep``, shape
-    (*v.shape, words).
+def float_cells(v: np.ndarray, sep: str, out: np.ndarray | None = None) -> np.ndarray:
+    """Each float of ``v`` as '%.6f' then the one character ``sep``, written
+    into ``out`` and returned.  ``out`` is zeroed, of shape (*v.shape, words)
+    with at least ``float_words(v)`` words; None allocates it.
 
     A magnitude splits exactly into whole and fraction; the fraction rounds
     to millionths by ``np.rint``, carrying into the whole part.  Its product
@@ -89,42 +104,49 @@ def float_cells(v: np.ndarray, sep: str) -> np.ndarray:
     the product lies within 2**-50 relative of a tie.  Those cells, the
     non-finite ones and magnitudes from 2**63 on are formatted by '%.6f'.
     """
-    _, point, tail = _digit_tables()
+    if out is None:
+        out = np.zeros((*v.shape, float_words(v)), dtype=np.uint32)
+    quads, point, signed = _digit_tables()
+    # each temporary goes as soon as it is used: they set the peak memory
+    neg = np.signbit(v)  # -0.0 and what rounds to it too
     mag = np.abs(v)
     hard = ~(mag < 2.0**63)
     mag[hard] = 0.0
     whole = np.trunc(mag)
-    micros = (mag - whole) * 1e6
-    del mag  # each temporary goes as soon as it is used: they set the peak memory
+    micros = mag  # the fraction, in millionths, in place
+    micros -= whole
+    micros *= 1e6
     rounded = np.rint(micros)
-    hard |= np.abs(np.abs(micros - rounded) - 0.5) <= micros * 2.0**-50
-    del micros
-    carry = rounded == 1e6
-    micro = np.where(carry, 0, rounded.astype(np.intp))
+    carry = np.flatnonzero(rounded == 1e6)
+    rounded.ravel()[carry] = 0.0
+    whole.ravel()[carry] += 1.0
+    # The sign and a whole part under 10000, or under 1000 if negative, share
+    # one word: no chunks to divide out.
+    lead = np.minimum(whole, 1e4).astype(np.intp)
+    np.add(lead, 9000, out=lead, where=neg)
+    if lead.max(initial=0) < 10000:
+        np.add(lead, 1000, out=lead, where=neg)
+        out[..., 0] = signed[lead]
+        chunks = 0
+    else:
+        np.multiply(neg, word("-"), out=out[..., 0])
+        digits = _digit_words(whole.astype(np.uint64))
+        chunks = digits.shape[-1]
+        out[..., 1 : 1 + chunks] = digits
+        del digits
+    del whole, lead, neg, mag
+    off = np.abs(micros - rounded)  # the tie test, in place from here
+    off -= 0.5
+    hard |= np.abs(off, out=off) <= np.multiply(micros, 2.0**-50, out=micros)
+    del micros, off
+    lo = rounded.astype(np.intp)
     del rounded
-    digits = _digit_words(whole.astype(np.uint64) + carry)
-    del whole
-    out = np.empty((*v.shape, digits.shape[-1] + 3), dtype=np.uint32)
-    out[..., 0] = np.where(np.signbit(v), word("-"), 0)  # -0.0 and what rounds to it too
-    out[..., 1:-2] = digits
-    out[..., -2] = point[micro // 1000]
-    out[..., -1] = tail[micro % 1000] | word("\0\0\0" + sep)
+    hi = lo // 1000  # with the product, twice as fast as '%' or np.divmod on ints
+    lo -= hi * 1000
+    out[..., 1 + chunks] = point[hi]
+    out[..., 2 + chunks] = _tail_table(sep)[lo]
     if hard.any():
         texts = text_words(["%.6f" % x + sep for x in v[hard].tolist()])
-        extra = texts.shape[1] - out.shape[-1]
-        if extra > 0:
-            out = np.concatenate((np.zeros((*v.shape, extra), dtype=np.uint32), out), axis=-1)
         out[hard] = 0
         out[hard, : texts.shape[1]] = texts
     return out
-
-
-def rows_text(columns: list[np.ndarray]) -> bytearray:
-    """Rows of cells, each column (rows, words), joined into one matrix and
-    returned as text without its NULs.  Empties ``columns``, so that the
-    matrix and the columns are not held at once past the join."""
-    rows = len(columns[0])
-    text = bytearray(4 * rows * sum(c.shape[1] for c in columns))
-    np.concatenate(columns, axis=1, out=np.frombuffer(text, dtype=np.uint32).reshape(rows, -1))
-    columns.clear()
-    return text.translate(None, b"\0")

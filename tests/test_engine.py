@@ -1,6 +1,5 @@
 """Whole-simulator behaviour: determinism, invariants, episode accounting."""
 
-import itertools
 import math
 import re
 import sys
@@ -17,6 +16,7 @@ from uamsim import engine, fields, scenarios, textfmt
 from uamsim.airspace import fleet_state
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
+from trace_reference import first_difference, write_trace_per_row
 from uamsim.engine import (
     AircraftSpec,
     PhaseMode,
@@ -543,49 +543,21 @@ def test_default_dt_times_keep_one_decimal(tmp_path):
     assert _columns(tmp_path / "trace.csv") == [f"{t:.1f}" for t in tr.t for _ in tr.ids]
 
 
-def _write_trace_per_row(trace, path):
-    """The trace writer as one f-string per row, kept as write_trace's reference."""
-    dt = trace.scenario.dt
-    dec = time_decimals(dt)
-    ids = trace.ids.tolist()
-    columns = (trace.x, trace.h, trace.vx, trace.vy, trace.layer, trace.mode,
-               trace.capacity_bps, trace.ris_partner)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,id,x,h,vx,vy,layer,mode,capacity_bps,active_ris_id\n")
-        for k in range(len(trace.x)):
-            stamp = f"{k * dt:.{dec}f}"
-            fh.writelines(
-                f"{stamp},{aid},{x:.6f},{h:.6f},{vx:.6f},{vy:.6f},"
-                f"{lay},{MODE_NAMES[mode]},{cap:.6f},{ris}\n"
-                for aid, x, h, vx, vy, lay, mode, cap, ris in zip(
-                    ids, *(c[k].tolist() for c in columns)
-                )
-            )
-
-
-def _first_difference(written, reference, n):
-    """Where two trace.csv texts of n rows per tick first differ, and both lines."""
-    lines = list(itertools.zip_longest(written.split(b"\n"), reference.split(b"\n")))
-    line = next(i for i, (a, b) in enumerate(lines) if a != b)
-    where = "the header" if line == 0 else "(tick, row) = (%d, %d)" % divmod(line - 1, n)
-    return f"first difference at line {line + 1}, {where}:\n  written   {lines[line][0]!r}\n  reference {lines[line][1]!r}"
-
-
 def _assert_same_trace_bytes(tr, tmp_path):
     write_trace(tr, str(tmp_path / "trace.csv"))
-    _write_trace_per_row(tr, str(tmp_path / "reference.csv"))
+    write_trace_per_row(tr, str(tmp_path / "reference.csv"))
     written = (tmp_path / "trace.csv").read_bytes()
     reference = (tmp_path / "reference.csv").read_bytes()
-    assert written == reference, _first_difference(written, reference, len(tr.ids))
+    assert written == reference, first_difference(written, reference, len(tr.ids))
 
 
 def test_first_difference_names_the_tick_and_row():
     reference = b"t,id\n0.0,1\n0.0,2\n0.1,1\n0.1,2\n"
-    assert _first_difference(reference.replace(b"0.1,2", b"0.1,3"), reference, 2) == (
+    assert first_difference(reference.replace(b"0.1,2", b"0.1,3"), reference, 2) == (
         "first difference at line 5, (tick, row) = (1, 1):\n  written   b'0.1,3'\n  reference b'0.1,2'"
     )
-    assert "line 1, the header" in _first_difference(b"t\n", reference, 2)
-    assert "line 4, (tick, row) = (1, 0):\n  written   b''" in _first_difference(reference[:-12], reference, 2)
+    assert "line 1, the header" in first_difference(b"t\n", reference, 2)
+    assert "line 4, (tick, row) = (1, 0):\n  written   b''" in first_difference(reference[:-12], reference, 2)
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.025], ids=["2-decimal", "3-decimal"])
@@ -622,6 +594,43 @@ def test_write_trace_matches_the_per_row_formatter_on_the_dense_fleet(tmp_path):
     tr = run(_short(scenarios.congestion_scenario(300, 1), 9.0))
     assert tr.x[88, 527] == 1830.1837584999998
     _assert_same_trace_bytes(tr, tmp_path)
+
+
+def _relabelled(tr, ids):
+    """The trace with its roster's ids replaced by ``ids``, in row order."""
+    aircraft = tuple(replace(a, aircraft_id=i) for a, i in zip(tr.scenario.aircraft, ids))
+    return replace(tr, scenario=replace(tr.scenario, aircraft=aircraft))
+
+
+def test_write_trace_matches_the_per_row_formatter_on_every_roster_cell(tmp_path):
+    """The cells rendered once per run: ids of one to seventeen digits, not
+    contiguous; all nine layer/mode pairs; a partner of -1 and of every id."""
+    tr = run(_short(scenarios.get_scenario("fig6-airborne", seed=1), 2.0))
+    n_ticks, n = tr.x.shape
+    ids = [7 * 13**j + j for j in range(n)]
+    tr = _relabelled(tr, ids)
+    k, j = np.indices((n_ticks, n))
+    tr.layer[:], tr.mode[:] = divmod((k + j) % 9, 3)
+    tr.ris_partner[:] = np.array([-1, *ids])[(k * n + j) % (n + 1)]
+    assert len({*zip(tr.layer.ravel().tolist(), tr.mode.ravel().tolist())}) == 3 * len(MODE_NAMES)
+    assert set(tr.ris_partner.ravel().tolist()) == {-1, *ids}
+    assert len(str(ids[0])) == 1 and len(str(ids[-1])) == 17
+    _assert_same_trace_bytes(tr, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("layer", -1), ("layer", 3), ("mode", -1), ("mode", len(MODE_NAMES)),
+     ("ris_partner", -2), ("ris_partner", 5), ("ris_partner", 10**6)],
+)
+def test_write_trace_rejects_a_cell_the_roster_cells_do_not_hold(key, value, tmp_path):
+    """A layer, mode or partner outside the tables raises; a negative one
+    must not wrap around to another cell.  Ids are 1000 apart, so 5 is none."""
+    tr = run(_short(scenarios.get_scenario("fig6-airborne", seed=1), 1.0))
+    tr = _relabelled(tr, [1000 * (j + 1) for j in range(len(tr.ids))])
+    getattr(tr, key)[3, 2] = value
+    with pytest.raises(ValueError, match=key.replace("ris_", "")):
+        write_trace(tr, str(tmp_path / "trace.csv"))
 
 
 def _cell_texts(cells):
@@ -663,16 +672,6 @@ def test_float_cells_print_as_percent_f(values):
     want = ["%.6f;" % x for x in values]
     assert _cell_texts(textfmt.float_cells(v, ";")) == want
     assert _cell_texts(textfmt.float_cells(v.reshape(1, -1, 1), ";")) == want
-
-
-_INT64 = np.iinfo(np.int64)
-_HARD_INTS = sorted({_INT64.min, _INT64.max, *(s * (10**k + d) for s in (1, -1) for k in range(19) for d in (-1, 0))})
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(_INT64.min, _INT64.max) | st.sampled_from(_HARD_INTS), min_size=1, max_size=30))
-def test_int_cells_print_as_percent_d(values):
-    assert _cell_texts(textfmt.int_cells(np.array(values, dtype=np.int64))) == ["%d" % x for x in values]
 
 
 def _parked_on_the_served_aircraft(phase_mode):

@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from trace_reference import first_difference, write_trace_per_row
 from uamsim import airspace, engine, scenarios
 from uamsim.cli import main
 
@@ -226,12 +227,30 @@ def test_every_builtin_is_pinned():
     assert sorted(GOLDEN) == sorted(scenarios.BUILTIN)
 
 
+def mismatch(name, fname, out):
+    """Why ``fname`` of builtin ``name``, written in ``out``, misses its
+    pinned digest.  For trace.csv the per-row reference tells the writer
+    from the flight: where it matches the pin, its first difference from the
+    written file names the (tick, row)."""
+    message = f"{name}: {fname} differs from its pinned digest"
+    if fname != "trace.csv":
+        return message
+    trace = run_builtin(name)
+    write_trace_per_row(trace, str(out / "reference.csv"))
+    if digest(out / "reference.csv") != GOLDEN[name][fname]:
+        return message + "; so does the per-row reference: the flight changed, not the writer"
+    written, reference = ((out / f).read_bytes() for f in (fname, "reference.csv"))
+    return message + "; the per-row reference matches it, so the writer differs, " + first_difference(
+        written, reference, len(trace.ids)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_builtin_artifacts_match_their_digests(name, tmp_path):
     write_artifacts(name, tmp_path)
     for fname in FILES:
         got = digest(tmp_path / fname)
-        assert got == GOLDEN[name][fname], f"{name}: {fname} differs from its pinned digest"
+        assert got == GOLDEN[name][fname], mismatch(name, fname, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(RAW))
