@@ -12,7 +12,6 @@ from .engine import (
     RisMode,
     Scenario,
     SimTrace,
-    composite_field_total,
     ipr,
     ipr_threshold,
     run,
@@ -20,13 +19,7 @@ from .engine import (
     validate_scenario,
 )
 from .fields import CollisionError, FieldWeights
-from .netcalc import (
-    Ccdf,
-    ChannelKind,
-    ProtocolParams,
-    failure_curve,
-    failure_probability,
-)
+from .netcalc import Ccdf, ChannelKind, ProtocolParams, failure_curve
 from .planner import PlanningQuery, pso_optimize
 from .ris import ChannelParams, RowPhases, capacity, optimal_phase_shift, snr
 from .scenarios import BUILTIN, get_scenario, load_scenario, save_scenario
@@ -49,9 +42,7 @@ __all__ = [
     "Scenario",
     "SimTrace",
     "capacity",
-    "composite_field_total",
     "failure_curve",
-    "failure_probability",
     "get_scenario",
     "horizontal_safe_separation",
     "ipr",

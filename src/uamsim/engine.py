@@ -22,7 +22,7 @@ from .airspace import (
     fleet_state,
     nonfinite,
 )
-from .fields import NO_GOALS, FieldWeights, Goals, force, potential
+from .fields import NO_GOALS, FieldWeights, Goals, force
 # pso_minimize is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracing.py) wraps it in this namespace.
 from .planner import PlanningQuery, pso_minimize, pso_optimize  # noqa: F401
@@ -609,31 +609,6 @@ class _Engine:
 
 
 # --- summaries and persistence ---------------------------------------------
-
-
-def composite_field_total(trace: SimTrace) -> np.ndarray:
-    """Fleet-wide weighted scalar field value at every recorded tick.
-
-    Sums, over the trace rows not mid-switch, the values of the attraction /
-    stabilization / repulsion / layer / goal fields whose gradients steer
-    those rows in the engine (velocity consensus is pure damping and has no
-    potential, so it does not appear here).  Useful as a convergence diagnostic: a relaxing
-    flow drives this sum toward its structural floor.
-
-    Goal terms are omitted because the trace does not record the planner's
-    goal points; with the goal weight at zero, which is how flow-convergence
-    scenarios run, nothing is lost.
-    """
-    sc = trace.scenario
-    ids = trace.ids
-    out = np.zeros(len(trace.x))
-    for k in range(len(trace.x)):
-        fleet = fleet_state(
-            trace.x[k], trace.h[k], trace.vx[k], trace.vy[k], trace.layer[k],
-            trace.mode[k] != MODE_SWITCHING, ids, sc.airspace,
-        )
-        out[k] = potential(fleet, NO_GOALS, sc.weights, sc.airspace, sc.neighbor_radius_m)
-    return out
 
 
 def summarize(trace: SimTrace) -> dict[str, float | int | str]:

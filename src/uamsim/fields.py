@@ -6,9 +6,9 @@ short-range repulsion from intruding neighbours, a well that holds the
 aircraft at its layer altitude, and an optional goal pull from the planner.
 A velocity-consensus term aligns neighbours on top of the field descent.
 
-Each field has a value and a gradient side by side, over the whole fleet:
-aircraft i's own potential, differentiated in its position (velocity for
-the stabilizer).  Gradients come scaled by ``weight``.
+Each field's gradient runs over the whole fleet: aircraft i's own
+potential, differentiated in its position (velocity for the stabilizer),
+scaled by ``weight``.
 """
 
 from __future__ import annotations
@@ -129,14 +129,9 @@ def _row_sums(fleet: Fleet, a: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.bincount(a, terms, len(fleet.x))
 
 
-def attract_value(fleet: Fleet) -> np.ndarray:
-    gap = fleet.front - fleet.d_safe
-    return np.where((fleet.prec >= 0) & (gap >= 0.0), gap * gap, 0.0)
-
-
 def attract_gradient(fleet: Fleet, weight: float = 1.0):
     """The pull runs along the forward offset to the preceding aircraft,
-    the same offset whose norm is the front gap of the value."""
+    the same offset whose norm is the front gap of the potential."""
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     i = fleet.paired
     d = fleet.front[i]
@@ -151,33 +146,19 @@ def attract_gradient(fleet: Fleet, weight: float = 1.0):
     return gx, gh
 
 
-def stabilize_value(fleet: Fleet, cfg: AirspaceConfig) -> np.ndarray:
-    dvx = fleet.vx - cfg.speeds[fleet.layer]
-    return dvx * dvx + fleet.vy * fleet.vy
-
-
 def stabilize_gradient(fleet: Fleet, cfg: AirspaceConfig, weight: float = 1.0):
     return weight * 2.0 * (fleet.vx - cfg.speeds[fleet.layer]), weight * 2.0 * fleet.vy
 
 
-def _inside(fleet: Fleet, band: Band):
-    """The band pairs closer than ``a``'s separation, by index, and
-    1/d - 1/d_safe on each."""
+def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
+    """Of each row's potential: (1/d - 1/d_safe)^2 summed over its band
+    pairs closer than its separation."""
     d_safe = fleet.d_safe[band.a]
     k = (band.dist < d_safe).nonzero()[0]
-    return k, 1.0 / band.dist[k] - 1.0 / d_safe[k]
-
-
-def repulse_value(fleet: Fleet, band: Band) -> np.ndarray:
-    k, inv = _inside(fleet, band)
-    return _row_sums(fleet, band.a[k], inv * inv)
-
-
-def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
-    k, inv = _inside(fleet, band)
     if len(k) == 0:  # no intruder: the sums of no terms
         return np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     d = band.dist[k]
+    inv = 1.0 / d - 1.0 / d_safe[k]
     # the cube by multiplication: an array pow's bits depend on the SIMD
     # level NumPy dispatches to
     scale = -2.0 * inv / (d * d * d)
@@ -186,21 +167,8 @@ def repulse_gradient(fleet: Fleet, band: Band, weight: float = 1.0):
             weight * _row_sums(fleet, a, scale * -band.sh[k]))
 
 
-def layer_value(fleet: Fleet) -> np.ndarray:
-    return fleet.offset * fleet.offset
-
-
 def layer_gradient(fleet: Fleet, weight: float = 1.0):
     return np.zeros(len(fleet.x)), weight * 2.0 * fleet.offset
-
-
-def goal_value(fleet: Fleet, goals: Goals, cfg: AirspaceConfig) -> np.ndarray:
-    value = np.zeros(len(fleet.x))
-    g = goals.rows
-    dx = ring_offset(goals.x - fleet.x[g], cfg.course_length_m)
-    dh = fleet.offset[g]
-    value[g] = dx * dx + dh * dh
-    return value
 
 
 def goal_gradient(fleet: Fleet, goals: Goals, cfg: AirspaceConfig, weight: float = 1.0):
@@ -255,18 +223,3 @@ def force(
         fh -= gh
     return fx, fh
 
-
-def potential(
-    fleet: Fleet, goals: Goals, weights: FieldWeights, cfg: AirspaceConfig, radius: float,
-) -> float:
-    """Weighted sum of the five field values over the residents, the rows
-    whose motion ``force`` steers (a switching row flies its profile)."""
-    band = neighbour_band(fleet, cfg, radius)
-    terms = (
-        (weights.stabilize, stabilize_value(fleet, cfg)),
-        (weights.layer, layer_value(fleet)),
-        (weights.attract, attract_value(fleet)),
-        (weights.repulse, repulse_value(fleet, band)),
-        (weights.goal, goal_value(fleet, goals, cfg)),
-    )
-    return sum(w * float(np.sum(v[fleet.resident])) for w, v in terms)

@@ -340,14 +340,3 @@ def failure_curve(
     ttls = tuple(tuple(m.ttl for m in step) for step in _fashion(kind, params)[0])
     head = _handshake_head(ttls, params.loss_prob, n, grid_dt)
     return Ccdf(grid_dt, queue_tail if head is None else min_plus_convolve(head, queue_tail))
-
-
-def failure_probability(
-    kind: ChannelKind,
-    load: float,
-    t: float,
-    params: ProtocolParams,
-    grid_dt: float = 0.005,
-) -> float:
-    """Probability bound that a transfer of ``load`` Mb misses the budget t."""
-    return failure_curve(kind, load, t, params, grid_dt).at(t)

@@ -15,24 +15,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import field_reference
 from uamsim import fields, scenarios
 from uamsim.airspace import AirspaceConfig, fleet_state, horizontal_safe_separation
 from uamsim.engine import (
     MODE_SWITCHING,
     PhaseMode,
-    composite_field_total,
     ipr_threshold,
     run,
     summarize,
     write_metrics,
     write_trace,
 )
-from uamsim.netcalc import ChannelKind, ProtocolParams, failure_probability
+from uamsim.netcalc import ChannelKind, ProtocolParams, failure_curve
 from uamsim.ris import (
     ChannelParams,
     RowPhases,
+    capacity,
     cascaded_gain,
     cascaded_gain_bound,
+    direct_gain,
+    interference_at,
     optimal_phase_shift,
 )
 from uamsim.switching import optimal_switch_acceleration
@@ -141,8 +144,8 @@ def test_criterion_03_delay_bound_landscape():
     budget = 1.5
 
     # (a) light-load and heavy-load orderings
-    light = {k: failure_probability(k, 5.0, budget, par) for k in ChannelKind}
-    heavy = {k: failure_probability(k, 39.0, budget, par) for k in ChannelKind}
+    light = {k: failure_curve(k, 5.0, budget, par).at(budget) for k in ChannelKind}
+    heavy = {k: failure_curve(k, 39.0, budget, par).at(budget) for k in ChannelKind}
     a_ok = (
         min(light, key=light.get) is ChannelKind.CONTROL
         and min(heavy, key=heavy.get) is ChannelKind.RIS
@@ -162,7 +165,7 @@ def test_criterion_03_delay_bound_landscape():
             (
                 float(load)
                 for load in np.arange(1.0, 80.0, 1.0)
-                if failure_probability(kind, float(load), budget, par) >= 0.999
+                if failure_curve(kind, float(load), budget, par).at(budget) >= 0.999
             ),
             None,
         )
@@ -189,7 +192,7 @@ def test_criterion_03_delay_bound_landscape():
             (
                 float(load)
                 for load in np.arange(0.5, 60.0, 0.25)
-                if failure_probability(kind, float(load), budget, par) >= 0.2
+                if failure_curve(kind, float(load), budget, par).at(budget) >= 0.2
             ),
             None,
         )
@@ -219,7 +222,7 @@ def test_criterion_03_delay_bound_landscape():
 
 def test_criterion_04_field_gradients_match_finite_differences():
     """The kernel's gradients of all five fields vs central differences of
-    the kernel's values (step 1e-5) at 1000 random interior states, 1e-5
+    their reference values (step 1e-5) at 1000 random interior states, 1e-5
     relative.  Each state is a three-aircraft layer: the subject, a
     neighbour behind it inside its separation, and its preceding aircraft
     ahead, every second state more than half the course ahead."""
@@ -263,11 +266,11 @@ def test_criterion_04_field_gradients_match_finite_differences():
         def values(f):
             band = fields.neighbour_band(f, air, radius)
             return (
-                fields.attract_value(f)[0],
-                fields.stabilize_value(f, air)[0],
-                fields.repulse_value(f, band)[0],
-                fields.layer_value(f)[0],
-                fields.goal_value(f, goals, air)[0],
+                field_reference.attract_value(f)[0],
+                field_reference.stabilize_value(f, air)[0],
+                field_reference.repulse_value(f, band)[0],
+                field_reference.layer_value(f)[0],
+                field_reference.goal_value(f, goals, air)[0],
             )
 
         base = fleet()
@@ -334,7 +337,7 @@ def test_criterion_06_flow_field_contracts():
     sc = scenarios.get_scenario("fig11-cpf")
     assert sc.weights.goal == 0.0
     tr = run(sc)
-    tot = composite_field_total(tr)
+    tot = field_reference.composite_field_total(tr)
     i2 = int(round(2.0 / sc.dt))
     i20 = int(round(20.0 / sc.dt))
     ratio = float(tot[i20] / tot[i2])
@@ -416,10 +419,38 @@ def test_criterion_08_switch_counts_across_relay_placements():
     assert pairwise_ok
 
 
+def _floor_capacity(sc, ris, k):
+    """Capacity at amplitude |h_direct| + cos(r pi / 2) * the cascade bound:
+    quantized phases keep every element's term within r pi / 2 of the real
+    axis at the geometry they were steered for (slack 1e-12 of the bound)."""
+    par, r = sc.channel, sc.phase_resolution
+    cascade = cascaded_gain_bound(sc.bs_pos, ris, k, sc.ris_elements, par)
+    amp = abs(direct_gain(sc.bs_pos, k, par)) + (math.cos(r * math.pi / 2.0) - 1e-12) * cascade
+    return capacity(amp * amp * par.tx_power_w / (par.noise_power_w + interference_at(k, par)), par)
+
+
+def _ticks_under_the_floor(sc):
+    """Served ticks of the flight whose capacity is under the floor, and
+    served ticks."""
+    tr = run(sc)
+    ids = tr.ids.tolist()
+    ticks, rows = np.nonzero(tr.capacity_bps > 0.0)
+    under = 0
+    for k, row in zip(ticks.tolist(), rows.tolist()):
+        partner = int(tr.ris_partner[k, row])
+        relay = ids.index(partner) if partner >= 0 else -1
+        ris = sc.stationary_ris_pos if relay < 0 else (float(tr.x[k, relay]), float(tr.h[k, relay]))
+        served = (float(tr.x[k, row]), float(tr.h[k, row]))
+        under += tr.capacity_bps[k, row] < _floor_capacity(sc, ris, served)
+    return under, len(ticks)
+
+
 def test_criterion_09_capacity_orders_with_phase_resolution():
     """Run-mean capacity is monotone along {zero, pi, pi/3, pi/6, pi/12,
     continuous} with 2% slack, and the two finest grids land within 5% of
-    the continuous optimum."""
+    the continuous optimum.  With the phases planned every tick (fresh
+    windows), no served tick of a quantized grid falls under the floor of
+    its resolution."""
     base = scenarios.get_scenario("fig9-phase")
     settings = [
         ("zero", PhaseMode.ZERO, None),
@@ -445,8 +476,22 @@ def test_criterion_09_capacity_orders_with_phase_resolution():
         + " <= ".join(f"{l}:{m:.2f}" for l, m in zip(labels, means))
         + f"; pi/6 at {means[3]/cont:.3f}, pi/12 at {means[4]/cont:.3f} of continuous",
     )
+    floors = {
+        label: _ticks_under_the_floor(replace(base, phase_mode=mode, phase_resolution=res, comm_interval=1))
+        for label, mode, res in settings
+        if mode is PhaseMode.QUANTIZED
+    }
+    floor_ok = all(under == 0 and served > 0 for under, served in floors.values())
+    _verdict(
+        floor_ok,
+        "criterion 9 fresh windows",
+        "served ticks under the floor "
+        + ", ".join(f"{l}:{under}/{served}" for l, (under, served) in floors.items())
+        + " (none allowed)",
+    )
     assert chain_ok
     assert close_ok
+    assert floor_ok
 
 
 def test_criterion_10_bitwise_deterministic_artifacts(tmp_path):

@@ -16,6 +16,7 @@ from uamsim import engine, fields, scenarios, textfmt
 from uamsim.airspace import fleet_state
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
+from field_reference import composite_field_total
 from trace_reference import first_difference, write_trace_per_row
 from uamsim.engine import (
     AircraftSpec,
@@ -23,7 +24,6 @@ from uamsim.engine import (
     RisMode,
     Scenario,
     EPISODE_MERGE_WINDOW_S,
-    composite_field_total,
     ipr,
     ipr_threshold,
     merge_episodes,
@@ -596,6 +596,22 @@ def test_write_trace_matches_the_per_row_formatter_on_the_dense_fleet(tmp_path):
     _assert_same_trace_bytes(tr, tmp_path)
 
 
+def test_write_trace_matches_the_per_row_formatter_on_wide_cells(tmp_path):
+    """A 20 km course at a 1 MHz bandwidth: x from 10**4 m and capacities of
+    eight digits, and vy set to -x on every other tick, so whole parts from
+    10**4 up and from -10**3 down go through '%.6f' inside the strided
+    x/h/vx/vy and capacity views of a block, beside cells that do not."""
+    sc = _short(scenarios.get_scenario("fig6-airborne", seed=1), 2.0)
+    sc = replace(sc, airspace=replace(sc.airspace, course_length_m=20000.0),
+                 channel=replace(sc.channel, bandwidth_hz=1e6),
+                 aircraft=tuple(replace(a, x=10.0 * a.x) for a in sc.aircraft))
+    tr = run(sc)
+    tr.vy[::2] = -tr.x[::2]
+    assert tr.x.max() >= 1e4 and tr.vy.min() <= -1e4 and tr.x.min() < 1e3
+    assert tr.capacity_bps.max() >= 1e7
+    _assert_same_trace_bytes(tr, tmp_path)
+
+
 def _relabelled(tr, ids):
     """The trace with its roster's ids replaced by ``ids``, in row order."""
     aircraft = tuple(replace(a, aircraft_id=i) for a, i in zip(tr.scenario.aircraft, ids))
@@ -670,8 +686,9 @@ def test_float_cells_print_as_percent_f(values):
     half-millionth ties and their neighbours, carries, huge and non-finite."""
     v = np.array(values)
     want = ["%.6f;" % x for x in values]
-    assert _cell_texts(textfmt.float_cells(v, ";")) == want
-    assert _cell_texts(textfmt.float_cells(v.reshape(1, -1, 1), ";")) == want
+    for shape in (v.shape, (1, len(values), 1)):
+        out = np.zeros((*shape, textfmt.float_words(v)), dtype=np.uint32)
+        assert _cell_texts(textfmt.float_cells(v.reshape(shape), ";", out)) == want
 
 
 def _parked_on_the_served_aircraft(phase_mode):

@@ -1,6 +1,6 @@
-"""Field values and gradients of the fleet kernel, on small fleets."""
+"""Field gradients and forces of the fleet kernel, on small fleets, and the
+reference values the gradients differentiate."""
 
-import math
 from unittest import mock
 
 import numpy as np
@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import field_reference
 from uamsim import engine, fields, scenarios
 from uamsim.airspace import (
     AirspaceConfig, fleet_state, ring_offset, search_reach,
@@ -32,17 +33,6 @@ def _fleet(rows, layer=1):
 
 def _band(fleet, radius=RADIUS):
     return fields.neighbour_band(fleet, CFG, radius)
-
-
-def _values(fleet, goals):
-    band = _band(fleet)
-    return {
-        "attract": fields.attract_value(fleet),
-        "stabilize": fields.stabilize_value(fleet, CFG),
-        "repulse": fields.repulse_value(fleet, band),
-        "layer": fields.layer_value(fleet),
-        "goal": fields.goal_value(fleet, goals, CFG),
-    }
 
 
 def _gradients(fleet, goals):
@@ -86,18 +76,16 @@ def _in_order(terms):
 
 
 def _dense_repulsion(fleet, pairs):
-    """Repulsion value and gradient, unweighted."""
-    n = len(fleet.x)
-    value, gx, gh = np.zeros(n), np.zeros(n), np.zeros(n)
+    """Repulsion gradient, unweighted."""
+    gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for members, sx, sh, dist, near in pairs:
         d_safe = fleet.d_safe[members][:, None]
         inside = near & (dist < d_safe)
         inv = np.where(inside, 1.0 / dist - 1.0 / d_safe, 0.0)
         scale = np.where(inside, -2.0 * inv / (dist * dist * dist), 0.0)
-        value[members] = _in_order(inv * inv)
         gx[members] = _in_order(scale * -sx)
         gh[members] = _in_order(scale * -sh)
-    return value, gx, gh
+    return gx, gh
 
 
 def _dense_consensus(fleet, pairs, gain):
@@ -109,9 +97,9 @@ def _dense_consensus(fleet, pairs, gain):
     return cx, ch
 
 
-def _dense_force_and_total(fleet, goals, w, cfg, radius):
+def _dense_force(fleet, goals, w, cfg, radius):
     pairs = _dense_pairs(fleet, cfg, radius)
-    value, gx, gh = _dense_repulsion(fleet, pairs)
+    gx, gh = _dense_repulsion(fleet, pairs)
     fx, fh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
     for ax, ah in (
         fields.stabilize_gradient(fleet, cfg, w.stabilize),
@@ -123,14 +111,7 @@ def _dense_force_and_total(fleet, goals, w, cfg, radius):
     ):
         fx -= ax
         fh -= ah
-    terms = (
-        (w.stabilize, fields.stabilize_value(fleet, cfg)),
-        (w.layer, fields.layer_value(fleet)),
-        (w.attract, fields.attract_value(fleet)),
-        (w.repulse, value),
-        (w.goal, fields.goal_value(fleet, goals, cfg)),
-    )
-    return fx, fh, sum(wt * float(np.sum(v[fleet.resident])) for wt, v in terms)
+    return fx, fh
 
 
 # (layer, x as a fraction of the course, on a 40-point grid or off it,
@@ -157,8 +138,8 @@ _craft = st.tuples(
     nudge=st.none() | st.integers(-4, 4),
 )
 def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudge):
-    """The band's force and field total equal, bit for bit, those of dense
-    per-layer pair matrices summed in order.  The fleets wrap the ring, have
+    """The band's force equals, bit for bit, that of dense per-layer pair
+    matrices summed in order.  The fleets wrap the ring, have
     radii beyond half the course, lone residents, empty layers, non-residents
     and coincident x; a coincident point raises the same collision.  With
     ``edge``, two aircraft fly level in one layer, and the radius is the x
@@ -187,19 +168,17 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudg
         event("smallest ring gap within 4 ulps of the radius")
     w = FieldWeights()
     try:
-        want = _dense_force_and_total(fleet, goals, w, cfg, radius)
+        want = _dense_force(fleet, goals, w, cfg, radius)
     except CollisionError as exc:
-        for call in (fields.force, fields.potential):
-            with pytest.raises(CollisionError) as got:
-                call(fleet, goals, w, cfg, radius)
-            assert str(got.value) == str(exc)
+        with pytest.raises(CollisionError) as got:
+            fields.force(fleet, goals, w, cfg, radius)
+        assert str(got.value) == str(exc)
         return
     with mock.patch.object(fields, "ring_pairs", wraps=fields.ring_pairs) as search:
         fx, fh = fields.force(fleet, goals, w, cfg, radius)
     event("band searched" if search.called else "band empty by the ring gaps")
     # by bytes, so the sign of a zero force, which trace.csv prints, is pinned too
     assert fx.tobytes() == want[0].tobytes() and fh.tobytes() == want[1].tobytes()
-    assert fields.potential(fleet, goals, w, cfg, radius) == want[2]
 
 
 def test_band_keeps_a_neighbour_exactly_on_the_radius():
@@ -232,10 +211,9 @@ def searches(monkeypatch):
 
 
 def _matches_the_dense_reference(fleet, radius, goals=NO_GOALS, w=FieldWeights()):
-    fx, fh, total = _dense_force_and_total(fleet, goals, w, CFG, radius)
+    fx, fh = _dense_force(fleet, goals, w, CFG, radius)
     got = fields.force(fleet, goals, w, CFG, radius)
-    return (got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
-            and fields.potential(fleet, goals, w, CFG, radius) == total)
+    return got[0].tobytes() == fx.tobytes() and got[1].tobytes() == fh.tobytes()
 
 
 def _even_roster():
@@ -319,7 +297,7 @@ def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
     after = eng._fleet()
     assert after.order.tolist() == [1, 2, 3, 4, 5]
     assert (after.prec[1], after.front[1]) == (-1, np.inf)
-    assert fields.attract_value(after)[1] == 0.0
+    assert field_reference.attract_value(after)[1] == 0.0
     gx, gh = fields.attract_gradient(after, sc.weights.attract)
     assert (gx[1], gh[1]) == (0.0, 0.0)
     searches.clear()
@@ -339,7 +317,7 @@ def test_layer_pairs_keep_row_order():
 
 def test_stabilize_value_and_gradient():
     f = _fleet([(0.0, 100.0, 40.0, 2.0)])
-    assert fields.stabilize_value(f, CFG)[0] == pytest.approx(25.0 + 4.0)
+    assert field_reference.stabilize_value(f, CFG)[0] == pytest.approx(25.0 + 4.0)
     gx, gh = fields.stabilize_gradient(f, CFG)
     assert (gx[0], gh[0]) == pytest.approx((-10.0, 4.0))
 
@@ -350,7 +328,7 @@ def test_layer_well_three_branches():
         np.zeros(3), np.array([0, 1, 2]), np.ones(3, dtype=bool), np.arange(3), CFG,
     )
     # each aircraft measures the offset from its own layer's altitude
-    assert fields.layer_value(f) == pytest.approx([1600.0, 400.0, 3600.0])
+    assert field_reference.layer_value(f) == pytest.approx([1600.0, 400.0, 3600.0])
     # gradient is vertical only
     gx, gh = fields.layer_gradient(f)
     assert gx[1] == 0.0 and gh[1] == pytest.approx(40.0)
@@ -363,11 +341,11 @@ def test_layer_well_three_branches():
 def test_attract_flat_inside_safe_gap():
     # 45 m/s needs 149.06 m: a 120 m gap is inside it, so no pull at all
     near = _fleet([(0.0, 0.0, 45.0, 0.0), (120.0, 0.0, 45.0, 0.0)])
-    assert fields.attract_value(near)[0] == 0.0
+    assert field_reference.attract_value(near)[0] == 0.0
     gx, gh = fields.attract_gradient(near)
     assert (gx[0], gh[0]) == (0.0, 0.0)
     far = _fleet([(0.0, 0.0, 45.0, 0.0), (300.0, 0.0, 45.0, 0.0)])
-    assert fields.attract_value(far)[0] == pytest.approx(
+    assert field_reference.attract_value(far)[0] == pytest.approx(
         (300.0 - 149.0625) ** 2
     )
 
@@ -386,61 +364,14 @@ def test_attraction_pulls_forward_round_the_ring():
 def test_repulse_blows_up_approaching_contact():
     near = _fleet([(0.0, 0.0, 45.0, 0.0), (10.0, 0.0, 45.0, 0.0)])
     nearer = _fleet([(0.0, 0.0, 45.0, 0.0), (5.0, 0.0, 45.0, 0.0)])
-    assert fields.repulse_value(nearer, _band(nearer))[0] > (
-        fields.repulse_value(near, _band(near))[0]
+    assert field_reference.repulse_value(nearer, _band(nearer))[0] > (
+        field_reference.repulse_value(near, _band(near))[0]
     )
     touching = _fleet([(0.0, 0.0, 45.0, 0.0), (0.0, 0.0, 45.0, 0.0)])
     with pytest.raises(CollisionError):
         _band(touching)
     with pytest.raises(CollisionError):
         fields.force(touching, NO_GOALS, FieldWeights(), CFG, RADIUS)
-
-
-def test_gradients_match_central_differences():
-    """Finite-difference check across every field, at kink-free states:
-    aircraft 0 has a neighbour behind inside its separation and its
-    preceding aircraft ahead, up to most of the course away."""
-    rng = np.random.default_rng(99)
-    eps = 1e-5
-    checked = 0
-    for _ in range(400):
-        x = float(rng.uniform(10.0, 1990.0))
-        h = float(rng.uniform(110.0, 140.0))
-        vx, vy = float(rng.uniform(20.0, 60.0)), float(rng.uniform(-3.0, 3.0))
-        sep = 0.0625 * (vx * vx + vy * vy) + 0.5 * math.hypot(vx, vy)
-        behind = float(rng.uniform(5.0, sep - 5.0))
-        lead = float(rng.uniform(50.0, 1900.0 - behind))
-        rows = [
-            (x, h, vx, vy),
-            ((x + lead) % 2000.0, h + rng.uniform(-20, 20), 45.0, 0.0),
-            ((x - behind) % 2000.0, h + rng.uniform(-2, 2), 45.0, 0.0),
-        ]
-        goals = Goals(np.array([0]), np.array([rng.uniform(0, 2000)]))
-        rng.uniform(0, 200)  # the goal altitude, unused: drawn so the sampled states stay the same
-        base = _gradients(_fleet(rows), goals)
-
-        def val(kind, dx=0.0, dh=0.0, dvx=0.0, dvy=0.0):
-            moved = [(x + dx, h + dh, vx + dvx, vy + dvy)] + rows[1:]
-            return _values(_fleet(moved), goals)[kind][0]
-
-        for kind in KINDS:
-            if kind == "stabilize":
-                num = (
-                    (val(kind, dvx=eps) - val(kind, dvx=-eps)) / (2 * eps),
-                    (val(kind, dvy=eps) - val(kind, dvy=-eps)) / (2 * eps),
-                )
-            else:
-                num = (
-                    (val(kind, dx=eps) - val(kind, dx=-eps)) / (2 * eps),
-                    (val(kind, dh=eps) - val(kind, dh=-eps)) / (2 * eps),
-                )
-            grad = (base[kind][0][0], base[kind][1][0])
-            scale = max(1.0, abs(num[0]), abs(num[1]))
-            assert grad[0] == pytest.approx(num[0], abs=2e-4 * scale), kind
-            assert grad[1] == pytest.approx(num[1], abs=2e-4 * scale), kind
-            checked += 1
-    print(f"gradient pairs checked: {checked}")
-    assert checked > 1500
 
 
 def test_composite_force_sums_weighted_gradients():
@@ -456,10 +387,6 @@ def test_composite_force_sums_weighted_gradients():
         manual_h = manual_h - getattr(w, kind) * grads[kind][1]
     assert fx == pytest.approx(manual_x, rel=1e-12)
     assert fh == pytest.approx(manual_h, rel=1e-12)
-    # the total is the same fields' values, weighted
-    total = fields.potential(f, goals, w, CFG, RADIUS)
-    values = _values(f, goals)
-    assert total == pytest.approx(sum(getattr(w, k) * values[k].sum() for k in KINDS), rel=1e-12)
 
 
 def test_mid_climb_aircraft_adds_nothing_to_the_total():
@@ -471,10 +398,10 @@ def test_mid_climb_aircraft_adds_nothing_to_the_total():
 
     def total(resident):
         f = fleet_state(x, h, vx, vy, np.ones(2, dtype=int), np.array(resident), np.arange(2), CFG)
-        return fields.potential(f, NO_GOALS, w, CFG, RADIUS)
+        return field_reference.potential(f, NO_GOALS, w, CFG, RADIUS)
 
     alone = _fleet(rows[:1])
-    assert total([True, False]) == fields.potential(alone, NO_GOALS, w, CFG, RADIUS)
+    assert total([True, False]) == field_reference.potential(alone, NO_GOALS, w, CFG, RADIUS)
     assert total([True, True]) > total([True, False]) + 100.0
 
 

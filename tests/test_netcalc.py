@@ -19,7 +19,6 @@ from uamsim.netcalc import (
     _handshake_head,
     check_scan,
     failure_curve,
-    failure_probability,
     min_plus_convolve,
     poisson_delay_tail,
     queueing_tail_ccdf,
@@ -303,24 +302,24 @@ def test_failure_curve_monotone_in_time_and_load():
     for kind in ChannelKind:
         c = failure_curve(kind, 10.0, 2.0, PAR)
         assert np.all(np.diff(c.values) <= 1e-12)
-        lo = failure_probability(kind, 8.0, 1.5, PAR)
-        hi = failure_probability(kind, 20.0, 1.5, PAR)
+        lo = failure_curve(kind, 8.0, 1.5, PAR).at(1.5)
+        hi = failure_curve(kind, 20.0, 1.5, PAR).at(1.5)
         assert hi >= lo - 1e-12
         print(f"{kind.value:8s}: p_fail(8 Mb)={lo:.4f}  p_fail(20 Mb)={hi:.4f}")
 
 
 def test_control_failure_saturates_below_stack_latency():
     # a 30 Mb burst over 20 Mb/s cannot finish within 1.2 * 30/20 = 1.8 s
-    p = failure_probability(ChannelKind.CONTROL, 30.0, 1.5, PAR)
+    p = failure_curve(ChannelKind.CONTROL, 30.0, 1.5, PAR).at(1.5)
     assert p == 1.0
     # and a tiny load within a generous budget essentially never fails
-    assert failure_probability(ChannelKind.CONTROL, 1.0, 1.5, PAR) < 1e-8
+    assert failure_curve(ChannelKind.CONTROL, 1.0, 1.5, PAR).at(1.5) < 1e-8
 
 
 def test_pinned_arrival_rate_decouples_queueing():
     pinned = ProtocolParams(arrival_rate=5.0)
-    free = failure_probability(ChannelKind.CONTROL, 12.0, 1.5, PAR)
-    fixed = failure_probability(ChannelKind.CONTROL, 12.0, 1.5, pinned)
+    free = failure_curve(ChannelKind.CONTROL, 12.0, 1.5, PAR).at(1.5)
+    fixed = failure_curve(ChannelKind.CONTROL, 12.0, 1.5, pinned).at(1.5)
     assert fixed <= free + 1e-12
 
 
