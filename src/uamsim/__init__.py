@@ -9,7 +9,6 @@ from .airspace import AirspaceConfig, horizontal_safe_separation
 from .engine import (
     AircraftSpec,
     PhaseMode,
-    RisMode,
     Scenario,
     SimTrace,
     ipr,
@@ -37,7 +36,6 @@ __all__ = [
     "PhaseMode",
     "PlanningQuery",
     "ProtocolParams",
-    "RisMode",
     "RowPhases",
     "Scenario",
     "SimTrace",

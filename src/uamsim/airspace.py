@@ -115,13 +115,13 @@ class Fleet(NamedTuple):
     x in the segments; sorted back to row order, a segment gives the served
     pair its ties to the lowest row.
 
-    Each resident's preceding aircraft ``prec`` is the next of its segment,
+    Each resident's preceding aircraft is the next of its segment,
     cyclically; ``ahead_x``/``ahead_h`` is the forward offset to it and
     ``front`` its norm, ``rear`` the gap to the aircraft behind.  The alone
-    and non-residents get -1 and infinite gaps.  Their ``ahead_x`` is 0,
-    which is not a gap: a lone resident's offset to itself, and it has no
-    pair.  ``paired`` lists the residents that have a preceding aircraft, in
-    ring order.  ``offset`` is each row's altitude above its layer's.
+    and non-residents get infinite gaps.  Their ``ahead_x`` is 0, which is
+    not a gap: a lone resident's offset to itself, and it has no pair.
+    ``paired`` lists the residents that have a preceding aircraft, in ring
+    order.  ``offset`` is each row's altitude above its layer's.
     ``conflicts``: row-pair codes (see ``pair_codes``) of every conflict:
     neighbours closer than the faster one's separation, and cross-layer pairs."""
 
@@ -139,7 +139,6 @@ class Fleet(NamedTuple):
     bounds: np.ndarray
     front: np.ndarray
     rear: np.ndarray
-    prec: np.ndarray
     paired: np.ndarray
     ahead_x: np.ndarray
     ahead_h: np.ndarray
@@ -174,23 +173,21 @@ def fleet_state(x, h, vx, vy, layer, resident, ids, cfg: AirspaceConfig) -> Flee
     ring_h = ho[succ] - ho
     gap = np.hypot(ring_x, ring_h)
     ahead_x, ahead_h = np.zeros(n), np.zeros(n)
-    prec, front, rear = np.empty(n, dtype=int), np.empty(n), np.empty(n)
-    prec.fill(-1)
+    front, rear = np.empty(n), np.empty(n)
     front.fill(np.inf)
     rear.fill(np.inf)
     if len(lone):  # a layer's only resident has no gap
         gap[lone] = np.inf
-    ahead_x[order], ahead_h[order], prec[order], front[order], rear[nxt] = ring_x, ring_h, nxt, gap, gap
+    ahead_x[order], ahead_h[order], front[order], rear[nxt] = ring_x, ring_h, gap, gap
     paired = order
     if len(lone):  # nor a preceding aircraft
-        prec[order[lone]] = -1
         paired = np.delete(order, lone)
     # the faster aircraft has the larger separation
     ring_d = d_safe[order]
     close = (gap < np.maximum(ring_d, ring_d[succ])).nonzero()[0]
     fleet = Fleet(
         x, h, vx, vy, layer, resident, ids, speed, d_safe, h - layer * cfg.spacing,
-        order, bounds, front, rear, prec, paired, ahead_x, ahead_h,
+        order, bounds, front, rear, paired, ahead_x, ahead_h,
         pair_codes(order[close], nxt[close], n),
     )
     cross = cross_layer_conflicts(fleet, cfg)

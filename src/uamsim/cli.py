@@ -166,10 +166,9 @@ def cmd_ipr_sweep(args):
     seed = args.seed if args.seed is not None else 1
     runs = []
     for per_layer in _numbers("rosters", args.rosters, int):
-        for enabled in (True, False):
-            sc = scenarios.congestion_scenario(per_layer, seed)
-            sc = dataclasses.replace(sc, switching_enabled=enabled)
-            runs.append((per_layer, enabled, scenarios.apply_settings(sc, args.set)))
+        # the settings first, so none can switch the off run back on
+        sc = scenarios.apply_settings(scenarios.congestion_scenario(per_layer, seed), args.set)
+        runs += [(per_layer, True, sc), (per_layer, False, dataclasses.replace(sc, switch_prob=0.0))]
 
     def write() -> int:
         with open(os.path.join(args.out, "ipr_sweep.csv"), "w", encoding="utf-8", newline="\n") as fh:

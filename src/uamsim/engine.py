@@ -56,11 +56,6 @@ from .switching import (
 from .textfmt import float_cells, float_words, text_words
 
 
-class RisMode(Enum):
-    AIRBORNE = "airborne"
-    STATIONARY = "stationary"
-
-
 class PhaseMode(Enum):
     CONTINUOUS = "continuous"
     QUANTIZED = "quantized"
@@ -80,7 +75,11 @@ class AircraftSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete, self-contained description of one simulation run."""
+    """Complete, self-contained description of one simulation run.
+
+    ``switch_prob`` 0 flies without layer switching.  ``ris_pos`` fixes the
+    surface there; none carries it on the low-layer relay.
+    """
 
     name: str = "custom"
     airspace: AirspaceConfig = field(default_factory=AirspaceConfig)
@@ -92,12 +91,10 @@ class Scenario:
     duration_s: float = 40.0
     seed: int = 1
     switch_prob: float = 0.4
-    switching_enabled: bool = True
     initial_backoff: int = 2
     neighbor_radius_m: float = 300.0
     target_window_m: float = 500.0
-    ris_mode: RisMode = RisMode.AIRBORNE
-    stationary_ris_pos: tuple[float, float] = (400.0, 100.0)
+    ris_pos: tuple[float, float] | None = None
     bs_pos: tuple[float, float] = (0.0, 0.0)
     ris_elements: int = 1024
     phase_mode: PhaseMode = PhaseMode.QUANTIZED
@@ -125,7 +122,7 @@ _ROSTER_FLOATS = ("x", "speed_offset", "altitude_offset")
 
 def validate_scenario(sc: Scenario) -> list[str]:
     """Collect every configuration problem instead of failing on the first."""
-    ranged = ("dt", "duration_s", "bs_pos", "stationary_ris_pos")  # checked below with their ranges
+    ranged = ("dt", "duration_s", "bs_pos", "ris_pos")  # checked below with their ranges
     problems = [f"{name} must be finite" for name in nonfinite(sc) if name not in ranged]
     if sc.name != sc.name.strip() or "\n" in sc.name or "\r" in sc.name:
         problems.append("name must not have outer whitespace or a line break")
@@ -142,7 +139,7 @@ def validate_scenario(sc: Scenario) -> list[str]:
         whole = math.isfinite(ticks) and abs(ticks - round(ticks)) <= 1e-9 * ticks
         if not whole or round(ticks) < 1:
             problems.append("duration must be a whole number of ticks, at least one")
-    if any(len(p) != 2 or not np.all(np.isfinite(p)) for p in (sc.bs_pos, sc.stationary_ris_pos)):
+    if any(len(p) != 2 or not np.all(np.isfinite(p)) for p in (sc.bs_pos, sc.ris_pos) if p is not None):
         problems.append("base station and surface positions must be two finite numbers")
     if sc.seed < 0:
         problems.append("seed must be non-negative")
@@ -345,7 +342,7 @@ class _Engine:
     def _ris_pos(self, relay: int) -> tuple[float, float]:
         """Surface position: on the relay row, or the fixed one for none (-1)."""
         if relay < 0:
-            return self.sc.stationary_ris_pos
+            return self.sc.ris_pos
         return (float(self.x[relay]), float(self.h[relay]))
 
     def _zero_path(self, t: float, served: int, relay: int) -> None:
@@ -371,7 +368,7 @@ class _Engine:
         bs = sc.bs_pos
         d_high = np.hypot(self.x[cruise_high] - bs[0], self.h[cruise_high] - bs[1])
         hi, lo = int(cruise_high[d_high.argmin()]), -1
-        if sc.ris_mode is RisMode.AIRBORNE:
+        if sc.ris_pos is None:
             cruise_low = fleet.segment(1).copy()
             cruise_low.sort()
             if len(cruise_low) == 0:
@@ -530,17 +527,19 @@ class _Engine:
         from its own stream, backing-off rows and cruisers are disjoint, and
         only a backing-off row can be released.
 
-        A tick with no conflict and no backing-off row has nothing to do, and
-        returns before any other array work: a row whose front or rear gap is
-        under its separation belongs to a ring pair of ``fleet.conflicts``,
-        which tests the gap against the larger separation of its two rows, so
-        no cruiser is violated.  A tick whose conflicts are cross-layer pairs
-        alone passes that test, and returns once it finds no backing-off row
-        and no violated cruiser: no row can then step, trigger, arm or draw."""
+        A flight at ``switch_prob`` 0 has nothing to do: no row can trigger,
+        so none ever backs off.  Nor has a tick with no conflict and no
+        backing-off row, and it returns before any other array work: a row
+        whose front or rear gap is under its separation belongs to a ring
+        pair of ``fleet.conflicts``, which tests the gap against the larger
+        separation of its two rows, so no cruiser is violated.  A tick whose
+        conflicts are cross-layer pairs alone passes that test, and returns
+        once it finds no backing-off row and no violated cruiser: no row can
+        then step, trigger, arm or draw."""
         sc, sw, n = self.sc, self.switch, self.n
         fired = np.zeros(n, dtype=bool)
         backing = (sw.mode == MODE_BACKING_OFF).nonzero()[0]
-        if not (sc.switching_enabled and (len(fleet.conflicts) or len(backing))):
+        if not (sc.switch_prob and (len(fleet.conflicts) or len(backing))):
             return fired
         violated = (fleet.front < fleet.d_safe) | (fleet.rear < fleet.d_safe)
         cruisers = ((sw.mode == MODE_CRUISE) & violated).nonzero()[0]

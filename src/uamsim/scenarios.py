@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .airspace import AirspaceConfig, OutOfRange
-from .engine import AircraftSpec, PhaseMode, RisMode, Scenario
+from .engine import AircraftSpec, PhaseMode, Scenario
 from .fields import FieldWeights
 from .ris import ChannelParams
 
@@ -46,8 +46,6 @@ _TYPES = {"": _declared_types(Scenario)} | {
 def _format_value(value) -> str:
     if value is None:
         return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, tuple):
@@ -84,12 +82,6 @@ def _parse_value(key: str, kind, raw: str):
         if len(parts) != len(typing.get_args(kind)):
             raise ValueError(f"{key}: expected {len(typing.get_args(kind))} numbers")
         return tuple(_convert(key, float, p) for p in parts)
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"{key}: expected true or false, got {raw!r}")
     if kind in (float, int, str) or issubclass(kind, Enum):
         return _convert(key, kind, raw)
     raise TypeError(f"{key}: unsupported setting type {kind}")
@@ -211,7 +203,7 @@ def _flow_convergence(seed: int) -> Scenario:
             dataclasses.replace(a, speed_offset=-5.0 + float(j)) for a, j in zip(roster, jitter)
         ),
         weights=dataclasses.replace(FieldWeights(), goal=0.0),
-        switching_enabled=False,
+        switch_prob=0.0,
         duration_s=30.0,
         seed=seed,
     )
@@ -247,7 +239,7 @@ BUILTIN = {
         "fig6-interference", phase_mode=PhaseMode.CONTINUOUS, channel=_INTERFERER
     ),
     "fig6-stationary": _even(
-        "fig6-stationary", phase_mode=PhaseMode.CONTINUOUS, ris_mode=RisMode.STATIONARY
+        "fig6-stationary", phase_mode=PhaseMode.CONTINUOUS, ris_pos=(400.0, 100.0)
     ),
     "fig9-phase": _even("fig9-phase"),
     "fig11-cpf": _flow_convergence,

@@ -16,7 +16,7 @@ from uamsim.switching import MODE_SWITCHING
 
 def attract_value(fleet):
     gap = fleet.front - fleet.d_safe
-    return np.where((fleet.prec >= 0) & (gap >= 0.0), gap * gap, 0.0)
+    return np.where(np.isin(np.arange(len(gap)), fleet.paired) & (gap >= 0.0), gap * gap, 0.0)
 
 
 def stabilize_value(fleet, cfg):

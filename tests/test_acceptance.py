@@ -363,7 +363,8 @@ def test_criterion_07_intrusion_prevention_thresholds():
             vals = []
             for seed in range(1, 11):
                 sc = scenarios.congestion_scenario(per_layer, seed)
-                sc = replace(sc, switching_enabled=enabled)
+                if not enabled:
+                    sc = replace(sc, switch_prob=0.0)
                 tr = run(sc)
                 vals.append(ipr_threshold(tr))
             means[(per_layer, enabled)] = float(np.mean(vals))
@@ -439,7 +440,7 @@ def _ticks_under_the_floor(sc):
     for k, row in zip(ticks.tolist(), rows.tolist()):
         partner = int(tr.ris_partner[k, row])
         relay = ids.index(partner) if partner >= 0 else -1
-        ris = sc.stationary_ris_pos if relay < 0 else (float(tr.x[k, relay]), float(tr.h[k, relay]))
+        ris = sc.ris_pos if relay < 0 else (float(tr.x[k, relay]), float(tr.h[k, relay]))
         served = (float(tr.x[k, row]), float(tr.h[k, row]))
         under += tr.capacity_bps[k, row] < _floor_capacity(sc, ris, served)
     return under, len(ticks)

@@ -405,12 +405,12 @@ def test_ring_matches_the_per_layer_loop(data):
     for lay in (0, 1, 2):
         members = np.flatnonzero(fleet.resident & (fleet.layer == lay))
         assert np.sort(fleet.segment(lay)).tolist() == members.tolist()
-    ring = fleet.front, fleet.rear, fleet.prec, fleet.ahead_x, fleet.ahead_h, fleet.conflicts
-    *want, codes = _ring_reference(fleet, CFG)
+    ring = fleet.front, fleet.rear, fleet.ahead_x, fleet.ahead_h, fleet.conflicts
+    front, rear, _, ahead_x, ahead_h, codes = _ring_reference(fleet, CFG)
     cross = np.array(_cross_layer_reference(fleet, CFG), dtype=int)
     if len(cross):
         event("a cross-layer pair conflicts")
-    for got, want in zip(ring, (*want, np.union1d(codes, cross))):
+    for got, want in zip(ring, (front, rear, ahead_x, ahead_h, np.union1d(codes, cross))):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -421,9 +421,10 @@ def _layer_offset_reference(fleet, cfg):
 
 
 def _attract_gradient_reference(fleet, weight):
-    """The attraction on the rows whose ``prec`` is not -1."""
+    """The attraction on the rows with a preceding aircraft in the
+    reference ring."""
     gx, gh = np.zeros(len(fleet.x)), np.zeros(len(fleet.x))
-    i = (fleet.prec >= 0).nonzero()[0]
+    i = (_ring_reference(fleet, CFG)[2] >= 0).nonzero()[0]
     d = fleet.front[i]
     pull = np.fmax(d - fleet.d_safe[i], 0.0)
     pull *= 2.0
@@ -465,8 +466,9 @@ def test_the_fleet_derives_its_shared_quantities_once(max_offset, data):
     n = len(fleet.x)
     want = _layer_offset_reference(fleet, CFG)
     assert fleet.offset.tobytes() == want.tobytes()
-    assert fleet.paired.tolist() == fleet.order[fleet.prec[fleet.order] >= 0].tolist()
-    assert sorted(fleet.paired.tolist()) == (fleet.prec >= 0).nonzero()[0].tolist()
+    prec = _ring_reference(fleet, CFG)[2]
+    assert fleet.paired.tolist() == fleet.order[prec[fleet.order] >= 0].tolist()
+    assert sorted(fleet.paired.tolist()) == (prec >= 0).nonzero()[0].tolist()
     if len(fleet.paired) < len(fleet.order):
         event("a lone resident")
     if not fleet.resident.all():
@@ -594,7 +596,7 @@ def test_pair_distance():
     assert fleet.rear[1] == pytest.approx(5.0, abs=1e-12)
     # the other way round the ring
     assert fleet.front[1] == pytest.approx(math.hypot(1997.0, 4.0), abs=1e-9)
-    assert list(fleet.prec) == [1, 0]
+    assert fleet.order.tolist() == fleet.paired.tolist() == [0, 1]
     assert (fleet.ahead_x[1], fleet.ahead_h[1]) == (1997.0, -4.0)
 
 
@@ -602,7 +604,7 @@ def test_ring_skips_the_alone_and_the_switching():
     rows = [(0, 0.0, 0.0, 30.0, 0.0, 0), (1, 10.0, 95.0, 30.0, 5.0, 0), (2, 10.0, 100.0, 45.0, 0.0, 1)]
     fleet = _fleet(rows, resident=[True, False, True])
     assert np.all(np.isinf(fleet.front)) and np.all(np.isinf(fleet.rear))
-    assert list(fleet.prec) == [-1, -1, -1]
+    assert fleet.order.tolist() == [0, 2] and len(fleet.paired) == 0
     assert _ids(fleet, fleet.conflicts) == set()
     # the switching aircraft takes no part in the cross-layer rule either
     assert _ids(fleet, cross_layer_conflicts(fleet, CFG)) == set()

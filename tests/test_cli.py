@@ -43,7 +43,7 @@ def test_validate_rejects_a_grid_that_does_not_divide_the_turn(capsys):
         pytest.param("dt=nan", "problem: dt must be positive and finite", id="dt"),
         pytest.param("duration_s=inf", "problem: duration must be positive and finite", id="duration"),
         pytest.param("bs_pos=1,2,3", "error: bs_pos: expected 2 numbers", id="bs_pos"),
-        pytest.param("stationary_ris_pos=400", "error: stationary_ris_pos: expected 2 numbers", id="ris_pos"),
+        pytest.param("ris_pos=400", "error: ris_pos: expected 2 numbers", id="ris_pos"),
     ],
 )
 def test_validate_rejects_non_finite_times_and_bad_positions(setting, message, capsys):
@@ -409,7 +409,15 @@ def test_phase_sweep_runs_reduced_grid(tmp_path, capsys):
     assert means[2] >= means[0] * 0.98
 
 
-def test_ipr_sweep_roster_file(tmp_path, capsys):
+def test_ipr_sweep_roster_file(tmp_path, capsys, monkeypatch):
+    """A ``switch_prob`` setting flies the on run; the off run stays at 0."""
+    flown, fly = [], engine.run
+
+    def logged(sc):
+        flown.append(sc.switch_prob)
+        return fly(sc)
+
+    monkeypatch.setattr(engine, "run", logged)
     out = str(tmp_path / "ipr")
     rc = main(
         [
@@ -420,11 +428,14 @@ def test_ipr_sweep_roster_file(tmp_path, capsys):
             "0.1,0.5,1.0",
             "--seed",
             "3",
+            "--set",
+            "switch_prob=0.3",
             "--out",
             out,
         ]
     )
     assert rc == 0
+    assert flown == [0.3, 0.0]
     lines = open(os.path.join(out, "ipr_sweep.csv")).read().strip().splitlines()
     assert lines[0] == "per_layer,switching,t_dur,ipr"
     # one roster, both switching flags, three thresholds

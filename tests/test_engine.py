@@ -12,7 +12,7 @@ import pytest
 from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
-from uamsim import engine, fields, scenarios, textfmt
+from uamsim import engine, fields, scenarios, switching, textfmt
 from uamsim.airspace import fleet_state
 from uamsim.fields import CollisionError, FieldWeights
 from uamsim.switching import MODE_BACKING_OFF, MODE_CRUISE, MODE_NAMES, MODE_SWITCHING
@@ -21,7 +21,6 @@ from trace_reference import first_difference, write_trace_per_row
 from uamsim.engine import (
     AircraftSpec,
     PhaseMode,
-    RisMode,
     Scenario,
     EPISODE_MERGE_WINDOW_S,
     ipr,
@@ -325,7 +324,8 @@ def test_a_tick_with_nothing_to_arbitrate_changes_no_state(monkeypatch):
     cross-layer conflict in the fleet's list and a row mid-switch.  Row 3,
     5 m behind row 0 round the ring and 5 m above it, closes on it from
     layer 1 at 15 m/s.  With no row to step or trigger, the pass returns
-    before it picks a target layer."""
+    before it picks a target layer.  At ``switch_prob`` 0 no tick has one:
+    the crowded ``fig12-ipr-dense`` flies 2 s without a draw or a request."""
     targeted = []
     monkeypatch.setattr(engine, "target_layers", lambda *args: targeted.append(args))
     specs = (
@@ -345,6 +345,15 @@ def test_a_tick_with_nothing_to_arbitrate_changes_no_state(monkeypatch):
     assert fired.dtype == bool and fired.tolist() == [False] * 5
     assert _switch_and_stream_bytes(eng) == before
     assert targeted == []
+
+    def no_draw(*args):
+        raise AssertionError("a stream was drawn from")
+
+    monkeypatch.setattr(switching.Streams, "random", no_draw)
+    monkeypatch.setattr(switching.Streams, "integers", no_draw)
+    tr = run(replace(scenarios.get_scenario("fig12-ipr-dense"), switch_prob=0.0, duration_s=2.0))
+    assert len(tr.episodes) > 0 and targeted == []
+    assert not [e for e in tr.events if e[2] == "LS_REQ"]
 
 
 # NumPy's Python-level wrappers: the dispatchers in these modules cost a few
@@ -384,8 +393,8 @@ def test_the_relay_tick_calls_no_numpy_wrapper(name):
 def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
     """The fleet that ``_accelerations`` receives holds the residents left
     after the back-off pass: a row released on that tick is in neither its
-    ``resident`` mask nor its resident order, and no resident's preceding
-    aircraft."""
+    ``resident`` mask nor its resident order, so it is no resident's
+    preceding aircraft, the next resident of its ring."""
     released, seen = [], []
     switch_logic, accelerations = engine._Engine._switch_logic, engine._Engine._accelerations
 
@@ -399,7 +408,6 @@ def test_forces_steer_without_the_rows_released_this_tick(monkeypatch):
         seen.append(len(rows))
         assert np.array_equal(fleet.resident, self.switch.resident)
         assert not np.isin(rows, fleet.order).any()
-        assert not np.isin(rows, fleet.prec[fleet.order]).any()
         return accelerations(self, fleet)
 
     monkeypatch.setattr(engine._Engine, "_switch_logic", logged_switch_logic)
@@ -448,7 +456,7 @@ _PROBLEM = {
     "dt": "dt must be positive and finite",
     "duration_s": "duration must be positive and finite",
     "bs_pos": _POS,
-    "stationary_ris_pos": _POS,
+    "ris_pos": _POS,
     "name": "name must not have outer whitespace or a line break",
 }
 
@@ -462,8 +470,8 @@ _PROBLEM = {
         ("duration_s", math.nan),
         ("bs_pos", (1.0, 2.0, 3.0)),
         ("bs_pos", (-math.inf, 0.0)),
-        ("stationary_ris_pos", (400.0,)),
-        ("stationary_ris_pos", (400.0, math.nan)),
+        ("ris_pos", (400.0,)),
+        ("ris_pos", (400.0, math.nan)),
         ("name", " fig6"),
         ("name", "fig6\t"),
         ("name", "fig\n6"),
@@ -695,8 +703,7 @@ def _parked_on_the_served_aircraft(phase_mode):
     return Scenario(
         name="parked",
         aircraft=(AircraftSpec(aircraft_id=7, layer=2, x=400.0),),
-        ris_mode=RisMode.STATIONARY,
-        stationary_ris_pos=(400.0, 200.0),
+        ris_pos=(400.0, 200.0),
         phase_mode=phase_mode,
         duration_s=1.0,
     )
@@ -731,8 +738,7 @@ def test_a_plan_whose_search_reaches_the_surface_serves_its_phases(monkeypatch):
     serves."""
     sc = replace(
         scenarios.get_scenario("fig9-phase"),
-        ris_mode=RisMode.STATIONARY,
-        stationary_ris_pos=(32.5, 200.0),
+        ris_pos=(32.5, 200.0),
         duration_s=2.0,
     )
     windows = []
@@ -813,7 +819,7 @@ def test_coincidence_mid_run_is_a_collision():
             AircraftSpec(aircraft_id=1, layer=1, x=10.0, speed_offset=-5.0),
         ),
         weights=off,
-        switching_enabled=False,
+        switch_prob=0.0,
         duration_s=2.0,
     )
     assert validate_scenario(sc) == []
@@ -844,7 +850,7 @@ def test_other_capacity_errors_propagate(monkeypatch):
         raise ValueError("not a geometry problem")
 
     monkeypatch.setattr(engine, "snr", broken)
-    sc = replace(_parked_on_the_served_aircraft(PhaseMode.ZERO), stationary_ris_pos=(400.0, 100.0))
+    sc = replace(_parked_on_the_served_aircraft(PhaseMode.ZERO), ris_pos=(400.0, 100.0))
     with pytest.raises(ValueError, match="not a geometry problem"):
         run(sc)
 

@@ -160,7 +160,7 @@ def test_band_matches_the_dense_reference(craft, course, reach, goal, edge, nudg
     )
     rows = (np.arange(n) == goal).nonzero()[0]
     goals = Goals(rows, np.full(len(rows), 0.3 * course))
-    paired = fleet.order[fleet.prec[fleet.order] >= 0]
+    paired = fleet.paired
     gap = fleet.ahead_x[paired].min() if len(paired) else np.inf
     if nudge is not None and 0.0 < gap < np.inf:
         radius = gap + nudge * np.spacing(gap)
@@ -268,7 +268,7 @@ def test_a_lone_resident_has_no_gap(searches):
         x, lay * 100.0, np.array([30.0, 44.0, 46.0, 45.0, 47.0]), np.zeros(5), lay,
         np.ones(5, dtype=bool), np.arange(5), CFG,
     )
-    assert (fleet.prec[0], fleet.ahead_x[0]) == (-1, 0.0)
+    assert 0 not in fleet.paired.tolist() and fleet.ahead_x[0] == 0.0
     assert len(_band(fleet).a) == 0 and searches == []
     assert _matches_the_dense_reference(fleet, RADIUS)
 
@@ -289,14 +289,14 @@ def test_a_release_only_widens_the_gaps_that_bound_the_band(radius, searches):
     eng = engine._Engine(sc)
     fleet = eng._fleet()
     assert len(_band(fleet, radius).a) == (2 if radius > 50.0 else 0)
-    assert (fleet.prec[1], fleet.ahead_x[1]) == (0, 1950.0)
+    assert fleet.segment(0).tolist() == [0, 1] and fleet.ahead_x[1] == 1950.0
     pull = -fields.attract_gradient(fleet, sc.weights.attract)[0][1]
     assert pull == pytest.approx(0.376, abs=5e-4)
     eng.switch.mode[0], eng.switch.target[0], eng.switch.backoff[0] = MODE_BACKING_OFF, 1, 1
     assert eng._switch_logic(0.0, fleet).tolist() == [True] + [False] * 5
     after = eng._fleet()
     assert after.order.tolist() == [1, 2, 3, 4, 5]
-    assert (after.prec[1], after.front[1]) == (-1, np.inf)
+    assert 1 not in after.paired.tolist() and after.front[1] == np.inf
     assert field_reference.attract_value(after)[1] == 0.0
     gx, gh = fields.attract_gradient(after, sc.weights.attract)
     assert (gx[1], gh[1]) == (0.0, 0.0)
@@ -354,7 +354,7 @@ def test_attraction_pulls_forward_round_the_ring():
     """Past half the course the preceding aircraft is still ahead: the pull
     keeps pointing forward and matches the forward gap of the value."""
     f = _fleet([(100.0, 0.0, 45.0, 0.0), (1500.0, 0.0, 45.0, 0.0)])
-    assert f.prec[0] == 1 and f.front[0] == pytest.approx(1400.0)
+    assert f.order.tolist() == [0, 1] and f.front[0] == pytest.approx(1400.0)
     gx, _ = fields.attract_gradient(f)
     assert gx[0] == pytest.approx(-2.0 * (1400.0 - 149.0625))
     # and the other one, 600 m ahead across the seam, is pulled forward too
@@ -423,7 +423,7 @@ def test_acceleration_is_norm_clipped():
     clips its norm to 5 m/s^2 and keeps its direction."""
     sc = Scenario(
         aircraft=(AircraftSpec(0, 1, x=0.0), AircraftSpec(1, 1, x=1.0)),
-        switching_enabled=False,
+        switch_prob=0.0,
         duration_s=0.2,
     )
     tr = run(sc)

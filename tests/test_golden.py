@@ -183,7 +183,7 @@ VARIANTS = {
         "fig12-ipr",
         (("airspace.vertical_separation_coeff", "10"), ("duration_s", "10")),
     ),
-    "fig9-phase-stationary": ("fig9-phase", (("ris_mode", "stationary"), ("duration_s", "10"))),
+    "fig9-phase-stationary": ("fig9-phase", (("ris_pos", "400,100"), ("duration_s", "10"))),
     "fig12-ipr-dense-seed-2e70": ("fig12-ipr-dense", (("seed", str(2**70)), DENSE_10S)),
     "fig12-ipr-dense-seed-2e200": (
         "fig12-ipr-dense",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from uamsim import scenarios
 from uamsim.airspace import AirspaceConfig
-from uamsim.engine import AircraftSpec, PhaseMode, RisMode, Scenario, validate_scenario
+from uamsim.engine import AircraftSpec, PhaseMode, Scenario, validate_scenario
 from uamsim.fields import FieldWeights
 from uamsim.ris import ChannelParams
 from uamsim.scenarios import (
@@ -88,12 +88,10 @@ def _valid_scenarios(draw):
         duration_s=draw(st.integers(1, 10**4)) * dt,  # a whole number of ticks
         seed=draw(st.integers(0, 2**63)),
         switch_prob=draw(_floats(0.0, 0.5)),
-        switching_enabled=draw(st.booleans()),
         initial_backoff=draw(st.integers(1, 32)),
         neighbor_radius_m=draw(_floats(1.0, 1e3)),
         target_window_m=draw(_floats(1.0, 1e4)),
-        ris_mode=draw(st.sampled_from(RisMode)),
-        stationary_ris_pos=draw(_point),
+        ris_pos=draw(st.none() | _point),
         bs_pos=draw(_point),
         ris_elements=draw(st.integers(1, 64)) ** 2,
         phase_mode=draw(st.sampled_from(PhaseMode)),
@@ -207,7 +205,7 @@ def test_settings_reject_a_tuple_of_the_wrong_length():
         sc = get_scenario(name)
         for key, raw in (
             ("bs_pos", "1,2,3"),
-            ("stationary_ris_pos", "400"),
+            ("ris_pos", "400"),
             ("airspace.expected_speeds_mps", "30,45"),
             ("channel.interference_pos", "1,2,3"),
         ):
@@ -336,11 +334,14 @@ def test_loaded_file_rejects_bad_lines(tmp_path):
 
 
 def test_airborne_interference_mode_is_rejected(tmp_path):
-    """The mode never ran differently from ``airborne``; a file naming it is
-    an error, not a silent airborne run.  Interference is a channel setting."""
-    p = tmp_path / "interference.txt"
+    """The removed mode settings are errors, not silent airborne or
+    switching runs: interference is a channel setting, a fixed surface is
+    ``ris_pos`` and a flight without switching is ``switch_prob = 0``."""
+    p = tmp_path / "removed.txt"
     save_scenario(get_scenario("fig6-interference"), str(p))
-    text = p.read_text().replace("ris_mode = airborne\n", "ris_mode = airborne-interference\n")
-    p.write_text(text)
-    with pytest.raises(ValueError, match="airborne-interference"):
-        load_scenario(str(p))
+    saved = p.read_text()
+    for key, value in (("ris_mode", "airborne-interference"), ("ris_mode", "stationary"),
+                       ("switching_enabled", "false")):
+        p.write_text(f"{saved}{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown setting '{key}'"):
+            load_scenario(str(p))
