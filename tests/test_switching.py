@@ -43,17 +43,6 @@ def test_switch_probability_three_cases():
         assert got.tolist() == [switch_probability(*c, p) for c in zip(front, rear, d_safe)]
 
 
-def test_manoeuvre_worked_point():
-    # climb one 100 m layer while speeding up from 45 to 60 under a 5 m/s^2 cap
-    plan = optimal_switch_acceleration(45.0, 60.0, 100.0, 5.0)
-    assert plan.ay == pytest.approx(4.7267, abs=1e-3)
-    assert plan.ax == pytest.approx(1.6306, abs=1e-3)
-    assert plan.duration == pytest.approx(9.20, abs=5e-3)
-    print(
-        f"worked point: ax={plan.ax:.4f} ay={plan.ay:.4f} t={plan.duration:.4f}"
-    )
-
-
 def test_manoeuvre_identities_hold_everywhere():
     """dv = ax t, H = ay t^2 / 4 and ax^2 + ay^2 = a_max^2, random sweep;
     one call on the whole sweep equals the scalar call at every point."""
